@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .levels import LevelFeature
 from .nn_ops import (
@@ -44,6 +45,10 @@ from .tensor_core import (
 )
 
 GATE_ACTS = ("two_sigmoid", "sigmoid")
+# Size cap on one row block of the unfolded source in reassemble_up: about
+# L2-sized, so the gather and its GEMM stay in cache, and the op's transient
+# memory stays bounded at any level size.
+_UNFOLD_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -194,8 +199,29 @@ def reassemble_up(coarse, kernels, s=2):
     return out
 
 
+def _unfold_rows(w, c, k2, itemsize):
+    """Coarse rows per block of the unfolded source in reassemble_up."""
+    return max(1, _UNFOLD_BLOCK_BYTES // (w * c * k2 * itemsize))
+
+
+def _by_cell(a, s):
+    """(m, s·h, s·w) viewed as (h, w, m, s, s): the s×s pixels of each coarse cell."""
+    m, sh, sw = a.shape
+    return a.reshape(m, sh // s, s, sw // s, s).transpose(1, 3, 0, 2, 4)
+
+
 def reassemble_up_fwd(coarse, kernels, s=2):
-    """out(x, y) = kernel(x, y) · k×k zero-padded window of coarse(⌊x/s⌋, ⌊y/s⌋)."""
+    """out(x, y) = kernel(x, y) · k×k zero-padded window of coarse(⌊x/s⌋, ⌊y/s⌋).
+
+    Computed as an unfold and a batched GEMM, as in CARAFE (Wang et al.,
+    arXiv 1905.02188): the s² outputs of coarse cell (y, x) all read the
+    same window, so they are one product U(c×k²) @ K(k²×s²) of the unfolded
+    window and the cell's kernels.  U comes from a sliding_window_view of a
+    channel-last copy of the padded source.  The products run as one stacked
+    matmul per block of coarse rows, sized so that the unfolded block stays
+    under _UNFOLD_BLOCK_BYTES, and each block's products are written straight
+    into the s×s pixels of their cells in the output.
+    """
     if isinstance(kernels, ReassemblyKernels):
         kernels = kernels.values
     c, h, w = coarse.shape
@@ -203,26 +229,51 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     if kernels.shape[1:] != (s * h, s * w):
         raise ValueError(f"kernels {kernels.shape} do not cover a ×{s} output of {coarse.shape}")
     r = (k - 1) // 2
-    cp = np.pad(coarse, ((0, 0), (r, r), (r, r)))
-    out = np.zeros((c, s * h, s * w), dtype=coarse.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            win = cp[:, dy : dy + h, dx : dx + w]
-            out += kernels[dy * k + dx] * np.repeat(np.repeat(win, s, axis=1), s, axis=2)
-    return out, (coarse.shape, kernels, cp, s, k, r)
+    k2 = k * k
+    # channel-last, so each unfolded window copies in runs of c contiguous values;
+    # the cache holds its channel-first view as the padded source
+    cpt = np.pad(coarse.transpose(1, 2, 0), ((r, r), (r, r), (0, 0)))
+    windows = sliding_window_view(cpt, (k, k), axis=(0, 1))
+    kcell = _by_cell(kernels, s)
+    out = np.empty((c, s * h, s * w), dtype=coarse.dtype)
+    ocell = _by_cell(out, s)
+    rows = _unfold_rows(w, c, k2, cpt.itemsize)
+    for y0 in range(0, h, rows):
+        n = min(rows, h - y0)
+        ut = windows[y0 : y0 + n].transpose(0, 1, 3, 4, 2).reshape(n, w, k2, c)
+        uk = np.matmul(ut.swapaxes(2, 3), kcell[y0 : y0 + n].reshape(n, w, k2, s * s))
+        ocell[y0 : y0 + n] = uk.reshape(n, w, c, s, s)
+    return out, (coarse.shape, kernels, cpt.transpose(2, 0, 1), s, k, r)
 
 
 def reassemble_up_bwd(cache, gout):
+    """Adjoint of reassemble_up_fwd, by the same unfold and row blocks.
+
+    Per block, gK = Uᵀ G and gUᵀ = K Gᵀ, where G holds each cell's s²
+    output gradients; U is unfolded again from the cached padded source
+    rather than cached.  gUᵀ folds into the padded-source gradient with one
+    slice-add per tap.
+    """
     (c, h, w), kernels, cp, s, k, r = cache
-    gkern = np.empty_like(kernels)
-    gcp = np.zeros_like(cp)
-    for dy in range(k):
-        for dx in range(k):
-            win = cp[:, dy : dy + h, dx : dx + w]
-            gkern[dy * k + dx] = (gout * np.repeat(np.repeat(win, s, axis=1), s, axis=2)).sum(axis=0)
-            t = kernels[dy * k + dx] * gout
-            gcp[:, dy : dy + h, dx : dx + w] += t.reshape(c, h, s, w, s).sum(axis=(2, 4))
-    return gcp[:, r : r + h, r : r + w], gkern
+    k2 = k * k
+    cpt = cp.transpose(1, 2, 0)
+    windows = sliding_window_view(cpt, (k, k), axis=(0, 1))
+    kcell = _by_cell(kernels, s)
+    gcell = _by_cell(gout, s)
+    gkern = np.empty(kernels.shape, dtype=kernels.dtype)  # C order, so _by_cell is a view
+    gkcell = _by_cell(gkern, s)
+    gcpt = np.zeros(cpt.shape, dtype=cp.dtype)
+    rows = _unfold_rows(w, c, k2, cp.itemsize)
+    for y0 in range(0, h, rows):
+        n = min(rows, h - y0)
+        ut = windows[y0 : y0 + n].transpose(0, 1, 3, 4, 2).reshape(n, w, k2, c)
+        g = gcell[y0 : y0 + n].reshape(n, w, c, s * s)
+        gkcell[y0 : y0 + n] = np.matmul(ut, g).reshape(n, w, k2, s, s)
+        gut = np.matmul(kcell[y0 : y0 + n].reshape(n, w, k2, s * s), g.swapaxes(2, 3))
+        for t in range(k2):
+            dy, dx = divmod(t, k)
+            gcpt[y0 + dy : y0 + dy + n, dx : dx + w] += gut[:, :, t]
+    return np.ascontiguousarray(gcpt[r : r + h, r : r + w].transpose(2, 0, 1)), gkern
 
 
 def reassemble_down(fine, kernels, s=2):

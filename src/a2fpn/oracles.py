@@ -190,3 +190,57 @@ def reassemble_down_oracle(fine, kernels, s, k):
                             acc += float(kernels[dy * k + dx, oy, ox]) * float(fine[ci, iy, ix])
                 out[ci, oy, ox] = acc
     return out
+
+
+def reassemble_up_bwd_oracle(coarse, kernels, gout, s, k):
+    """Gradients of sum(gout · reassemble_up) w.r.t. coarse and kernels.
+
+    Every (output pixel, tap) pair that reads coarse(iy, ix) sends
+    kernel · gout back to the source and source · gout to the kernel.
+    """
+    c, h, w = coarse.shape
+    _, sh, sw = kernels.shape
+    r = (k - 1) // 2
+    gcoarse = np.zeros((c, h, w), dtype=np.float64)
+    gkern = np.zeros((k * k, sh, sw), dtype=np.float64)
+    for oy in range(sh):
+        for ox in range(sw):
+            cy, cx = oy // s, ox // s
+            for dy in range(k):
+                for dx in range(k):
+                    iy, ix = cy + dy - r, cx + dx - r
+                    if not (0 <= iy < h and 0 <= ix < w):
+                        continue
+                    t = dy * k + dx
+                    acc = 0.0
+                    for ci in range(c):
+                        g = float(gout[ci, oy, ox])
+                        gcoarse[ci, iy, ix] += float(kernels[t, oy, ox]) * g
+                        acc += float(coarse[ci, iy, ix]) * g
+                    gkern[t, oy, ox] = acc
+    return gcoarse, gkern
+
+
+def reassemble_down_bwd_oracle(fine, kernels, gout, s, k):
+    """Gradients of sum(gout · reassemble_down) w.r.t. fine and kernels."""
+    c, sh, sw = fine.shape
+    _, h, w = kernels.shape
+    r = (k - 1) // 2
+    gfine = np.zeros((c, sh, sw), dtype=np.float64)
+    gkern = np.zeros((k * k, h, w), dtype=np.float64)
+    for oy in range(h):
+        for ox in range(w):
+            cy, cx = s * oy, s * ox
+            for dy in range(k):
+                for dx in range(k):
+                    iy, ix = cy + dy - r, cx + dx - r
+                    if not (0 <= iy < sh and 0 <= ix < sw):
+                        continue
+                    t = dy * k + dx
+                    acc = 0.0
+                    for ci in range(c):
+                        g = float(gout[ci, oy, ox])
+                        gfine[ci, iy, ix] += float(kernels[t, oy, ox]) * g
+                        acc += float(fine[ci, iy, ix]) * g
+                    gkern[t, oy, ox] = acc
+    return gfine, gkern

@@ -974,6 +974,36 @@ def oracle_suite(seed=0, cases=50):
 
     entries.append(_sweep("reassemble_down", cases, re_down_case, time.perf_counter()))
 
+    def re_up_bwd_case():
+        c = int(rng.integers(1, 4))
+        h, w = rng.integers(1, 5, 2)
+        k = int(rng.choice([1, 3, 5]))
+        s = int(rng.choice([2, 3]))
+        coarse = rng.standard_normal((c, h, w))
+        kern = rng.standard_normal((k * k, s * h, s * w))
+        gout = rng.standard_normal((c, s * h, s * w))
+        _, cache = fusion.reassemble_up_fwd(coarse, kern, s)
+        got = fusion.reassemble_up_bwd(cache, gout)
+        want = oracles.reassemble_up_bwd_oracle(coarse, kern, gout, s, k)
+        return max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+
+    entries.append(_sweep("reassemble_up_bwd", cases, re_up_bwd_case, time.perf_counter()))
+
+    def re_down_bwd_case():
+        c = int(rng.integers(1, 4))
+        h, w = rng.integers(1, 5, 2)
+        k = int(rng.choice([1, 3, 5]))
+        s = int(rng.choice([2, 3]))
+        fine = rng.standard_normal((c, s * h, s * w))
+        kern = rng.standard_normal((k * k, h, w))
+        gout = rng.standard_normal((c, h, w))
+        _, cache = fusion.reassemble_down_fwd(fine, kern, s)
+        got = fusion.reassemble_down_bwd(cache, gout)
+        want = oracles.reassemble_down_bwd_oracle(fine, kern, gout, s, k)
+        return max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+
+    entries.append(_sweep("reassemble_down_bwd", cases, re_down_bwd_case, time.perf_counter()))
+
     def shuffle_case():
         q = int(rng.integers(1, 4))
         h, w = rng.integers(1, 5, 2)

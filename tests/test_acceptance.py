@@ -40,7 +40,8 @@ def test_criterion_2_oracle_equivalence_50_shapes():
     assert ok, "oracle sweeps failed: " + "; ".join(e.op for e in entries if not e.passed)
     by_name = {e.op: e for e in entries}
     required = ("conv2d", "attention_pool", "compatibility", "reassemble_up",
-                "reassemble_down", "pixel_shuffle", "bilinear_upsample")
+                "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
+                "pixel_shuffle", "bilinear_upsample")
     for name in required:
         e = by_name[name]
         assert e.cases >= 50, f"{name}: only {e.cases} shapes"

@@ -48,6 +48,51 @@ def test_reassemble_down_matches_loop_oracle(rng):
     npt.assert_allclose(got, oracles.reassemble_down_oracle(fine, kern, 2, 3), atol=1e-13)
 
 
+@pytest.mark.parametrize("c,h,w,k,s", [
+    (2, 7, 3, 3, 2),  # several row blocks, the last one short
+    (3, 5, 4, 5, 3),
+    (2, 1, 1, 3, 2),
+    (1, 1, 6, 5, 2),
+    (3, 6, 1, 1, 3),
+    (2, 4, 5, 1, 2),
+])
+def test_reassemble_up_row_blocks_match_loop_oracles(monkeypatch, c, h, w, k, s):
+    # shrink the block cap to two coarse rows, so small shapes cross blocks
+    monkeypatch.setattr(fusion, "_UNFOLD_BLOCK_BYTES", 2 * w * c * k * k * 8)
+    assert fusion._unfold_rows(w, c, k * k, 8) == 2
+    rng = np.random.default_rng([c, h, w, k, s])
+    coarse = rng.standard_normal((c, h, w))
+    kern = rng.standard_normal((k * k, s * h, s * w))
+    gout = rng.standard_normal((c, s * h, s * w))
+    out, cache = fusion.reassemble_up_fwd(coarse, kern, s)
+    npt.assert_allclose(out, oracles.reassemble_up_oracle(coarse, kern, s, k), rtol=0, atol=1e-12)
+    gc, gk = fusion.reassemble_up_bwd(cache, gout)
+    want_gc, want_gk = oracles.reassemble_up_bwd_oracle(coarse, kern, gout, s, k)
+    npt.assert_allclose(gc, want_gc, rtol=0, atol=1e-12)
+    npt.assert_allclose(gk, want_gk, rtol=0, atol=1e-12)
+
+
+def test_reassemble_up_f32_matches_f64_and_caches_no_unfold(rng):
+    c, h, w, k, s = 64, 16, 24, 5, 2
+    # at this size the default block cap splits the level into several blocks
+    assert fusion._unfold_rows(w, c, k * k, 4) < h
+    coarse = rng.standard_normal((c, h, w))
+    kern = tc.softmax(rng.standard_normal((k * k, s * h, s * w)), axis=0)
+    gout = rng.standard_normal((c, s * h, s * w))
+    out64, cache64 = fusion.reassemble_up_fwd(coarse, kern, s)
+    gc64, gk64 = fusion.reassemble_up_bwd(cache64, gout)
+    out32, cache32 = fusion.reassemble_up_fwd(coarse.astype(np.float32), kern.astype(np.float32), s)
+    gc32, gk32 = fusion.reassemble_up_bwd(cache32, gout.astype(np.float32))
+    for got, want in ((out32, out64), (gc32, gc64), (gk32, gk64)):
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+    padded = (c, h + k - 1, w + k - 1)
+    # a cached view counts with the array it keeps alive
+    cached = [a if a.base is None else a.base for a in cache32 if isinstance(a, np.ndarray)]
+    assert any(a.shape == padded for a in cache32 if isinstance(a, np.ndarray))
+    assert all(a.size <= max(np.prod(padded), kern.size) for a in cached)
+
+
 def test_reassemble_up_interior_constant_map(rng):
     # normalized kernels average a constant neighborhood back to itself;
     # only border cells see zero padding, so check the interior

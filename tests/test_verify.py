@@ -79,7 +79,8 @@ def test_oracle_suite_runs_fifty_cases_each():
     assert ok
     by_name = {e.op: e for e in entries}
     core = {"conv2d", "attention_pool", "compatibility", "reassemble_up",
-            "reassemble_down", "pixel_shuffle", "bilinear_upsample"}
+            "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
+            "pixel_shuffle", "bilinear_upsample"}
     assert core <= set(by_name)
     for name in core:
         assert by_name[name].cases >= 50
