@@ -4,6 +4,20 @@ All ops act on single images laid out channel-first (c, h, w); batching is
 the caller's loop.  Convolution is cross-correlation (no kernel flip) with
 zero padding.  Forward variants ``*_fwd`` return (out, cache) for the
 matching ``*_bwd``.
+
+Convolution takes one of two paths, chosen from the conv's shape alone:
+
+* 3×3 stride-1 convs (any padding) with cout·cin·h_out·w_out at or above
+  ``_WINOGRAD_MIN_SIZE``, a crossover measured on one BLAS thread, run by
+  Winograd F(2×2, 3×3) (Lavin & Gray, arXiv 1509.09308): 16 multiplies per
+  2×2 output tile and channel pair where direct convolution needs 36.  The
+  tiles are transformed and multiplied in blocks of tile rows sized by
+  ``_WINOGRAD_BLOCK_BYTES``, so no im2col matrix and no full transformed
+  input is built.  The cache holds the padded input and the transformed
+  kernels; the backward recomputes the input transform block by block.
+* Every other conv (strided, k ≠ 3, or below the crossover) is one GEMM
+  with the im2col column matrix (cin·k², h_out·w_out), which the cache
+  holds.  For 1×1 stride-1 convs that matrix is a view of the input.
 """
 
 from __future__ import annotations
@@ -45,9 +59,141 @@ def _out_extent(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
+# Winograd F(2×2, 3×3) (Lavin & Gray, arXiv 1509.09308): a 2×2 output tile
+# is Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A for the 4×4 input tile d and 3×3 kernel g.
+# Two-sided transforms are taken as one product with a Kronecker matrix:
+# vec(P X Qᵀ) = (P⊗Q) vec(X), with vec in row-major order.
+_WINO_BT = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+_WINO_G = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.0, 0.0, 1.0]])
+_WINO_AT = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]])
+_WINO_GG = np.kron(_WINO_G, _WINO_G)  # (16, 9) kernel transform
+_WINO_AA = np.kron(_WINO_AT, _WINO_AT)  # (4, 16) output transform
+_WINO_BB = np.kron(_WINO_BT, _WINO_BT)  # (16, 16) input transform
+# 3×3 stride-1 convs with cout·cin·h_out·w_out at or above this take the
+# Winograd path; below it the transforms cost more than the saved GEMM work
+# (crossover measured with one BLAS thread, f32; the table is in CHANGES.md).
+_WINOGRAD_MIN_SIZE = 1 << 25
+# Size cap on one row block of transformed tiles (the larger of the input
+# and output transforms): about L2-sized, so the transforms stream through
+# cache rather than DRAM.
+_WINOGRAD_BLOCK_BYTES = 2 << 20
+
+
+def _use_winograd(weight_shape, stride, h_out, w_out):
+    cout, cin, k, _ = weight_shape
+    return k == 3 and stride == 1 and cout * cin * h_out * w_out >= _WINOGRAD_MIN_SIZE
+
+
+def _bt(d, out):
+    """out[ξ] = Σ_a Bᵀ[ξ, a] d[a] for the four slices d of a tile axis."""
+    np.subtract(d[0], d[2], out=out[0])
+    np.add(d[1], d[2], out=out[1])
+    np.subtract(d[2], d[1], out=out[2])
+    np.subtract(d[1], d[3], out=out[3])
+
+
+def _winograd_rows(cin, cout, tw, itemsize):
+    """Tile rows per block of the Winograd transforms."""
+    return max(1, _WINOGRAD_BLOCK_BYTES // (16 * max(cin, cout) * tw * itemsize))
+
+
+def _winograd_input(xp, ty0, n, tw, dtype):
+    """V = Bᵀ d B (16, cin, n·tw) for tile rows ty0..ty0+n of the padded input.
+
+    Separable: Bᵀ over strided row views, then B over strided column views.
+    """
+    rows = [xp[:, 2 * ty0 + a : 2 * (ty0 + n) + a : 2] for a in range(4)]
+    t = np.empty((4,) + rows[0].shape, dtype=dtype)
+    _bt(rows, t)
+    v = np.empty((4, 4, xp.shape[0], n, tw), dtype=dtype)
+    for xi in range(4):
+        _bt([t[xi][..., b : 2 * tw + b : 2] for b in range(4)], v[xi])
+    return v.reshape(16, xp.shape[0], n * tw)
+
+
+def _winograd_fwd(p: ConvParams, x):
+    """3×3 stride-1 conv by Winograd F(2×2, 3×3), in blocks of tile rows.
+
+    The kernels are transformed once, U = (G⊗G) vec(w) with shape
+    (16, cout, cin).  Per block of tile rows, the input tiles are
+    transformed, V = Bᵀ d B (16, cin, tiles), from strided views of the
+    padded input; M = U @ V runs as one batched matmul over the 16 tile
+    positions; and Y = (Aᵀ⊗Aᵀ) M is written straight into the output's 2×2
+    tiles.  Odd output extents are padded to whole tiles and cropped.  The
+    bias is added to M at tile position (1, 1), which Aᵀ·A sends to all four
+    outputs.  The cache holds the padded input and U; the backward
+    recomputes V.
+    """
+    cout, cin = p.weight.shape[:2]
+    h, w = x.shape[1:]
+    pad = p.padding
+    h_out, w_out = h + 2 * pad - 2, w + 2 * pad - 2
+    th, tw = -(-h_out // 2), -(-w_out // 2)
+    dt = np.result_type(x, p.weight) if p.bias is None else np.result_type(x, p.weight, p.bias)
+    if (pad, h_out % 2, w_out % 2) == (0, 0, 0):
+        xp = x
+    else:  # zero padding, plus one more row and column for odd output extents
+        xp = np.pad(x, ((0, 0), (pad, pad + h_out % 2), (pad, pad + w_out % 2)))
+    u = (_WINO_GG.astype(dt) @ p.weight.reshape(cout * cin, 9).T).reshape(16, cout, cin)
+    aa = _WINO_AA.astype(dt)
+    out = np.empty((cout, th, 2, tw, 2), dtype=dt)
+    rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
+    for ty0 in range(0, th, rows):
+        n = min(rows, th - ty0)
+        m = np.matmul(u, _winograd_input(xp, ty0, n, tw, dt))
+        if p.bias is not None:
+            m[5] += p.bias[:, None]
+        y = (aa @ m.reshape(16, -1)).reshape(2, 2, cout, n, tw)
+        out[:, ty0 : ty0 + n] = y.transpose(2, 3, 0, 4, 1)
+    y = out.reshape(cout, 2 * th, 2 * tw)
+    if (h_out, w_out) != (2 * th, 2 * tw):
+        y = np.ascontiguousarray(y[:, :h_out, :w_out])
+    return y, (p, x.shape, xp, u)
+
+
+def _winograd_bwd(cache, gy):
+    """Adjoint of _winograd_fwd, by the same tile-row blocks.
+
+    Per block, gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed from the
+    cached padded input, and gV = Uᵀ gM.  gV goes back through the input
+    transform, gd = (B⊗B) gV, and the overlapping 4×4 tiles of gd fold into
+    the padded-input gradient with one strided slice-add per tile position.
+    Finally gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU.
+    """
+    p, (_, h, w), xp, u = cache
+    cout, cin = p.weight.shape[:2]
+    pad = p.padding
+    h_out, w_out = gy.shape[1:]
+    th, tw = -(-h_out // 2), -(-w_out // 2)
+    dt = u.dtype
+    gb = gy.sum(axis=(1, 2)) if p.bias is not None else None
+    if (h_out, w_out) != (2 * th, 2 * tw):
+        gy = np.pad(gy, ((0, 0), (0, 2 * th - h_out), (0, 2 * tw - w_out)))
+    gyt = gy.reshape(cout, th, 2, tw, 2)
+    aa_t = _WINO_AA.T.astype(dt)
+    bb_t = _WINO_BB.T.astype(dt)
+    gu = np.zeros((16, cout, cin), dtype=dt)
+    gxp = np.zeros(xp.shape, dtype=dt)
+    rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
+    for ty0 in range(0, th, rows):
+        n = min(rows, th - ty0)
+        g = np.ascontiguousarray(gyt[:, ty0 : ty0 + n].transpose(2, 4, 0, 1, 3), dtype=dt)
+        gm = (aa_t @ g.reshape(4, -1)).reshape(16, cout, n * tw)
+        gu += np.matmul(gm, _winograd_input(xp, ty0, n, tw, dt).swapaxes(1, 2))
+        gv = np.matmul(u.swapaxes(1, 2), gm)
+        gd = (bb_t @ gv.reshape(16, -1)).reshape(4, 4, cin, n, tw)
+        for a in range(4):
+            for b in range(4):
+                gxp[:, 2 * ty0 + a : 2 * (ty0 + n) + a : 2, b : 2 * tw + b : 2] += gd[a, b]
+    gw = (_WINO_GG.T.astype(dt) @ gu.reshape(16, cout * cin)).T.reshape(p.weight.shape)
+    return gxp[:, pad : pad + h, pad : pad + w], gw, gb
+
+
 def _im2col(xp, k, stride, h_out, w_out):
     # column matrix (cin·k², h_out·w_out); one strided slice per kernel tap
     cin = xp.shape[0]
+    if k == 1 and stride == 1:
+        return xp.reshape(cin, h_out * w_out)  # a view when xp is contiguous: no copy
     cols = np.empty((cin, k, k, h_out, w_out), dtype=xp.dtype)
     for dy in range(k):
         for dx in range(k):
@@ -61,6 +207,15 @@ def conv2d(p: ConvParams, x):
 
 
 def conv2d_fwd(p: ConvParams, x):
+    """Cross-correlation of x (cin, h, w) with p; returns (y, cache).
+
+    3×3 stride-1 convs with cout·cin·h_out·w_out ≥ _WINOGRAD_MIN_SIZE run
+    by Winograd F(2×2, 3×3) (_winograd_fwd; the cache holds the padded input
+    and the transformed kernels).  Every other conv is one GEMM of the
+    kernel matrix with the im2col column matrix (cin·k², h_out·w_out), which
+    the cache holds; for 1×1 stride-1 convs that matrix is a view of the
+    (padded) input.
+    """
     cout, cin, k, _ = p.weight.shape
     if x.ndim != 3 or x.shape[0] != cin:
         raise ValueError(f"expected input ({cin}, h, w), got {x.shape}")
@@ -69,6 +224,8 @@ def conv2d_fwd(p: ConvParams, x):
     w_out = _out_extent(w, k, p.stride, p.padding)
     if h_out < 1 or w_out < 1:
         raise ValueError(f"kernel {k} with stride {p.stride}, pad {p.padding} exceeds input {h}×{w}")
+    if _use_winograd(p.weight.shape, p.stride, h_out, w_out):
+        return _winograd_fwd(p, x)
     if p.padding:
         xp = np.pad(x, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
     else:
@@ -81,7 +238,13 @@ def conv2d_fwd(p: ConvParams, x):
 
 
 def conv2d_bwd(cache, gy):
-    """Adjoints (gx, gweight, gbias); gbias is None for bias-free convs."""
+    """Adjoints (gx, gweight, gbias); gbias is None for bias-free convs.
+
+    Takes the path its forward took, chosen again from the same shapes.
+    """
+    p = cache[0]
+    if _use_winograd(p.weight.shape, p.stride, *gy.shape[1:]):
+        return _winograd_bwd(cache, gy)
     p, x_shape, cols = cache
     cout, cin, k, _ = p.weight.shape
     h, w = x_shape[1:]
@@ -111,12 +274,25 @@ def max_pool2d(x):
 
 
 def max_pool2d_fwd(x):
+    """2×2 max and its window index (row-major), from the four phase views.
+
+    y is np.maximum over the phase views x[:, i::2, j::2].  arg matches
+    np.argmax over each window: the first of tied values wins, and so does
+    the first NaN, which the equality tests miss and a NaN-only pass sets.
+    (Where a window holds both 0.0 and -0.0, y may carry the other zero.)
+    """
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"max_pool2d needs even extents, got {h}×{w}")
-    win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    arg = np.argmax(win, axis=-1)  # first occurrence wins ties (row-major window order)
-    y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    phases = [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    y = np.maximum(np.maximum(phases[0], phases[1]), np.maximum(phases[2], phases[3]))
+    arg = np.full(y.shape, 3, dtype=np.intp)
+    for t in (2, 1, 0):  # later writes win, so the first equal phase is kept
+        np.copyto(arg, t, where=phases[t] == y)
+    nan = np.isnan(y)
+    if nan.any():
+        for t in (3, 2, 1, 0):
+            np.copyto(arg, t, where=nan & np.isnan(phases[t]))
     return y, (x.shape, arg)
 
 

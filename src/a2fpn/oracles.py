@@ -66,6 +66,36 @@ def conv2d_oracle(w, b, x, stride, pad):
     return out
 
 
+def conv2d_bwd_oracle(w, b, x, gy, stride, pad):
+    """Gradients (gx, gw, gb) of sum(gy · conv2d(w, b, x)), one tap at a time.
+
+    Every (output, input channel, tap) triple that reads x(iy, ix) sends
+    w · gy back to the input and x · gy to the kernel; gb is None without
+    a bias.
+    """
+    cout, cin, k, _ = w.shape
+    _, h, wd = x.shape
+    _, h_out, w_out = gy.shape
+    gx = np.zeros((cin, h, wd), dtype=np.float64)
+    gw = np.zeros((cout, cin, k, k), dtype=np.float64)
+    gb = None if b is None else np.zeros(cout, dtype=np.float64)
+    for co in range(cout):
+        for oy in range(h_out):
+            for ox in range(w_out):
+                g = float(gy[co, oy, ox])
+                if gb is not None:
+                    gb[co] += g
+                for ci in range(cin):
+                    for dy in range(k):
+                        for dx in range(k):
+                            iy = oy * stride + dy - pad
+                            ix = ox * stride + dx - pad
+                            if 0 <= iy < h and 0 <= ix < wd:
+                                gx[ci, iy, ix] += float(w[co, ci, dy, dx]) * g
+                                gw[co, ci, dy, dx] += float(x[ci, iy, ix]) * g
+    return gx, gw, gb
+
+
 def max_pool2d_oracle(x):
     c, h, w = x.shape
     out = np.zeros((c, h // 2, w // 2), dtype=np.float64)

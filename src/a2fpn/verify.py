@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fusion, mgc, oracles
+from . import fusion, mgc, nn_ops, oracles
 from .levels import LevelFeature
 from .nn_ops import (
     ConvParams,
@@ -292,7 +292,7 @@ def _build_layer_norm(rng):
     return arrays, loss, grads
 
 
-def _conv_builder(x_shape, w_shape, stride, padding):
+def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_bwd):
     def build(rng):
         x = rng.standard_normal(x_shape)
         w = rng.standard_normal(w_shape)
@@ -301,15 +301,15 @@ def _conv_builder(x_shape, w_shape, stride, padding):
         r_holder = {}
 
         def loss():
-            y = conv2d(p, x)
+            y, _ = fwd(p, x)
             if "r" not in r_holder:
                 r_holder["r"] = np.random.default_rng(7).standard_normal(y.shape)
             return float(np.sum(y * r_holder["r"]))
 
         def grads():
-            _, cache = conv2d_fwd(p, x)
+            _, cache = fwd(p, x)
             loss()  # materialize the projection
-            gx, gw, gb = conv2d_bwd(cache, r_holder["r"])
+            gx, gw, gb = bwd(cache, r_holder["r"])
             return {"x": gx, "w": gw, "b": gb}
 
         return {"x": x, "w": w, "b": b}, loss, grads
@@ -848,6 +848,9 @@ REGISTRY = {
     "conv2d": (_conv_builder((2, 5, 5), (3, 2, 3, 3), 1, 1), PRIMITIVE_TOL, 0),
     "conv2d_stride2": (_conv_builder((2, 7, 7), (3, 2, 3, 3), 2, 1), PRIMITIVE_TOL, 0),
     "conv2d_1x1": (_conv_builder((3, 4, 5), (2, 3, 1, 1), 1, 0), PRIMITIVE_TOL, 0),
+    # the Winograd path, called directly: real shapes that select it are far too big here
+    "conv2d_winograd": (_conv_builder((2, 5, 7), (3, 2, 3, 3), 1, 1, nn_ops._winograd_fwd,
+                                      nn_ops._winograd_bwd), PRIMITIVE_TOL, 0),
     "max_pool2d": (_build_max_pool2d, PRIMITIVE_TOL, 0),
     "bilinear_upsample": (_build_bilinear_upsample, PRIMITIVE_TOL, 0),
     "pixel_shuffle": (_build_pixel_shuffle, PRIMITIVE_TOL, 0),
@@ -916,12 +919,18 @@ def _sweep(op, cases, fn, t0):
                        time.perf_counter() - t0)
 
 
+def _max_diff(got, want):
+    """Largest absolute difference over paired arrays; a pair of Nones counts 0."""
+    return max(0.0 if a is None and b is None else float(np.max(np.abs(a - b)))
+               for a, b in zip(got, want))
+
+
 def oracle_suite(seed=0, cases=50):
     """Production kernels vs straight-line loop references, random shapes."""
     rng = np.random.default_rng([seed, 0x0A])
     entries = []
 
-    def conv_case():
+    def conv_draw():
         cin, cout = rng.integers(1, 4, 2)
         k = int(rng.choice([1, 2, 3]))
         stride = int(rng.choice([1, 2]))
@@ -930,10 +939,49 @@ def oracle_suite(seed=0, cases=50):
         x = rng.standard_normal((cin, h, w))
         wgt = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout) if rng.random() < 0.5 else None
+        return x, wgt, b, stride, pad
+
+    def conv_case():
+        x, wgt, b, stride, pad = conv_draw()
         y = conv2d(ConvParams(wgt, b, stride=stride, padding=pad), x)
         return float(np.max(np.abs(y - oracles.conv2d_oracle(wgt, b, x, stride, pad))))
 
     entries.append(_sweep("conv2d", cases, conv_case, time.perf_counter()))
+
+    def conv_bwd_case():
+        x, wgt, b, stride, pad = conv_draw()
+        y, cache = conv2d_fwd(ConvParams(wgt, b, stride=stride, padding=pad), x)
+        gy = rng.standard_normal(y.shape)
+        return _max_diff(conv2d_bwd(cache, gy), oracles.conv2d_bwd_oracle(wgt, b, x, gy, stride, pad))
+
+    entries.append(_sweep("conv2d_bwd", cases, conv_bwd_case, time.perf_counter()))
+
+    # The Winograd path is called directly, since conv2d_fwd selects it only
+    # far above oracle-sized shapes.  Extents run from 1 and need not match,
+    # so odd and single-tile outputs both occur.
+    def winograd_case():
+        cin, cout = rng.integers(1, 4, 2)
+        pad = int(rng.choice([0, 1, 2]))
+        h, w = rng.integers(max(1, 3 - 2 * pad), 8, 2)
+        x = rng.standard_normal((cin, h, w))
+        wgt = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout) if rng.random() < 0.5 else None
+        p = ConvParams(wgt, b, padding=pad)
+        return p, x, nn_ops._winograd_fwd(p, x)
+
+    def winograd_fwd_case():
+        p, x, (y, _) = winograd_case()
+        return float(np.max(np.abs(y - oracles.conv2d_oracle(p.weight, p.bias, x, 1, p.padding))))
+
+    entries.append(_sweep("conv2d_winograd", cases, winograd_fwd_case, time.perf_counter()))
+
+    def winograd_bwd_case():
+        p, x, (y, cache) = winograd_case()
+        gy = rng.standard_normal(y.shape)
+        return _max_diff(nn_ops._winograd_bwd(cache, gy),
+                         oracles.conv2d_bwd_oracle(p.weight, p.bias, x, gy, 1, p.padding))
+
+    entries.append(_sweep("conv2d_winograd_bwd", cases, winograd_bwd_case, time.perf_counter()))
 
     def pool_attn_case():
         c, n, m = rng.integers(2, 6, 3)
@@ -985,7 +1033,7 @@ def oracle_suite(seed=0, cases=50):
         _, cache = fusion.reassemble_up_fwd(coarse, kern, s)
         got = fusion.reassemble_up_bwd(cache, gout)
         want = oracles.reassemble_up_bwd_oracle(coarse, kern, gout, s, k)
-        return max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+        return _max_diff(got, want)
 
     entries.append(_sweep("reassemble_up_bwd", cases, re_up_bwd_case, time.perf_counter()))
 
@@ -1000,7 +1048,7 @@ def oracle_suite(seed=0, cases=50):
         _, cache = fusion.reassemble_down_fwd(fine, kern, s)
         got = fusion.reassemble_down_bwd(cache, gout)
         want = oracles.reassemble_down_bwd_oracle(fine, kern, gout, s, k)
-        return max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+        return _max_diff(got, want)
 
     entries.append(_sweep("reassemble_down_bwd", cases, re_down_bwd_case, time.perf_counter()))
 

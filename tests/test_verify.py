@@ -78,7 +78,8 @@ def test_oracle_suite_runs_fifty_cases_each():
     entries, ok = oracle_suite(seed=3, cases=50)
     assert ok
     by_name = {e.op: e for e in entries}
-    core = {"conv2d", "attention_pool", "compatibility", "reassemble_up",
+    core = {"conv2d", "conv2d_bwd", "conv2d_winograd", "conv2d_winograd_bwd",
+            "attention_pool", "compatibility", "reassemble_up",
             "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
             "pixel_shuffle", "bilinear_upsample"}
     assert core <= set(by_name)
