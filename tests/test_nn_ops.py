@@ -80,7 +80,7 @@ def test_winograd_f32_matches_f64_and_caches_no_tiles(rng):
     assert cached and all(a.size <= padded for a in cached)
 
 
-def test_conv2d_selects_winograd_above_the_crossover_only(monkeypatch, rng):
+def test_conv2d_selects_winograd_above_the_threshold_only(monkeypatch, rng):
     calls = []
     real = nn_ops._winograd_fwd
 
@@ -93,9 +93,12 @@ def test_conv2d_selects_winograd_above_the_crossover_only(monkeypatch, rng):
     small = ConvParams(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), padding=1)
     _, cache = nn_ops.conv2d_fwd(small, rng.standard_normal((16, 32, 32)).astype(np.float32))
     assert calls == [] and cache[2].shape == (16 * 9, 32 * 32)
-    # a neck conv: 256 channels at 64²
+    # the neck's 256-channel convs: 64² (the largest at a 256² input) stays
+    # on im2col, 128² takes Winograd
     big = ConvParams(rng.standard_normal((256, 256, 3, 3)).astype(np.float32), padding=1)
     _, cache = nn_ops.conv2d_fwd(big, rng.standard_normal((256, 64, 64)).astype(np.float32))
+    assert calls == [] and cache[2].shape == (256 * 9, 64 * 64)
+    _, cache = nn_ops.conv2d_fwd(big, rng.standard_normal((256, 128, 128)).astype(np.float32))
     assert calls == [(256, 256, 3, 3)] and cache[3].shape == (16, 256, 256)
     # strided and non-3×3 convs never take it, however large
     for k, stride in ((3, 2), (1, 1), (5, 1)):
