@@ -58,13 +58,6 @@ class MgcParams:
     lambda_o: float = 1e-4
 
 
-@dataclass
-class AttentionMap:
-    """n_keys × n_queries matrix; every column is a distribution."""
-
-    values: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # scaled cosine-similarity compatibility
 # ---------------------------------------------------------------------------

@@ -5,20 +5,28 @@ the caller's loop.  Convolution is cross-correlation (no kernel flip) with
 zero padding.  Forward variants ``*_fwd`` return (out, cache) for the
 matching ``*_bwd``.
 
-Convolution takes one of two paths, chosen from the conv's shape alone:
+Convolution takes one of two paths in each direction, chosen from the
+conv's shape alone:
 
 * 3×3 stride-1 convs (any padding) with cout·cin·h_out·w_out at or above
-  ``_WINOGRAD_MIN_SIZE`` run by Winograd F(2×2, 3×3) (Lavin & Gray, arXiv
-  1509.09308): 16 multiplies per 2×2 output tile and channel pair where
-  direct convolution needs 36.  The constant (2²⁹) sits above the measured
-  crossover, so in the neck only the c=256 convs at 128² take it.  The
-  tiles are transformed and multiplied in blocks of tile rows sized by
+  ``_WINOGRAD_MIN_SIZE`` (2²⁵, the measured crossover) run their backward
+  by Winograd F(2×2, 3×3) (Lavin & Gray, arXiv 1509.09308): 16 multiplies
+  per 2×2 output tile and channel pair where direct convolution needs 36.
+  In the neck at a 256² input these are the c=256 convs at 32² and 64².
+  The tiles are transformed and multiplied in blocks of tile rows sized by
   ``_WINOGRAD_BLOCK_BYTES``, so no im2col matrix and no full transformed
-  input is built.  The cache holds the padded input and the transformed
-  kernels; the backward recomputes the input transform block by block.
-* Every other conv (strided, k ≠ 3, or below that size) is one GEMM
-  with the im2col column matrix (cin·k², h_out·w_out), which the cache
-  holds.  For 1×1 stride-1 convs that matrix is a view of the input.
+  input is built.  The cache holds only the padded input; the backward
+  recomputes the transformed kernels and, block by block, the input
+  transform.
+* Their forward takes Winograd only from ``_WINOGRAD_FWD_MIN_SIZE`` (2²⁹)
+  up, in the neck the c=256 convs at 128².  Below it the forward stays on
+  im2col, so that a 256² input keeps the f32 rounding the committed
+  perfbench digests were made with (ROADMAP item 6).  The backward changes
+  no forward value, so only the forward is held.
+* Every other conv (strided, k ≠ 3, or below ``_WINOGRAD_MIN_SIZE``) is one
+  GEMM with the im2col column matrix (cin·k², h_out·w_out), which the
+  cache holds.  For 1×1 stride-1 convs that matrix is a view of the input,
+  and the input gradient is the column gradient reshaped.
 """
 
 from __future__ import annotations
@@ -70,15 +78,19 @@ _WINO_AT = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]])
 _WINO_GG = np.kron(_WINO_G, _WINO_G)  # (16, 9) kernel transform
 _WINO_AA = np.kron(_WINO_AT, _WINO_AT)  # (4, 16) output transform
 _WINO_BB = np.kron(_WINO_BT, _WINO_BT)  # (16, 16) input transform
-# 3×3 stride-1 convs with cout·cin·h_out·w_out at or above this take the
-# Winograd path.  Measured with one BLAS thread in f32 (table in CHANGES.md),
-# Winograd loses up to 2.6e7 and wins from 6.7e7.  The constant is held
-# higher, at 2²⁹: above every conv of a 256² neck input (c=256 at 64² is
-# 2²⁸), below c=256 at 128² (2³⁰).  A 256² input then keeps the im2col f32
-# rounding that the committed perfbench gradient digests were made with; at
-# fwdbwd-256 seed 3 those digests sit across a ReLU whose f64 pre-activation
-# is -7.9e-7 (ROADMAP item 6).  Lower it to 2²⁵ once they are mended.
-_WINOGRAD_MIN_SIZE = 1 << 29
+# 3×3 stride-1 convs with cout·cin·h_out·w_out at or above this run their
+# backward by Winograd.  Measured with one BLAS thread in f32 (table in
+# CHANGES.md), the Winograd backward alone loses at 1.7e7 and wins from 2.6e7;
+# in the neck at a 256² input that is c=256 at 32² and 64².
+_WINOGRAD_MIN_SIZE = 1 << 25
+# The forward takes Winograd only from this larger size: above every conv of
+# a 256² neck input (c=256 at 64² is 2²⁸), below c=256 at 128² (2³⁰).  A 256²
+# input then keeps the im2col f32 rounding that the committed perfbench
+# digests were made with; at fwdbwd-256 seed 3 those digests sit across a
+# ReLU whose f64 pre-activation is -7.9e-7 (ROADMAP item 6).  The backward
+# changes no forward value, so it is not held.  Delete this hold, so that
+# both directions use _WINOGRAD_MIN_SIZE, once the digests are mended.
+_WINOGRAD_FWD_MIN_SIZE = 1 << 29
 # Size cap on one row block of transformed tiles (the larger of the input
 # and output transforms): about L2-sized, so the transforms stream through
 # cache rather than DRAM.
@@ -117,6 +129,21 @@ def _winograd_input(xp, ty0, n, tw, dtype):
     return v.reshape(16, xp.shape[0], n * tw)
 
 
+def _winograd_pad(x, pad):
+    """x zero-padded by pad, plus one more row and column for odd output extents."""
+    h_out, w_out = x.shape[1] + 2 * pad - 2, x.shape[2] + 2 * pad - 2
+    if (pad, h_out % 2, w_out % 2) == (0, 0, 0):
+        return x
+    return np.pad(x, ((0, 0), (pad, pad + h_out % 2), (pad, pad + w_out % 2)))
+
+
+def _winograd_kernels(p: ConvParams, xp):
+    """U = (G⊗G) vec(w), shape (16, cout, cin), in the dtype the conv computes in."""
+    cout, cin = p.weight.shape[:2]
+    dt = np.result_type(xp, p.weight) if p.bias is None else np.result_type(xp, p.weight, p.bias)
+    return (_WINO_GG.astype(dt) @ p.weight.reshape(cout * cin, 9).T).reshape(16, cout, cin)
+
+
 def _winograd_fwd(p: ConvParams, x):
     """3×3 stride-1 conv by Winograd F(2×2, 3×3), in blocks of tile rows.
 
@@ -127,20 +154,16 @@ def _winograd_fwd(p: ConvParams, x):
     positions; and Y = (Aᵀ⊗Aᵀ) M is written straight into the output's 2×2
     tiles.  Odd output extents are padded to whole tiles and cropped.  The
     bias is added to M at tile position (1, 1), which Aᵀ·A sends to all four
-    outputs.  The cache holds the padded input and U; the backward
-    recomputes V.
+    outputs.  The cache holds the padded input only; the backward
+    recomputes U and V.
     """
     cout, cin = p.weight.shape[:2]
     h, w = x.shape[1:]
-    pad = p.padding
-    h_out, w_out = h + 2 * pad - 2, w + 2 * pad - 2
+    h_out, w_out = h + 2 * p.padding - 2, w + 2 * p.padding - 2
     th, tw = -(-h_out // 2), -(-w_out // 2)
-    dt = np.result_type(x, p.weight) if p.bias is None else np.result_type(x, p.weight, p.bias)
-    if (pad, h_out % 2, w_out % 2) == (0, 0, 0):
-        xp = x
-    else:  # zero padding, plus one more row and column for odd output extents
-        xp = np.pad(x, ((0, 0), (pad, pad + h_out % 2), (pad, pad + w_out % 2)))
-    u = (_WINO_GG.astype(dt) @ p.weight.reshape(cout * cin, 9).T).reshape(16, cout, cin)
+    xp = _winograd_pad(x, p.padding)
+    u = _winograd_kernels(p, xp)
+    dt = u.dtype
     aa = _WINO_AA.astype(dt)
     out = np.empty((cout, th, 2, tw, 2), dtype=dt)
     rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
@@ -154,23 +177,26 @@ def _winograd_fwd(p: ConvParams, x):
     y = out.reshape(cout, 2 * th, 2 * tw)
     if (h_out, w_out) != (2 * th, 2 * tw):
         y = np.ascontiguousarray(y[:, :h_out, :w_out])
-    return y, (p, x.shape, xp, u)
+    return y, (p, x.shape, xp)
 
 
 def _winograd_bwd(cache, gy):
     """Adjoint of _winograd_fwd, by the same tile-row blocks.
 
-    Per block, gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed from the
-    cached padded input, and gV = Uᵀ gM.  gV goes back through the input
-    transform, gd = (B⊗B) gV, and the overlapping 4×4 tiles of gd fold into
-    the padded-input gradient with one strided slice-add per tile position.
-    Finally gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU.
+    The cache is (p, x.shape, xp), with xp padded as _winograd_pad pads; it
+    may come from either forward path.  U is recomputed from p.weight.  Per
+    block, gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed from xp, and
+    gV = Uᵀ gM.  gV goes back through the input transform, gd = (B⊗B) gV,
+    and the overlapping 4×4 tiles of gd fold into the padded-input gradient
+    with one strided slice-add per tile position.  Finally
+    gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU.
     """
-    p, (_, h, w), xp, u = cache
+    p, (_, h, w), xp = cache
     cout, cin = p.weight.shape[:2]
     pad = p.padding
     h_out, w_out = gy.shape[1:]
     th, tw = -(-h_out // 2), -(-w_out // 2)
+    u = _winograd_kernels(p, xp)
     dt = u.dtype
     gb = gy.sum(axis=(1, 2)) if p.bias is not None else None
     if (h_out, w_out) != (2 * th, 2 * tw):
@@ -215,12 +241,16 @@ def conv2d(p: ConvParams, x):
 def conv2d_fwd(p: ConvParams, x):
     """Cross-correlation of x (cin, h, w) with p; returns (y, cache).
 
-    3×3 stride-1 convs with cout·cin·h_out·w_out ≥ _WINOGRAD_MIN_SIZE run
-    by Winograd F(2×2, 3×3) (_winograd_fwd; the cache holds the padded input
-    and the transformed kernels).  Every other conv is one GEMM of the
-    kernel matrix with the im2col column matrix (cin·k², h_out·w_out), which
-    the cache holds; for 1×1 stride-1 convs that matrix is a view of the
-    (padded) input.
+    The path is chosen from the shapes alone.  3×3 stride-1 convs with
+    cout·cin·h_out·w_out ≥ _WINOGRAD_MIN_SIZE run their backward by Winograd
+    F(2×2, 3×3), so their cache is (p, x.shape, xp): the input padded as
+    _winograd_pad pads it, and no column matrix.  Their forward runs by
+    Winograd (_winograd_fwd) only from _WINOGRAD_FWD_MIN_SIZE up, which keeps
+    the im2col f32 rounding of a 256² neck input until the perfbench digests
+    are mended (ROADMAP item 6).  Every other forward is one GEMM of the
+    kernel matrix with the im2col column matrix (cin·k², h_out·w_out); below
+    _WINOGRAD_MIN_SIZE the cache holds that matrix.  For 1×1 stride-1 convs
+    it is a view of the (padded) input.
     """
     cout, cin, k, _ = p.weight.shape
     if x.ndim != 3 or x.shape[0] != cin:
@@ -230,9 +260,12 @@ def conv2d_fwd(p: ConvParams, x):
     w_out = _out_extent(w, k, p.stride, p.padding)
     if h_out < 1 or w_out < 1:
         raise ValueError(f"kernel {k} with stride {p.stride}, pad {p.padding} exceeds input {h}×{w}")
-    if _use_winograd(p.weight.shape, p.stride, h_out, w_out):
+    winograd_bwd = _use_winograd(p.weight.shape, p.stride, h_out, w_out)
+    if winograd_bwd and cout * cin * h_out * w_out >= _WINOGRAD_FWD_MIN_SIZE:
         return _winograd_fwd(p, x)
-    if p.padding:
+    if winograd_bwd:
+        xp = _winograd_pad(x, p.padding)
+    elif p.padding:
         xp = np.pad(x, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
     else:
         xp = x
@@ -240,13 +273,16 @@ def conv2d_fwd(p: ConvParams, x):
     y = (p.weight.reshape(cout, -1) @ cols).reshape(cout, h_out, w_out)
     if p.bias is not None:
         y = y + p.bias[:, None, None]
-    return y, (p, x.shape, cols)
+    return y, (p, x.shape, xp if winograd_bwd else cols)
 
 
 def conv2d_bwd(cache, gy):
     """Adjoints (gx, gweight, gbias); gbias is None for bias-free convs.
 
-    Takes the path its forward took, chosen again from the same shapes.
+    3×3 stride-1 convs from _WINOGRAD_MIN_SIZE up run by Winograd
+    (_winograd_bwd), whichever path their forward took; every other conv
+    uses the cached column matrix.  The path is chosen again from the same
+    shapes as in conv2d_fwd.
     """
     p = cache[0]
     if _use_winograd(p.weight.shape, p.stride, *gy.shape[1:]):
@@ -258,11 +294,15 @@ def conv2d_bwd(cache, gy):
     gyf = gy.reshape(cout, -1)
     gw = (gyf @ cols.T).reshape(p.weight.shape)
     gb = gyf.sum(axis=1) if p.bias is not None else None
-    gcols = (p.weight.reshape(cout, -1).T @ gyf).reshape(cin, k, k, h_out, w_out)
-    gxp = np.zeros((cin, h + 2 * p.padding, w + 2 * p.padding), dtype=gy.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            gxp[:, dy : dy + p.stride * h_out : p.stride, dx : dx + p.stride * w_out : p.stride] += gcols[:, dy, dx]
+    gcols = p.weight.reshape(cout, -1).T @ gyf
+    if k == 1 and p.stride == 1:
+        gxp = gcols.reshape(cin, h_out, w_out)  # one tap covering the padded input: no fold
+    else:
+        gcols = gcols.reshape(cin, k, k, h_out, w_out)
+        gxp = np.zeros((cin, h + 2 * p.padding, w + 2 * p.padding), dtype=gy.dtype)
+        for dy in range(k):
+            for dx in range(k):
+                gxp[:, dy : dy + p.stride * h_out : p.stride, dx : dx + p.stride * w_out : p.stride] += gcols[:, dy, dx]
     if p.padding:
         gx = gxp[:, p.padding : p.padding + h, p.padding : p.padding + w]
     else:

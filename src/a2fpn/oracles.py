@@ -110,6 +110,14 @@ def max_pool2d_oracle(x):
     return out
 
 
+def _bilinear_taps(o, s, n):
+    """Taps (lo, hi, frac) of output index o on an axis of n inputs, from the
+    half-pixel-center formula with borders clamped."""
+    src = min(max((o + 0.5) / s - 0.5, 0.0), n - 1)
+    lo = int(math.floor(src))
+    return lo, min(lo + 1, n - 1), src - lo
+
+
 def bilinear_upsample_oracle(x, s):
     """Per-pixel two-tap interpolation from the half-pixel-center formula."""
     c, h, w = x.shape
@@ -117,11 +125,8 @@ def bilinear_upsample_oracle(x, s):
     for ci in range(c):
         for oy in range(s * h):
             for ox in range(s * w):
-                sy = min(max((oy + 0.5) / s - 0.5, 0.0), h - 1)
-                sx = min(max((ox + 0.5) / s - 0.5, 0.0), w - 1)
-                y0, x0 = int(math.floor(sy)), int(math.floor(sx))
-                y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
-                fy, fx = sy - y0, sx - x0
+                y0, y1, fy = _bilinear_taps(oy, s, h)
+                x0, x1, fx = _bilinear_taps(ox, s, w)
                 out[ci, oy, ox] = (
                     (1 - fy) * (1 - fx) * float(x[ci, y0, x0])
                     + (1 - fy) * fx * float(x[ci, y0, x1])
@@ -129,6 +134,27 @@ def bilinear_upsample_oracle(x, s):
                     + fy * fx * float(x[ci, y1, x1])
                 )
     return out
+
+
+def bilinear_upsample_bwd_oracle(x_shape, gy, s):
+    """Gradient wrt x of sum(gy · bilinear_upsample(x, s)), one output at a time.
+
+    Each output pixel sends gy times each of its four tap weights back to the
+    input pixel that tap reads.
+    """
+    c, h, w = x_shape
+    gx = np.zeros((c, h, w), dtype=np.float64)
+    for ci in range(c):
+        for oy in range(s * h):
+            for ox in range(s * w):
+                y0, y1, fy = _bilinear_taps(oy, s, h)
+                x0, x1, fx = _bilinear_taps(ox, s, w)
+                g = float(gy[ci, oy, ox])
+                gx[ci, y0, x0] += (1 - fy) * (1 - fx) * g
+                gx[ci, y0, x1] += (1 - fy) * fx * g
+                gx[ci, y1, x0] += fy * (1 - fx) * g
+                gx[ci, y1, x1] += fy * fx * g
+    return gx
 
 
 def pixel_shuffle_oracle(x, s):

@@ -390,10 +390,6 @@ def toy_backbone_fwd(image, store):
     return levels, caches
 
 
-def toy_backbone_forward(image, store):
-    return toy_backbone_fwd(image, store)[0]
-
-
 def toy_backbone_bwd(caches, glevels):
     """glevels maps level index (2..5) to the gradient of that output.
 

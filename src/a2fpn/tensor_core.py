@@ -10,9 +10,6 @@ everyone but its own backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -28,20 +25,6 @@ def dtype_name(arr: np.ndarray) -> str:
     if arr.dtype == np.float64:
         return "f64"
     raise TypeError(f"unsupported dtype {arr.dtype}, expected float32/float64")
-
-
-@dataclass
-class LinearParams:
-    """Weight (out_dim x in_dim) and optional bias of a 1x1/1-D conv."""
-
-    weight: np.ndarray
-    bias: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.weight.ndim != 2:
-            raise ValueError(f"weight must be 2-D, got shape {self.weight.shape}")
-        if self.bias is not None and self.bias.shape != (self.weight.shape[0],):
-            raise ValueError("bias length must equal the output dimension")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ A parameter checkpoint is a directory of ``<symbol>.a2tsr`` files plus a
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .tensor_core import DTYPES, dtype_name
 
 MAGIC = b"A2TSR\0"
 VERSION = 1
+_PREFIX = 11  # magic, version byte and header length
 MANIFEST_NAME = "manifest.json"
 
 
@@ -44,23 +46,39 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read one A2TSR file; every malformed file raises TensorFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:6] != MAGIC:
         raise TensorFormatError(f"{path}: bad magic, not an A2TSR file")
+    if len(blob) < _PREFIX:
+        raise TensorFormatError(f"{path}: truncated before the header length")
     if blob[6] != VERSION:
         raise TensorFormatError(f"{path}: unsupported version {blob[6]}")
-    (hlen,) = struct.unpack("<I", blob[7:11])
-    header = json.loads(blob[11 : 11 + hlen].decode("utf-8"))
-    dtype = DTYPES[header["dtype"]]
-    shape = tuple(int(s) for s in header["shape"])
-    want = int(np.prod(shape)) if shape else 1
-    payload = blob[11 + hlen :]
-    have = len(payload) // np.dtype(dtype).itemsize
-    if have != want:
-        raise TensorFormatError(f"{path}: payload holds {have} scalars, header says {want}")
-    arr = np.frombuffer(payload, dtype=np.dtype(dtype).newbyteorder("<"), count=want)
-    return arr.astype(dtype).reshape(shape)
+    (hlen,) = struct.unpack("<I", blob[7:_PREFIX])
+    if hlen > len(blob) - _PREFIX:
+        raise TensorFormatError(f"{path}: header length {hlen} runs past the end of the file")
+    try:
+        header = json.loads(blob[_PREFIX : _PREFIX + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+        raise TensorFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("dtype"), str) \
+            or header["dtype"] not in DTYPES:
+        raise TensorFormatError(f"{path}: header names no supported dtype")
+    shape = header.get("shape")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise TensorFormatError(f"{path}: shape {shape!r} is not a list of non-negative ints")
+    dtype = np.dtype(DTYPES[header["dtype"]])
+    payload = blob[_PREFIX + hlen :]
+    want = math.prod(shape)
+    if len(payload) != want * dtype.itemsize:
+        raise TensorFormatError(f"{path}: payload holds {len(payload)} bytes, header says "
+                                f"{want} scalars of {dtype.itemsize}")
+    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=want)
+    try:
+        return arr.astype(dtype).reshape(shape)
+    except ValueError as exc:  # more dimensions than numpy supports
+        raise TensorFormatError(f"{path}: shape {shape} ({exc})") from None
 
 
 def save_params(dirpath, params: dict) -> None:

@@ -1076,6 +1076,17 @@ def oracle_suite(seed=0, cases=50):
 
     entries.append(_sweep("bilinear_upsample", cases, bilinear_case, time.perf_counter()))
 
+    def bilinear_bwd_case():
+        c = int(rng.integers(1, 4))
+        h, w = rng.integers(1, 7, 2)
+        x = rng.standard_normal((c, h, w))
+        y, cache = bilinear_upsample_fwd(x)
+        gy = rng.standard_normal(y.shape)
+        return float(np.max(np.abs(bilinear_upsample_bwd(cache, gy)
+                                   - oracles.bilinear_upsample_bwd_oracle(x.shape, gy, 2))))
+
+    entries.append(_sweep("bilinear_upsample_bwd", cases, bilinear_bwd_case, time.perf_counter()))
+
     def pool_case():
         c = int(rng.integers(1, 4))
         h, w = 2 * rng.integers(1, 5, 2)

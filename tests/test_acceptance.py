@@ -42,7 +42,7 @@ def test_criterion_2_oracle_equivalence_50_shapes():
     required = ("conv2d", "conv2d_bwd", "conv2d_winograd", "conv2d_winograd_bwd",
                 "attention_pool", "compatibility", "reassemble_up",
                 "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
-                "pixel_shuffle", "bilinear_upsample")
+                "pixel_shuffle", "bilinear_upsample", "bilinear_upsample_bwd")
     for name in required:
         e = by_name[name]
         assert e.cases >= 50, f"{name}: only {e.cases} shapes"

@@ -79,3 +79,32 @@ def test_manifest_lists_sorted_symbols(tmp_path, rng):
                                               "a.w": rng.standard_normal(2)})
     doc = json.loads((tmp_path / "ckpt" / tensor_io.MANIFEST_NAME).read_text())
     assert doc["symbols"] == ["a.w", "b.w"]
+
+
+def _load_or_format_error(path):
+    """The loaded array, or None when load_tensor raised TensorFormatError."""
+    try:
+        return tensor_io.load_tensor(path)
+    except TensorFormatError:
+        return None
+
+
+def test_truncations_and_bit_flips_load_or_raise_format_error(tmp_path, rng):
+    arr = rng.standard_normal((3, 4)).astype(np.float32)
+    src = tmp_path / "t.a2tsr"
+    tensor_io.save_tensor(src, arr)
+    blob = src.read_bytes()
+    p = tmp_path / "fuzz.a2tsr"
+    for n in range(len(blob)):
+        p.write_bytes(blob[:n])
+        assert _load_or_format_error(p) is None, f"truncated to {n} bytes"
+    payload_start = len(blob) - arr.nbytes
+    flips = rng.integers(0, 8 * len(blob), 300)
+    for bit in np.concatenate([flips, [8 * payload_start + 3]]):
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(bad))
+        got = _load_or_format_error(p)
+        if bit // 8 >= payload_start:
+            # the format has no checksum: a payload flip loads, as a different value
+            assert got is not None and got.shape == arr.shape and not np.array_equal(got, arr)

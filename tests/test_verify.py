@@ -81,7 +81,7 @@ def test_oracle_suite_runs_fifty_cases_each():
     core = {"conv2d", "conv2d_bwd", "conv2d_winograd", "conv2d_winograd_bwd",
             "attention_pool", "compatibility", "reassemble_up",
             "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
-            "pixel_shuffle", "bilinear_upsample"}
+            "pixel_shuffle", "bilinear_upsample", "bilinear_upsample_bwd"}
     assert core <= set(by_name)
     for name in core:
         assert by_name[name].cases >= 50
