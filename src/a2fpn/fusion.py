@@ -6,6 +6,10 @@ the kernel predictor and the channel gates read a concatenation of the two
 features (the guidance), and the gated features merge by addition followed
 by a 3×3 anti-alias convolution.  Plain CARAFE/CAP ablation baselines are
 the same pipeline with guidance off and gates pinned to 1.
+
+Features are one image (c, h, w) or a batch (n, c, h, w).  Kernels and
+gates are then per image, (n, k², h, w) and (n, c); the site's parameters
+are shared, so their gradients are summed over the images.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .levels import LevelFeature
 from .nn_ops import (
     ConvParams,
+    _lift,
     bilinear_upsample_bwd,
     bilinear_upsample_fwd,
     concat_channels_bwd,
@@ -40,6 +45,7 @@ from .tensor_core import (
     sigmoid_fwd,
     softmax_bwd,
     softmax_fwd,
+    sum_batch,
     two_sigmoid_bwd,
     two_sigmoid_fwd,
 )
@@ -85,13 +91,13 @@ class FusionParams:
 
 @dataclass
 class ChannelGates:
-    high_gate: np.ndarray  # scales the coarser-level feature
-    low_gate: np.ndarray  # scales the finer-level feature
+    high_gate: np.ndarray  # (c,) or (n, c): scales the coarser-level feature
+    low_gate: np.ndarray  # (c,) or (n, c): scales the finer-level feature
 
 
 @dataclass
 class ReassemblyKernels:
-    values: np.ndarray  # k² × H × W, each location a distribution
+    values: np.ndarray  # ([n,] k², H, W), each location a distribution
 
 
 def _tap_count(k2):
@@ -122,7 +128,7 @@ def predict_up_kernels_fwd(coarse, fine_pooled, p):
     z3, c3 = relu_fwd(z2)
     z4, c4 = conv2d_fwd(p.predictor, z3)
     z5, c5 = pixel_shuffle_fwd(z4, p.s)
-    kern, c6 = softmax_fwd(z5, axis=0)
+    kern, c6 = softmax_fwd(z5, axis=-3)
     return kern, (c_cat, c1, c2, c3, c4, c5, c6)
 
 
@@ -164,7 +170,7 @@ def predict_down_kernels_fwd(fine, coarse_up, p):
     z2, c2 = conv2d_fwd(p.encoder, z1)
     z3, c3 = relu_fwd(z2)
     z4, c4 = conv2d_fwd(p.predictor, z3)  # stride s lives in the ConvParams
-    kern, c5 = softmax_fwd(z4, axis=0)
+    kern, c5 = softmax_fwd(z4, axis=-3)
     return kern, (c_cat, c1, c2, c3, c4, c5)
 
 
@@ -204,10 +210,31 @@ def _unfold_rows(w, c, k2, itemsize):
     return max(1, _UNFOLD_BLOCK_BYTES // (w * c * k2 * itemsize))
 
 
+def _row_blocks(n, h, rows):
+    """(i0, i1, y0, y1) blocks of at most ``rows`` coarse rows over n images of h rows.
+
+    A block is whole images when one image fits (rows ≥ h), else a run of
+    rows of one image.
+    """
+    if rows >= h:
+        per = rows // h
+        for i0 in range(0, n, per):
+            yield i0, min(i0 + per, n), 0, h
+    else:
+        for i0 in range(n):
+            for y0 in range(0, h, rows):
+                yield i0, i0 + 1, y0, min(y0 + rows, h)
+
+
 def _by_cell(a, s):
-    """(m, s·h, s·w) viewed as (h, w, m, s, s): the s×s pixels of each coarse cell."""
-    m, sh, sw = a.shape
-    return a.reshape(m, sh // s, s, sw // s, s).transpose(1, 3, 0, 2, 4)
+    """(n, m, s·h, s·w) viewed as (n, h, w, m, s, s): the s×s pixels of each coarse cell."""
+    n, m, sh, sw = a.shape
+    return a.reshape(n, m, sh // s, s, sw // s, s).transpose(0, 2, 4, 1, 3, 5)
+
+
+def _check_cover(src, kernels, fits, what):
+    if not fits or src.ndim not in (3, 4) or kernels.shape[:-3] != src.shape[:-3]:
+        raise ValueError(f"kernels {kernels.shape} do not cover a {what} output of {src.shape}")
 
 
 def reassemble_up_fwd(coarse, kernels, s=2):
@@ -218,32 +245,34 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     same window, so they are one product U(c×k²) @ K(k²×s²) of the unfolded
     window and the cell's kernels.  U comes from a sliding_window_view of a
     channel-last copy of the padded source.  The products run as one stacked
-    matmul per block of coarse rows, sized so that the unfolded block stays
-    under _UNFOLD_BLOCK_BYTES, and each block's products are written straight
-    into the s×s pixels of their cells in the output.
+    matmul per block of coarse rows (whole images while one fits), sized so
+    that the unfolded block stays under _UNFOLD_BLOCK_BYTES, and each block's
+    products are written straight into the s×s pixels of their cells.
     """
     if isinstance(kernels, ReassemblyKernels):
         kernels = kernels.values
-    c, h, w = coarse.shape
-    k = _tap_count(kernels.shape[0])
-    if kernels.shape[1:] != (s * h, s * w):
-        raise ValueError(f"kernels {kernels.shape} do not cover a ×{s} output of {coarse.shape}")
+    h, w = coarse.shape[-2:]
+    k = _tap_count(kernels.shape[-3])
+    _check_cover(coarse, kernels, kernels.shape[-2:] == (s * h, s * w), f"×{s}")
     r = (k - 1) // 2
     k2 = k * k
+    cb, kb = _lift(coarse), _lift(kernels)
+    n, c = cb.shape[:2]
     # channel-last, so each unfolded window copies in runs of c contiguous values;
     # the cache holds its channel-first view as the padded source
-    cpt = np.pad(coarse.transpose(1, 2, 0), ((r, r), (r, r), (0, 0)))
-    windows = sliding_window_view(cpt, (k, k), axis=(0, 1))
-    kcell = _by_cell(kernels, s)
-    out = np.empty((c, s * h, s * w), dtype=coarse.dtype)
+    cpt = np.pad(cb.transpose(0, 2, 3, 1), ((0, 0), (r, r), (r, r), (0, 0)))
+    windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
+    kcell = _by_cell(kb, s)
+    out = np.empty((n, c, s * h, s * w), dtype=coarse.dtype)
     ocell = _by_cell(out, s)
-    rows = _unfold_rows(w, c, k2, cpt.itemsize)
-    for y0 in range(0, h, rows):
-        n = min(rows, h - y0)
-        ut = windows[y0 : y0 + n].transpose(0, 1, 3, 4, 2).reshape(n, w, k2, c)
-        uk = np.matmul(ut.swapaxes(2, 3), kcell[y0 : y0 + n].reshape(n, w, k2, s * s))
-        ocell[y0 : y0 + n] = uk.reshape(n, w, c, s, s)
-    return out, (coarse.shape, kernels, cpt.transpose(2, 0, 1), s, k, r)
+    for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cpt.itemsize)):
+        ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
+        uk = np.matmul(ut.swapaxes(2, 3), kcell[i0:i1, y0:y1].reshape(-1, w, k2, s * s))
+        ocell[i0:i1, y0:y1] = uk.reshape(i1 - i0, y1 - y0, w, c, s, s)
+    cp = cpt.transpose(0, 3, 1, 2)
+    if coarse.ndim == 3:
+        out, cp = out[0], cp[0]
+    return out, (coarse.shape, kernels, cp, s, k, r)
 
 
 def reassemble_up_bwd(cache, gout):
@@ -254,26 +283,32 @@ def reassemble_up_bwd(cache, gout):
     rather than cached.  gUᵀ folds into the padded-source gradient with one
     slice-add per tap.
     """
-    (c, h, w), kernels, cp, s, k, r = cache
+    shape, kernels, cp, s, k, r = cache
+    c, h, w = shape[-3:]
     k2 = k * k
-    cpt = cp.transpose(1, 2, 0)
-    windows = sliding_window_view(cpt, (k, k), axis=(0, 1))
+    kernels = _lift(kernels)
+    n = kernels.shape[0]
+    cpt = _lift(cp).transpose(0, 2, 3, 1)
+    windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
     kcell = _by_cell(kernels, s)
-    gcell = _by_cell(gout, s)
+    gcell = _by_cell(_lift(gout), s)
     gkern = np.empty(kernels.shape, dtype=kernels.dtype)  # C order, so _by_cell is a view
     gkcell = _by_cell(gkern, s)
     gcpt = np.zeros(cpt.shape, dtype=cp.dtype)
-    rows = _unfold_rows(w, c, k2, cp.itemsize)
-    for y0 in range(0, h, rows):
-        n = min(rows, h - y0)
-        ut = windows[y0 : y0 + n].transpose(0, 1, 3, 4, 2).reshape(n, w, k2, c)
-        g = gcell[y0 : y0 + n].reshape(n, w, c, s * s)
-        gkcell[y0 : y0 + n] = np.matmul(ut, g).reshape(n, w, k2, s, s)
-        gut = np.matmul(kcell[y0 : y0 + n].reshape(n, w, k2, s * s), g.swapaxes(2, 3))
+    for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cp.itemsize)):
+        ni, ny = i1 - i0, y1 - y0
+        g = gcell[i0:i1, y0:y1].reshape(-1, w, c, s * s)
+        # the unfolded block is freed before gUᵀ, of its size, is made
+        ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
+        gkcell[i0:i1, y0:y1] = np.matmul(ut, g).reshape(ni, ny, w, k2, s, s)
+        del ut
+        gut = np.matmul(kcell[i0:i1, y0:y1].reshape(-1, w, k2, s * s), g.swapaxes(2, 3))
+        gut = gut.reshape(ni, ny, w, k2, c)
         for t in range(k2):
             dy, dx = divmod(t, k)
-            gcpt[y0 + dy : y0 + dy + n, dx : dx + w] += gut[:, :, t]
-    return np.ascontiguousarray(gcpt[r : r + h, r : r + w].transpose(2, 0, 1)), gkern
+            gcpt[i0:i1, y0 + dy : y0 + dy + ny, dx : dx + w] += gut[:, :, :, t]
+    gc = np.ascontiguousarray(gcpt[:, r : r + h, r : r + w].transpose(0, 3, 1, 2))
+    return (gc, gkern) if len(shape) == 4 else (gc[0], gkern[0])
 
 
 def reassemble_down(fine, kernels, s=2):
@@ -285,37 +320,49 @@ def reassemble_down_fwd(fine, kernels, s=2):
     """out(x, y) = kernel(x, y) · k×k zero-padded window of fine(s·x, s·y)."""
     if isinstance(kernels, ReassemblyKernels):
         kernels = kernels.values
-    c, sh, sw = fine.shape
-    k = _tap_count(kernels.shape[0])
-    h, w = kernels.shape[1:]
-    if (sh, sw) != (s * h, s * w):
-        raise ValueError(f"kernels {kernels.shape} do not cover a /{s} output of {fine.shape}")
+    sh, sw = fine.shape[-2:]
+    k = _tap_count(kernels.shape[-3])
+    h, w = kernels.shape[-2:]
+    _check_cover(fine, kernels, (sh, sw) == (s * h, s * w), f"/{s}")
     r = (k - 1) // 2
-    fp = np.pad(fine, ((0, 0), (r, r), (r, r)))
-    out = np.zeros((c, h, w), dtype=fine.dtype)
+    fp = np.pad(fine, ((0, 0),) * (fine.ndim - 2) + ((r, r), (r, r)))
+    out = np.zeros(fine.shape[:-2] + (h, w), dtype=fine.dtype)
     for dy in range(k):
         for dx in range(k):
-            win = fp[:, dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s]
-            out += kernels[dy * k + dx] * win
+            win = fp[..., dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s]
+            out += kernels[..., dy * k + dx, None, :, :] * win
     return out, (fine.shape, kernels, fp, s, k, r)
 
 
 def reassemble_down_bwd(cache, gout):
-    (c, sh, sw), kernels, fp, s, k, r = cache
-    h, w = gout.shape[1:]
+    shape, kernels, fp, s, k, r = cache
+    sh, sw = shape[-2:]
+    h, w = gout.shape[-2:]
     gkern = np.empty_like(kernels)
     gfp = np.zeros_like(fp)
     for dy in range(k):
         for dx in range(k):
-            win = fp[:, dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s]
-            gkern[dy * k + dx] = (gout * win).sum(axis=0)
-            gfp[:, dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s] += kernels[dy * k + dx] * gout
-    return gfp[:, r : r + sh, r : r + sw], gkern
+            t = dy * k + dx
+            win = fp[..., dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s]
+            gkern[..., t, :, :] = (gout * win).sum(axis=-3)
+            gfp[..., dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s] += \
+                kernels[..., t, None, :, :] * gout
+    return gfp[..., r : r + sh, r : r + sw], gkern
 
 
 # ---------------------------------------------------------------------------
 # channel gates
 # ---------------------------------------------------------------------------
+
+def _mv(a, v):
+    """a @ v for a vector v, or per image for a stack of vectors (..., n)."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _outer_sum(a, b):
+    """Outer product a bᵀ, summed over the images of a batch."""
+    return sum_batch(a[..., :, None] * b[..., None, :], 2)
+
 
 def channel_gates(a, b, p: FusionParams):
     gates, _ = channel_gates_fwd(a, b, p)
@@ -325,50 +372,49 @@ def channel_gates(a, b, p: FusionParams):
 def channel_gates_fwd(a, b, p):
     """Attention-pool the concat [a, b] into a descriptor, squeeze and gate.
 
-    Returns gates of length 2·c split as (high_gate, low_gate), where c is
-    the channel width of the fused pyramid features.
+    Returns gates of length 2·c (per image) split as (high_gate, low_gate),
+    where c is the channel width of the fused pyramid features.
     """
     if b is not None:
         src, c_cat = concat_channels_fwd(a, b)
     else:
         src, c_cat = a, None
-    cs = src.shape[0]
-    m = src.reshape(cs, -1)
-    logits = (p.gate_w1 @ m).ravel()
-    attn, c_soft = softmax_fwd(logits, axis=0)
-    z = m @ attn
-    h1 = p.gate_w2 @ z
+    m = src.reshape(src.shape[:-2] + (-1,))
+    logits = (p.gate_w1 @ m)[..., 0, :]
+    attn, c_soft = softmax_fwd(logits, axis=-1)
+    z = _mv(m, attn)
+    h1 = _mv(p.gate_w2, z)
     ln, c_ln = layer_norm_fwd(h1, p.ln_gain, p.ln_shift)
     act_in, c_relu = relu_fwd(ln)
-    pre = p.gate_w3 @ act_in
+    pre = _mv(p.gate_w3, act_in)
     if p.gate_act == "two_sigmoid":
         g, c_act = two_sigmoid_fwd(pre)
     else:
         g, c_act = sigmoid_fwd(pre)
-    c = g.shape[0] // 2
-    gates = ChannelGates(high_gate=g[:c], low_gate=g[c:])
+    c = g.shape[-1] // 2
+    gates = ChannelGates(high_gate=g[..., :c], low_gate=g[..., c:])
     cache = (c_cat, src.shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
     return gates, cache
 
 
 def channel_gates_bwd(cache, ghigh, glow):
     c_cat, src_shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
-    gg = np.concatenate([ghigh, glow])
+    gg = np.concatenate([ghigh, glow], axis=-1)
     if p.gate_act == "two_sigmoid":
         gpre = two_sigmoid_bwd(c_act, gg)
     else:
         gpre = sigmoid_bwd(c_act, gg)
-    gw3 = np.outer(gpre, act_in)
-    gact = p.gate_w3.T @ gpre
+    gw3 = _outer_sum(gpre, act_in)
+    gact = _mv(p.gate_w3.T, gpre)
     gln = relu_bwd(c_relu, gact)
     gh1, ggain, gshift = layer_norm_bwd(c_ln, gln)
-    gw2 = np.outer(gh1, z)
-    gz = p.gate_w2.T @ gh1
-    gm = np.outer(gz, attn)
-    gattn = m.T @ gz
+    gw2 = _outer_sum(gh1, z)
+    gz = _mv(p.gate_w2.T, gh1)
+    gm = gz[..., :, None] * attn[..., None, :]
+    gattn = _mv(m.swapaxes(-1, -2), gz)
     glogits = softmax_bwd(c_soft, gattn)
-    gw1 = glogits[None, :] @ m.T
-    gm = gm + p.gate_w1.T @ glogits[None, :]
+    gw1 = sum_batch(glogits[..., None, :] @ m.swapaxes(-1, -2), 2)
+    gm = gm + p.gate_w1.T @ glogits[..., None, :]
     gsrc = gm.reshape(src_shape)
     if c_cat is not None:
         ga, gb = concat_channels_bwd(c_cat, gsrc)
@@ -400,8 +446,8 @@ def fuse_topdown_fwd(upper, lateral, p, guided=True, gated=True):
     [upper, pooled], reassemble the upper feature to the fine grid, gate
     both sides per channel, add, and smooth with the anti-alias conv.
     """
-    cu, hu, wu = upper.data.shape
-    if lateral.data.shape != (cu, p.s * hu, p.s * wu):
+    hu, wu = upper.data.shape[-2:]
+    if lateral.data.shape != upper.data.shape[:-2] + (p.s * hu, p.s * wu):
         raise ValueError(
             f"lateral {lateral.data.shape} is not ×{p.s} of upper {upper.data.shape}"
         )
@@ -411,7 +457,7 @@ def fuse_topdown_fwd(upper, lateral, p, guided=True, gated=True):
     up, c_re = reassemble_up_fwd(upper.data, kern, p.s)
     if gated:
         gates, c_gate = channel_gates_fwd(upper.data, guide, p)
-        pre = gates.high_gate[:, None, None] * up + gates.low_gate[:, None, None] * lateral.data
+        pre = gates.high_gate[..., None, None] * up + gates.low_gate[..., None, None] * lateral.data
     else:
         gates, c_gate = None, None
         pre = up + lateral.data
@@ -426,10 +472,10 @@ def fuse_topdown_bwd(cache, gout):
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gated:
-        gup = gates.high_gate[:, None, None] * gpre
-        glat = gates.low_gate[:, None, None] * gpre
-        ghigh = (gpre * up).sum(axis=(1, 2))
-        glow = (gpre * lateral.data).sum(axis=(1, 2))
+        gup = gates.high_gate[..., None, None] * gpre
+        glat = gates.low_gate[..., None, None] * gpre
+        ghigh = (gpre * up).sum(axis=(-2, -1))
+        glow = (gpre * lateral.data).sum(axis=(-2, -1))
         gupper_g, gpooled_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
         pg.update(gate_pg)
     else:
@@ -460,8 +506,8 @@ def fuse_bottomup_fwd(lower, td, p, guided=True, gated=True):
     [lower, upsampled], reassemble the lower feature onto the coarse grid,
     gate, add, smooth.
     """
-    ct, ht, wt = td.data.shape
-    if lower.data.shape != (ct, p.s * ht, p.s * wt):
+    ht, wt = td.data.shape[-2:]
+    if lower.data.shape != td.data.shape[:-2] + (p.s * ht, p.s * wt):
         raise ValueError(f"lower {lower.data.shape} is not ×{p.s} of td {td.data.shape}")
     upsampled, c_up = bilinear_upsample_fwd(td.data, p.s)
     guide = upsampled if guided else None
@@ -469,7 +515,7 @@ def fuse_bottomup_fwd(lower, td, p, guided=True, gated=True):
     down, c_re = reassemble_down_fwd(lower.data, kern, p.s)
     if gated:
         gates, c_gate = channel_gates_fwd(lower.data, guide, p)
-        pre = gates.high_gate[:, None, None] * td.data + gates.low_gate[:, None, None] * down
+        pre = gates.high_gate[..., None, None] * td.data + gates.low_gate[..., None, None] * down
     else:
         gates, c_gate = None, None
         pre = td.data + down
@@ -484,10 +530,10 @@ def fuse_bottomup_bwd(cache, gout):
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gated:
-        gtd = gates.high_gate[:, None, None] * gpre
-        gdown = gates.low_gate[:, None, None] * gpre
-        ghigh = (gpre * td.data).sum(axis=(1, 2))
-        glow = (gpre * down).sum(axis=(1, 2))
+        gtd = gates.high_gate[..., None, None] * gpre
+        gdown = gates.low_gate[..., None, None] * gpre
+        ghigh = (gpre * td.data).sum(axis=(-2, -1))
+        glow = (gpre * down).sum(axis=(-2, -1))
         glower_g, gups_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
         pg.update(gate_pg)
     else:

@@ -6,6 +6,12 @@ adjacency comes from self-attention, then redistributed to every level
 as a residual enrichment.  All attention uses the scaled cosine
 similarity compatibility: keys are L2-normalized, queries are not, and
 the softmax always runs over the key axis.
+
+Feature maps are one image (c, h, w) or a batch (n, c, h, w).  Context
+banks, graph layers and attention maps are then per image, with the same
+leading axes; the projections are shared, so their gradients are summed
+over the images (``sum_batch``).  Matrices multiply as stacks (broadcast
+``np.matmul``), and ``_t`` transposes the last two axes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from .tensor_core import (
     l2_normalize_fwd,
     softmax_bwd,
     softmax_fwd,
+    sum_batch,
 )
+
+
+def _t(a):
+    """Transpose of the last two axes: a matrix, or a stack of them."""
+    return a.swapaxes(-1, -2)
 
 
 @dataclass
@@ -68,27 +80,28 @@ def compatibility(queries, keys, scale_dim):
 
 
 def compatibility_fwd(queries, keys, scale_dim):
-    """queries (n_q × d), keys (d × n_k) -> map (n_k × n_q).
+    """queries (n_q × d), keys (d × n_k) -> map (n_k × n_q), or stacks of them.
 
     Scores are sqrt(d) times the dot product with the L2-normalized key
     columns; the softmax runs over keys, so each output column sums to 1.
     """
-    if queries.shape[1] != keys.shape[0]:
+    if queries.shape[-1] != keys.shape[-2]:
         raise ValueError(f"query dim {queries.shape} vs key dim {keys.shape}")
-    if scale_dim != keys.shape[0]:
+    if scale_dim != keys.shape[-2]:
         raise ValueError("scale_dim must equal the shared feature dimension")
-    khat, n_cache = l2_normalize_fwd(keys, axis=0)
+    khat, n_cache = l2_normalize_fwd(keys, axis=-2)
     scale = math.sqrt(scale_dim)
     scores = scale * (queries @ khat)
-    probs, s_cache = softmax_fwd(scores, axis=1)
-    return probs.T, (queries, khat, n_cache, s_cache, scale)
+    probs, s_cache = softmax_fwd(scores, axis=-1)
+    return _t(probs), (queries, khat, n_cache, s_cache, scale)
 
 
 def compatibility_bwd(cache, gmap):
+    """(gqueries, gkeys), each with the leading axes of the map."""
     queries, khat, n_cache, s_cache, scale = cache
-    gscores = scale * softmax_bwd(s_cache, gmap.T)
-    gqueries = gscores @ khat.T
-    gkeys = l2_normalize_bwd(n_cache, queries.T @ gscores)
+    gscores = scale * softmax_bwd(s_cache, _t(gmap))
+    gqueries = gscores @ _t(khat)
+    gkeys = l2_normalize_bwd(n_cache, _t(queries) @ gscores)
     return gqueries, gkeys
 
 
@@ -101,10 +114,15 @@ def collect_context(f: LevelFeature, p: MgcLevelParams):
     return out
 
 
+def _flat(fdata):
+    """(..., c, h, w) -> (..., c, h·w)."""
+    return fdata.reshape(fdata.shape[:-2] + (-1,))
+
+
 def collect_context_fwd(fdata, psi, phi):
-    """Pool the h·w positions of one feature map into n_i context columns."""
-    c_i = fdata.shape[0]
-    fm = fdata.reshape(c_i, -1)
+    """Pool the h·w positions of each feature map into n_i context columns."""
+    c_i = fdata.shape[-3]
+    fm = _flat(fdata)
     attn, cf_cache = compatibility_fwd(psi, fm, c_i)  # (hw × n_i)
     emb = phi @ fm
     bank = emb @ attn
@@ -113,12 +131,12 @@ def collect_context_fwd(fdata, psi, phi):
 
 def collect_context_bwd(cache, gbank):
     shape, fm, attn, emb, phi, cf_cache = cache
-    gemb = gbank @ attn.T
-    gattn = emb.T @ gbank
+    gemb = gbank @ _t(attn)
+    gattn = _t(emb) @ gbank
     gpsi, gfm = compatibility_bwd(cf_cache, gattn)
-    gphi = gemb @ fm.T
+    gphi = gemb @ _t(fm)
     gfm = gfm + phi.T @ gemb
-    return gfm.reshape(shape), gpsi, gphi
+    return gfm.reshape(shape), sum_batch(gpsi, 2), sum_batch(gphi, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +173,12 @@ def gcn_layer(g, triplet: GcnParams):
 
 def gcn_layer_fwd(g, triplet):
     """Residual graph layer; the adjacency is self-attention over columns."""
-    c = g.shape[0]
+    c = g.shape[-2]
     if c % 4:
         raise ValueError("channel width must be divisible by 4")
     a1 = triplet.w1 @ g
     a2 = triplet.w2 @ g
-    adj, cf_cache = compatibility_fwd(a1.T, a2, c // 4)  # (n × n)
+    adj, cf_cache = compatibility_fwd(_t(a1), a2, c // 4)  # (n × n)
     mix = g @ adj
     out = triplet.w3 @ mix + g
     return out, (g, triplet, adj, mix, cf_cache)
@@ -168,14 +186,14 @@ def gcn_layer_fwd(g, triplet):
 
 def gcn_layer_bwd(cache, gout):
     g, triplet, adj, mix, cf_cache = cache
-    gw3 = gout @ mix.T
+    gw3 = sum_batch(gout @ _t(mix), 2)
     gmix = triplet.w3.T @ gout
-    gg = gout + gmix @ adj.T
-    gadj = g.T @ gmix
+    gg = gout + gmix @ _t(adj)
+    gadj = _t(g) @ gmix
     ga1t, ga2 = compatibility_bwd(cf_cache, gadj)
-    gw1 = ga1t.T @ g.T
-    gw2 = ga2 @ g.T
-    gg = gg + triplet.w1.T @ ga1t.T + triplet.w2.T @ ga2
+    gw1 = sum_batch(_t(ga1t) @ _t(g), 2)
+    gw2 = sum_batch(ga2 @ _t(g), 2)
+    gg = gg + triplet.w1.T @ _t(ga1t) + triplet.w2.T @ ga2
     return gg, gw1, gw2, gw3
 
 
@@ -186,19 +204,19 @@ def reason_multilevel(banks, triplet: GcnParams):
 
 def reason_multilevel_fwd(banks, triplet):
     """Column-concatenate the per-level banks and run one shared layer."""
-    widths = {b.shape[0] for b in banks}
+    widths = {b.shape[-2] for b in banks}
     if len(widths) != 1:
         raise ValueError(f"banks disagree on channel width: {sorted(widths)}")
-    cat = np.concatenate(banks, axis=1)
+    cat = np.concatenate(banks, axis=-1)
     fused, g_cache = gcn_layer_fwd(cat, triplet)
-    return fused, (g_cache, [b.shape[1] for b in banks])
+    return fused, (g_cache, [b.shape[-1] for b in banks])
 
 
 def reason_multilevel_bwd(cache, gfused):
     g_cache, cols = cache
     gcat, gw1, gw2, gw3 = gcn_layer_bwd(g_cache, gfused)
     splits = np.cumsum(cols)[:-1]
-    return np.split(gcat, splits, axis=1), gw1, gw2, gw3
+    return np.split(gcat, splits, axis=-1), gw1, gw2, gw3
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +230,28 @@ def distribute_context(f: LevelFeature, fused, p: MgcLevelParams, out_weight):
 
 def distribute_context_fwd(fdata, fused, theta, xi, out_weight):
     """Attend each position to the fused bank, add a residual projection."""
-    c_i, h, w = fdata.shape
-    c = fused.shape[0]
-    fm = fdata.reshape(c_i, -1)
+    h, w = fdata.shape[-2:]
+    c = fused.shape[-2]
+    fm = _flat(fdata)
     q = theta @ fm  # (c × hw)
-    attn, cf_cache = compatibility_fwd(q.T, fused, c)  # (n × hw)
+    attn, cf_cache = compatibility_fwd(_t(q), fused, c)  # (n × hw)
     ctx = out_weight @ fused  # (c × n)
-    out = (ctx @ attn + xi @ fm).reshape(c, h, w)
+    out = (ctx @ attn + xi @ fm).reshape(fdata.shape[:-3] + (c, h, w))
     return out, (fdata.shape, fm, q, attn, ctx, fused, theta, xi, out_weight, cf_cache)
 
 
 def distribute_context_bwd(cache, gout):
     shape, fm, q, attn, ctx, fused, theta, xi, out_weight, cf_cache = cache
-    go = gout.reshape(gout.shape[0], -1)
-    gctx = go @ attn.T
-    gattn = ctx.T @ go
-    gw_o = gctx @ fused.T
+    go = _flat(gout)
+    gctx = go @ _t(attn)
+    gattn = _t(ctx) @ go
+    gw_o = sum_batch(gctx @ _t(fused), 2)
     gfused = out_weight.T @ gctx
     gqt, gfused2 = compatibility_bwd(cf_cache, gattn)
     gfused = gfused + gfused2
-    gq = gqt.T
-    gtheta = gq @ fm.T
-    gxi = go @ fm.T
+    gq = _t(gqt)
+    gtheta = sum_batch(gq @ _t(fm), 2)
+    gxi = sum_batch(go @ _t(fm), 2)
     gfm = theta.T @ gq + xi.T @ go
     return gfm.reshape(shape), gfused, gtheta, gxi, gw_o
 

@@ -1,32 +1,38 @@
 """Spatial primitives: convolution, pooling, resampling, pixel shuffle.
 
-All ops act on single images laid out channel-first (c, h, w); batching is
-the caller's loop.  Convolution is cross-correlation (no kernel flip) with
-zero padding.  Forward variants ``*_fwd`` return (out, cache) for the
-matching ``*_bwd``.
+Feature maps are channel-first, either one image (c, h, w) or a batch of
+images (n, c, h, w); every op takes both, and returns the rank it was given.
+A (c, h, w) image runs as a batch of one, with the same GEMM shapes and
+reduction order it had before the batch axis existed.  Convolution is
+cross-correlation (no kernel flip) with zero padding.  Forward variants
+``*_fwd`` return (out, cache) for the matching ``*_bwd``.
 
 Convolution takes one of two paths in each direction, chosen from the
-conv's shape alone:
+conv's per-image shape alone:
 
 * 3×3 stride-1 convs (any padding) with cout·cin·h_out·w_out at or above
   ``_WINOGRAD_MIN_SIZE`` (2²⁵, the measured crossover) run their backward
   by Winograd F(2×2, 3×3) (Lavin & Gray, arXiv 1509.09308): 16 multiplies
   per 2×2 output tile and channel pair where direct convolution needs 36.
   In the neck at a 256² input these are the c=256 convs at 32² and 64².
-  The tiles are transformed and multiplied in blocks of tile rows sized by
-  ``_WINOGRAD_BLOCK_BYTES``, so no im2col matrix and no full transformed
-  input is built.  The cache holds only the padded input; the backward
-  recomputes the transformed kernels and, block by block, the input
-  transform.
+  The tiles are transformed and multiplied image by image, in blocks of
+  tile rows sized by ``_WINOGRAD_BLOCK_BYTES``, so no im2col matrix and no
+  full transformed input is built.  The backward recomputes the
+  transformed kernels and, block by block, the input transform.
 * Their forward takes Winograd only from ``_WINOGRAD_FWD_MIN_SIZE`` (2²⁹)
   up, in the neck the c=256 convs at 128².  Below it the forward stays on
   im2col, so that a 256² input keeps the f32 rounding the committed
   perfbench digests were made with (ROADMAP item 6).  The backward changes
   no forward value, so only the forward is held.
 * Every other conv (strided, k ≠ 3, or below ``_WINOGRAD_MIN_SIZE``) is one
-  GEMM with the im2col column matrix (cin·k², h_out·w_out), which the
-  cache holds.  For 1×1 stride-1 convs that matrix is a view of the input,
-  and the input gradient is the column gradient reshaped.
+  GEMM of the kernel matrix with the im2col column matrix
+  (cin·k², n·h_out·w_out), which covers all n images at once.  For 1×1
+  stride-1 convs of one image that matrix is a view of the input, and the
+  input gradient is the column gradient reshaped.
+
+Every conv caches its padded input, not its column matrix: the backward
+builds the columns again, so a batch's forward caches stay about the size
+of its feature maps.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass
@@ -116,7 +123,7 @@ def _winograd_rows(cin, cout, tw, itemsize):
 
 
 def _winograd_input(xp, ty0, n, tw, dtype):
-    """V = Bᵀ d B (16, cin, n·tw) for tile rows ty0..ty0+n of the padded input.
+    """V = Bᵀ d B (16, cin, n·tw) for tile rows ty0..ty0+n of one padded image.
 
     Separable: Bᵀ over strided row views, then B over strided column views.
     """
@@ -129,12 +136,25 @@ def _winograd_input(xp, ty0, n, tw, dtype):
     return v.reshape(16, xp.shape[0], n * tw)
 
 
+def _lift(x):
+    """x as a batch (n, c, h, w): a single (c, h, w) image becomes a view with n = 1."""
+    return x if x.ndim == 4 else x[None]
+
+
+def _zero_pad(x, pad, extra_h=0, extra_w=0):
+    """Batch x zero-padded by pad on each side, plus extra rows and columns at the far ends."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad + extra_h, w + 2 * pad + extra_w), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
 def _winograd_pad(x, pad):
-    """x zero-padded by pad, plus one more row and column for odd output extents."""
-    h_out, w_out = x.shape[1] + 2 * pad - 2, x.shape[2] + 2 * pad - 2
+    """Batch x zero-padded by pad, plus one more row and column for odd output extents."""
+    h_out, w_out = x.shape[2] + 2 * pad - 2, x.shape[3] + 2 * pad - 2
     if (pad, h_out % 2, w_out % 2) == (0, 0, 0):
         return x
-    return np.pad(x, ((0, 0), (pad, pad + h_out % 2), (pad, pad + w_out % 2)))
+    return _zero_pad(x, pad, h_out % 2, w_out % 2)
 
 
 def _winograd_kernels(p: ConvParams, xp):
@@ -145,7 +165,7 @@ def _winograd_kernels(p: ConvParams, xp):
 
 
 def _winograd_fwd(p: ConvParams, x):
-    """3×3 stride-1 conv by Winograd F(2×2, 3×3), in blocks of tile rows.
+    """3×3 stride-1 conv by Winograd F(2×2, 3×3), image by image in blocks of tile rows.
 
     The kernels are transformed once, U = (G⊗G) vec(w) with shape
     (16, cout, cin).  Per block of tile rows, the input tiles are
@@ -154,83 +174,93 @@ def _winograd_fwd(p: ConvParams, x):
     positions; and Y = (Aᵀ⊗Aᵀ) M is written straight into the output's 2×2
     tiles.  Odd output extents are padded to whole tiles and cropped.  The
     bias is added to M at tile position (1, 1), which Aᵀ·A sends to all four
-    outputs.  The cache holds the padded input only; the backward
-    recomputes U and V.
+    outputs.  The cache is (p, x.shape, xp), xp the padded (n, cin, ·, ·)
+    input; the backward recomputes U and V.
     """
     cout, cin = p.weight.shape[:2]
-    h, w = x.shape[1:]
+    h, w = x.shape[-2:]
     h_out, w_out = h + 2 * p.padding - 2, w + 2 * p.padding - 2
     th, tw = -(-h_out // 2), -(-w_out // 2)
-    xp = _winograd_pad(x, p.padding)
+    xp = _winograd_pad(_lift(x), p.padding)
     u = _winograd_kernels(p, xp)
     dt = u.dtype
     aa = _WINO_AA.astype(dt)
-    out = np.empty((cout, th, 2, tw, 2), dtype=dt)
+    out = np.empty((xp.shape[0], cout, th, 2, tw, 2), dtype=dt)
     rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
-    for ty0 in range(0, th, rows):
-        n = min(rows, th - ty0)
-        m = np.matmul(u, _winograd_input(xp, ty0, n, tw, dt))
-        if p.bias is not None:
-            m[5] += p.bias[:, None]
-        y = (aa @ m.reshape(16, -1)).reshape(2, 2, cout, n, tw)
-        out[:, ty0 : ty0 + n] = y.transpose(2, 3, 0, 4, 1)
-    y = out.reshape(cout, 2 * th, 2 * tw)
+    for xpi, outi in zip(xp, out):
+        for ty0 in range(0, th, rows):
+            n = min(rows, th - ty0)
+            m = np.matmul(u, _winograd_input(xpi, ty0, n, tw, dt))
+            if p.bias is not None:
+                m[5] += p.bias[:, None]
+            y = (aa @ m.reshape(16, -1)).reshape(2, 2, cout, n, tw)
+            outi[:, ty0 : ty0 + n] = y.transpose(2, 3, 0, 4, 1)
+    y = out.reshape(xp.shape[0], cout, 2 * th, 2 * tw)
     if (h_out, w_out) != (2 * th, 2 * tw):
-        y = np.ascontiguousarray(y[:, :h_out, :w_out])
-    return y, (p, x.shape, xp)
+        y = np.ascontiguousarray(y[:, :, :h_out, :w_out])
+    return (y if x.ndim == 4 else y[0]), (p, x.shape, xp)
 
 
 def _winograd_bwd(cache, gy):
-    """Adjoint of _winograd_fwd, by the same tile-row blocks.
+    """Adjoint of _winograd_fwd, image by image in the same tile-row blocks.
 
-    The cache is (p, x.shape, xp), with xp padded as _winograd_pad pads; it
-    may come from either forward path.  U is recomputed from p.weight.  Per
-    block, gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed from xp, and
-    gV = Uᵀ gM.  gV goes back through the input transform, gd = (B⊗B) gV,
-    and the overlapping 4×4 tiles of gd fold into the padded-input gradient
-    with one strided slice-add per tile position.  Finally
-    gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU.
+    The cache is (p, x.shape, xp), with xp the batch padded as _winograd_pad
+    pads it; it may come from either forward path.  U is recomputed from
+    p.weight.  Per block, gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed
+    from xp, and gV = Uᵀ gM.  gV goes back through the input transform,
+    gd = (B⊗B) gV, and the overlapping 4×4 tiles of gd fold into the
+    padded-input gradient with one strided slice-add per tile position.
+    Finally gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU, summed over images.
     """
-    p, (_, h, w), xp = cache
+    p, x_shape, xp = cache
+    h, w = x_shape[-2:]
     cout, cin = p.weight.shape[:2]
     pad = p.padding
-    h_out, w_out = gy.shape[1:]
+    h_out, w_out = gy.shape[-2:]
     th, tw = -(-h_out // 2), -(-w_out // 2)
     u = _winograd_kernels(p, xp)
     dt = u.dtype
-    gb = gy.sum(axis=(1, 2)) if p.bias is not None else None
+    gyb = _lift(gy)
+    gb = gyb.sum(axis=(0, 2, 3)) if p.bias is not None else None
     if (h_out, w_out) != (2 * th, 2 * tw):
-        gy = np.pad(gy, ((0, 0), (0, 2 * th - h_out), (0, 2 * tw - w_out)))
-    gyt = gy.reshape(cout, th, 2, tw, 2)
+        gyb = np.pad(gyb, ((0, 0), (0, 0), (0, 2 * th - h_out), (0, 2 * tw - w_out)))
+    gyt = gyb.reshape(-1, cout, th, 2, tw, 2)
     aa_t = _WINO_AA.T.astype(dt)
     bb_t = _WINO_BB.T.astype(dt)
     gu = np.zeros((16, cout, cin), dtype=dt)
     gxp = np.zeros(xp.shape, dtype=dt)
     rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
-    for ty0 in range(0, th, rows):
-        n = min(rows, th - ty0)
-        g = np.ascontiguousarray(gyt[:, ty0 : ty0 + n].transpose(2, 4, 0, 1, 3), dtype=dt)
-        gm = (aa_t @ g.reshape(4, -1)).reshape(16, cout, n * tw)
-        gu += np.matmul(gm, _winograd_input(xp, ty0, n, tw, dt).swapaxes(1, 2))
-        gv = np.matmul(u.swapaxes(1, 2), gm)
-        gd = (bb_t @ gv.reshape(16, -1)).reshape(4, 4, cin, n, tw)
-        for a in range(4):
-            for b in range(4):
-                gxp[:, 2 * ty0 + a : 2 * (ty0 + n) + a : 2, b : 2 * tw + b : 2] += gd[a, b]
+    for xpi, gyti, gxpi in zip(xp, gyt, gxp):
+        for ty0 in range(0, th, rows):
+            n = min(rows, th - ty0)
+            g = np.ascontiguousarray(gyti[:, ty0 : ty0 + n].transpose(2, 4, 0, 1, 3), dtype=dt)
+            gm = (aa_t @ g.reshape(4, -1)).reshape(16, cout, n * tw)
+            gu += np.matmul(gm, _winograd_input(xpi, ty0, n, tw, dt).swapaxes(1, 2))
+            gv = np.matmul(u.swapaxes(1, 2), gm)
+            gd = (bb_t @ gv.reshape(16, -1)).reshape(4, 4, cin, n, tw)
+            for a in range(4):
+                for b in range(4):
+                    gxpi[:, 2 * ty0 + a : 2 * (ty0 + n) + a : 2, b : 2 * tw + b : 2] += gd[a, b]
     gw = (_WINO_GG.T.astype(dt) @ gu.reshape(16, cout * cin)).T.reshape(p.weight.shape)
-    return gxp[:, pad : pad + h, pad : pad + w], gw, gb
+    gx = gxp[:, :, pad : pad + h, pad : pad + w]
+    return (gx if gy.ndim == 4 else gx[0]), gw, gb
 
 
 def _im2col(xp, k, stride, h_out, w_out):
-    # column matrix (cin·k², h_out·w_out); one strided slice per kernel tap
-    cin = xp.shape[0]
+    """Column matrix (cin·k², n·h_out·w_out) of the padded batch xp, in one copy.
+
+    Row (ci, dy, dx) holds tap (dy, dx) of channel ci for every output pixel
+    of every image, images outermost.  For 1×1 stride-1 convs of one image
+    it is a view of xp.
+    """
+    n, cin = xp.shape[:2]
     if k == 1 and stride == 1:
-        return xp.reshape(cin, h_out * w_out)  # a view when xp is contiguous: no copy
-    cols = np.empty((cin, k, k, h_out, w_out), dtype=xp.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, dy, dx] = xp[:, dy : dy + stride * h_out : stride, dx : dx + stride * w_out : stride]
-    return cols.reshape(cin * k * k, h_out * w_out)
+        return xp.transpose(1, 0, 2, 3).reshape(cin, n * h_out * w_out)
+    sn, sc, sh, sw = xp.strides
+    cols = np.empty((cin, k, k, n, h_out, w_out), dtype=xp.dtype)
+    np.copyto(cols, as_strided(xp, cols.shape, (sc, sh, sw, sn, stride * sh, stride * sw),
+                               writeable=False))
+    return cols.reshape(cin * k * k, n * h_out * w_out)
 
 
 def conv2d(p: ConvParams, x):
@@ -239,23 +269,25 @@ def conv2d(p: ConvParams, x):
 
 
 def conv2d_fwd(p: ConvParams, x):
-    """Cross-correlation of x (cin, h, w) with p; returns (y, cache).
+    """Cross-correlation of x, (cin, h, w) or (n, cin, h, w), with p; returns (y, cache).
 
-    The path is chosen from the shapes alone.  3×3 stride-1 convs with
-    cout·cin·h_out·w_out ≥ _WINOGRAD_MIN_SIZE run their backward by Winograd
-    F(2×2, 3×3), so their cache is (p, x.shape, xp): the input padded as
-    _winograd_pad pads it, and no column matrix.  Their forward runs by
-    Winograd (_winograd_fwd) only from _WINOGRAD_FWD_MIN_SIZE up, which keeps
-    the im2col f32 rounding of a 256² neck input until the perfbench digests
-    are mended (ROADMAP item 6).  Every other forward is one GEMM of the
-    kernel matrix with the im2col column matrix (cin·k², h_out·w_out); below
-    _WINOGRAD_MIN_SIZE the cache holds that matrix.  For 1×1 stride-1 convs
-    it is a view of the (padded) input.
+    The path is chosen from the per-image shapes alone.  3×3 stride-1 convs
+    with cout·cin·h_out·w_out ≥ _WINOGRAD_MIN_SIZE run their backward by
+    Winograd F(2×2, 3×3), and their forward by Winograd (_winograd_fwd) only
+    from _WINOGRAD_FWD_MIN_SIZE up, which keeps the im2col f32 rounding of a
+    256² neck input until the perfbench digests are mended (ROADMAP item 6).
+    Every other forward is one GEMM of the kernel matrix with the im2col
+    column matrix (cin·k², n·h_out·w_out).
+
+    The cache is (p, x.shape, xp), xp the input as an (n, cin, ·, ·) batch
+    zero-padded: as _winograd_pad pads it when the backward is Winograd,
+    by p.padding on each side otherwise (a view of x when that is 0).  No
+    column matrix is cached; the backward rebuilds it from xp.
     """
     cout, cin, k, _ = p.weight.shape
-    if x.ndim != 3 or x.shape[0] != cin:
-        raise ValueError(f"expected input ({cin}, h, w), got {x.shape}")
-    h, w = x.shape[1:]
+    if x.ndim not in (3, 4) or x.shape[-3] != cin:
+        raise ValueError(f"expected input ({cin}, h, w) or (n, {cin}, h, w), got {x.shape}")
+    h, w = x.shape[-2:]
     h_out = _out_extent(h, k, p.stride, p.padding)
     w_out = _out_extent(w, k, p.stride, p.padding)
     if h_out < 1 or w_out < 1:
@@ -263,51 +295,58 @@ def conv2d_fwd(p: ConvParams, x):
     winograd_bwd = _use_winograd(p.weight.shape, p.stride, h_out, w_out)
     if winograd_bwd and cout * cin * h_out * w_out >= _WINOGRAD_FWD_MIN_SIZE:
         return _winograd_fwd(p, x)
+    xb = _lift(x)
     if winograd_bwd:
-        xp = _winograd_pad(x, p.padding)
+        xp = _winograd_pad(xb, p.padding)
     elif p.padding:
-        xp = np.pad(x, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
+        xp = _zero_pad(xb, p.padding)
     else:
-        xp = x
-    cols = _im2col(xp, k, p.stride, h_out, w_out)
-    y = (p.weight.reshape(cout, -1) @ cols).reshape(cout, h_out, w_out)
+        xp = xb
+    y = p.weight.reshape(cout, -1) @ _im2col(xp, k, p.stride, h_out, w_out)
     if p.bias is not None:
-        y = y + p.bias[:, None, None]
-    return y, (p, x.shape, xp if winograd_bwd else cols)
+        y = y + p.bias[:, None]
+    # (cout, n·h_out·w_out) -> (n, cout, h_out, w_out); no copy for one image
+    y = np.ascontiguousarray(y.reshape(cout, xb.shape[0], h_out, w_out).swapaxes(0, 1))
+    return (y if x.ndim == 4 else y[0]), (p, x.shape, xp)
 
 
 def conv2d_bwd(cache, gy):
     """Adjoints (gx, gweight, gbias); gbias is None for bias-free convs.
 
-    3×3 stride-1 convs from _WINOGRAD_MIN_SIZE up run by Winograd
-    (_winograd_bwd), whichever path their forward took; every other conv
-    uses the cached column matrix.  The path is chosen again from the same
-    shapes as in conv2d_fwd.
+    gy has the rank of the forward's input, and so has gx; gweight and
+    gbias are summed over the images.  3×3 stride-1 convs from
+    _WINOGRAD_MIN_SIZE up run by Winograd (_winograd_bwd), whichever path
+    their forward took.  Every other conv rebuilds the column matrix from
+    the cached padded input: gweight is one GEMM over all n·h_out·w_out
+    columns, and the column gradient folds back into the padded input one
+    strided slice-add per kernel tap.  The path is chosen again from the
+    same shapes as in conv2d_fwd.
     """
-    p = cache[0]
-    if _use_winograd(p.weight.shape, p.stride, *gy.shape[1:]):
+    p, x_shape, xp = cache
+    if _use_winograd(p.weight.shape, p.stride, *gy.shape[-2:]):
         return _winograd_bwd(cache, gy)
-    p, x_shape, cols = cache
     cout, cin, k, _ = p.weight.shape
-    h, w = x_shape[1:]
-    h_out, w_out = gy.shape[1:]
-    gyf = gy.reshape(cout, -1)
-    gw = (gyf @ cols.T).reshape(p.weight.shape)
+    h, w = x_shape[-2:]
+    h_out, w_out = gy.shape[-2:]
+    n = xp.shape[0]
+    gyf = _lift(gy).swapaxes(0, 1).reshape(cout, -1)  # a view for one image
+    # the rebuilt column matrix is freed before the column gradient is made
+    gw = (gyf @ _im2col(xp, k, p.stride, h_out, w_out).T).reshape(p.weight.shape)
     gb = gyf.sum(axis=1) if p.bias is not None else None
     gcols = p.weight.reshape(cout, -1).T @ gyf
     if k == 1 and p.stride == 1:
-        gxp = gcols.reshape(cin, h_out, w_out)  # one tap covering the padded input: no fold
+        # one tap covering the padded input: no fold
+        gxp = gcols.reshape(cin, n, h_out, w_out).swapaxes(0, 1)
     else:
-        gcols = gcols.reshape(cin, k, k, h_out, w_out)
-        gxp = np.zeros((cin, h + 2 * p.padding, w + 2 * p.padding), dtype=gy.dtype)
+        gcols = gcols.reshape(cin, k, k, n, h_out, w_out)
+        gxp = np.zeros((n, cin, h + 2 * p.padding, w + 2 * p.padding), dtype=gy.dtype)
         for dy in range(k):
             for dx in range(k):
-                gxp[:, dy : dy + p.stride * h_out : p.stride, dx : dx + p.stride * w_out : p.stride] += gcols[:, dy, dx]
+                gxp[:, :, dy : dy + p.stride * h_out : p.stride, dx : dx + p.stride * w_out : p.stride] += \
+                    gcols[:, dy, dx].swapaxes(0, 1)
     if p.padding:
-        gx = gxp[:, p.padding : p.padding + h, p.padding : p.padding + w]
-    else:
-        gx = gxp
-    return gx, gw, gb
+        gxp = gxp[:, :, p.padding : p.padding + h, p.padding : p.padding + w]
+    return (gxp if gy.ndim == 4 else gxp[0]), gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +361,18 @@ def max_pool2d(x):
 def max_pool2d_fwd(x):
     """2×2 max and its window index (row-major), from the four phase views.
 
-    y is np.maximum over the phase views x[:, i::2, j::2].  arg matches
+    x is (c, h, w) or (n, c, h, w).  y is np.maximum over the phase views
+    x[..., i::2, j::2].  arg (uint8, cached for the backward) matches
     np.argmax over each window: the first of tied values wins, and so does
     the first NaN, which the equality tests miss and a NaN-only pass sets.
     (Where a window holds both 0.0 and -0.0, y may carry the other zero.)
     """
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"max_pool2d needs even extents, got {h}×{w}")
-    phases = [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    if x.ndim not in (3, 4) or x.shape[-2] % 2 or x.shape[-1] % 2:
+        raise ValueError(f"max_pool2d needs a (c, h, w) or (n, c, h, w) input with even extents, "
+                         f"got {x.shape}")
+    phases = [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
     y = np.maximum(np.maximum(phases[0], phases[1]), np.maximum(phases[2], phases[3]))
-    arg = np.full(y.shape, 3, dtype=np.intp)
+    arg = np.full(y.shape, 3, dtype=np.uint8)
     for t in (2, 1, 0):  # later writes win, so the first equal phase is kept
         np.copyto(arg, t, where=phases[t] == y)
     nan = np.isnan(y)
@@ -343,10 +383,10 @@ def max_pool2d_fwd(x):
 
 
 def max_pool2d_bwd(cache, gy):
-    (c, h, w), arg = cache
-    gwin = np.zeros((c, h // 2, w // 2, 4), dtype=gy.dtype)
+    shape, arg = cache
+    gwin = np.zeros(arg.shape + (4,), dtype=gy.dtype)
     np.put_along_axis(gwin, arg[..., None], gy[..., None], axis=-1)
-    return gwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+    return gwin.reshape(arg.shape + (2, 2)).swapaxes(-3, -2).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +413,8 @@ def bilinear_upsample(x, s=2):
 
 
 def bilinear_upsample_fwd(x, s=2):
-    c, h, w = x.shape
+    """Separable ×s resize of the last two axes: Ry · x · Cxᵀ per channel and image."""
+    h, w = x.shape[-2:]
     ry = _interp_matrix(h, s, x.dtype)
     cx = _interp_matrix(w, s, x.dtype)
     y = ry @ x @ cx.T
@@ -387,7 +428,7 @@ def bilinear_upsample_bwd(cache, gy):
 
 def nearest_upsample(x, s=2):
     """Nearest-neighbor ×s used by the plain pyramid baselines (forward only)."""
-    return np.repeat(np.repeat(x, s, axis=1), s, axis=2)
+    return np.repeat(np.repeat(x, s, axis=-2), s, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,27 +441,27 @@ def pixel_shuffle(x, s=2):
 
 
 def pixel_shuffle_fwd(x, s=2):
-    cs, h, w = x.shape
+    cs, h, w = x.shape[-3:]
     if cs % (s * s):
         raise ValueError(f"channel count {cs} not divisible by s²={s * s}")
     q = cs // (s * s)
-    # out[g, s·y+dy, s·x+dx] = in[g·s² + dy·s + dx, y, x]
-    y = x.reshape(q, s, s, h, w).transpose(0, 3, 1, 4, 2).reshape(q, s * h, s * w)
-    return y, (x.shape, s)
+    # out[g, s·y+dy, s·x+dx] = in[g·s² + dy·s + dx, y, x], per image
+    y = x.reshape(-1, q, s, s, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(x.shape[:-3] + (q, s * h, s * w))
+    return y, s
 
 
 def pixel_shuffle_bwd(cache, gy):
-    (cs, h, w), s = cache
-    q = cs // (s * s)
-    return gy.reshape(q, h, s, w, s).transpose(0, 2, 4, 1, 3).reshape(cs, h, w)
+    # a permutation, so its adjoint is its inverse
+    return pixel_unshuffle(gy, cache)
 
 
 def pixel_unshuffle(x, s=2):
     """Inverse rearrangement of pixel_shuffle."""
-    q, sh, sw = x.shape
+    q, sh, sw = x.shape[-3:]
     if sh % s or sw % s:
         raise ValueError(f"spatial extents {sh}×{sw} not divisible by s={s}")
-    return x.reshape(q, sh // s, s, sw // s, s).transpose(0, 2, 4, 1, 3).reshape(q * s * s, sh // s, sw // s)
+    h, w = sh // s, sw // s
+    return x.reshape(-1, q, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(x.shape[:-3] + (q * s * s, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +474,11 @@ def concat_channels(a, b):
 
 
 def concat_channels_fwd(a, b):
-    if a.shape[1:] != b.shape[1:]:
-        raise ValueError(f"spatial extents disagree: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=0), a.shape[0]
+    if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(f"batch or spatial extents disagree: {a.shape} vs {b.shape}")
+    return np.concatenate([a, b], axis=-3), a.shape[-3]
 
 
 def concat_channels_bwd(cache, gy):
     c1 = cache
-    return gy[:c1], gy[c1:]
+    return gy[..., :c1, :, :], gy[..., c1:, :, :]

@@ -372,12 +372,14 @@ _BACKBONE_STAGES = (
 def toy_backbone_fwd(image, store):
     """Two stride-2 stem convs then three stride-2 stages, ReLU throughout.
 
-    Emits the features after the stem (stride 4) and after each stage, so
-    four levels with strides 4/8/16/32 and the store's stage widths.
+    image is (3, H, W) or a batch (n, 3, H, W).  Emits the features after
+    the stem (stride 4) and after each stage, so four levels with strides
+    4/8/16/32 and the store's stage widths, batched as the image is.
     """
-    h, w = image.shape[1:]
-    if image.shape[0] != 3 or h % 64 or w % 64:
-        raise ValueError(f"expected a 3×H×W image with extents divisible by 64, got {image.shape}")
+    if image.ndim not in (3, 4) or image.shape[-3] != 3 \
+            or image.shape[-2] % 64 or image.shape[-1] % 64:
+        raise ValueError(f"expected a 3×H×W image or n×3×H×W batch with extents divisible "
+                         f"by 64, got {image.shape}")
     caches = []
     x = image
     feats = []
@@ -528,7 +530,10 @@ def forward_a2fpn(levels, store, cfg):
 def forward_a2fpn_bwd(cache, gouts):
     """gouts: list of gradients matching the forward outputs in order.
 
-    Returns (glevels dict for the backbone levels 2..5, param grads).
+    Returns (glevels dict for the backbone levels 2..5, param grads).  The
+    cache serves one backward: each chain's fusion caches are dropped from
+    it once that chain's backward is done, so the rest of the backward does
+    not hold them (for a batch, they are most of the forward's cache).
     """
     cfg = cache["cfg"]
     top = cfg.top_level
@@ -564,6 +569,8 @@ def forward_a2fpn_bwd(cache, gouts):
         else:
             gbu[lvl - 1] = gbu[lvl - 1] + glower
     gtd[2] = g2
+    for lvl in range(top, 2, -1):
+        del cache[f"bu.l{lvl}"]
 
     glc = {}
     for lvl in range(2, top):
@@ -572,6 +579,8 @@ def forward_a2fpn_bwd(cache, gouts):
         glc[lvl] = glat
         gtd[lvl + 1] = gtd[lvl + 1] + gupper
     glc[top] = gtd[top]
+    for lvl in range(2, top):
+        del cache[f"td.l{lvl}"]
 
     gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], [glc[lvl] for lvl in range(2, top + 1)])
     put("", local)

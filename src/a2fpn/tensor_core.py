@@ -6,6 +6,10 @@ returns ``(out, cache)`` and ``op_bwd`` consumes the cache plus the
 upstream gradient and returns exact adjoints for each input.  Higher
 modules chain these pairs by hand, so the cache of an op is opaque to
 everyone but its own backward.
+
+Ops reduce over the axes they are given, so leading batch axes pass
+through; a parameter shared by the images of a batch takes the sum of
+their gradients (``sum_batch``).
 """
 
 from __future__ import annotations
@@ -31,8 +35,15 @@ def dtype_name(arr: np.ndarray) -> str:
 # matmul
 # ---------------------------------------------------------------------------
 
+def sum_batch(g, ndim):
+    """g summed over its leading axes down to its last ``ndim``: the gradient
+    of a parameter shared by every image of a batch.  No-op at rank ndim."""
+    return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
+
+
 def matmul(a, b):
-    if a.shape[-1] != b.shape[0]:
+    """a @ b, over stacks of matrices too (leading axes broadcast)."""
+    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ValueError(f"inner extents disagree: {a.shape} @ {b.shape}")
     return a @ b
 
@@ -43,7 +54,9 @@ def matmul_fwd(a, b):
 
 def matmul_bwd(cache, gy):
     a, b = cache
-    return gy @ b.T, a.T @ gy
+    ga = gy @ b.swapaxes(-1, -2)
+    gb = a.swapaxes(-1, -2) @ gy
+    return sum_batch(ga, a.ndim), sum_batch(gb, b.ndim)
 
 
 # ---------------------------------------------------------------------------

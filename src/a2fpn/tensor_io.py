@@ -93,6 +93,25 @@ def save_params(dirpath, params: dict) -> None:
 
 
 def load_params(dirpath) -> dict:
+    """Read a directory written by save_params into a dict of named arrays.
+
+    Raises TensorFormatError when the manifest is not UTF-8 JSON, names
+    another format, or has no "symbols" list of strings, and when a symbol
+    is not one plain path component, so no symbol reads outside the
+    directory.
+    """
     d = Path(dirpath)
-    manifest = json.loads((d / MANIFEST_NAME).read_text(encoding="utf-8"))
-    return {name: load_tensor(d / f"{name}.a2tsr") for name in manifest["symbols"]}
+    path = d / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+        raise TensorFormatError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "a2tsr-manifest":
+        raise TensorFormatError(f"{path}: not an a2tsr-manifest document")
+    symbols = manifest.get("symbols")
+    if not isinstance(symbols, list) or not all(isinstance(name, str) for name in symbols):
+        raise TensorFormatError(f"{path}: \"symbols\" is not a list of strings")
+    for name in symbols:
+        if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+            raise TensorFormatError(f"{path}: symbol {name!r} is not a plain file name")
+    return {name: load_tensor(d / f"{name}.a2tsr") for name in symbols}

@@ -3,15 +3,15 @@ finest pyramid output, per-pixel binary cross-entropy plus the orthogonality
 penalty, momentum SGD.
 
 The task exists to drive every backward path with real gradients, not to
-benchmark anything.  The batch gradient is reduced in a fixed image order,
-so trajectories are bit-identical for any A2FPN_THREADS value.
+benchmark anything.  Each step runs one forward and one backward over the
+whole batch: every op carries the image axis, and the gradient of each
+shared parameter is summed over the images inside its GEMMs and reductions,
+in a fixed order, so trajectories are bit-identical from run to run.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,55 +80,61 @@ def synth_shapes(cfg, count=BATCH):
 
 
 def _bce_with_logits(z, target):
+    """Mean over images of the per-image mean BCE; z and target are (h, w) or (n, h, w)."""
     # max(z,0) - z*y + log(1 + exp(-|z|)) is exp-overflow safe
-    return float(np.mean(np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))))
+    elem = np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
+    return float(np.mean(np.mean(elem, axis=(-2, -1))))
 
 
-def image_pass(image, mask, store, cfg):
-    """Forward + backward for one image; returns (task loss, param grads)."""
-    levels, bb_cache = toy_backbone_fwd(image, store)
-    outs, neck_cache = forward_a2fpn_fwd(levels, store, cfg)
-    z4, head_cache = conv2d_fwd(_conv_view(store, "head"), outs[0].data)
-    z2, up1 = bilinear_upsample_fwd(z4)
-    z1, up2 = bilinear_upsample_fwd(z2)
-    z = z1[0]
-    loss = _bce_with_logits(z, mask)
+def batch_pass(images, masks, store, cfg):
+    """Forward + backward for a batch (n, 3, H, W) of images, or for one (3, H, W).
 
-    gz = ((sigmoid(z) - mask) / z.size).astype(z1.dtype)
-    g2 = bilinear_upsample_bwd(up2, gz[None])
-    g4 = bilinear_upsample_bwd(up1, g2)
-    gp2, gw_head, gb_head = conv2d_bwd(head_cache, g4)
-    gouts = [gp2] + [np.zeros_like(o.data) for o in outs[1:]]
-    glevels, pg = forward_a2fpn_bwd(neck_cache, gouts)
+    Returns (task loss, param grads): the mean over images of each image's
+    mean BCE, and its gradient.  The whole batch is one pass through every
+    op; each parameter gradient comes out summed over the images.
+    """
+    images = images if images.ndim == 4 else images[None]
+    masks = masks if masks.ndim == 3 else masks[None]
+    levels, bb_cache = toy_backbone_fwd(images, store)
+    loss, glevels, pg = _neck_and_head_pass(levels, masks, store, cfg)
+    # the neck's caches are gone by now, so the batch's caches are not all
+    # alive during the backbone's backward
     _, bb_pg = toy_backbone_bwd(bb_cache, glevels)
     pg.update(bb_pg)
-    pg["head.weight"] = gw_head
-    pg["head.bias"] = gb_head
     return loss, pg
 
 
-def _batch_pass(images, masks, store, cfg, threads):
-    n = images.shape[0]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda i: image_pass(images[i], masks[i], store, cfg), range(n)))
-    else:
-        results = [image_pass(images[i], masks[i], store, cfg) for i in range(n)]
-    # reduce in image order regardless of which worker finished first
-    loss = 0.0
-    total = {}
-    for item_loss, pg in results:
-        loss += item_loss
-        for key, g in pg.items():
-            total[key] = total[key] + g if key in total else g
-    inv = 1.0 / n
-    for key in total:
-        total[key] = total[key] * inv
-    return loss * inv, total
+def _neck_and_head_pass(levels, masks, store, cfg):
+    """Loss, backbone-level gradients and neck and head param grads."""
+    outs, neck_cache = forward_a2fpn_fwd(levels, store, cfg)
+    loss, gp2, gw_head, gb_head = _head_pass(outs[0].data, masks, store)
+    gouts = [gp2] + [np.zeros_like(o.data) for o in outs[1:]]
+    glevels, pg = forward_a2fpn_bwd(neck_cache, gouts)
+    pg["head.weight"] = gw_head
+    pg["head.bias"] = gb_head
+    return loss, glevels, pg
 
 
-def _objective_grads(images, masks, store, cfg, threads):
-    task, grads = _batch_pass(images, masks, store, cfg, threads)
+def _head_pass(p2, masks, store):
+    """Loss of the 1×1 head on p2 upsampled ×4, and its gradients (gp2, gw, gb).
+
+    Its own function, so that the head's full-resolution maps are freed
+    before the neck's backward runs.
+    """
+    z4, head_cache = conv2d_fwd(_conv_view(store, "head"), p2)
+    z2, up1 = bilinear_upsample_fwd(z4)
+    z1, up2 = bilinear_upsample_fwd(z2)
+    z = z1[:, 0]
+    loss = _bce_with_logits(z, masks)
+
+    gz = ((sigmoid(z) - masks) / z.size).astype(z1.dtype)
+    g2 = bilinear_upsample_bwd(up2, gz[:, None])
+    g4 = bilinear_upsample_bwd(up1, g2)
+    return (loss,) + conv2d_bwd(head_cache, g4)
+
+
+def _objective_grads(images, masks, store, cfg):
+    task, grads = batch_pass(images, masks, store, cfg)
     view = _mgc_view(store, cfg)
     reg = orthogonal_reg_loss(view)
     for lvl, g in orthogonal_reg_grads(view).items():
@@ -185,13 +191,6 @@ def write_loss_csv(path, rows):
             fh.write(f"{step},{loss!r},{reg!r}\n")
 
 
-def thread_count():
-    try:
-        return max(1, int(os.environ.get("A2FPN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     """Full-batch momentum SGD; returns (TrainReport, trained store).
 
@@ -202,7 +201,6 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     if cfg.arch not in TRAIN_ARCHS:
         raise ValueError(f"training covers {TRAIN_ARCHS}, not {cfg.arch!r}")
     t0 = time.perf_counter()
-    threads = thread_count()
     if store is None:
         store = init_params(cfg, with_backbone=True, with_head=True)
     images, masks = synth_shapes(cfg) if data is None else data
@@ -210,7 +208,7 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     report = TrainReport(arch=cfg.arch, steps=steps, lr=lr, seed=cfg.seed)
 
     for step in range(steps + 1):
-        loss, reg, grads = _objective_grads(images, masks, store, cfg, threads)
+        loss, reg, grads = _objective_grads(images, masks, store, cfg)
         report.rows.append((step, loss, reg))
         if not np.isfinite(loss):
             report.diverged = True
@@ -225,5 +223,6 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
             v *= MOMENTUM
             v += g
             store[key] -= lr * v
+        del grads  # spent: not kept alive through the next step's pass
     report.seconds = time.perf_counter() - t0
     return report, store

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -502,10 +503,14 @@ def _build_distribute_context(rng):
     return arrays, loss, grads
 
 
-def _build_mgc_forward(rng):
+def _build_mgc_forward(rng, lead=()):
+    # the graph layers' w1/w2 are damped so their adjacency softmax stays in
+    # its smooth regime: undamped, some draws saturate it, the true w1/w2
+    # gradients fall to ~1e-9, and finite differences then measure only
+    # roundoff of the ~1e2 loss
     c = 8
-    f2 = rng.standard_normal((4, 4, 4))
-    f3 = rng.standard_normal((6, 2, 2))
+    f2 = rng.standard_normal(lead + (4, 4, 4))
+    f3 = rng.standard_normal(lead + (6, 2, 2))
     arrays = {
         "f2": f2,
         "f3": f3,
@@ -513,13 +518,13 @@ def _build_mgc_forward(rng):
         "mgc.l2.phi.weight": rng.standard_normal((c, 4)),
         "mgc.l2.theta.weight": rng.standard_normal((c, 4)),
         "mgc.l2.xi.weight": rng.standard_normal((c, 4)),
-        "mgc.l2.gcn.w1.weight": rng.standard_normal((c // 4, c)),
-        "mgc.l2.gcn.w2.weight": rng.standard_normal((c // 4, c)),
+        "mgc.l2.gcn.w1.weight": 0.3 * rng.standard_normal((c // 4, c)),
+        "mgc.l2.gcn.w2.weight": 0.3 * rng.standard_normal((c // 4, c)),
         "mgc.l2.gcn.w3.weight": rng.standard_normal((c, c)),
         "mgc.l3.theta.weight": rng.standard_normal((c, 6)),
         "mgc.l3.xi.weight": rng.standard_normal((c, 6)),
-        "mgc.shared_gcn.w1.weight": rng.standard_normal((c // 4, c)),
-        "mgc.shared_gcn.w2.weight": rng.standard_normal((c // 4, c)),
+        "mgc.shared_gcn.w1.weight": 0.3 * rng.standard_normal((c // 4, c)),
+        "mgc.shared_gcn.w2.weight": 0.3 * rng.standard_normal((c // 4, c)),
         "mgc.shared_gcn.w3.weight": rng.standard_normal((c, c)),
         "mgc.out.weight": rng.standard_normal((c, c)),
     }
@@ -547,8 +552,8 @@ def _build_mgc_forward(rng):
         ),
         out_weight=arrays["mgc.out.weight"],
     )
-    r2 = rng.standard_normal((c, 4, 4))
-    r3 = rng.standard_normal((c, 2, 2))
+    r2 = rng.standard_normal(lead + (c, 4, 4))
+    r3 = rng.standard_normal(lead + (c, 2, 2))
 
     def fwd():
         levels = [LevelFeature(2, 4, f2), LevelFeature(3, 8, f3)]
@@ -650,10 +655,10 @@ def _build_predict_down_kernels(rng):
     return arrays, loss, grads
 
 
-def _build_reassemble_up(rng):
-    coarse = rng.standard_normal((3, 2, 3))
-    kern = rng.standard_normal((9, 4, 6))
-    r = rng.standard_normal((3, 4, 6))
+def _build_reassemble_up(rng, lead=()):
+    coarse = rng.standard_normal(lead + (3, 2, 3))
+    kern = rng.standard_normal(lead + (9, 4, 6))
+    r = rng.standard_normal(lead + (3, 4, 6))
 
     def loss():
         y, _ = fusion.reassemble_up_fwd(coarse, kern, 2)
@@ -667,10 +672,10 @@ def _build_reassemble_up(rng):
     return {"coarse": coarse, "kern": kern}, loss, grads
 
 
-def _build_reassemble_down(rng):
-    fine = rng.standard_normal((3, 4, 6))
-    kern = rng.standard_normal((9, 2, 3))
-    r = rng.standard_normal((3, 2, 3))
+def _build_reassemble_down(rng, lead=()):
+    fine = rng.standard_normal(lead + (3, 4, 6))
+    kern = rng.standard_normal(lead + (9, 2, 3))
+    r = rng.standard_normal(lead + (3, 2, 3))
 
     def loss():
         y, _ = fusion.reassemble_down_fwd(fine, kern, 2)
@@ -684,12 +689,12 @@ def _build_reassemble_down(rng):
     return {"fine": fine, "kern": kern}, loss, grads
 
 
-def _build_channel_gates(rng):
+def _build_channel_gates(rng, lead=()):
     p, p_arrays = _tiny_fusion_params(rng, "up")
-    a = rng.standard_normal((8, 2, 3))
-    b = rng.standard_normal((8, 2, 3))
-    rh = rng.standard_normal(8)
-    rl = rng.standard_normal(8)
+    a = rng.standard_normal(lead + (8, 2, 3))
+    b = rng.standard_normal(lead + (8, 2, 3))
+    rh = rng.standard_normal(lead + (8,))
+    rl = rng.standard_normal(lead + (8,))
     arrays = {"a": a, "b": b}
     arrays.update({k: v for k, v in p_arrays.items() if k.startswith("gate.")})
 
@@ -797,7 +802,7 @@ def tiny_config(arch="a2fpn"):
     )
 
 
-def _net_builder(arch):
+def _net_builder(arch, lead=()):
     def build(rng):
         cfg = tiny_config(arch)
         store = init_params(cfg)
@@ -807,10 +812,10 @@ def _net_builder(arch):
                 continue  # keep orthonormal rows; any values would do
             store[key] = v + rng.standard_normal(v.shape) * 0.05
         feats = {
-            2: rng.standard_normal((4, 16, 16)),
-            3: rng.standard_normal((4, 8, 8)),
-            4: rng.standard_normal((8, 4, 4)),
-            5: rng.standard_normal((8, 2, 2)),
+            2: rng.standard_normal(lead + (4, 16, 16)),
+            3: rng.standard_normal(lead + (4, 8, 8)),
+            4: rng.standard_normal(lead + (8, 4, 4)),
+            5: rng.standard_normal(lead + (8, 2, 2)),
         }
         arrays = {f"f{lvl}": feats[lvl] for lvl in feats}
         arrays.update(store)
@@ -836,7 +841,9 @@ def _net_builder(arch):
     return build
 
 
-# name -> (builder, tolerance, per-array coordinate cap; 0 = exhaustive)
+# name -> (builder, tolerance, per-array coordinate cap; 0 = exhaustive).
+# Entries ending in _n2 run the same op on a batch of two images, whose
+# shared parameters take the sum of the two images' gradients.
 REGISTRY = {
     "matmul": (_build_matmul, PRIMITIVE_TOL, 0),
     "softmax": (_build_softmax, PRIMITIVE_TOL, 0),
@@ -851,6 +858,10 @@ REGISTRY = {
     # the Winograd path, called directly: real shapes that select it are far too big here
     "conv2d_winograd": (_conv_builder((2, 5, 7), (3, 2, 3, 3), 1, 1, nn_ops._winograd_fwd,
                                       nn_ops._winograd_bwd), PRIMITIVE_TOL, 0),
+    "conv2d_n2": (_conv_builder((2, 2, 5, 5), (3, 2, 3, 3), 1, 1), PRIMITIVE_TOL, 0),
+    "conv2d_stride2_n2": (_conv_builder((2, 2, 7, 7), (3, 2, 3, 3), 2, 1), PRIMITIVE_TOL, 0),
+    "conv2d_winograd_n2": (_conv_builder((2, 2, 5, 7), (3, 2, 3, 3), 1, 1, nn_ops._winograd_fwd,
+                                         nn_ops._winograd_bwd), PRIMITIVE_TOL, 0),
     "max_pool2d": (_build_max_pool2d, PRIMITIVE_TOL, 0),
     "bilinear_upsample": (_build_bilinear_upsample, PRIMITIVE_TOL, 0),
     "pixel_shuffle": (_build_pixel_shuffle, PRIMITIVE_TOL, 0),
@@ -862,11 +873,15 @@ REGISTRY = {
     "reason_multilevel": (_build_reason_multilevel, COMPOSITE_TOL, 0),
     "distribute_context": (_build_distribute_context, COMPOSITE_TOL, 0),
     "mgc_forward": (_build_mgc_forward, COMPOSITE_TOL, 16),
+    "mgc_forward_n2": (partial(_build_mgc_forward, lead=(2,)), COMPOSITE_TOL, 16),
     "predict_up_kernels": (_build_predict_up_kernels, COMPOSITE_TOL, 32),
     "predict_down_kernels": (_build_predict_down_kernels, COMPOSITE_TOL, 32),
     "reassemble_up": (_build_reassemble_up, COMPOSITE_TOL, 0),
     "reassemble_down": (_build_reassemble_down, COMPOSITE_TOL, 0),
     "channel_gates": (_build_channel_gates, COMPOSITE_TOL, 0),
+    "reassemble_up_n2": (partial(_build_reassemble_up, lead=(2,)), COMPOSITE_TOL, 0),
+    "reassemble_down_n2": (partial(_build_reassemble_down, lead=(2,)), COMPOSITE_TOL, 0),
+    "channel_gates_n2": (partial(_build_channel_gates, lead=(2,)), COMPOSITE_TOL, 0),
     "fuse_topdown": (_fuse_builder("td", True), COMPOSITE_TOL, 24),
     "fuse_bottomup": (_fuse_builder("bu", True), COMPOSITE_TOL, 24),
     "carafe_baseline": (_fuse_builder("td", False), COMPOSITE_TOL, 24),
@@ -875,6 +890,7 @@ REGISTRY = {
     "make_extra_level": (_build_make_extra_level, COMPOSITE_TOL, 0),
     "a2fpn_full": (_net_builder("a2fpn"), COMPOSITE_TOL, 3),
     "a2fpn_lite": (_net_builder("a2fpn_lite"), COMPOSITE_TOL, 3),
+    "a2fpn_full_n2": (_net_builder("a2fpn", lead=(2,)), COMPOSITE_TOL, 3),
 }
 
 
@@ -925,34 +941,65 @@ def _max_diff(got, want):
                for a, b in zip(got, want))
 
 
+def _lead(rng):
+    """Leading axes of one sweep case: a single image, or a batch of n ∈ {1, 3}."""
+    return ((), (1,), (3,))[int(rng.integers(3))]
+
+
+def _per_image(lead, oracle, *arrays, summed=()):
+    """The oracle run image by image over the arrays' leading batch axis.
+
+    For a single image (lead == ()) this is oracle(*arrays).  For a batch,
+    each result is the images' results stacked; of a tuple of results, the
+    ones at the indices in ``summed`` (parameter gradients) are summed over
+    the images instead.
+    """
+    if not lead:
+        return oracle(*arrays)
+    per = [oracle(*args) for args in zip(*arrays)]
+    if not isinstance(per[0], tuple):
+        return np.stack(per)
+    return tuple(None if col[0] is None else sum(col) if i in summed else np.stack(col)
+                 for i, col in enumerate(zip(*per)))
+
+
 def oracle_suite(seed=0, cases=50):
-    """Production kernels vs straight-line loop references, random shapes."""
+    """Production kernels vs straight-line loop references, random shapes.
+
+    Each case runs on a single image or on a batch of n ∈ {1, 3}; a batched
+    result must equal the per-image oracles stacked, and a batched parameter
+    gradient their sum.
+    """
     rng = np.random.default_rng([seed, 0x0A])
     entries = []
 
     def conv_draw():
+        lead = _lead(rng)
         cin, cout = rng.integers(1, 4, 2)
         k = int(rng.choice([1, 2, 3]))
         stride = int(rng.choice([1, 2]))
         pad = int(rng.choice([0, 1]))
         h, w = rng.integers(3, 8, 2)
-        x = rng.standard_normal((cin, h, w))
+        x = rng.standard_normal(lead + (cin, h, w))
         wgt = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout) if rng.random() < 0.5 else None
-        return x, wgt, b, stride, pad
+        return lead, x, wgt, b, stride, pad
 
     def conv_case():
-        x, wgt, b, stride, pad = conv_draw()
+        lead, x, wgt, b, stride, pad = conv_draw()
         y = conv2d(ConvParams(wgt, b, stride=stride, padding=pad), x)
-        return float(np.max(np.abs(y - oracles.conv2d_oracle(wgt, b, x, stride, pad))))
+        want = _per_image(lead, lambda xi: oracles.conv2d_oracle(wgt, b, xi, stride, pad), x)
+        return float(np.max(np.abs(y - want)))
 
     entries.append(_sweep("conv2d", cases, conv_case, time.perf_counter()))
 
     def conv_bwd_case():
-        x, wgt, b, stride, pad = conv_draw()
+        lead, x, wgt, b, stride, pad = conv_draw()
         y, cache = conv2d_fwd(ConvParams(wgt, b, stride=stride, padding=pad), x)
         gy = rng.standard_normal(y.shape)
-        return _max_diff(conv2d_bwd(cache, gy), oracles.conv2d_bwd_oracle(wgt, b, x, gy, stride, pad))
+        want = _per_image(lead, lambda xi, gi: oracles.conv2d_bwd_oracle(wgt, b, xi, gi, stride, pad),
+                          x, gy, summed=(1, 2))
+        return _max_diff(conv2d_bwd(cache, gy), want)
 
     entries.append(_sweep("conv2d_bwd", cases, conv_bwd_case, time.perf_counter()))
 
@@ -960,164 +1007,191 @@ def oracle_suite(seed=0, cases=50):
     # far above oracle-sized shapes.  Extents run from 1 and need not match,
     # so odd and single-tile outputs both occur.
     def winograd_case():
+        lead = _lead(rng)
         cin, cout = rng.integers(1, 4, 2)
         pad = int(rng.choice([0, 1, 2]))
         h, w = rng.integers(max(1, 3 - 2 * pad), 8, 2)
-        x = rng.standard_normal((cin, h, w))
+        x = rng.standard_normal(lead + (cin, h, w))
         wgt = rng.standard_normal((cout, cin, 3, 3))
         b = rng.standard_normal(cout) if rng.random() < 0.5 else None
         p = ConvParams(wgt, b, padding=pad)
-        return p, x, nn_ops._winograd_fwd(p, x)
+        return lead, p, x, nn_ops._winograd_fwd(p, x)
 
     def winograd_fwd_case():
-        p, x, (y, _) = winograd_case()
-        return float(np.max(np.abs(y - oracles.conv2d_oracle(p.weight, p.bias, x, 1, p.padding))))
+        lead, p, x, (y, _) = winograd_case()
+        want = _per_image(lead, lambda xi: oracles.conv2d_oracle(p.weight, p.bias, xi, 1, p.padding), x)
+        return float(np.max(np.abs(y - want)))
 
     entries.append(_sweep("conv2d_winograd", cases, winograd_fwd_case, time.perf_counter()))
 
     def winograd_bwd_case():
-        p, x, (y, cache) = winograd_case()
+        lead, p, x, (y, cache) = winograd_case()
         gy = rng.standard_normal(y.shape)
-        return _max_diff(nn_ops._winograd_bwd(cache, gy),
-                         oracles.conv2d_bwd_oracle(p.weight, p.bias, x, gy, 1, p.padding))
+        want = _per_image(lead, lambda xi, gi: oracles.conv2d_bwd_oracle(p.weight, p.bias, xi, gi, 1,
+                                                                          p.padding),
+                          x, gy, summed=(1, 2))
+        return _max_diff(nn_ops._winograd_bwd(cache, gy), want)
 
     entries.append(_sweep("conv2d_winograd_bwd", cases, winograd_bwd_case, time.perf_counter()))
 
     def pool_attn_case():
+        lead = _lead(rng)
         c, n, m = rng.integers(2, 6, 3)
-        values = rng.standard_normal((c, n))
-        attn = rng.standard_normal((n, m))
-        return float(np.max(np.abs(matmul(values, attn) - oracles.attention_pool_oracle(values, attn))))
+        values = rng.standard_normal(lead + (c, n))
+        attn = rng.standard_normal(lead + (n, m))
+        want = _per_image(lead, oracles.attention_pool_oracle, values, attn)
+        return float(np.max(np.abs(matmul(values, attn) - want)))
 
     entries.append(_sweep("attention_pool", cases, pool_attn_case, time.perf_counter()))
 
     def compat_case():
+        lead = _lead(rng)
         nq, d, nk = rng.integers(2, 6, 3)
-        q = rng.standard_normal((nq, d))
-        k = rng.standard_normal((d, nk))
+        q = rng.standard_normal(lead + (nq, d))
+        k = rng.standard_normal(lead + (d, nk))
         y = mgc.compatibility(q, k, d)
-        return float(np.max(np.abs(y - oracles.compatibility_oracle(q, k, d))))
+        want = _per_image(lead, lambda qi, ki: oracles.compatibility_oracle(qi, ki, d), q, k)
+        return float(np.max(np.abs(y - want)))
 
     entries.append(_sweep("compatibility", cases, compat_case, time.perf_counter()))
 
     def re_up_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = rng.integers(2, 5, 2)
         k = int(rng.choice([1, 3, 5]))
-        coarse = rng.standard_normal((c, h, w))
-        kern = rng.standard_normal((k * k, 2 * h, 2 * w))
+        coarse = rng.standard_normal(lead + (c, h, w))
+        kern = rng.standard_normal(lead + (k * k, 2 * h, 2 * w))
         y, _ = fusion.reassemble_up_fwd(coarse, kern, 2)
-        return float(np.max(np.abs(y - oracles.reassemble_up_oracle(coarse, kern, 2, k))))
+        want = _per_image(lead, lambda ci, ki: oracles.reassemble_up_oracle(ci, ki, 2, k), coarse, kern)
+        return float(np.max(np.abs(y - want)))
 
     entries.append(_sweep("reassemble_up", cases, re_up_case, time.perf_counter()))
 
     def re_down_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = rng.integers(2, 5, 2)
         k = int(rng.choice([1, 3, 5]))
-        fine = rng.standard_normal((c, 2 * h, 2 * w))
-        kern = rng.standard_normal((k * k, h, w))
+        fine = rng.standard_normal(lead + (c, 2 * h, 2 * w))
+        kern = rng.standard_normal(lead + (k * k, h, w))
         y = fusion.reassemble_down(fine, kern, 2)
-        return float(np.max(np.abs(y - oracles.reassemble_down_oracle(fine, kern, 2, k))))
+        want = _per_image(lead, lambda fi, ki: oracles.reassemble_down_oracle(fi, ki, 2, k), fine, kern)
+        return float(np.max(np.abs(y - want)))
 
     entries.append(_sweep("reassemble_down", cases, re_down_case, time.perf_counter()))
 
     def re_up_bwd_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = rng.integers(1, 5, 2)
         k = int(rng.choice([1, 3, 5]))
         s = int(rng.choice([2, 3]))
-        coarse = rng.standard_normal((c, h, w))
-        kern = rng.standard_normal((k * k, s * h, s * w))
-        gout = rng.standard_normal((c, s * h, s * w))
+        coarse = rng.standard_normal(lead + (c, h, w))
+        kern = rng.standard_normal(lead + (k * k, s * h, s * w))
+        gout = rng.standard_normal(lead + (c, s * h, s * w))
         _, cache = fusion.reassemble_up_fwd(coarse, kern, s)
         got = fusion.reassemble_up_bwd(cache, gout)
-        want = oracles.reassemble_up_bwd_oracle(coarse, kern, gout, s, k)
+        want = _per_image(lead, lambda ci, ki, gi: oracles.reassemble_up_bwd_oracle(ci, ki, gi, s, k),
+                          coarse, kern, gout)
         return _max_diff(got, want)
 
     entries.append(_sweep("reassemble_up_bwd", cases, re_up_bwd_case, time.perf_counter()))
 
     def re_down_bwd_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = rng.integers(1, 5, 2)
         k = int(rng.choice([1, 3, 5]))
         s = int(rng.choice([2, 3]))
-        fine = rng.standard_normal((c, s * h, s * w))
-        kern = rng.standard_normal((k * k, h, w))
-        gout = rng.standard_normal((c, h, w))
+        fine = rng.standard_normal(lead + (c, s * h, s * w))
+        kern = rng.standard_normal(lead + (k * k, h, w))
+        gout = rng.standard_normal(lead + (c, h, w))
         _, cache = fusion.reassemble_down_fwd(fine, kern, s)
         got = fusion.reassemble_down_bwd(cache, gout)
-        want = oracles.reassemble_down_bwd_oracle(fine, kern, gout, s, k)
+        want = _per_image(lead, lambda fi, ki, gi: oracles.reassemble_down_bwd_oracle(fi, ki, gi, s, k),
+                          fine, kern, gout)
         return _max_diff(got, want)
 
     entries.append(_sweep("reassemble_down_bwd", cases, re_down_bwd_case, time.perf_counter()))
 
     def shuffle_case():
+        lead = _lead(rng)
         q = int(rng.integers(1, 4))
         h, w = rng.integers(1, 5, 2)
-        x = rng.standard_normal((4 * q, h, w))
-        return float(np.max(np.abs(pixel_shuffle(x) - oracles.pixel_shuffle_oracle(x, 2))))
+        x = rng.standard_normal(lead + (4 * q, h, w))
+        want = _per_image(lead, lambda xi: oracles.pixel_shuffle_oracle(xi, 2), x)
+        return float(np.max(np.abs(pixel_shuffle(x) - want)))
 
     entries.append(_sweep("pixel_shuffle", cases, shuffle_case, time.perf_counter()))
 
     def roundtrip_case():
+        lead = _lead(rng)
         q = int(rng.integers(1, 4))
         h, w = rng.integers(1, 5, 2)
-        x = rng.standard_normal((4 * q, h, w))
+        x = rng.standard_normal(lead + (4 * q, h, w))
         return float(np.max(np.abs(pixel_unshuffle(pixel_shuffle(x)) - x)))
 
     entries.append(_sweep("pixel_shuffle_roundtrip", 20, roundtrip_case, time.perf_counter()))
 
     def bilinear_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = rng.integers(1, 7, 2)
-        x = rng.standard_normal((c, h, w))
-        return float(np.max(np.abs(bilinear_upsample(x) - oracles.bilinear_upsample_oracle(x, 2))))
+        x = rng.standard_normal(lead + (c, h, w))
+        want = _per_image(lead, lambda xi: oracles.bilinear_upsample_oracle(xi, 2), x)
+        return float(np.max(np.abs(bilinear_upsample(x) - want)))
 
     entries.append(_sweep("bilinear_upsample", cases, bilinear_case, time.perf_counter()))
 
     def bilinear_bwd_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = rng.integers(1, 7, 2)
-        x = rng.standard_normal((c, h, w))
+        x = rng.standard_normal(lead + (c, h, w))
         y, cache = bilinear_upsample_fwd(x)
         gy = rng.standard_normal(y.shape)
-        return float(np.max(np.abs(bilinear_upsample_bwd(cache, gy)
-                                   - oracles.bilinear_upsample_bwd_oracle(x.shape, gy, 2))))
+        want = _per_image(lead, lambda gi: oracles.bilinear_upsample_bwd_oracle((c, h, w), gi, 2), gy)
+        return float(np.max(np.abs(bilinear_upsample_bwd(cache, gy) - want)))
 
     entries.append(_sweep("bilinear_upsample_bwd", cases, bilinear_bwd_case, time.perf_counter()))
 
     def pool_case():
+        lead = _lead(rng)
         c = int(rng.integers(1, 4))
         h, w = 2 * rng.integers(1, 5, 2)
-        x = rng.standard_normal((c, h, w))
-        return float(np.max(np.abs(max_pool2d(x) - oracles.max_pool2d_oracle(x))))
+        x = rng.standard_normal(lead + (c, h, w))
+        return float(np.max(np.abs(max_pool2d(x) - _per_image(lead, oracles.max_pool2d_oracle, x))))
 
     entries.append(_sweep("max_pool2d", cases, pool_case, time.perf_counter()))
 
     def matmul_case():
+        lead = _lead(rng)
         m, k, n = rng.integers(1, 6, 3)
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, n))
-        return float(np.max(np.abs(matmul(a, b) - oracles.matmul_oracle(a, b))))
+        a = rng.standard_normal(lead + (m, k))
+        b = rng.standard_normal(lead + (k, n))
+        return float(np.max(np.abs(matmul(a, b) - _per_image(lead, oracles.matmul_oracle, a, b))))
 
     entries.append(_sweep("matmul", cases, matmul_case, time.perf_counter()))
 
     def softmax_case():
+        lead = _lead(rng)
         n = int(rng.integers(2, 8))
-        v = rng.standard_normal(n)
-        y, _ = softmax_fwd(v, axis=0)
-        return float(np.max(np.abs(y - oracles.softmax_oracle(v))))
+        v = rng.standard_normal(lead + (n,))
+        y, _ = softmax_fwd(v, axis=-1)
+        return float(np.max(np.abs(y - _per_image(lead, oracles.softmax_oracle, v))))
 
     entries.append(_sweep("softmax", cases, softmax_case, time.perf_counter()))
 
     def ln_case():
+        lead = _lead(rng)
         n = int(rng.integers(2, 8))
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(lead + (n,))
         gain = rng.standard_normal(n)
         shift = rng.standard_normal(n)
         y = layer_norm(v, gain, shift)
-        return float(np.max(np.abs(y - oracles.layer_norm_oracle(v, gain, shift, LAYERNORM_EPS))))
+        want = _per_image(lead, lambda vi: oracles.layer_norm_oracle(vi, gain, shift, LAYERNORM_EPS), v)
+        return float(np.max(np.abs(y - want)))
 
     entries.append(_sweep("layer_norm", cases, ln_case, time.perf_counter()))
 

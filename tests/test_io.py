@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -73,12 +75,50 @@ def test_params_directory_roundtrip(tmp_path, rng):
 
 
 def test_manifest_lists_sorted_symbols(tmp_path, rng):
-    import json
-
     tensor_io.save_params(tmp_path / "ckpt", {"b.w": rng.standard_normal(2),
                                               "a.w": rng.standard_normal(2)})
     doc = json.loads((tmp_path / "ckpt" / tensor_io.MANIFEST_NAME).read_text())
     assert doc["symbols"] == ["a.w", "b.w"]
+
+
+def _write_manifest(d, text):
+    d.mkdir(parents=True, exist_ok=True)
+    (d / tensor_io.MANIFEST_NAME).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",  # not JSON
+    '["a2tsr-manifest"]',  # JSON, but not an object
+    '{"format": "npz", "version": 1, "symbols": []}',  # another format
+    '{"version": 1, "symbols": []}',  # no format
+    '{"format": "a2tsr-manifest", "version": 1}',  # no symbols
+    '{"format": "a2tsr-manifest", "version": 1, "symbols": "a.w"}',  # not a list
+    '{"format": "a2tsr-manifest", "version": 1, "symbols": ["a.w", 3]}',  # not all strings
+])
+def test_load_params_rejects_a_malformed_manifest(tmp_path, rng, text):
+    tensor_io.save_params(tmp_path / "ckpt", {"a.w": rng.standard_normal(2)})
+    _write_manifest(tmp_path / "ckpt", text)
+    with pytest.raises(TensorFormatError):
+        tensor_io.load_params(tmp_path / "ckpt")
+
+
+def test_load_params_rejects_a_manifest_that_is_not_utf8(tmp_path):
+    (tmp_path / "ckpt").mkdir()
+    (tmp_path / "ckpt" / tensor_io.MANIFEST_NAME).write_bytes(b'{"symbols": ["\xff"]}')
+    with pytest.raises(TensorFormatError):
+        tensor_io.load_params(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("symbol", ["../../x", "../x", "sub/x", "sub\\x", "..", ".", "", "x\0y"])
+def test_load_params_reads_no_symbol_outside_its_directory(tmp_path, rng, symbol):
+    # a tensor that a path-traversing symbol would reach is never read
+    d = tmp_path / "a" / "b" / "ckpt"
+    (d / "sub").mkdir(parents=True)
+    tensor_io.save_tensor(tmp_path / "a" / "x.a2tsr", rng.standard_normal(2))
+    tensor_io.save_tensor(d / "sub" / "x.a2tsr", rng.standard_normal(2))
+    _write_manifest(d, json.dumps({"format": "a2tsr-manifest", "version": 1, "symbols": [symbol]}))
+    with pytest.raises(TensorFormatError, match="not a plain file name"):
+        tensor_io.load_params(d)
 
 
 def _load_or_format_error(path):

@@ -150,19 +150,19 @@ def test_conv2d_selects_winograd_above_the_threshold_only(monkeypatch, rng):
         nn_ops.conv2d_bwd(cache, np.ones_like(y))
         return cache
 
-    # the largest toy-training conv: 16 channels at 32² stays on im2col and
-    # caches its column matrix
-    assert run(16, 16, 32)[2].shape == (16 * 9, 32 * 32) and calls == []
+    # every conv caches its input, padded, as a batch of one: never a column
+    # matrix.  The largest toy-training conv, 16 channels at 32², stays on im2col
+    assert run(16, 16, 32)[2].shape == (1, 16, 34, 34) and calls == []
     # the 64-channel kernel encoder at 64² (100 logits) sits below the crossover
-    assert run(100, 64, 64)[2].shape == (64 * 9, 64 * 64) and calls == []
+    assert run(100, 64, 64)[2].shape == (1, 64, 66, 66) and calls == []
     # the neck's 256-channel convs at 32² and 64²: im2col forward, Winograd
-    # backward, and only the padded input cached
+    # backward
     for n in (32, 64):
         cache = run(256, 256, n)
-        assert calls == ["_winograd_bwd"] and len(cache) == 3 and cache[2].shape == (256, n + 2, n + 2)
+        assert calls == ["_winograd_bwd"] and len(cache) == 3 and cache[2].shape == (1, 256, n + 2, n + 2)
         calls.clear()
     # at 128² both directions take Winograd
-    assert run(256, 256, 128)[2].shape == (256, 130, 130)
+    assert run(256, 256, 128)[2].shape == (1, 256, 130, 130)
     assert calls == ["_winograd_fwd", "_winograd_bwd"]
     # strided and non-3×3 convs never take it, however large
     for k, stride in ((3, 2), (1, 1), (5, 1)):

@@ -238,3 +238,55 @@ def test_forward_rejects_misordered_levels(rng):
     levels = small_levels(rng)
     with pytest.raises(ValueError):
         pyramid.forward_pyramid(levels[::-1], store, cfg)
+
+
+# -- image batches -----------------------------------------------------------
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_batched_neck_matches_each_image(rng, arch):
+    # three images through the backbone and neck at once equal each image alone
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg, with_backbone=True)
+    images = rng.standard_normal((3, 3, 64, 64))
+    levels, _ = pyramid.toy_backbone_fwd(images, store)
+    assert [f.data.shape for f in levels] == [(3, 4, 16, 16), (3, 4, 8, 8), (3, 8, 4, 4), (3, 8, 2, 2)]
+    outs = pyramid.forward_pyramid(levels, store, cfg)
+    for i, image in enumerate(images):
+        single = pyramid.forward_pyramid(pyramid.toy_backbone_fwd(image, store)[0], store, cfg)
+        for fb, fs in zip(outs, single):
+            assert fb.data.shape == (3,) + fs.data.shape and fb.channels == fs.channels
+            npt.assert_allclose(fb.data[i], fs.data, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_batched_backward_sums_the_images_param_grads(rng, arch):
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    batch = [LevelFeature(f.level, f.stride, np.stack([f.data, 2 * f.data[::-1]]))
+             for f in small_levels(rng)]
+    outs, cache = pyramid.forward_a2fpn_fwd(batch, store, cfg)
+    gouts = [rng.standard_normal(f.data.shape) for f in outs]
+    glevels, pg = pyramid.forward_a2fpn_bwd(cache, gouts)
+    want_pg = {}
+    for i in range(2):
+        single = [LevelFeature(f.level, f.stride, f.data[i]) for f in batch]
+        _, c1 = pyramid.forward_a2fpn_fwd(single, store, cfg)
+        g1, p1 = pyramid.forward_a2fpn_bwd(c1, [g[i] for g in gouts])
+        for lvl, g in g1.items():
+            npt.assert_allclose(glevels[lvl][i], g, rtol=1e-10, atol=1e-10)
+        for k, g in p1.items():
+            want_pg[k] = want_pg.get(k, 0) + g
+    assert set(pg) == set(want_pg) == set(store)
+    for k, g in pg.items():
+        npt.assert_allclose(g, want_pg[k], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_backward_drops_the_fusion_caches(rng, arch):
+    # the fusion stages' caches are freed once their chain's backward is done
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
+    assert any(k.startswith("td.") for k in cache) and any(k.startswith("bu.l3") for k in cache)
+    pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
+    assert not [k for k in cache if k.startswith(("td.", "bu.")) and k != "bu.l2.smooth"]

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from a2fpn import train
+from a2fpn import fusion, nn_ops, pyramid, train
+from a2fpn.pyramid import init_params
 from a2fpn.train import TrainReport, synth_shapes, toy_train_config, train_toy, write_loss_csv
 
 
@@ -99,23 +102,49 @@ def test_loss_csv_roundtrip(tmp_path):
         assert float(reg) == row[2]
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("A2FPN_THREADS", raising=False)
-    assert train.thread_count() == 1
-    monkeypatch.setenv("A2FPN_THREADS", "3")
-    assert train.thread_count() == 3
-    monkeypatch.setenv("A2FPN_THREADS", "0")
-    assert train.thread_count() == 1
-
-
-def test_threaded_batch_matches_serial():
-    cfg = toy_train_config("a2fpn_lite")
-    a, _ = train_toy(cfg, steps=4)
+@pytest.mark.parametrize("arch", train.TRAIN_ARCHS)
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_batch_pass_matches_mean_of_single_image_passes(arch, dtype):
+    # one batched forward+backward over all 8 images against 8 single-image
+    # passes: the loss and each gradient are the mean over the images
+    cfg = dataclasses.replace(toy_train_config(arch), dtype=dtype)
     images, masks = synth_shapes(cfg)
-    from a2fpn.pyramid import init_params
     store = init_params(cfg, with_backbone=True, with_head=True)
-    loss1, g1 = train._batch_pass(images, masks, store, cfg, threads=1)
-    loss3, g3 = train._batch_pass(images, masks, store, cfg, threads=3)
-    assert loss1 == loss3
-    for k in g1:
-        npt.assert_array_equal(g1[k], g3[k])
+    loss, grads = train.batch_pass(images, masks, store, cfg)
+    singles = [train.batch_pass(images[i], masks[i], store, cfg) for i in range(len(images))]
+    want_loss = np.mean([s[0] for s in singles])
+    assert set(grads) == set(singles[0][1]) == set(store)
+    if dtype == "f64":
+        assert abs(loss - want_loss) <= 1e-10
+    else:
+        assert abs(loss - want_loss) <= 1e-5 * abs(want_loss)
+    for key, g in grads.items():
+        want = np.mean([s[1][key] for s in singles], axis=0)
+        assert g.shape == store[key].shape and g.dtype == store[key].dtype
+        err = np.max(np.abs(g - want))
+        if dtype == "f64":
+            assert err <= 1e-10, f"{key}: {err:.2e}"
+        else:
+            assert err <= 1e-5 * np.max(np.abs(want)), f"{key}: {err:.2e}"
+
+
+def test_no_toy_training_conv_reaches_winograd(monkeypatch):
+    # the path choice is per image; even counted over the whole batch of 8
+    # images, every toy conv (the largest is 2²⁰) stays below the threshold
+    sizes = []
+    real = nn_ops.conv2d_fwd
+
+    def spy(p, x):
+        y, cache = real(p, x)
+        cout, cin = p.weight.shape[:2]
+        sizes.append(x.shape[0] * cout * cin * y.shape[-2] * y.shape[-1])
+        return y, cache
+
+    for mod in (train, pyramid, fusion):
+        monkeypatch.setattr(mod, "conv2d_fwd", spy)
+    cfg = toy_train_config("a2fpn")
+    images, masks = synth_shapes(cfg)
+    assert images.shape[0] == train.BATCH == 8
+    train.batch_pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
+    assert len(sizes) == 40
+    assert max(sizes) < nn_ops._WINOGRAD_MIN_SIZE
