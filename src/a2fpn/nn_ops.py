@@ -22,13 +22,18 @@ conv's per-image shape alone:
 * Their forward takes Winograd only from ``_WINOGRAD_FWD_MIN_SIZE`` (2²⁹)
   up, in the neck the c=256 convs at 128².  Below it the forward stays on
   im2col, so that a 256² input keeps the f32 rounding the committed
-  perfbench digests were made with (ROADMAP item 6).  The backward changes
+  perfbench digests were made with (ROADMAP item 1).  The backward changes
   no forward value, so only the forward is held.
 * Every other conv (strided, k ≠ 3, or below ``_WINOGRAD_MIN_SIZE``) is one
   GEMM of the kernel matrix with the im2col column matrix
   (cin·k², n·h_out·w_out), which covers all n images at once.  For 1×1
-  stride-1 convs of one image that matrix is a view of the input, and the
-  input gradient is the column gradient reshaped.
+  stride-1 convs of one image that matrix is a view of the input.  Its
+  weight gradient is one GEMM with the same columns; its input gradient
+  takes one of two routes, picked by ``_use_gather`` from the shapes:
+  gather, s² stride-1 correlations of gy with the flipped, transposed
+  kernel (a transposed convolution, one im2col and GEMM per input phase),
+  or fold, the column gradient folded into the padded input one strided
+  slice-add per tap.
 
 Every conv caches its padded input, not its column matrix: the backward
 builds the columns again, so a batch's forward caches stay about the size
@@ -94,7 +99,7 @@ _WINOGRAD_MIN_SIZE = 1 << 25
 # a 256² neck input (c=256 at 64² is 2²⁸), below c=256 at 128² (2³⁰).  A 256²
 # input then keeps the im2col f32 rounding that the committed perfbench
 # digests were made with; at fwdbwd-256 seed 3 those digests sit across a
-# ReLU whose f64 pre-activation is -7.9e-7 (ROADMAP item 6).  The backward
+# ReLU whose f64 pre-activation is -7.9e-7 (ROADMAP item 1).  The backward
 # changes no forward value, so it is not held.  Delete this hold, so that
 # both directions use _WINOGRAD_MIN_SIZE, once the digests are mended.
 _WINOGRAD_FWD_MIN_SIZE = 1 << 29
@@ -246,21 +251,34 @@ def _winograd_bwd(cache, gy):
     return (gx if gy.ndim == 4 else gx[0]), gw, gb
 
 
-def _im2col(xp, k, stride, h_out, w_out):
-    """Column matrix (cin·k², n·h_out·w_out) of the padded batch xp, in one copy.
+def _im2col(xp, kh, kw, stride, h_out, w_out):
+    """Column matrix (cin·kh·kw, n·h_out·w_out) of the padded batch xp, in one copy.
 
     Row (ci, dy, dx) holds tap (dy, dx) of channel ci for every output pixel
     of every image, images outermost.  For 1×1 stride-1 convs of one image
     it is a view of xp.
     """
     n, cin = xp.shape[:2]
-    if k == 1 and stride == 1:
+    if kh == kw == 1 and stride == 1:
         return xp.transpose(1, 0, 2, 3).reshape(cin, n * h_out * w_out)
     sn, sc, sh, sw = xp.strides
-    cols = np.empty((cin, k, k, n, h_out, w_out), dtype=xp.dtype)
+    cols = np.empty((cin, kh, kw, n, h_out, w_out), dtype=xp.dtype)
     np.copyto(cols, as_strided(xp, cols.shape, (sc, sh, sw, sn, stride * sh, stride * sw),
                                writeable=False))
-    return cols.reshape(cin * k * k, n * h_out * w_out)
+    return cols.reshape(cin * kh * kw, n * h_out * w_out)
+
+
+def _window(x, y0, x0, hh, ww):
+    """x[:, :, y0:y0+hh, x0:x0+ww] of a batch, zero where it leaves x; a view when it does not."""
+    h, w = x.shape[-2:]
+    if y0 >= 0 and x0 >= 0 and y0 + hh <= h and x0 + ww <= w:
+        return x[:, :, y0 : y0 + hh, x0 : x0 + ww]
+    out = np.zeros(x.shape[:2] + (hh, ww), dtype=x.dtype)
+    ty, tx = max(0, -y0), max(0, -x0)
+    by, bx = min(hh, h - y0), min(ww, w - x0)
+    if by > ty and bx > tx:
+        out[:, :, ty:by, tx:bx] = x[:, :, y0 + ty : y0 + by, x0 + tx : x0 + bx]
+    return out
 
 
 def conv2d(p: ConvParams, x):
@@ -275,7 +293,7 @@ def conv2d_fwd(p: ConvParams, x):
     with cout·cin·h_out·w_out ≥ _WINOGRAD_MIN_SIZE run their backward by
     Winograd F(2×2, 3×3), and their forward by Winograd (_winograd_fwd) only
     from _WINOGRAD_FWD_MIN_SIZE up, which keeps the im2col f32 rounding of a
-    256² neck input until the perfbench digests are mended (ROADMAP item 6).
+    256² neck input until the perfbench digests are mended (ROADMAP item 1).
     Every other forward is one GEMM of the kernel matrix with the im2col
     column matrix (cin·k², n·h_out·w_out).
 
@@ -302,7 +320,7 @@ def conv2d_fwd(p: ConvParams, x):
         xp = _zero_pad(xb, p.padding)
     else:
         xp = xb
-    y = p.weight.reshape(cout, -1) @ _im2col(xp, k, p.stride, h_out, w_out)
+    y = p.weight.reshape(cout, -1) @ _im2col(xp, k, k, p.stride, h_out, w_out)
     if p.bias is not None:
         y = y + p.bias[:, None]
     # (cout, n·h_out·w_out) -> (n, cout, h_out, w_out); no copy for one image
@@ -310,43 +328,132 @@ def conv2d_fwd(p: ConvParams, x):
     return (y if x.ndim == 4 else y[0]), (p, x.shape, xp)
 
 
-def conv2d_bwd(cache, gy):
+def _use_gather(weight_shape, stride, n, h_out, w_out):
+    """True when an im2col conv's gx is cheaper by _gx_gather than by _gx_fold.
+
+    A 1×1 stride-1 conv always gathers: its gx is one GEMM with gy's own
+    columns, where fold adds a zeroed buffer and a slice-add.  Otherwise
+    gather reads gy's columns (cout·k² per pixel) where fold writes the
+    column gradient (cin·k² per pixel), so it needs cout ≤ cin.  It also
+    copies the flipped kernel once and runs s² phases, so it needs at least
+    2·s² output pixels of the batch per output channel: the column gradient
+    it saves is then at least 2·s² times that kernel copy.  Measured with
+    one BLAS thread in f32 (table in CHANGES.md), for every im2col conv of
+    the toy-train step and of a 256² neck backward it picks the faster
+    route or one within 0.07 ms of it.
+    """
+    cout, cin, k, _ = weight_shape
+    if k == 1 and stride == 1:
+        return True
+    return cout <= cin and n * h_out * w_out >= 2 * stride * stride * cout
+
+
+def _phase(ph, extent, k, s, pad):
+    """First tap, tap count, gy offset and count of the input positions ph, ph + s, ... < extent.
+
+    Input position ph + s·a + pad of the padded input is read by taps
+    r, r + s, ... at outputs q + a, q + a − 1, ...; with the taps reversed
+    that is a stride-1 correlation of gy from offset q − (taps − 1).
+    """
+    q, r = divmod(ph + pad, s)
+    taps = len(range(r, k, s))
+    return r, taps, q - taps + 1, len(range(ph, extent, s))
+
+
+def _gx_gather(p: ConvParams, x_shape, gy, gyf):
+    """gx as s² stride-1 correlations of gy with the flipped, transposed kernel.
+
+    gy is the (n, cout, h_out, w_out) batch and gyf its (cout, n·h_out·w_out)
+    column form.  Input phase (py, px), the positions x[..., py::s, px::s],
+    is reached only by the kernel taps w[:, :, r_y::s, r_x::s]; flipped and
+    transposed, they correlate with gy, zero-padded or cropped for that
+    phase, as one im2col and one GEMM (Dumoulin & Visin, arXiv 1603.07285;
+    the phases are the sub-pixel form of Shi et al., arXiv 1609.07009).
+    Stride 1 is the single phase, and its gx is a view of the GEMM's result.
+    Nothing is folded.
+    """
+    cout, cin, k, _ = p.weight.shape
+    s = p.stride
+    n, _, h_out, w_out = gy.shape
+    h, w = x_shape[-2:]
+    gx = np.empty((n, cin, h, w), dtype=np.result_type(gy, p.weight)) if s > 1 else None
+    for py in range(min(s, h)):
+        ry, ty, oy, na = _phase(py, h, k, s, p.padding)
+        for px in range(min(s, w)):
+            rx, tx, ox, nb = _phase(px, w, k, s, p.padding)
+            if ty == 0 or tx == 0:  # no tap reaches this phase
+                gx[:, :, py::s, px::s] = 0
+                continue
+            wt = p.weight[:, :, ry::s, rx::s][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            if (ty, tx, oy, ox, na, nb) == (1, 1, 0, 0, h_out, w_out):
+                cols = gyf  # one tap over all of gy: its columns are gy's own
+            else:
+                cols = _im2col(_window(gy, oy, ox, na + ty - 1, nb + tx - 1), ty, tx, 1, na, nb)
+            g = (wt @ cols).reshape(cin, n, na, nb).swapaxes(0, 1)
+            if s == 1:
+                return g
+            gx[:, :, py::s, px::s] = g
+    return gx
+
+
+def _gx_fold(p: ConvParams, x_shape, gy, gyf):
+    """gx as the column gradient wᵀ·gy folded into the padded input, one strided slice-add per tap.
+
+    gy is the (n, cout, h_out, w_out) batch and gyf its (cout, n·h_out·w_out)
+    column form.
+    """
+    cout, cin, k, _ = p.weight.shape
+    s, pad = p.stride, p.padding
+    n, _, h_out, w_out = gy.shape
+    h, w = x_shape[-2:]
+    gcols = (p.weight.reshape(cout, -1).T @ gyf).reshape(cin, k, k, n, h_out, w_out)
+    gxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+    for dy in range(k):
+        for dx in range(k):
+            gxp[:, :, dy : dy + s * h_out : s, dx : dx + s * w_out : s] += gcols[:, dy, dx].swapaxes(0, 1)
+    return gxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def conv2d_bwd(cache, gy, need_gx=True):
     """Adjoints (gx, gweight, gbias); gbias is None for bias-free convs.
 
     gy has the rank of the forward's input, and so has gx; gweight and
-    gbias are summed over the images.  3×3 stride-1 convs from
-    _WINOGRAD_MIN_SIZE up run by Winograd (_winograd_bwd), whichever path
-    their forward took.  Every other conv rebuilds the column matrix from
-    the cached padded input: gweight is one GEMM over all n·h_out·w_out
-    columns, and the column gradient folds back into the padded input one
-    strided slice-add per kernel tap.  The path is chosen again from the
-    same shapes as in conv2d_fwd.
+    gbias are summed over the images.  With need_gx False, gx is None,
+    gweight and gbias are the same bits, and the im2col path spends no work
+    on gx.  3×3
+    stride-1 convs from _WINOGRAD_MIN_SIZE up run by Winograd
+    (_winograd_bwd), whichever path their forward took.  Every other conv
+    rebuilds the column matrix from the cached padded input, and gweight is
+    one GEMM over all n·h_out·w_out columns.  Its gx takes one of two
+    routes, chosen by _use_gather from the shapes alone:
+
+    * gather (_gx_gather): for each of the s² input phases, one im2col of
+      gy and one GEMM with the flipped, transposed kernel taps of that
+      phase; nothing is folded.
+    * fold (_gx_fold): the column gradient wᵀ·gy, folded into the padded
+      input one strided slice-add per kernel tap.  It stays where gather
+      loses: cout > cin, where gy's columns outweigh the column gradient,
+      and few output pixels per output channel, where copying the flipped
+      kernel outweighs the fold.
+
+    The path is chosen again from the same shapes as in conv2d_fwd.
     """
     p, x_shape, xp = cache
     if _use_winograd(p.weight.shape, p.stride, *gy.shape[-2:]):
-        return _winograd_bwd(cache, gy)
-    cout, cin, k, _ = p.weight.shape
-    h, w = x_shape[-2:]
-    h_out, w_out = gy.shape[-2:]
-    n = xp.shape[0]
-    gyf = _lift(gy).swapaxes(0, 1).reshape(cout, -1)  # a view for one image
-    # the rebuilt column matrix is freed before the column gradient is made
-    gw = (gyf @ _im2col(xp, k, p.stride, h_out, w_out).T).reshape(p.weight.shape)
+        gx, gw, gb = _winograd_bwd(cache, gy)
+        return (gx if need_gx else None), gw, gb
+    k = p.ksize
+    gyb = _lift(gy)
+    n, cout, h_out, w_out = gyb.shape
+    gyf = gyb.swapaxes(0, 1).reshape(cout, -1)  # a view for one image
+    # the rebuilt column matrix is freed before gx is made
+    gw = (gyf @ _im2col(xp, k, k, p.stride, h_out, w_out).T).reshape(p.weight.shape)
     gb = gyf.sum(axis=1) if p.bias is not None else None
-    gcols = p.weight.reshape(cout, -1).T @ gyf
-    if k == 1 and p.stride == 1:
-        # one tap covering the padded input: no fold
-        gxp = gcols.reshape(cin, n, h_out, w_out).swapaxes(0, 1)
-    else:
-        gcols = gcols.reshape(cin, k, k, n, h_out, w_out)
-        gxp = np.zeros((n, cin, h + 2 * p.padding, w + 2 * p.padding), dtype=gy.dtype)
-        for dy in range(k):
-            for dx in range(k):
-                gxp[:, :, dy : dy + p.stride * h_out : p.stride, dx : dx + p.stride * w_out : p.stride] += \
-                    gcols[:, dy, dx].swapaxes(0, 1)
-    if p.padding:
-        gxp = gxp[:, :, p.padding : p.padding + h, p.padding : p.padding + w]
-    return (gxp if gy.ndim == 4 else gxp[0]), gw, gb
+    if not need_gx:
+        return None, gw, gb
+    route = _gx_gather if _use_gather(p.weight.shape, p.stride, n, h_out, w_out) else _gx_fold
+    gx = route(p, x_shape, gyb, gyf)
+    return (gx if gy.ndim == 4 else gx[0]), gw, gb
 
 
 # ---------------------------------------------------------------------------

@@ -392,11 +392,13 @@ def toy_backbone_fwd(image, store):
     return levels, caches
 
 
-def toy_backbone_bwd(caches, glevels):
+def toy_backbone_bwd(caches, glevels, need_gimage=True):
     """glevels maps level index (2..5) to the gradient of that output.
 
     Returns (gimage, param grads).  Interior features receive gradient both
-    from their own output and through the next stage.
+    from their own output and through the next stage.  With need_gimage
+    False, gimage is None and the stem conv skips its input gradient; the
+    param grads are the same bits.
     """
     pg = {}
     gx = None
@@ -409,7 +411,7 @@ def toy_backbone_bwd(caches, glevels):
         if g is None:
             g = np.zeros(c_relu.shape, dtype=c_conv[0].weight.dtype)
         gz = relu_bwd(c_relu, g)
-        gx, gw, gb = conv2d_bwd(c_conv, gz)
+        gx, gw, gb = conv2d_bwd(c_conv, gz, need_gx=depth > 0 or need_gimage)
         pg[f"{name}.weight"] = gw
         pg[f"{name}.bias"] = gb
     return gx, pg

@@ -98,8 +98,8 @@ def batch_pass(images, masks, store, cfg):
     levels, bb_cache = toy_backbone_fwd(images, store)
     loss, glevels, pg = _neck_and_head_pass(levels, masks, store, cfg)
     # the neck's caches are gone by now, so the batch's caches are not all
-    # alive during the backbone's backward
-    _, bb_pg = toy_backbone_bwd(bb_cache, glevels)
+    # alive during the backbone's backward; the image gradient is not needed
+    _, bb_pg = toy_backbone_bwd(bb_cache, glevels, need_gimage=False)
     pg.update(bb_pg)
     return loss, pg
 

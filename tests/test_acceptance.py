@@ -38,7 +38,8 @@ def test_criterion_2_oracle_equivalence_50_shapes():
     entries, ok = verify.oracle_suite(seed=0, cases=50)
     assert ok, "oracle sweeps failed: " + "; ".join(e.op for e in entries if not e.passed)
     by_name = {e.op: e for e in entries}
-    required = ("conv2d", "conv2d_bwd", "conv2d_winograd", "conv2d_winograd_bwd",
+    required = ("conv2d", "conv2d_bwd", "conv2d_gx_gather", "conv2d_gx_fold",
+                "conv2d_winograd", "conv2d_winograd_bwd",
                 "attention_pool", "compatibility", "reassemble_up",
                 "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
                 "pixel_shuffle", "bilinear_upsample", "bilinear_upsample_bwd")

@@ -256,3 +256,24 @@ def test_conv2d_rejects_bad_input_rank(rng):
     p = ConvParams(rng.standard_normal((2, 2, 1, 1)), np.zeros(2))
     with pytest.raises(ValueError):
         nn_ops.conv2d(p, rng.standard_normal((2, 4)))
+
+
+@pytest.mark.parametrize("shape,stride,n,winograd", [
+    ((16, 3, 3, 3), 2, 8, False),  # the toy stem: gx would fold
+    ((8, 16, 3, 3), 1, 2, False),  # gx would gather
+    ((4, 3, 3, 3), 1, 1, True),  # Winograd, with the threshold patched down
+])
+def test_conv2d_bwd_without_gx_keeps_the_param_grads(monkeypatch, rng, shape, stride, n, winograd):
+    if winograd:
+        monkeypatch.setattr(nn_ops, "_WINOGRAD_MIN_SIZE", 1)
+    x = rng.standard_normal((n, shape[1], 12, 12)).astype(np.float32)
+    p = ConvParams(rng.standard_normal(shape).astype(np.float32),
+                   rng.standard_normal(shape[0]).astype(np.float32), stride=stride, padding=1)
+    y, cache = nn_ops.conv2d_fwd(p, x)
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    assert nn_ops._use_winograd(p.weight.shape, stride, *y.shape[-2:]) == winograd
+    gx, gw, gb = nn_ops.conv2d_bwd(cache, gy)
+    none, gw2, gb2 = nn_ops.conv2d_bwd(cache, gy, need_gx=False)
+    assert gx.shape == x.shape and none is None
+    npt.assert_array_equal(gw2, gw)
+    npt.assert_array_equal(gb2, gb)

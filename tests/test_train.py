@@ -148,3 +148,79 @@ def test_no_toy_training_conv_reaches_winograd(monkeypatch):
     train.batch_pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
     assert len(sizes) == 40
     assert max(sizes) < nn_ops._WINOGRAD_MIN_SIZE
+
+
+def _toy_train_pass():
+    cfg = toy_train_config("a2fpn")
+    images, masks = synth_shapes(cfg)
+    train.batch_pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
+
+
+def _fwdbwd_256_pass():
+    cfg = pyramid.PyramidConfig(arch="a2fpn", c=256, image_size=(256, 256))
+    store = init_params(cfg, with_backbone=True)
+    levels, _ = pyramid.toy_backbone_fwd(synth_shapes(cfg, count=1)[0][0], store)
+    outs, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    pyramid.forward_a2fpn_bwd(cache, [np.ones_like(o.data) for o in outs])
+
+
+def _pinned(rows):
+    """{(cout, cin, k, stride, n, h_out): route} from (cout, cin, k, stride, n, {h_out: route})."""
+    return {(co, ci, k, s, n, h): r for co, ci, k, s, n, by_h in rows for h, r in by_h.items()}
+
+
+# Every conv backward of one toy-train pass (a batch of 8 at 64²) and of a
+# 256² neck's forward+backward (one image, c=256), with the way it takes gx:
+# "gather" and "fold" are the im2col routes, "none" the stem conv, whose
+# image gradient the training pass does not ask for.
+_G, _F = "gather", "fold"
+PINNED_ROUTES = {
+    "toy-train": _pinned([
+        (1, 16, 1, 1, 8, {16: _G}),  # head
+        (16, 3, 3, 2, 8, {32: "none"}),  # stem
+        (16, 16, 3, 1, 8, {1: _F, 2: _G, 4: _G, 8: _G, 16: _G}),
+        (16, 16, 3, 2, 8, {16: _G}),
+        (16, 32, 1, 1, 8, {1: _G, 2: _G, 4: _G, 8: _G, 16: _G}),
+        (16, 64, 3, 2, 8, {1: _F}),
+        (25, 16, 3, 2, 8, {1: _F, 2: _F, 4: _F, 8: _F}),
+        (32, 16, 3, 2, 8, {8: _F}),
+        (64, 32, 3, 2, 8, {4: _F}),
+        (64, 64, 3, 2, 8, {2: _F}),
+        (100, 16, 3, 1, 8, {1: _F, 2: _F, 4: _F, 8: _F}),
+    ]),
+    "fwdbwd-256": _pinned([
+        (25, 64, 3, 2, 1, {4: _F, 8: _F, 16: _G, 32: _G}),
+        (64, 64, 3, 1, 1, {4: _F, 8: _F, 16: _G, 32: _G, 64: _G}),
+        (64, 512, 1, 1, 1, {4: _G, 8: _G, 16: _G, 32: _G, 64: _G}),
+        (100, 64, 3, 1, 1, {4: _F, 8: _F, 16: _F, 32: _F}),
+        (256, 256, 3, 1, 1, {4: _F, 8: _F, 16: _F, 32: "winograd", 64: "winograd"}),
+        (256, 256, 3, 2, 1, {4: _F}),
+    ]),
+}
+
+
+@pytest.mark.parametrize("workload,run", [("toy-train", _toy_train_pass), ("fwdbwd-256", _fwdbwd_256_pass)])
+def test_conv_backward_routes_are_pinned(monkeypatch, workload, run):
+    taken = []
+    for name, route in (("_gx_gather", _G), ("_gx_fold", _F), ("_winograd_bwd", "winograd")):
+        def spy(*args, _real=getattr(nn_ops, name), _route=route):
+            taken.append(_route)
+            return _real(*args)
+        monkeypatch.setattr(nn_ops, name, spy)
+    routes = {}
+    real = nn_ops.conv2d_bwd
+
+    def conv_spy(cache, gy, need_gx=True):
+        del taken[:]
+        out = real(cache, gy, need_gx)
+        p = cache[0]
+        cout, cin, k, _ = p.weight.shape
+        key = (cout, cin, k, p.stride, gy.shape[0] if gy.ndim == 4 else 1, gy.shape[-1])
+        route = taken[0] if taken else "none"
+        assert (out[0] is None) == (route == "none") and routes.setdefault(key, route) == route
+        return out
+
+    for mod in (train, pyramid, fusion):
+        monkeypatch.setattr(mod, "conv2d_bwd", conv_spy)
+    run()
+    assert routes == PINNED_ROUTES[workload]

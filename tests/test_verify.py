@@ -78,7 +78,8 @@ def test_oracle_suite_runs_fifty_cases_each():
     entries, ok = oracle_suite(seed=3, cases=50)
     assert ok
     by_name = {e.op: e for e in entries}
-    core = {"conv2d", "conv2d_bwd", "conv2d_winograd", "conv2d_winograd_bwd",
+    core = {"conv2d", "conv2d_bwd", "conv2d_gx_gather", "conv2d_gx_fold",
+            "conv2d_winograd", "conv2d_winograd_bwd",
             "attention_pool", "compatibility", "reassemble_up",
             "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
             "pixel_shuffle", "bilinear_upsample", "bilinear_upsample_bwd"}
@@ -100,3 +101,25 @@ def test_gradcheck_seed_changes_the_draw():
     b = check_gradients("softmax", seed=1)
     assert a.passed and b.passed
     assert a.max_rel_err != b.max_rel_err
+
+
+def test_mgc_forward_passes_at_twelve_seeds():
+    for op in ("mgc_forward", "mgc_forward_n2"):
+        for seed in range(12):
+            r = check_gradients(op, seed=seed)
+            assert r.passed and r.tol == COMPOSITE_TOL, (op, seed, r.max_rel_err)
+
+
+def test_directional_probe_detects_a_corrupted_gradient():
+    # the graph weights are probed along one direction each: a wrong
+    # gradient in any one of their coordinates must still fail the check
+    op = "mgc_forward"
+    builder, tol, cap = REGISTRY[op]
+    arrays, loss, grads_fn = builder(verify._op_rng(op, 0))
+    for key in verify.DIRECTIONAL[op]:
+        grads = grads_fn()
+        grads[key] = grads[key].copy()
+        grads[key].flat[3] += 0.05 * np.abs(grads[key]).max()
+        worst, _ = verify._probe(arrays, loss, grads, verify.DEFAULT_EPS,
+                                 np.random.default_rng(0), cap, verify.DIRECTIONAL[op])
+        assert worst > 10 * tol, key
