@@ -16,18 +16,18 @@ fm = fmap.reshape(16, -1)
 # four query vectors (learned in the real model, random here)
 queries = 0.5 * rng.standard_normal((4, 16))
 
-amap = mgc.compatibility(queries, fm, 16)
+amap, _ = mgc.compatibility_fwd(queries, fm, 16)
 print("attention map shape:", amap.shape)  # keys x queries
 print("column sums:", amap.sum(axis=0))    # each query spends exactly weight 1
 
 # keys are normalized before scoring, so rescaling any position by a
 # positive factor cannot move the map at all
 scales = rng.uniform(0.1, 10.0, size=fm.shape[1])
-drift = np.abs(mgc.compatibility(queries, fm * scales, 16) - amap).max()
+drift = np.abs(mgc.compatibility_fwd(queries, fm * scales, 16)[0] - amap).max()
 print("max drift under per-key rescaling:", drift)
 
 # queries are NOT normalized; scaling them sharpens or flattens the map
-sharp = mgc.compatibility(4.0 * queries, fm, 16)
+sharp, _ = mgc.compatibility_fwd(4.0 * queries, fm, 16)
 print("entropy before/after sharpening: "
       f"{-(amap * np.log(amap)).sum(axis=0).mean():.3f} / "
       f"{-(sharp * np.log(sharp)).sum(axis=0).mean():.3f}")
@@ -40,11 +40,11 @@ p = mgc.MgcLevelParams(
     psi=0.5 * rng.standard_normal((4, 16)),
     phi=0.5 * rng.standard_normal((16, 16)),
 )
-bank = mgc.collect_context(level, p)
+bank, _ = mgc.collect_context_fwd(level.data, p.psi, p.phi)
 print("context bank shape:", bank.shape)
 
 # pooling a constant map gives back the embedded constant, whatever the queries do
 const = LevelFeature(2, 4, np.full((16, 12, 18), 2.0))
-bank_const = mgc.collect_context(const, p)
+bank_const, _ = mgc.collect_context_fwd(const.data, p.psi, p.phi)
 expect = p.phi @ np.full(16, 2.0)
 print("constant-map pooling error:", np.abs(bank_const - expect[:, None]).max())

@@ -1,13 +1,14 @@
 """Walk through one guided fusion site: predict per-position resampling
 kernels from content, reassemble, gate, smooth. Then show the two switches
-that turn the guided op back into its plain baseline."""
+that turn the guided site back into its plain baseline, and the same site
+run in the other direction."""
 
 import numpy as np
 
 from a2fpn import fusion
 from a2fpn.fusion import FusionParams
 from a2fpn.levels import LevelFeature
-from a2fpn.nn_ops import ConvParams, max_pool2d
+from a2fpn.nn_ops import ConvParams, conv2d_fwd, max_pool2d_fwd
 
 rng = np.random.default_rng(11)
 c, c_m, k = 8, 4, 3
@@ -42,42 +43,45 @@ lateral = LevelFeature(2, 4, rng.standard_normal((c, 8, 12)))
 # kernels are predicted from the coarse map plus a pooled view of the fine
 # one; every output position gets its own k*k tap distribution
 p_up = site("up")
-pooled = max_pool2d(lateral.data)
-kernels, _ = fusion.predict_up_kernels_fwd(upper.data, pooled, p_up)
+pooled, _ = max_pool2d_fwd(lateral.data)
+kernels, _ = fusion.predict_kernels_fwd(upper.data, pooled, p_up)
 print("upsampling kernels:", kernels.shape)   # taps x out_h x out_w
 print("tap sums (should all be 1):", kernels.sum(axis=0).round(12).min(),
       kernels.sum(axis=0).round(12).max())
 
 # a constant map survives reassembly untouched away from the border
 const = np.full((c, 4, 6), 1.5)
-out = fusion.reassemble_up(const, kernels, 2)
+out, _ = fusion.reassemble_up_fwd(const, kernels, 2)
 print("constant-map interior error:",
       np.abs(out[:, 2:-2, 2:-2] - 1.5).max())
 
 # the whole top-down site: upsample the upper level onto the lateral grid,
-# gate both summands channel-wise, add, smooth
-fused = fusion.fuse_topdown(upper, lateral, p_up)
+# gate both summands channel-wise, add, smooth; the direction comes from
+# the levels, upper (3) into lateral (2)
+fused, _ = fusion.fuse_fwd(upper, lateral, p_up)
 print("fused level:", fused.level, "stride", fused.stride, "shape", fused.data.shape)
 
 # switch 1: guidance off means kernels come from the coarse map alone
 # switch 2: gates off means the summands are used as-is
-# with both off the op IS the plain content-aware-upsampling baseline
+# with both off the site IS the plain content-aware-upsampling baseline:
+# reassemble, add, smooth
 p_plain = site("up", guided=False)
-a = fusion.fuse_topdown(upper, lateral, p_plain, guided=False, gated=False)
-b = fusion.carafe_baseline(upper, lateral, p_plain)
-print("baseline equals switched-off guided op:", np.array_equal(a.data, b.data))
+a, _ = fusion.fuse_fwd(upper, lateral, p_plain, guided=False, gated=False)
+kern_plain, _ = fusion.predict_kernels_fwd(upper.data, None, p_plain)
+b, _ = conv2d_fwd(p_plain.smooth, fusion.reassemble_up_fwd(upper.data, kern_plain, 2)[0] + lateral.data)
+print("switched-off site equals the plain pipeline:", np.array_equal(a.data, b))
 
 # the gate head ends in 2*sigmoid, so zeroing its last layer pins every
 # gate at exactly 1.0 and the gated sum collapses to a plain addition
 p_neutral = site("up", zero_gates=True)
-gated = fusion.fuse_topdown(upper, lateral, p_neutral, gated=True)
-plain = fusion.fuse_topdown(upper, lateral, p_neutral, gated=False)
+gated, _ = fusion.fuse_fwd(upper, lateral, p_neutral, gated=True)
+plain, _ = fusion.fuse_fwd(upper, lateral, p_neutral, gated=False)
 print("neutral gates are bit-exact no-ops:", np.array_equal(gated.data, plain.data))
 
-# the downsampling mirror: fine level in, coarse grid out, kernels read
+# the same site bottom-up: fine level (2) into coarse (3), kernels read
 # the fine map with an upsampled top-down hint
 p_dn = site("down")
 lower = LevelFeature(2, 4, rng.standard_normal((c, 8, 12)))
 td = LevelFeature(3, 8, rng.standard_normal((c, 4, 6)))
-down = fusion.fuse_bottomup(lower, td, p_dn)
+down, _ = fusion.fuse_fwd(lower, td, p_dn)
 print("bottom-up fused:", down.level, "stride", down.stride, "shape", down.data.shape)

@@ -1,11 +1,16 @@
-"""Content-aware upsampling and pooling fusion between adjacent levels.
+"""Content-aware fusion of one pyramid level into an adjacent one.
 
-The top-down op upsamples the coarser feature with per-location predicted
-kernels, the bottom-up op downsamples the finer one the same way; in both,
-the kernel predictor and the channel gates read a concatenation of the two
-features (the guidance), and the gated features merge by addition followed
-by a 3×3 anti-alias convolution.  Plain CARAFE/CAP ablation baselines are
-the same pipeline with guidance off and gates pinned to 1.
+A fusion site merges a source level into a destination level one step
+finer or coarser; the direction is read from the levels.  It resamples the
+destination onto the source's grid (the guidance), predicts per-location
+reassembly kernels and channel gates from the concatenation [source,
+guidance], reassembles the source onto the destination's grid, gates the
+coarser summand with the high gate and the finer with the low one, adds,
+and smooths with a 3×3 anti-alias convolution.  Going up (top-down, the
+source coarser) the guidance is a max pool and the reassembly upsamples as
+in CARAFE; going down (bottom-up) it is a bilinear upsample and the
+reassembly pools as in CAP.  Plain CARAFE/CAP ablation baselines are the
+same site with guidance off and gates pinned to 1.
 
 Features are one image (c, h, w) or a batch (n, c, h, w).  Kernels and
 gates are then per image, (n, k², h, w) and (n, c); the site's parameters
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,11 +99,6 @@ class ChannelGates:
     low_gate: np.ndarray  # (c,) or (n, c): scales the finer-level feature
 
 
-@dataclass
-class ReassemblyKernels:
-    values: np.ndarray  # ([n,] k², H, W), each location a distribution
-
-
 def _tap_count(k2):
     k = math.isqrt(k2)
     if k * k != k2:
@@ -111,39 +110,43 @@ def _tap_count(k2):
 # kernel prediction
 # ---------------------------------------------------------------------------
 
-def predict_up_kernels(coarse, fine_pooled, p: FusionParams):
-    out, _ = predict_up_kernels_fwd(coarse, fine_pooled, p)
-    return ReassemblyKernels(out)
+def predict_kernels_fwd(src, guide, p):
+    """[src, guide] -> compress -> encode -> predict logits -> softmax over
+    the k² tap axis.  guide None drops the guidance.
 
-
-def predict_up_kernels_fwd(coarse, fine_pooled, p):
-    """Guidance -> compress -> encode -> predict s²k² logits -> shuffle ->
-    softmax over the k² tap axis.  fine_pooled None drops the guidance."""
-    if fine_pooled is not None:
-        src, c_cat = concat_channels_fwd(coarse, fine_pooled)
+    A stride-1 predictor (upsampling) emits s²k² logits per source pixel,
+    which pixel shuffle onto the s× grid; a stride-s one (downsampling)
+    emits k² logits on the 1/s grid directly.
+    """
+    if guide is not None:
+        x, c_cat = concat_channels_fwd(src, guide)
     else:
-        src, c_cat = coarse, None
-    z1, c1 = conv2d_fwd(p.compressor, src)
+        x, c_cat = src, None
+    z1, c1 = conv2d_fwd(p.compressor, x)
     z2, c2 = conv2d_fwd(p.encoder, z1)
     z3, c3 = relu_fwd(z2)
-    z4, c4 = conv2d_fwd(p.predictor, z3)
-    z5, c5 = pixel_shuffle_fwd(z4, p.s)
-    kern, c6 = softmax_fwd(z5, axis=-3)
+    logits, c4 = conv2d_fwd(p.predictor, z3)
+    c5 = None
+    if p.predictor.stride == 1:
+        logits, c5 = pixel_shuffle_fwd(logits, p.s)
+    kern, c6 = softmax_fwd(logits, axis=-3)
     return kern, (c_cat, c1, c2, c3, c4, c5, c6)
 
 
-def predict_up_kernels_bwd(cache, gkern):
+def predict_kernels_bwd(cache, gkern):
+    """(gsrc, gguide, param grads); gguide is None without guidance."""
     c_cat, c1, c2, c3, c4, c5, c6 = cache
-    g5 = softmax_bwd(c6, gkern)
-    g4 = pixel_shuffle_bwd(c5, g5)
+    g4 = softmax_bwd(c6, gkern)
+    if c5 is not None:
+        g4 = pixel_shuffle_bwd(c5, g4)
     g3, gw_p, gb_p = conv2d_bwd(c4, g4)
     g2 = relu_bwd(c3, g3)
     g1, gw_e, gb_e = conv2d_bwd(c2, g2)
-    gsrc, gw_c, gb_c = conv2d_bwd(c1, g1)
+    gx, gw_c, gb_c = conv2d_bwd(c1, g1)
     if c_cat is not None:
-        gcoarse, gfine = concat_channels_bwd(c_cat, gsrc)
+        gsrc, gguide = concat_channels_bwd(c_cat, gx)
     else:
-        gcoarse, gfine = gsrc, None
+        gsrc, gguide = gx, None
     pg = {
         "kpred.compressor.weight": gw_c,
         "kpred.compressor.bias": gb_c,
@@ -152,58 +155,12 @@ def predict_up_kernels_bwd(cache, gkern):
         "kpred.predictor.weight": gw_p,
         "kpred.predictor.bias": gb_p,
     }
-    return gcoarse, gfine, pg
-
-
-def predict_down_kernels(fine, coarse_up, p: FusionParams):
-    out, _ = predict_down_kernels_fwd(fine, coarse_up, p)
-    return ReassemblyKernels(out)
-
-
-def predict_down_kernels_fwd(fine, coarse_up, p):
-    """Same predictor shape but strided, emitting k² logits directly."""
-    if coarse_up is not None:
-        src, c_cat = concat_channels_fwd(fine, coarse_up)
-    else:
-        src, c_cat = fine, None
-    z1, c1 = conv2d_fwd(p.compressor, src)
-    z2, c2 = conv2d_fwd(p.encoder, z1)
-    z3, c3 = relu_fwd(z2)
-    z4, c4 = conv2d_fwd(p.predictor, z3)  # stride s lives in the ConvParams
-    kern, c5 = softmax_fwd(z4, axis=-3)
-    return kern, (c_cat, c1, c2, c3, c4, c5)
-
-
-def predict_down_kernels_bwd(cache, gkern):
-    c_cat, c1, c2, c3, c4, c5 = cache
-    g4 = softmax_bwd(c5, gkern)
-    g3, gw_p, gb_p = conv2d_bwd(c4, g4)
-    g2 = relu_bwd(c3, g3)
-    g1, gw_e, gb_e = conv2d_bwd(c2, g2)
-    gsrc, gw_c, gb_c = conv2d_bwd(c1, g1)
-    if c_cat is not None:
-        gfine, gcoarse_up = concat_channels_bwd(c_cat, gsrc)
-    else:
-        gfine, gcoarse_up = gsrc, None
-    pg = {
-        "kpred.compressor.weight": gw_c,
-        "kpred.compressor.bias": gb_c,
-        "kpred.encoder.weight": gw_e,
-        "kpred.encoder.bias": gb_e,
-        "kpred.predictor.weight": gw_p,
-        "kpred.predictor.bias": gb_p,
-    }
-    return gfine, gcoarse_up, pg
+    return gsrc, gguide, pg
 
 
 # ---------------------------------------------------------------------------
 # reassembly
 # ---------------------------------------------------------------------------
-
-def reassemble_up(coarse, kernels, s=2):
-    out, _ = reassemble_up_fwd(coarse, kernels, s)
-    return out
-
 
 def _unfold_rows(w, c, k2, itemsize):
     """Coarse rows per block of the unfolded source in reassemble_up."""
@@ -249,8 +206,6 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     that the unfolded block stays under _UNFOLD_BLOCK_BYTES, and each block's
     products are written straight into the s×s pixels of their cells.
     """
-    if isinstance(kernels, ReassemblyKernels):
-        kernels = kernels.values
     h, w = coarse.shape[-2:]
     k = _tap_count(kernels.shape[-3])
     _check_cover(coarse, kernels, kernels.shape[-2:] == (s * h, s * w), f"×{s}")
@@ -311,15 +266,8 @@ def reassemble_up_bwd(cache, gout):
     return (gc, gkern) if len(shape) == 4 else (gc[0], gkern[0])
 
 
-def reassemble_down(fine, kernels, s=2):
-    out, _ = reassemble_down_fwd(fine, kernels, s)
-    return out
-
-
 def reassemble_down_fwd(fine, kernels, s=2):
     """out(x, y) = kernel(x, y) · k×k zero-padded window of fine(s·x, s·y)."""
-    if isinstance(kernels, ReassemblyKernels):
-        kernels = kernels.values
     sh, sw = fine.shape[-2:]
     k = _tap_count(kernels.shape[-3])
     h, w = kernels.shape[-2:]
@@ -362,11 +310,6 @@ def _mv(a, v):
 def _outer_sum(a, b):
     """Outer product a bᵀ, summed over the images of a batch."""
     return sum_batch(a[..., :, None] * b[..., None, :], 2)
-
-
-def channel_gates(a, b, p: FusionParams):
-    gates, _ = channel_gates_fwd(a, b, p)
-    return gates
 
 
 def channel_gates_fwd(a, b, p):
@@ -431,132 +374,71 @@ def channel_gates_bwd(cache, ghigh, glow):
 
 
 # ---------------------------------------------------------------------------
-# full fusion sites
+# the fusion site
 # ---------------------------------------------------------------------------
 
-def fuse_topdown(upper: LevelFeature, lateral: LevelFeature, p, guided=True, gated=True):
-    out, _ = fuse_topdown_fwd(upper, lateral, p, guided, gated)
-    return out
+def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
+    """Merge src into the adjacent level dst; returns (fused dst level, cache).
 
-
-def fuse_topdown_fwd(upper, lateral, p, guided=True, gated=True):
-    """Merge the coarser top-down feature into the lateral one.
-
-    Pool the lateral to the coarse grid, predict upsampling kernels from
-    [upper, pooled], reassemble the upper feature to the fine grid, gate
-    both sides per channel, add, and smooth with the anti-alias conv.
+    src above dst (src.level > dst.level) fuses top-down: dst is max-pooled
+    onto src's grid as the guidance and src is upsampled by reassemble_up.
+    src below dst fuses bottom-up: dst is upsampled bilinearly as the
+    guidance and src is pooled by reassemble_down.  Either way the kernel
+    predictor and the channel gates read [src, guidance], the high gate
+    scales the coarser summand and the low gate the finer, and the sum is
+    smoothed by the anti-alias conv.  guided False drops the guidance from
+    both readers; gated False adds the two summands ungated.
     """
-    hu, wu = upper.data.shape[-2:]
-    if lateral.data.shape != upper.data.shape[:-2] + (p.s * hu, p.s * wu):
-        raise ValueError(
-            f"lateral {lateral.data.shape} is not ×{p.s} of upper {upper.data.shape}"
-        )
-    pooled, c_pool = max_pool2d_fwd(lateral.data)
-    guide = pooled if guided else None
-    kern, c_kern = predict_up_kernels_fwd(upper.data, guide, p)
-    up, c_re = reassemble_up_fwd(upper.data, kern, p.s)
+    up = src.level > dst.level
+    coarse, fine = (src, dst) if up else (dst, src)
+    h, w = coarse.data.shape[-2:]
+    if fine.data.shape != coarse.data.shape[:-2] + (p.s * h, p.s * w):
+        raise ValueError(f"level {fine.level} {fine.data.shape} is not ×{p.s} of "
+                         f"level {coarse.level} {coarse.data.shape}")
+    guide = c_guide = None
+    if guided:
+        if up:
+            guide, c_guide = max_pool2d_fwd(dst.data)
+        else:
+            guide, c_guide = bilinear_upsample_fwd(dst.data, p.s)
+    kern, c_kern = predict_kernels_fwd(src.data, guide, p)
+    reassemble_fwd = reassemble_up_fwd if up else reassemble_down_fwd
+    re, c_re = reassemble_fwd(src.data, kern, p.s)
     if gated:
-        gates, c_gate = channel_gates_fwd(upper.data, guide, p)
-        pre = gates.high_gate[..., None, None] * up + gates.low_gate[..., None, None] * lateral.data
+        gates, c_gate = channel_gates_fwd(src.data, guide, p)
+        hi, lo = gates.high_gate[..., None, None], gates.low_gate[..., None, None]
+        pre = hi * re + lo * dst.data if up else hi * dst.data + lo * re
     else:
         gates, c_gate = None, None
-        pre = up + lateral.data
+        pre = re + dst.data
     out, c_sm = conv2d_fwd(p.smooth, pre)
-    feat = LevelFeature(lateral.level, lateral.stride, out)
-    cache = (upper, lateral, up, gates, c_pool, c_kern, c_re, c_gate, c_sm, gated)
-    return feat, cache
+    feat = LevelFeature(dst.level, dst.stride, out)
+    return feat, (up, dst.data, re, gates, c_guide, c_kern, c_re, c_gate, c_sm)
 
 
-def fuse_topdown_bwd(cache, gout):
-    upper, lateral, up, gates, c_pool, c_kern, c_re, c_gate, c_sm, gated = cache
+def fuse_bwd(cache, gout):
+    """(gsrc, gdst, param grads) of fuse_fwd."""
+    up, dst, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
-    if gated:
-        gup = gates.high_gate[..., None, None] * gpre
-        glat = gates.low_gate[..., None, None] * gpre
-        ghigh = (gpre * up).sum(axis=(-2, -1))
-        glow = (gpre * lateral.data).sum(axis=(-2, -1))
-        gupper_g, gpooled_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
+    if gates is not None:
+        hi, lo = gates.high_gate[..., None, None], gates.low_gate[..., None, None]
+        gre, gdst = (hi * gpre, lo * gpre) if up else (lo * gpre, hi * gpre)
+        coarse, fine = (re, dst) if up else (dst, re)
+        ghigh = (gpre * coarse).sum(axis=(-2, -1))
+        glow = (gpre * fine).sum(axis=(-2, -1))
+        gsrc_g, gguide_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
         pg.update(gate_pg)
     else:
-        gup, glat = gpre, gpre.copy()
-        gupper_g, gpooled_g = 0, None
-    gupper_r, gkern = reassemble_up_bwd(c_re, gup)
-    gupper_k, gpooled_k, kpred_pg = predict_up_kernels_bwd(c_kern, gkern)
+        gre, gdst = gpre, gpre.copy()
+        gsrc_g, gguide_g = 0, None
+    reassemble_bwd = reassemble_up_bwd if up else reassemble_down_bwd
+    gsrc_r, gkern = reassemble_bwd(c_re, gre)
+    gsrc_k, gguide, kpred_pg = predict_kernels_bwd(c_kern, gkern)
     pg.update(kpred_pg)
-    gpooled = None
-    for g in (gpooled_g, gpooled_k):
-        if g is not None:
-            gpooled = g if gpooled is None else gpooled + g
-    if gpooled is not None:
-        glat = glat + max_pool2d_bwd(c_pool, gpooled)
-    gupper = gupper_r + gupper_k + gupper_g
-    return gupper, glat, pg
-
-
-def fuse_bottomup(lower: LevelFeature, td: LevelFeature, p, guided=True, gated=True):
-    out, _ = fuse_bottomup_fwd(lower, td, p, guided, gated)
-    return out
-
-
-def fuse_bottomup_fwd(lower, td, p, guided=True, gated=True):
-    """Merge the finer bottom-up feature into the same-level top-down one.
-
-    Upsample the top-down feature bilinearly, predict pooling kernels from
-    [lower, upsampled], reassemble the lower feature onto the coarse grid,
-    gate, add, smooth.
-    """
-    ht, wt = td.data.shape[-2:]
-    if lower.data.shape != td.data.shape[:-2] + (p.s * ht, p.s * wt):
-        raise ValueError(f"lower {lower.data.shape} is not ×{p.s} of td {td.data.shape}")
-    upsampled, c_up = bilinear_upsample_fwd(td.data, p.s)
-    guide = upsampled if guided else None
-    kern, c_kern = predict_down_kernels_fwd(lower.data, guide, p)
-    down, c_re = reassemble_down_fwd(lower.data, kern, p.s)
-    if gated:
-        gates, c_gate = channel_gates_fwd(lower.data, guide, p)
-        pre = gates.high_gate[..., None, None] * td.data + gates.low_gate[..., None, None] * down
-    else:
-        gates, c_gate = None, None
-        pre = td.data + down
-    out, c_sm = conv2d_fwd(p.smooth, pre)
-    feat = LevelFeature(td.level, td.stride, out)
-    cache = (lower, td, down, gates, c_up, c_kern, c_re, c_gate, c_sm, gated)
-    return feat, cache
-
-
-def fuse_bottomup_bwd(cache, gout):
-    lower, td, down, gates, c_up, c_kern, c_re, c_gate, c_sm, gated = cache
-    gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
-    pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
-    if gated:
-        gtd = gates.high_gate[..., None, None] * gpre
-        gdown = gates.low_gate[..., None, None] * gpre
-        ghigh = (gpre * td.data).sum(axis=(-2, -1))
-        glow = (gpre * down).sum(axis=(-2, -1))
-        glower_g, gups_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
-        pg.update(gate_pg)
-    else:
-        gtd, gdown = gpre.copy(), gpre
-        glower_g, gups_g = 0, None
-    glower_r, gkern = reassemble_down_bwd(c_re, gdown)
-    glower_k, gups_k, kpred_pg = predict_down_kernels_bwd(c_kern, gkern)
-    pg.update(kpred_pg)
-    gups = None
-    for g in (gups_g, gups_k):
-        if g is not None:
-            gups = g if gups is None else gups + g
-    if gups is not None:
-        gtd = gtd + bilinear_upsample_bwd(c_up, gups)
-    glower = glower_r + glower_k + glower_g
-    return glower, gtd, pg
-
-
-def carafe_baseline(upper, lateral, p):
-    """Plain content-aware upsampling fusion: no guidance, gates of 1."""
-    return fuse_topdown(upper, lateral, p, guided=False, gated=False)
-
-
-def cap_baseline(lower, td, p):
-    """Plain content-aware pooling fusion: no guidance, gates of 1."""
-    return fuse_bottomup(lower, td, p, guided=False, gated=False)
+    if gguide is not None:
+        if gguide_g is not None:
+            gguide = gguide_g + gguide
+        resample_bwd = max_pool2d_bwd if up else bilinear_upsample_bwd
+        gdst = gdst + resample_bwd(c_guide, gguide)
+    return gsrc_r + gsrc_k + gsrc_g, gdst, pg

@@ -74,11 +74,6 @@ class MgcParams:
 # scaled cosine-similarity compatibility
 # ---------------------------------------------------------------------------
 
-def compatibility(queries, keys, scale_dim):
-    out, _ = compatibility_fwd(queries, keys, scale_dim)
-    return out
-
-
 def compatibility_fwd(queries, keys, scale_dim):
     """queries (n_q × d), keys (d × n_k) -> map (n_k × n_q), or stacks of them.
 
@@ -108,11 +103,6 @@ def compatibility_bwd(cache, gmap):
 # ---------------------------------------------------------------------------
 # context collection (per level)
 # ---------------------------------------------------------------------------
-
-def collect_context(f: LevelFeature, p: MgcLevelParams):
-    out, _ = collect_context_fwd(f.data, p.psi, p.phi)
-    return out
-
 
 def _flat(fdata):
     """(..., c, h, w) -> (..., c, h·w)."""
@@ -166,11 +156,6 @@ def orthogonal_reg_grads(params: MgcParams):
 # graph reasoning
 # ---------------------------------------------------------------------------
 
-def gcn_layer(g, triplet: GcnParams):
-    out, _ = gcn_layer_fwd(g, triplet)
-    return out
-
-
 def gcn_layer_fwd(g, triplet):
     """Residual graph layer; the adjacency is self-attention over columns."""
     c = g.shape[-2]
@@ -197,11 +182,6 @@ def gcn_layer_bwd(cache, gout):
     return gg, gw1, gw2, gw3
 
 
-def reason_multilevel(banks, triplet: GcnParams):
-    out, _ = reason_multilevel_fwd(banks, triplet)
-    return out
-
-
 def reason_multilevel_fwd(banks, triplet):
     """Column-concatenate the per-level banks and run one shared layer."""
     widths = {b.shape[-2] for b in banks}
@@ -222,11 +202,6 @@ def reason_multilevel_bwd(cache, gfused):
 # ---------------------------------------------------------------------------
 # context distribution (per level)
 # ---------------------------------------------------------------------------
-
-def distribute_context(f: LevelFeature, fused, p: MgcLevelParams, out_weight):
-    out, _ = distribute_context_fwd(f.data, fused, p.theta, p.xi, out_weight)
-    return LevelFeature(f.level, f.stride, out)
-
 
 def distribute_context_fwd(fdata, fused, theta, xi, out_weight):
     """Attend each position to the fused bank, add a residual projection."""
@@ -259,11 +234,6 @@ def distribute_context_bwd(cache, gout):
 # ---------------------------------------------------------------------------
 # whole module
 # ---------------------------------------------------------------------------
-
-def mgc_forward(levels, params: MgcParams):
-    outs, _ = mgc_forward_fwd(levels, params)
-    return outs
-
 
 def mgc_forward_fwd(levels, params):
     """levels: list of LevelFeature -> list of context-enriched levels.

@@ -281,11 +281,6 @@ def _window(x, y0, x0, hh, ww):
     return out
 
 
-def conv2d(p: ConvParams, x):
-    y, _ = conv2d_fwd(p, x)
-    return y
-
-
 def conv2d_fwd(p: ConvParams, x):
     """Cross-correlation of x, (cin, h, w) or (n, cin, h, w), with p; returns (y, cache).
 
@@ -460,11 +455,6 @@ def conv2d_bwd(cache, gy, need_gx=True):
 # 2×2 max pooling, stride 2
 # ---------------------------------------------------------------------------
 
-def max_pool2d(x):
-    y, _ = max_pool2d_fwd(x)
-    return y
-
-
 def max_pool2d_fwd(x):
     """2×2 max and its window index (row-major), from the four phase views.
 
@@ -514,11 +504,6 @@ def _interp_matrix(n, s, dtype):
     return m.astype(dtype)
 
 
-def bilinear_upsample(x, s=2):
-    y, _ = bilinear_upsample_fwd(x, s)
-    return y
-
-
 def bilinear_upsample_fwd(x, s=2):
     """Separable ×s resize of the last two axes: Ry · x · Cxᵀ per channel and image."""
     h, w = x.shape[-2:]
@@ -542,11 +527,6 @@ def nearest_upsample(x, s=2):
 # pixel shuffle
 # ---------------------------------------------------------------------------
 
-def pixel_shuffle(x, s=2):
-    y, _ = pixel_shuffle_fwd(x, s)
-    return y
-
-
 def pixel_shuffle_fwd(x, s=2):
     cs, h, w = x.shape[-3:]
     if cs % (s * s):
@@ -563,7 +543,7 @@ def pixel_shuffle_bwd(cache, gy):
 
 
 def pixel_unshuffle(x, s=2):
-    """Inverse rearrangement of pixel_shuffle."""
+    """Inverse rearrangement of pixel_shuffle_fwd."""
     q, sh, sw = x.shape[-3:]
     if sh % s or sw % s:
         raise ValueError(f"spatial extents {sh}×{sw} not divisible by s={s}")
@@ -574,11 +554,6 @@ def pixel_unshuffle(x, s=2):
 # ---------------------------------------------------------------------------
 # channel concatenation
 # ---------------------------------------------------------------------------
-
-def concat_channels(a, b):
-    y, _ = concat_channels_fwd(a, b)
-    return y
-
 
 def concat_channels_fwd(a, b):
     if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:

@@ -22,7 +22,6 @@ from .nn_ops import (
     ConvParams,
     conv2d_bwd,
     conv2d_fwd,
-    max_pool2d,
     max_pool2d_bwd,
     max_pool2d_fwd,
     nearest_upsample,
@@ -423,10 +422,6 @@ def make_extra_level_fwd(f5: LevelFeature, store):
     return LevelFeature(6, f5.stride * 2, y), cache
 
 
-def make_extra_level(f5, store):
-    return make_extra_level_fwd(f5, store)[0]
-
-
 def make_extra_level_bwd(cache, gy):
     gx, gw, gb = conv2d_bwd(cache, gy)
     return gx, {"extra.f6.weight": gw, "extra.f6.bias": gb}
@@ -456,7 +451,7 @@ def forward_fpn(levels, store, cfg):
     for lvl in (2, 3, 4, 5):
         p = _conv_view(store, f"fpn.smooth.l{lvl}", padding=1)
         outs.append(LevelFeature(lvl, 2 ** lvl, conv2d_fwd(p, merged[lvl])[0]))
-    outs.append(LevelFeature(6, 64, max_pool2d(outs[-1].data)))
+    outs.append(LevelFeature(6, 64, max_pool2d_fwd(outs[-1].data)[0]))
     return outs
 
 
@@ -471,7 +466,7 @@ def forward_pafpn(levels, store, cfg):
         p = _conv_view(store, f"pafpn.smooth.l{lvl}", padding=1)
         chain = conv2d_fwd(p, down + by_level[lvl])[0]
         outs.append(LevelFeature(lvl, 2 ** lvl, chain))
-    outs.append(LevelFeature(6, 64, max_pool2d(outs[-1].data)))
+    outs.append(LevelFeature(6, 64, max_pool2d_fwd(outs[-1].data)[0]))
     return outs
 
 
@@ -500,14 +495,14 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
 
     td = {top: lc[top]}
     for lvl in range(top - 1, 1, -1):
-        td[lvl], cache[f"td.l{lvl}"] = fusion.fuse_topdown_fwd(
+        td[lvl], cache[f"td.l{lvl}"] = fusion.fuse_fwd(
             td[lvl + 1], lc[lvl], _fusion_view(store, f"td.l{lvl}", cfg, "up"),
             guided=cfg.use_concat_guidance,
         )
 
     bu = {2: td[2]}
     for lvl in range(3, top + 1):
-        bu[lvl], cache[f"bu.l{lvl}"] = fusion.fuse_bottomup_fwd(
+        bu[lvl], cache[f"bu.l{lvl}"] = fusion.fuse_fwd(
             bu[lvl - 1], td[lvl], _fusion_view(store, f"bu.l{lvl}", cfg, "down"),
             guided=cfg.use_concat_guidance,
         )
@@ -523,10 +518,6 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
         y6, cache["pool_top"] = max_pool2d_fwd(bu[top].data)
         outs.append(LevelFeature(6, 64, y6))
     return outs, cache
-
-
-def forward_a2fpn(levels, store, cfg):
-    return forward_a2fpn_fwd(levels, store, cfg)[0]
 
 
 def forward_a2fpn_bwd(cache, gouts):
@@ -563,7 +554,7 @@ def forward_a2fpn_bwd(cache, gouts):
 
     gtd = {}
     for lvl in range(top, 2, -1):
-        glower, gtd_lvl, local = fusion.fuse_bottomup_bwd(cache[f"bu.l{lvl}"], gbu[lvl])
+        glower, gtd_lvl, local = fusion.fuse_bwd(cache[f"bu.l{lvl}"], gbu[lvl])
         put(f"bu.l{lvl}", local)
         gtd[lvl] = gtd_lvl
         if lvl - 1 == 2:
@@ -576,7 +567,7 @@ def forward_a2fpn_bwd(cache, gouts):
 
     glc = {}
     for lvl in range(2, top):
-        gupper, glat, local = fusion.fuse_topdown_bwd(cache[f"td.l{lvl}"], gtd[lvl])
+        gupper, glat, local = fusion.fuse_bwd(cache[f"td.l{lvl}"], gtd[lvl])
         put(f"td.l{lvl}", local)
         glc[lvl] = glat
         gtd[lvl + 1] = gtd[lvl + 1] + gupper
@@ -601,4 +592,4 @@ def forward_pyramid(levels, store, cfg):
         return forward_fpn(levels, store, cfg)
     if cfg.arch == "pafpn":
         return forward_pafpn(levels, store, cfg)
-    return forward_a2fpn(levels, store, cfg)
+    return forward_a2fpn_fwd(levels, store, cfg)[0]

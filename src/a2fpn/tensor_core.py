@@ -41,15 +41,11 @@ def sum_batch(g, ndim):
     return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
 
 
-def matmul(a, b):
+def matmul_fwd(a, b):
     """a @ b, over stacks of matrices too (leading axes broadcast)."""
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ValueError(f"inner extents disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def matmul_fwd(a, b):
-    return matmul(a, b), (a, b)
+    return a @ b, (a, b)
 
 
 def matmul_bwd(cache, gy):
@@ -63,15 +59,11 @@ def matmul_bwd(cache, gy):
 # softmax
 # ---------------------------------------------------------------------------
 
-def softmax(t, axis):
+def softmax_fwd(t, axis):
     """Stable softmax along ``axis``; slices along the axis sum to 1."""
     shifted = t - np.max(t, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def softmax_fwd(t, axis):
-    y = softmax(t, axis)
+    y = e / np.sum(e, axis=axis, keepdims=True)
     return y, (y, axis)
 
 
@@ -86,15 +78,10 @@ def softmax_bwd(cache, gy):
 # L2 normalization
 # ---------------------------------------------------------------------------
 
-def l2_normalize(t, axis, eps=L2_EPS):
+def l2_normalize_fwd(t, axis, eps=L2_EPS):
     """Divide each slice along ``axis`` by max(its L2 norm, eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    norm = np.sqrt(np.sum(t * t, axis=axis, keepdims=True))
-    return t / np.maximum(norm, eps)
-
-
-def l2_normalize_fwd(t, axis, eps=L2_EPS):
     norm = np.sqrt(np.sum(t * t, axis=axis, keepdims=True))
     denom = np.maximum(norm, eps)
     y = t / denom
@@ -113,18 +100,13 @@ def l2_normalize_bwd(cache, gy):
 # gate activations
 # ---------------------------------------------------------------------------
 
-def sigmoid(t):
-    # split on sign to avoid exp overflow
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def sigmoid_fwd(t):
-    y = sigmoid(t)
+    # split on sign to avoid exp overflow
+    y = np.empty_like(t)
+    pos = t >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    y[~pos] = e / (1.0 + e)
     return y, y
 
 
@@ -133,23 +115,15 @@ def sigmoid_bwd(cache, gy):
     return gy * y * (1.0 - y)
 
 
-def two_sigmoid(t):
-    """2 / (1 + exp(-x)): value 1 at x = 0, range (0, 2)."""
-    return 2.0 * sigmoid(t)
-
-
 def two_sigmoid_fwd(t):
-    s = sigmoid(t)
+    """2 / (1 + exp(-x)): value 1 at x = 0, range (0, 2)."""
+    s, _ = sigmoid_fwd(t)
     return 2.0 * s, s
 
 
 def two_sigmoid_bwd(cache, gy):
     s = cache
     return gy * 2.0 * s * (1.0 - s)
-
-
-def relu(t):
-    return np.maximum(t, 0.0)
 
 
 def relu_fwd(t):
@@ -163,11 +137,6 @@ def relu_bwd(cache, gy):
 # ---------------------------------------------------------------------------
 # layer norm (statistics over the last axis)
 # ---------------------------------------------------------------------------
-
-def layer_norm(t, gain, shift, eps=LAYERNORM_EPS):
-    y, _ = layer_norm_fwd(t, gain, shift, eps)
-    return y
-
 
 def layer_norm_fwd(t, gain, shift, eps=LAYERNORM_EPS):
     """Normalize each slice of the last axis to zero mean / unit variance,

@@ -28,7 +28,7 @@ from .pyramid import (
     toy_backbone_bwd,
     toy_backbone_fwd,
 )
-from .tensor_core import sigmoid
+from .tensor_core import sigmoid_fwd
 
 TRAIN_ARCHS = ("a2fpn", "a2fpn_lite")
 MOMENTUM = 0.9
@@ -127,7 +127,7 @@ def _head_pass(p2, masks, store):
     z = z1[:, 0]
     loss = _bce_with_logits(z, masks)
 
-    gz = ((sigmoid(z) - masks) / z.size).astype(z1.dtype)
+    gz = ((sigmoid_fwd(z)[0] - masks) / z.size).astype(z1.dtype)
     g2 = bilinear_upsample_bwd(up2, gz[:, None])
     g4 = bilinear_upsample_bwd(up1, g2)
     return (loss,) + conv2d_bwd(head_cache, g4)

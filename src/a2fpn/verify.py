@@ -21,18 +21,14 @@ from . import fusion, mgc, nn_ops, oracles
 from .levels import LevelFeature
 from .nn_ops import (
     ConvParams,
-    bilinear_upsample,
     bilinear_upsample_bwd,
     bilinear_upsample_fwd,
     concat_channels_bwd,
     concat_channels_fwd,
-    conv2d,
     conv2d_bwd,
     conv2d_fwd,
-    max_pool2d,
     max_pool2d_bwd,
     max_pool2d_fwd,
-    pixel_shuffle,
     pixel_shuffle_bwd,
     pixel_shuffle_fwd,
     pixel_unshuffle,
@@ -49,12 +45,10 @@ from .pyramid import (
 )
 from .tensor_core import (
     LAYERNORM_EPS,
-    layer_norm,
     layer_norm_bwd,
     layer_norm_fwd,
     l2_normalize_bwd,
     l2_normalize_fwd,
-    matmul,
     matmul_bwd,
     matmul_fwd,
     relu_bwd,
@@ -202,114 +196,34 @@ def _signed(rng, shape, lo=0.2, hi=1.5):
     return rng.uniform(lo, hi, shape) * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
 
 
-def _build_matmul(rng):
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 5))
-    r = rng.standard_normal((3, 5))
-    arrays = {"a": a, "b": b}
-
-    def loss():
-        return float(np.sum(matmul(a, b) * r))
-
-    def grads():
-        _, cache = matmul_fwd(a, b)
-        ga, gb = matmul_bwd(cache, r)
-        return {"a": ga, "b": gb}
-
-    return arrays, loss, grads
+def _normal(**shapes):
+    """A draw of standard-normal arrays, one per keyword, in keyword order."""
+    return lambda rng: {name: rng.standard_normal(shape) for name, shape in shapes.items()}
 
 
-def _build_softmax(rng):
-    t = rng.standard_normal((4, 7))
-    r = rng.standard_normal((4, 7))
+def _op_builder(fwd, bwd, draw, **kw):
+    """Check of one fwd/bwd pair: fwd(*arrays, **kw) for the arrays ``draw``
+    makes, under a projection r drawn after them with the output's shape.
 
-    def loss():
-        y, _ = softmax_fwd(t, axis=1)
-        return float(np.sum(y * r))
+    bwd(cache, r) returns the adjoints in the order of the arrays, or the
+    one adjoint of a single array.
+    """
+    def build(rng):
+        arrays = draw(rng)
+        r = rng.standard_normal(fwd(*arrays.values(), **kw)[0].shape)
 
-    def grads():
-        _, cache = softmax_fwd(t, axis=1)
-        return {"t": softmax_bwd(cache, r)}
+        def loss():
+            y, _ = fwd(*arrays.values(), **kw)
+            return float(np.sum(y * r))
 
-    return {"t": t}, loss, grads
+        def grads():
+            _, cache = fwd(*arrays.values(), **kw)
+            g = bwd(cache, r)
+            return dict(zip(arrays, g if isinstance(g, tuple) else (g,)))
 
+        return arrays, loss, grads
 
-def _build_l2_normalize(rng):
-    t = rng.standard_normal((5, 4)) + 0.1
-    r = rng.standard_normal((5, 4))
-
-    def loss():
-        y, _ = l2_normalize_fwd(t, axis=0)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = l2_normalize_fwd(t, axis=0)
-        return {"t": l2_normalize_bwd(cache, r)}
-
-    return {"t": t}, loss, grads
-
-
-def _build_sigmoid(rng):
-    t = rng.standard_normal((3, 5))
-    r = rng.standard_normal((3, 5))
-
-    def loss():
-        y, _ = sigmoid_fwd(t)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = sigmoid_fwd(t)
-        return {"t": sigmoid_bwd(cache, r)}
-
-    return {"t": t}, loss, grads
-
-
-def _build_two_sigmoid(rng):
-    t = rng.standard_normal((3, 5))
-    r = rng.standard_normal((3, 5))
-
-    def loss():
-        y, _ = two_sigmoid_fwd(t)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = two_sigmoid_fwd(t)
-        return {"t": two_sigmoid_bwd(cache, r)}
-
-    return {"t": t}, loss, grads
-
-
-def _build_relu(rng):
-    t = _signed(rng, (4, 6))
-    r = rng.standard_normal((4, 6))
-
-    def loss():
-        y, _ = relu_fwd(t)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = relu_fwd(t)
-        return {"t": relu_bwd(cache, r)}
-
-    return {"t": t}, loss, grads
-
-
-def _build_layer_norm(rng):
-    t = rng.standard_normal((3, 4, 6))
-    gain = rng.standard_normal(6)
-    shift = rng.standard_normal(6)
-    r = rng.standard_normal((3, 4, 6))
-    arrays = {"t": t, "gain": gain, "shift": shift}
-
-    def loss():
-        return float(np.sum(layer_norm(t, gain, shift) * r))
-
-    def grads():
-        _, cache = layer_norm_fwd(t, gain, shift)
-        gt, ggain, gshift = layer_norm_bwd(cache, r)
-        return {"t": gt, "gain": ggain, "shift": gshift}
-
-    return arrays, loss, grads
+    return build
 
 
 def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_bwd):
@@ -335,102 +249,6 @@ def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_
         return {"x": x, "w": w, "b": b}, loss, grads
 
     return build
-
-
-def _build_max_pool2d(rng):
-    # a scaled permutation guarantees window entries differ by ≫ 2·eps
-    x = rng.permutation(3 * 6 * 8).astype(np.float64).reshape(3, 6, 8) / 24.0
-    r = rng.standard_normal((3, 3, 4))
-
-    def loss():
-        return float(np.sum(max_pool2d(x) * r))
-
-    def grads():
-        _, cache = max_pool2d_fwd(x)
-        return {"x": max_pool2d_bwd(cache, r)}
-
-    return {"x": x}, loss, grads
-
-
-def _build_bilinear_upsample(rng):
-    x = rng.standard_normal((3, 4, 5))
-    r = rng.standard_normal((3, 8, 10))
-
-    def loss():
-        return float(np.sum(bilinear_upsample(x) * r))
-
-    def grads():
-        _, cache = bilinear_upsample_fwd(x)
-        return {"x": bilinear_upsample_bwd(cache, r)}
-
-    return {"x": x}, loss, grads
-
-
-def _build_pixel_shuffle(rng):
-    x = rng.standard_normal((8, 3, 4))
-    r = rng.standard_normal((2, 6, 8))
-
-    def loss():
-        return float(np.sum(pixel_shuffle(x) * r))
-
-    def grads():
-        _, cache = pixel_shuffle_fwd(x)
-        return {"x": pixel_shuffle_bwd(cache, r)}
-
-    return {"x": x}, loss, grads
-
-
-def _build_concat_channels(rng):
-    a = rng.standard_normal((2, 3, 4))
-    b = rng.standard_normal((3, 3, 4))
-    r = rng.standard_normal((5, 3, 4))
-
-    def loss():
-        y, _ = concat_channels_fwd(a, b)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = concat_channels_fwd(a, b)
-        ga, gb = concat_channels_bwd(cache, r)
-        return {"a": ga, "b": gb}
-
-    return {"a": a, "b": b}, loss, grads
-
-
-def _build_compatibility(rng):
-    q = rng.standard_normal((5, 4))
-    k = rng.standard_normal((4, 6))
-    r = rng.standard_normal((6, 5))
-
-    def loss():
-        y, _ = mgc.compatibility_fwd(q, k, 4)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = mgc.compatibility_fwd(q, k, 4)
-        gq, gk = mgc.compatibility_bwd(cache, r)
-        return {"q": gq, "k": gk}
-
-    return {"q": q, "k": k}, loss, grads
-
-
-def _build_collect_context(rng):
-    fdata = rng.standard_normal((4, 3, 3))
-    psi = rng.standard_normal((2, 4))
-    phi = rng.standard_normal((8, 4))
-    r = rng.standard_normal((8, 2))
-    arrays = {"fdata": fdata, "psi": psi, "phi": phi}
-
-    def loss():
-        y, _ = mgc.collect_context_fwd(fdata, psi, phi)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = mgc.collect_context_fwd(fdata, psi, phi)
-        gf, gpsi, gphi = mgc.collect_context_bwd(cache, r)
-        return {"fdata": gf, "psi": gpsi, "phi": gphi}
-
-    return arrays, loss, grads
 
 
 def _build_orthogonal_reg(rng):
@@ -464,24 +282,6 @@ def _gcn_triplet(rng, c):
     )
 
 
-def _build_gcn_layer(rng):
-    g = rng.standard_normal((8, 5))
-    t = _gcn_triplet(rng, 8)
-    r = rng.standard_normal((8, 5))
-    arrays = {"g": g, "w1": t.w1, "w2": t.w2, "w3": t.w3}
-
-    def loss():
-        y, _ = mgc.gcn_layer_fwd(g, t)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = mgc.gcn_layer_fwd(g, t)
-        gg, gw1, gw2, gw3 = mgc.gcn_layer_bwd(cache, r)
-        return {"g": gg, "w1": gw1, "w2": gw2, "w3": gw3}
-
-    return arrays, loss, grads
-
-
 def _build_reason_multilevel(rng):
     b2 = rng.standard_normal((8, 3))
     b3 = rng.standard_normal((8, 2))
@@ -497,27 +297,6 @@ def _build_reason_multilevel(rng):
         _, cache = mgc.reason_multilevel_fwd([b2, b3], t)
         gbanks, gw1, gw2, gw3 = mgc.reason_multilevel_bwd(cache, r)
         return {"b2": gbanks[0], "b3": gbanks[1], "w1": gw1, "w2": gw2, "w3": gw3}
-
-    return arrays, loss, grads
-
-
-def _build_distribute_context(rng):
-    fdata = rng.standard_normal((4, 3, 3))
-    fused = rng.standard_normal((8, 5))
-    theta = rng.standard_normal((8, 4))
-    xi = rng.standard_normal((8, 4))
-    w_o = rng.standard_normal((8, 8))
-    r = rng.standard_normal((8, 3, 3))
-    arrays = {"fdata": fdata, "fused": fused, "theta": theta, "xi": xi, "w_o": w_o}
-
-    def loss():
-        y, _ = mgc.distribute_context_fwd(fdata, fused, theta, xi, w_o)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = mgc.distribute_context_fwd(fdata, fused, theta, xi, w_o)
-        gf, gfu, gth, gxi, gwo = mgc.distribute_context_bwd(cache, r)
-        return {"fdata": gf, "fused": gfu, "theta": gth, "xi": gxi, "w_o": gwo}
 
     return arrays, loss, grads
 
@@ -634,78 +413,27 @@ def _tiny_fusion_params(rng, kind, guided=True):
     return p, arrays
 
 
-def _build_predict_up_kernels(rng):
-    p, p_arrays = _tiny_fusion_params(rng, "up")
-    coarse = rng.standard_normal((8, 2, 3))
-    pooled = rng.standard_normal((8, 2, 3))
-    r = rng.standard_normal((9, 4, 6))
-    arrays = {"coarse": coarse, "pooled": pooled}
-    arrays.update({k: v for k, v in p_arrays.items() if k.startswith("kpred.")})
+def _predictor_builder(kind, src, guide, hw):
+    """Check of predict_kernels_fwd/bwd on a tiny site of ``kind``: 8-channel
+    inputs named src and guide of extents hw, and the kpred parameters."""
+    def build(rng):
+        p, p_arrays = _tiny_fusion_params(rng, kind)
+        arrays = {src: rng.standard_normal((8,) + hw), guide: rng.standard_normal((8,) + hw)}
+        arrays.update({k: v for k, v in p_arrays.items() if k.startswith("kpred.")})
+        r = rng.standard_normal(fusion.predict_kernels_fwd(arrays[src], arrays[guide], p)[0].shape)
 
-    def loss():
-        y, _ = fusion.predict_up_kernels_fwd(coarse, pooled, p)
-        return float(np.sum(y * r))
+        def loss():
+            y, _ = fusion.predict_kernels_fwd(arrays[src], arrays[guide], p)
+            return float(np.sum(y * r))
 
-    def grads():
-        _, cache = fusion.predict_up_kernels_fwd(coarse, pooled, p)
-        gc, gf, pg = fusion.predict_up_kernels_bwd(cache, r)
-        return {"coarse": gc, "pooled": gf, **pg}
+        def grads():
+            _, cache = fusion.predict_kernels_fwd(arrays[src], arrays[guide], p)
+            gsrc, gguide, pg = fusion.predict_kernels_bwd(cache, r)
+            return {src: gsrc, guide: gguide, **pg}
 
-    return arrays, loss, grads
+        return arrays, loss, grads
 
-
-def _build_predict_down_kernels(rng):
-    p, p_arrays = _tiny_fusion_params(rng, "down")
-    fine = rng.standard_normal((8, 4, 6))
-    ups = rng.standard_normal((8, 4, 6))
-    r = rng.standard_normal((9, 2, 3))
-    arrays = {"fine": fine, "ups": ups}
-    arrays.update({k: v for k, v in p_arrays.items() if k.startswith("kpred.")})
-
-    def loss():
-        y, _ = fusion.predict_down_kernels_fwd(fine, ups, p)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = fusion.predict_down_kernels_fwd(fine, ups, p)
-        gf, gu, pg = fusion.predict_down_kernels_bwd(cache, r)
-        return {"fine": gf, "ups": gu, **pg}
-
-    return arrays, loss, grads
-
-
-def _build_reassemble_up(rng, lead=()):
-    coarse = rng.standard_normal(lead + (3, 2, 3))
-    kern = rng.standard_normal(lead + (9, 4, 6))
-    r = rng.standard_normal(lead + (3, 4, 6))
-
-    def loss():
-        y, _ = fusion.reassemble_up_fwd(coarse, kern, 2)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = fusion.reassemble_up_fwd(coarse, kern, 2)
-        gc, gk = fusion.reassemble_up_bwd(cache, r)
-        return {"coarse": gc, "kern": gk}
-
-    return {"coarse": coarse, "kern": kern}, loss, grads
-
-
-def _build_reassemble_down(rng, lead=()):
-    fine = rng.standard_normal(lead + (3, 4, 6))
-    kern = rng.standard_normal(lead + (9, 2, 3))
-    r = rng.standard_normal(lead + (3, 2, 3))
-
-    def loss():
-        y, _ = fusion.reassemble_down_fwd(fine, kern, 2)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = fusion.reassemble_down_fwd(fine, kern, 2)
-        gf, gk = fusion.reassemble_down_bwd(cache, r)
-        return {"fine": gf, "kern": gk}
-
-    return {"fine": fine, "kern": kern}, loss, grads
+    return build
 
 
 def _build_channel_gates(rng, lead=()):
@@ -730,6 +458,8 @@ def _build_channel_gates(rng, lead=()):
 
 
 def _fuse_builder(direction, guided):
+    """Check of fuse_fwd/bwd between a level-3 "coarse" and a level-2 "fine"
+    feature: coarse into fine for direction "td", fine into coarse for "bu"."""
     def build(rng):
         kind = "up" if direction == "td" else "down"
         p, p_arrays = _tiny_fusion_params(rng, kind, guided=guided)
@@ -741,25 +471,18 @@ def _fuse_builder(direction, guided):
             for key in list(arrays):
                 if key.startswith("gate."):
                     del arrays[key]
-        out_shape = (8, 4, 6) if direction == "td" else (8, 2, 3)
-        r = rng.standard_normal(out_shape)
-
-        def fwd():
-            if direction == "td":
-                return fusion.fuse_topdown_fwd(coarse, fine, p, guided=guided, gated=guided)
-            return fusion.fuse_bottomup_fwd(fine, coarse, p, guided=guided, gated=guided)
+        src, dst = (coarse, fine) if direction == "td" else (fine, coarse)
+        names = ("coarse", "fine") if direction == "td" else ("fine", "coarse")
+        r = rng.standard_normal(dst.data.shape)
 
         def loss():
-            out, _ = fwd()
+            out, _ = fusion.fuse_fwd(src, dst, p, guided=guided, gated=guided)
             return float(np.sum(out.data * r))
 
         def grads():
-            _, cache = fwd()
-            if direction == "td":
-                gup, glat, pg = fusion.fuse_topdown_bwd(cache, r)
-                return {"coarse": gup, "fine": glat, **pg}
-            glow, gtd, pg = fusion.fuse_bottomup_bwd(cache, r)
-            return {"coarse": gtd, "fine": glow, **pg}
+            _, cache = fusion.fuse_fwd(src, dst, p, guided=guided, gated=guided)
+            gsrc, gdst, pg = fusion.fuse_bwd(cache, r)
+            return {names[0]: gsrc, names[1]: gdst, **pg}
 
         return arrays, loss, grads
 
@@ -873,13 +596,16 @@ DIRECTIONAL = {"mgc_forward": _GRAPH_WEIGHTS, "mgc_forward_n2": _GRAPH_WEIGHTS}
 # Entries ending in _n2 run the same op on a batch of two images, whose
 # shared parameters take the sum of the two images' gradients.
 REGISTRY = {
-    "matmul": (_build_matmul, PRIMITIVE_TOL, 0),
-    "softmax": (_build_softmax, PRIMITIVE_TOL, 0),
-    "l2_normalize": (_build_l2_normalize, PRIMITIVE_TOL, 0),
-    "sigmoid": (_build_sigmoid, PRIMITIVE_TOL, 0),
-    "two_sigmoid": (_build_two_sigmoid, PRIMITIVE_TOL, 0),
-    "relu": (_build_relu, PRIMITIVE_TOL, 0),
-    "layer_norm": (_build_layer_norm, PRIMITIVE_TOL, 0),
+    "matmul": (_op_builder(matmul_fwd, matmul_bwd, _normal(a=(3, 4), b=(4, 5))), PRIMITIVE_TOL, 0),
+    "softmax": (_op_builder(softmax_fwd, softmax_bwd, _normal(t=(4, 7)), axis=1), PRIMITIVE_TOL, 0),
+    "l2_normalize": (_op_builder(l2_normalize_fwd, l2_normalize_bwd,
+                                 lambda rng: {"t": rng.standard_normal((5, 4)) + 0.1}, axis=0),
+                     PRIMITIVE_TOL, 0),
+    "sigmoid": (_op_builder(sigmoid_fwd, sigmoid_bwd, _normal(t=(3, 5))), PRIMITIVE_TOL, 0),
+    "two_sigmoid": (_op_builder(two_sigmoid_fwd, two_sigmoid_bwd, _normal(t=(3, 5))), PRIMITIVE_TOL, 0),
+    "relu": (_op_builder(relu_fwd, relu_bwd, lambda rng: {"t": _signed(rng, (4, 6))}), PRIMITIVE_TOL, 0),
+    "layer_norm": (_op_builder(layer_norm_fwd, layer_norm_bwd, _normal(t=(3, 4, 6), gain=6, shift=6)),
+                   PRIMITIVE_TOL, 0),
     "conv2d": (_conv_builder((2, 5, 5), (3, 2, 3, 3), 1, 1), PRIMITIVE_TOL, 0),
     "conv2d_stride2": (_conv_builder((2, 7, 7), (3, 2, 3, 3), 2, 1), PRIMITIVE_TOL, 0),
     "conv2d_1x1": (_conv_builder((3, 4, 5), (2, 3, 1, 1), 1, 0), PRIMITIVE_TOL, 0),
@@ -893,26 +619,43 @@ REGISTRY = {
     # cout ≤ cin over enough pixels: _use_gather sends these to the gather route
     "conv2d_gather_n2": (_conv_builder((2, 3, 5, 5), (2, 3, 3, 3), 1, 1), PRIMITIVE_TOL, 0),
     "conv2d_stride2_gather_n2": (_conv_builder((2, 3, 7, 7), (2, 3, 3, 3), 2, 1), PRIMITIVE_TOL, 0),
-    "max_pool2d": (_build_max_pool2d, PRIMITIVE_TOL, 0),
-    "bilinear_upsample": (_build_bilinear_upsample, PRIMITIVE_TOL, 0),
-    "pixel_shuffle": (_build_pixel_shuffle, PRIMITIVE_TOL, 0),
-    "concat_channels": (_build_concat_channels, PRIMITIVE_TOL, 0),
-    "compatibility": (_build_compatibility, COMPOSITE_TOL, 0),
-    "collect_context": (_build_collect_context, COMPOSITE_TOL, 0),
+    # a scaled permutation keeps the entries of each window ≫ 2·eps apart
+    "max_pool2d": (_op_builder(max_pool2d_fwd, max_pool2d_bwd, lambda rng: {
+        "x": rng.permutation(3 * 6 * 8).astype(np.float64).reshape(3, 6, 8) / 24.0}), PRIMITIVE_TOL, 0),
+    "bilinear_upsample": (_op_builder(bilinear_upsample_fwd, bilinear_upsample_bwd, _normal(x=(3, 4, 5))),
+                          PRIMITIVE_TOL, 0),
+    "pixel_shuffle": (_op_builder(pixel_shuffle_fwd, pixel_shuffle_bwd, _normal(x=(8, 3, 4))),
+                      PRIMITIVE_TOL, 0),
+    "concat_channels": (_op_builder(concat_channels_fwd, concat_channels_bwd,
+                                    _normal(a=(2, 3, 4), b=(3, 3, 4))), PRIMITIVE_TOL, 0),
+    "compatibility": (_op_builder(mgc.compatibility_fwd, mgc.compatibility_bwd,
+                                  _normal(q=(5, 4), k=(4, 6)), scale_dim=4), COMPOSITE_TOL, 0),
+    "collect_context": (_op_builder(mgc.collect_context_fwd, mgc.collect_context_bwd,
+                                    _normal(fdata=(4, 3, 3), psi=(2, 4), phi=(8, 4))), COMPOSITE_TOL, 0),
     "orthogonal_reg": (_build_orthogonal_reg, COMPOSITE_TOL, 0),
-    "gcn_layer": (_build_gcn_layer, COMPOSITE_TOL, 0),
+    "gcn_layer": (_op_builder(lambda g, w1, w2, w3: mgc.gcn_layer_fwd(g, mgc.GcnParams(w1, w2, w3)),
+                              mgc.gcn_layer_bwd, _normal(g=(8, 5), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
+                  COMPOSITE_TOL, 0),
     "reason_multilevel": (_build_reason_multilevel, COMPOSITE_TOL, 0),
-    "distribute_context": (_build_distribute_context, COMPOSITE_TOL, 0),
+    "distribute_context": (_op_builder(mgc.distribute_context_fwd, mgc.distribute_context_bwd,
+                                       _normal(fdata=(4, 3, 3), fused=(8, 5), theta=(8, 4), xi=(8, 4),
+                                               w_o=(8, 8))), COMPOSITE_TOL, 0),
     "mgc_forward": (_build_mgc_forward, COMPOSITE_TOL, 16),
     "mgc_forward_n2": (partial(_build_mgc_forward, lead=(2,)), COMPOSITE_TOL, 16),
-    "predict_up_kernels": (_build_predict_up_kernels, COMPOSITE_TOL, 32),
-    "predict_down_kernels": (_build_predict_down_kernels, COMPOSITE_TOL, 32),
-    "reassemble_up": (_build_reassemble_up, COMPOSITE_TOL, 0),
-    "reassemble_down": (_build_reassemble_down, COMPOSITE_TOL, 0),
+    "predict_up_kernels": (_predictor_builder("up", "coarse", "pooled", (2, 3)), COMPOSITE_TOL, 32),
+    "predict_down_kernels": (_predictor_builder("down", "fine", "ups", (4, 6)), COMPOSITE_TOL, 32),
+    "reassemble_up": (_op_builder(fusion.reassemble_up_fwd, fusion.reassemble_up_bwd,
+                                  _normal(coarse=(3, 2, 3), kern=(9, 4, 6))), COMPOSITE_TOL, 0),
+    "reassemble_down": (_op_builder(fusion.reassemble_down_fwd, fusion.reassemble_down_bwd,
+                                    _normal(fine=(3, 4, 6), kern=(9, 2, 3))), COMPOSITE_TOL, 0),
     "channel_gates": (_build_channel_gates, COMPOSITE_TOL, 0),
-    "reassemble_up_n2": (partial(_build_reassemble_up, lead=(2,)), COMPOSITE_TOL, 0),
-    "reassemble_down_n2": (partial(_build_reassemble_down, lead=(2,)), COMPOSITE_TOL, 0),
+    "reassemble_up_n2": (_op_builder(fusion.reassemble_up_fwd, fusion.reassemble_up_bwd,
+                                     _normal(coarse=(2, 3, 2, 3), kern=(2, 9, 4, 6))), COMPOSITE_TOL, 0),
+    "reassemble_down_n2": (_op_builder(fusion.reassemble_down_fwd, fusion.reassemble_down_bwd,
+                                       _normal(fine=(2, 3, 4, 6), kern=(2, 9, 2, 3))), COMPOSITE_TOL, 0),
     "channel_gates_n2": (partial(_build_channel_gates, lead=(2,)), COMPOSITE_TOL, 0),
+    # the one fusion site: top-down and bottom-up, guided and gated, or plain
+    # (the CARAFE/CAP baselines)
     "fuse_topdown": (_fuse_builder("td", True), COMPOSITE_TOL, 24),
     "fuse_bottomup": (_fuse_builder("bu", True), COMPOSITE_TOL, 24),
     "carafe_baseline": (_fuse_builder("td", False), COMPOSITE_TOL, 24),
@@ -959,7 +702,8 @@ def save_gradcheck_report(path, reports):
 # oracle comparisons
 # ---------------------------------------------------------------------------
 
-def _sweep(op, cases, fn, t0):
+def _sweep(op, cases, fn):
+    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(cases):
         worst = max(worst, fn())
@@ -968,7 +712,10 @@ def _sweep(op, cases, fn, t0):
 
 
 def _max_diff(got, want):
-    """Largest absolute difference over paired arrays; a pair of Nones counts 0."""
+    """Largest absolute difference of two arrays, or over paired tuples of
+    them; a pair of Nones counts 0."""
+    if not isinstance(got, tuple):
+        got, want = (got,), (want,)
     return max(0.0 if a is None and b is None else float(np.max(np.abs(a - b)))
                for a, b in zip(got, want))
 
@@ -1000,13 +747,35 @@ def oracle_suite(seed=0, cases=50):
 
     Each case runs on a single image or on a batch of n ∈ {1, 3}; a batched
     result must equal the per-image oracles stacked, and a batched parameter
-    gradient their sum.
+    gradient their sum.  The sweeps share one generator and run in table
+    order, so each sweep's cases depend on the sweeps before it.
     """
     rng = np.random.default_rng([seed, 0x0A])
-    entries = []
 
-    def conv_draw():
-        lead = _lead(rng)
+    def case(draw, bwd=None, summed=()):
+        """One case: draw(lead) gives (inputs, fwd, oracle).  fwd(*inputs)'s
+        output, or with bwd its adjoints bwd(cache, gy) for a drawn output
+        gradient gy, is compared with the oracle run per image on the inputs
+        (and gy)."""
+        def run():
+            lead = _lead(rng)
+            inputs, fwd, oracle = draw(lead)
+            got, cache = fwd(*inputs)
+            if bwd is not None:
+                gy = rng.standard_normal(got.shape)
+                got, inputs = bwd(cache, gy), inputs + (gy,)
+            return _max_diff(got, _per_image(lead, oracle, *inputs, summed=summed))
+        return run
+
+    def conv(params, fwd, oracle):
+        """A conv draw: params(lead) gives (ConvParams, x); the oracle takes
+        the kernel, bias, stride and padding."""
+        def draw(lead):
+            p, x = params(lead)
+            return (x,), partial(fwd, p), partial(oracle, p.weight, p.bias, stride=p.stride, pad=p.padding)
+        return draw
+
+    def conv_params(lead):
         cin, cout = rng.integers(1, 4, 2)
         k = int(rng.choice([1, 2, 3]))
         stride = int(rng.choice([1, 2]))
@@ -1015,25 +784,7 @@ def oracle_suite(seed=0, cases=50):
         x = rng.standard_normal(lead + (cin, h, w))
         wgt = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout) if rng.random() < 0.5 else None
-        return lead, x, wgt, b, stride, pad
-
-    def conv_case():
-        lead, x, wgt, b, stride, pad = conv_draw()
-        y = conv2d(ConvParams(wgt, b, stride=stride, padding=pad), x)
-        want = _per_image(lead, lambda xi: oracles.conv2d_oracle(wgt, b, xi, stride, pad), x)
-        return float(np.max(np.abs(y - want)))
-
-    entries.append(_sweep("conv2d", cases, conv_case, time.perf_counter()))
-
-    def conv_bwd_case():
-        lead, x, wgt, b, stride, pad = conv_draw()
-        y, cache = conv2d_fwd(ConvParams(wgt, b, stride=stride, padding=pad), x)
-        gy = rng.standard_normal(y.shape)
-        want = _per_image(lead, lambda xi, gi: oracles.conv2d_bwd_oracle(wgt, b, xi, gi, stride, pad),
-                          x, gy, summed=(1, 2))
-        return _max_diff(conv2d_bwd(cache, gy), want)
-
-    entries.append(_sweep("conv2d_bwd", cases, conv_bwd_case, time.perf_counter()))
+        return ConvParams(wgt, b, stride=stride, padding=pad), x
 
     # Each gx route of the im2col backward, called directly whatever
     # _use_gather would pick, on a batch of n ∈ {1, 3}; pad runs past k.
@@ -1053,201 +804,107 @@ def oracle_suite(seed=0, cases=50):
         gyf = gy.swapaxes(0, 1).reshape(p.weight.shape[0], -1)
         return float(np.max(np.abs(route(p, x.shape, gy, gyf) - want)))
 
-    for name, route in (("conv2d_gx_gather", nn_ops._gx_gather), ("conv2d_gx_fold", nn_ops._gx_fold)):
-        entries.append(_sweep(name, cases, partial(gx_route_case, route), time.perf_counter()))
-
     # The Winograd path is called directly, since conv2d_fwd selects it only
     # far above oracle-sized shapes.  Extents run from 1 and need not match,
     # so odd and single-tile outputs both occur.
-    def winograd_case():
-        lead = _lead(rng)
+    def winograd_params(lead):
         cin, cout = rng.integers(1, 4, 2)
         pad = int(rng.choice([0, 1, 2]))
         h, w = rng.integers(max(1, 3 - 2 * pad), 8, 2)
         x = rng.standard_normal(lead + (cin, h, w))
         wgt = rng.standard_normal((cout, cin, 3, 3))
         b = rng.standard_normal(cout) if rng.random() < 0.5 else None
-        p = ConvParams(wgt, b, padding=pad)
-        return lead, p, x, nn_ops._winograd_fwd(p, x)
+        return ConvParams(wgt, b, padding=pad), x
 
-    def winograd_fwd_case():
-        lead, p, x, (y, _) = winograd_case()
-        want = _per_image(lead, lambda xi: oracles.conv2d_oracle(p.weight, p.bias, xi, 1, p.padding), x)
-        return float(np.max(np.abs(y - want)))
+    def product(lo, oracle):
+        def draw(lead):
+            m, k, n = rng.integers(lo, 6, 3)
+            return (rng.standard_normal(lead + (m, k)), rng.standard_normal(lead + (k, n))), matmul_fwd, oracle
+        return draw
 
-    entries.append(_sweep("conv2d_winograd", cases, winograd_fwd_case, time.perf_counter()))
-
-    def winograd_bwd_case():
-        lead, p, x, (y, cache) = winograd_case()
-        gy = rng.standard_normal(y.shape)
-        want = _per_image(lead, lambda xi, gi: oracles.conv2d_bwd_oracle(p.weight, p.bias, xi, gi, 1,
-                                                                          p.padding),
-                          x, gy, summed=(1, 2))
-        return _max_diff(nn_ops._winograd_bwd(cache, gy), want)
-
-    entries.append(_sweep("conv2d_winograd_bwd", cases, winograd_bwd_case, time.perf_counter()))
-
-    def pool_attn_case():
-        lead = _lead(rng)
-        c, n, m = rng.integers(2, 6, 3)
-        values = rng.standard_normal(lead + (c, n))
-        attn = rng.standard_normal(lead + (n, m))
-        want = _per_image(lead, oracles.attention_pool_oracle, values, attn)
-        return float(np.max(np.abs(matmul(values, attn) - want)))
-
-    entries.append(_sweep("attention_pool", cases, pool_attn_case, time.perf_counter()))
-
-    def compat_case():
-        lead = _lead(rng)
+    def compat(lead):
         nq, d, nk = rng.integers(2, 6, 3)
-        q = rng.standard_normal(lead + (nq, d))
-        k = rng.standard_normal(lead + (d, nk))
-        y = mgc.compatibility(q, k, d)
-        want = _per_image(lead, lambda qi, ki: oracles.compatibility_oracle(qi, ki, d), q, k)
-        return float(np.max(np.abs(y - want)))
+        q, k = rng.standard_normal(lead + (nq, d)), rng.standard_normal(lead + (d, nk))
+        return (q, k), partial(mgc.compatibility_fwd, scale_dim=d), \
+            partial(oracles.compatibility_oracle, scale_dim=d)
 
-    entries.append(_sweep("compatibility", cases, compat_case, time.perf_counter()))
+    def reassembly(up, oracle, bwd=False):
+        """A reassembly draw: s = 2 and extents from 2 for the forward,
+        s ∈ {2, 3} and extents from 1 for the backward."""
+        def draw(lead):
+            c = int(rng.integers(1, 4))
+            h, w = rng.integers(1 if bwd else 2, 5, 2)
+            k = int(rng.choice([1, 3, 5]))
+            s = int(rng.choice([2, 3])) if bwd else 2
+            src, dst = ((h, w), (s * h, s * w)) if up else ((s * h, s * w), (h, w))
+            x, kern = rng.standard_normal(lead + (c,) + src), rng.standard_normal(lead + (k * k,) + dst)
+            fwd = fusion.reassemble_up_fwd if up else fusion.reassemble_down_fwd
+            return (x, kern), partial(fwd, s=s), partial(oracle, s=s, k=k)
+        return draw
 
-    def re_up_case():
-        lead = _lead(rng)
-        c = int(rng.integers(1, 4))
-        h, w = rng.integers(2, 5, 2)
-        k = int(rng.choice([1, 3, 5]))
-        coarse = rng.standard_normal(lead + (c, h, w))
-        kern = rng.standard_normal(lead + (k * k, 2 * h, 2 * w))
-        y, _ = fusion.reassemble_up_fwd(coarse, kern, 2)
-        want = _per_image(lead, lambda ci, ki: oracles.reassemble_up_oracle(ci, ki, 2, k), coarse, kern)
-        return float(np.max(np.abs(y - want)))
-
-    entries.append(_sweep("reassemble_up", cases, re_up_case, time.perf_counter()))
-
-    def re_down_case():
-        lead = _lead(rng)
-        c = int(rng.integers(1, 4))
-        h, w = rng.integers(2, 5, 2)
-        k = int(rng.choice([1, 3, 5]))
-        fine = rng.standard_normal(lead + (c, 2 * h, 2 * w))
-        kern = rng.standard_normal(lead + (k * k, h, w))
-        y = fusion.reassemble_down(fine, kern, 2)
-        want = _per_image(lead, lambda fi, ki: oracles.reassemble_down_oracle(fi, ki, 2, k), fine, kern)
-        return float(np.max(np.abs(y - want)))
-
-    entries.append(_sweep("reassemble_down", cases, re_down_case, time.perf_counter()))
-
-    def re_up_bwd_case():
-        lead = _lead(rng)
-        c = int(rng.integers(1, 4))
-        h, w = rng.integers(1, 5, 2)
-        k = int(rng.choice([1, 3, 5]))
-        s = int(rng.choice([2, 3]))
-        coarse = rng.standard_normal(lead + (c, h, w))
-        kern = rng.standard_normal(lead + (k * k, s * h, s * w))
-        gout = rng.standard_normal(lead + (c, s * h, s * w))
-        _, cache = fusion.reassemble_up_fwd(coarse, kern, s)
-        got = fusion.reassemble_up_bwd(cache, gout)
-        want = _per_image(lead, lambda ci, ki, gi: oracles.reassemble_up_bwd_oracle(ci, ki, gi, s, k),
-                          coarse, kern, gout)
-        return _max_diff(got, want)
-
-    entries.append(_sweep("reassemble_up_bwd", cases, re_up_bwd_case, time.perf_counter()))
-
-    def re_down_bwd_case():
-        lead = _lead(rng)
-        c = int(rng.integers(1, 4))
-        h, w = rng.integers(1, 5, 2)
-        k = int(rng.choice([1, 3, 5]))
-        s = int(rng.choice([2, 3]))
-        fine = rng.standard_normal(lead + (c, s * h, s * w))
-        kern = rng.standard_normal(lead + (k * k, h, w))
-        gout = rng.standard_normal(lead + (c, h, w))
-        _, cache = fusion.reassemble_down_fwd(fine, kern, s)
-        got = fusion.reassemble_down_bwd(cache, gout)
-        want = _per_image(lead, lambda fi, ki, gi: oracles.reassemble_down_bwd_oracle(fi, ki, gi, s, k),
-                          fine, kern, gout)
-        return _max_diff(got, want)
-
-    entries.append(_sweep("reassemble_down_bwd", cases, re_down_bwd_case, time.perf_counter()))
-
-    def shuffle_case():
-        lead = _lead(rng)
+    def shuffle(lead):
         q = int(rng.integers(1, 4))
         h, w = rng.integers(1, 5, 2)
-        x = rng.standard_normal(lead + (4 * q, h, w))
-        want = _per_image(lead, lambda xi: oracles.pixel_shuffle_oracle(xi, 2), x)
-        return float(np.max(np.abs(pixel_shuffle(x) - want)))
-
-    entries.append(_sweep("pixel_shuffle", cases, shuffle_case, time.perf_counter()))
+        return (rng.standard_normal(lead + (4 * q, h, w)),), pixel_shuffle_fwd, \
+            partial(oracles.pixel_shuffle_oracle, s=2)
 
     def roundtrip_case():
-        lead = _lead(rng)
-        q = int(rng.integers(1, 4))
-        h, w = rng.integers(1, 5, 2)
-        x = rng.standard_normal(lead + (4 * q, h, w))
-        return float(np.max(np.abs(pixel_unshuffle(pixel_shuffle(x)) - x)))
+        (x,), _, _ = shuffle(_lead(rng))
+        return float(np.max(np.abs(pixel_unshuffle(pixel_shuffle_fwd(x)[0]) - x)))
 
-    entries.append(_sweep("pixel_shuffle_roundtrip", 20, roundtrip_case, time.perf_counter()))
+    def bilinear(oracle):
+        def draw(lead):
+            c = int(rng.integers(1, 4))
+            h, w = rng.integers(1, 7, 2)
+            return (rng.standard_normal(lead + (c, h, w)),), bilinear_upsample_fwd, oracle
+        return draw
 
-    def bilinear_case():
-        lead = _lead(rng)
-        c = int(rng.integers(1, 4))
-        h, w = rng.integers(1, 7, 2)
-        x = rng.standard_normal(lead + (c, h, w))
-        want = _per_image(lead, lambda xi: oracles.bilinear_upsample_oracle(xi, 2), x)
-        return float(np.max(np.abs(bilinear_upsample(x) - want)))
-
-    entries.append(_sweep("bilinear_upsample", cases, bilinear_case, time.perf_counter()))
-
-    def bilinear_bwd_case():
-        lead = _lead(rng)
-        c = int(rng.integers(1, 4))
-        h, w = rng.integers(1, 7, 2)
-        x = rng.standard_normal(lead + (c, h, w))
-        y, cache = bilinear_upsample_fwd(x)
-        gy = rng.standard_normal(y.shape)
-        want = _per_image(lead, lambda gi: oracles.bilinear_upsample_bwd_oracle((c, h, w), gi, 2), gy)
-        return float(np.max(np.abs(bilinear_upsample_bwd(cache, gy) - want)))
-
-    entries.append(_sweep("bilinear_upsample_bwd", cases, bilinear_bwd_case, time.perf_counter()))
-
-    def pool_case():
-        lead = _lead(rng)
+    def pool(lead):
         c = int(rng.integers(1, 4))
         h, w = 2 * rng.integers(1, 5, 2)
-        x = rng.standard_normal(lead + (c, h, w))
-        return float(np.max(np.abs(max_pool2d(x) - _per_image(lead, oracles.max_pool2d_oracle, x))))
+        return (rng.standard_normal(lead + (c, h, w)),), max_pool2d_fwd, oracles.max_pool2d_oracle
 
-    entries.append(_sweep("max_pool2d", cases, pool_case, time.perf_counter()))
-
-    def matmul_case():
-        lead = _lead(rng)
-        m, k, n = rng.integers(1, 6, 3)
-        a = rng.standard_normal(lead + (m, k))
-        b = rng.standard_normal(lead + (k, n))
-        return float(np.max(np.abs(matmul(a, b) - _per_image(lead, oracles.matmul_oracle, a, b))))
-
-    entries.append(_sweep("matmul", cases, matmul_case, time.perf_counter()))
-
-    def softmax_case():
-        lead = _lead(rng)
+    def soft(lead):
         n = int(rng.integers(2, 8))
-        v = rng.standard_normal(lead + (n,))
-        y, _ = softmax_fwd(v, axis=-1)
-        return float(np.max(np.abs(y - _per_image(lead, oracles.softmax_oracle, v))))
+        return (rng.standard_normal(lead + (n,)),), partial(softmax_fwd, axis=-1), oracles.softmax_oracle
 
-    entries.append(_sweep("softmax", cases, softmax_case, time.perf_counter()))
-
-    def ln_case():
-        lead = _lead(rng)
+    def ln(lead):
         n = int(rng.integers(2, 8))
         v = rng.standard_normal(lead + (n,))
         gain = rng.standard_normal(n)
         shift = rng.standard_normal(n)
-        y = layer_norm(v, gain, shift)
-        want = _per_image(lead, lambda vi: oracles.layer_norm_oracle(vi, gain, shift, LAYERNORM_EPS), v)
-        return float(np.max(np.abs(y - want)))
+        return (v,), lambda t: layer_norm_fwd(t, gain, shift), \
+            partial(oracles.layer_norm_oracle, gain=gain, shift=shift, eps=LAYERNORM_EPS)
 
-    entries.append(_sweep("layer_norm", cases, ln_case, time.perf_counter()))
-
+    sweeps = (
+        ("conv2d", cases, case(conv(conv_params, conv2d_fwd, oracles.conv2d_oracle))),
+        ("conv2d_bwd", cases, case(conv(conv_params, conv2d_fwd, oracles.conv2d_bwd_oracle), conv2d_bwd,
+                                   summed=(1, 2))),
+        ("conv2d_gx_gather", cases, partial(gx_route_case, nn_ops._gx_gather)),
+        ("conv2d_gx_fold", cases, partial(gx_route_case, nn_ops._gx_fold)),
+        ("conv2d_winograd", cases, case(conv(winograd_params, nn_ops._winograd_fwd, oracles.conv2d_oracle))),
+        ("conv2d_winograd_bwd", cases, case(conv(winograd_params, nn_ops._winograd_fwd,
+                                                 oracles.conv2d_bwd_oracle),
+                                            nn_ops._winograd_bwd, summed=(1, 2))),
+        ("attention_pool", cases, case(product(2, oracles.attention_pool_oracle))),
+        ("compatibility", cases, case(compat)),
+        ("reassemble_up", cases, case(reassembly(True, oracles.reassemble_up_oracle))),
+        ("reassemble_down", cases, case(reassembly(False, oracles.reassemble_down_oracle))),
+        ("reassemble_up_bwd", cases, case(reassembly(True, oracles.reassemble_up_bwd_oracle, bwd=True),
+                                          fusion.reassemble_up_bwd)),
+        ("reassemble_down_bwd", cases, case(reassembly(False, oracles.reassemble_down_bwd_oracle, bwd=True),
+                                            fusion.reassemble_down_bwd)),
+        ("pixel_shuffle", cases, case(shuffle)),
+        ("pixel_shuffle_roundtrip", 20, roundtrip_case),
+        ("bilinear_upsample", cases, case(bilinear(partial(oracles.bilinear_upsample_oracle, s=2)))),
+        ("bilinear_upsample_bwd", cases, case(bilinear(
+            lambda xi, gi: oracles.bilinear_upsample_bwd_oracle(xi.shape, gi, 2)), bilinear_upsample_bwd)),
+        ("max_pool2d", cases, case(pool)),
+        ("matmul", cases, case(product(1, oracles.matmul_oracle))),
+        ("softmax", cases, case(soft)),
+        ("layer_norm", cases, case(ln)),
+    )
+    entries = [_sweep(name, n, run) for name, n, run in sweeps]
     return entries, all(e.passed for e in entries)
 
 

@@ -11,7 +11,7 @@ def test_up_kernels_are_tap_distributions(rng):
     p = make_fusion_params(rng, kind="up")
     coarse = rng.standard_normal((8, 3, 4))
     pooled = rng.standard_normal((8, 3, 4))
-    kern, _ = fusion.predict_up_kernels_fwd(coarse, pooled, p)
+    kern, _ = fusion.predict_kernels_fwd(coarse, pooled, p)
     assert kern.shape == (9, 6, 8)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-12)
     assert (kern > 0).all()
@@ -21,7 +21,7 @@ def test_down_kernels_are_tap_distributions(rng):
     p = make_fusion_params(rng, kind="down")
     fine = rng.standard_normal((8, 6, 8))
     ups = rng.standard_normal((8, 6, 8))
-    kern, _ = fusion.predict_down_kernels_fwd(fine, ups, p)
+    kern, _ = fusion.predict_kernels_fwd(fine, ups, p)
     assert kern.shape == (9, 3, 4)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-12)
 
@@ -30,21 +30,21 @@ def test_kernels_are_distributions_in_f32(rng):
     p = make_fusion_params(rng, kind="up")
     coarse = rng.standard_normal((8, 2, 2)).astype(np.float32)
     pooled = rng.standard_normal((8, 2, 2)).astype(np.float32)
-    kern, _ = fusion.predict_up_kernels_fwd(coarse, pooled, p)
+    kern, _ = fusion.predict_kernels_fwd(coarse, pooled, p)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-6)
 
 
 def test_reassemble_up_matches_loop_oracle(rng):
     coarse = rng.standard_normal((3, 2, 3))
-    kern = tc.softmax(rng.standard_normal((9, 4, 6)), axis=0)
-    got = fusion.reassemble_up(coarse, kern, 2)
+    kern = tc.softmax_fwd(rng.standard_normal((9, 4, 6)), axis=0)[0]
+    got = fusion.reassemble_up_fwd(coarse, kern, 2)[0]
     npt.assert_allclose(got, oracles.reassemble_up_oracle(coarse, kern, 2, 3), atol=1e-13)
 
 
 def test_reassemble_down_matches_loop_oracle(rng):
     fine = rng.standard_normal((3, 4, 6))
-    kern = tc.softmax(rng.standard_normal((9, 2, 3)), axis=0)
-    got = fusion.reassemble_down(fine, kern, 2)
+    kern = tc.softmax_fwd(rng.standard_normal((9, 2, 3)), axis=0)[0]
+    got = fusion.reassemble_down_fwd(fine, kern, 2)[0]
     npt.assert_allclose(got, oracles.reassemble_down_oracle(fine, kern, 2, 3), atol=1e-13)
 
 
@@ -77,7 +77,7 @@ def test_reassemble_up_f32_matches_f64_and_caches_no_unfold(rng):
     # at this size the default block cap splits the level into several blocks
     assert fusion._unfold_rows(w, c, k * k, 4) < h
     coarse = rng.standard_normal((c, h, w))
-    kern = tc.softmax(rng.standard_normal((k * k, s * h, s * w)), axis=0)
+    kern = tc.softmax_fwd(rng.standard_normal((k * k, s * h, s * w)), axis=0)[0]
     gout = rng.standard_normal((c, s * h, s * w))
     out64, cache64 = fusion.reassemble_up_fwd(coarse, kern, s)
     gc64, gk64 = fusion.reassemble_up_bwd(cache64, gout)
@@ -97,15 +97,15 @@ def test_reassemble_up_interior_constant_map(rng):
     # normalized kernels average a constant neighborhood back to itself;
     # only border cells see zero padding, so check the interior
     coarse = np.full((2, 4, 5), 1.5)
-    kern = tc.softmax(rng.standard_normal((9, 8, 10)), axis=0)
-    out = fusion.reassemble_up(coarse, kern, 2)
+    kern = tc.softmax_fwd(rng.standard_normal((9, 8, 10)), axis=0)[0]
+    out = fusion.reassemble_up_fwd(coarse, kern, 2)[0]
     npt.assert_allclose(out[:, 2:-2, 2:-2], 1.5, atol=1e-12)
 
 
 def test_reassemble_down_interior_constant_map(rng):
     fine = np.full((2, 8, 10), -0.25)
-    kern = tc.softmax(rng.standard_normal((9, 4, 5)), axis=0)
-    out = fusion.reassemble_down(fine, kern, 2)
+    kern = tc.softmax_fwd(rng.standard_normal((9, 4, 5)), axis=0)[0]
+    out = fusion.reassemble_down_fwd(fine, kern, 2)[0]
     npt.assert_allclose(out[:, 1:-1, 1:-1], -0.25, atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_reassemble_up_center_tap_is_floor_gather(rng):
     coarse = rng.standard_normal((3, 2, 3))
     kern = np.zeros((9, 4, 6))
     kern[4] = 1.0
-    out = fusion.reassemble_up(coarse, kern, 2)
+    out = fusion.reassemble_up_fwd(coarse, kern, 2)[0]
     npt.assert_array_equal(out, np.repeat(np.repeat(coarse, 2, axis=1), 2, axis=2))
 
 
@@ -122,17 +122,17 @@ def test_reassemble_down_center_tap_is_stride_gather(rng):
     fine = rng.standard_normal((3, 4, 6))
     kern = np.zeros((9, 2, 3))
     kern[4] = 1.0
-    out = fusion.reassemble_down(fine, kern, 2)
+    out = fusion.reassemble_down_fwd(fine, kern, 2)[0]
     npt.assert_array_equal(out, fine[:, ::2, ::2])
 
 
 def test_reassemble_rejects_wrong_cover(rng):
     with pytest.raises(ValueError):
-        fusion.reassemble_up(rng.standard_normal((2, 2, 2)), np.ones((9, 3, 3)), 2)
+        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((9, 3, 3)), 2)
     with pytest.raises(ValueError):
-        fusion.reassemble_down(rng.standard_normal((2, 4, 4)), np.ones((9, 3, 3)), 2)
+        fusion.reassemble_down_fwd(rng.standard_normal((2, 4, 4)), np.ones((9, 3, 3)), 2)
     with pytest.raises(ValueError):
-        fusion.reassemble_up(rng.standard_normal((2, 2, 2)), np.ones((8, 4, 4)), 2)
+        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((8, 4, 4)), 2)
 
 
 def test_gate_ranges(rng):
@@ -140,7 +140,7 @@ def test_gate_ranges(rng):
     b = rng.standard_normal((8, 3, 4))
     for act, hi in (("two_sigmoid", 2.0), ("sigmoid", 1.0)):
         p = make_fusion_params(rng, gate_act=act, scale=1.0)
-        g = fusion.channel_gates(a, b, p)
+        g = fusion.channel_gates_fwd(a, b, p)[0]
         assert g.high_gate.shape == (8,) and g.low_gate.shape == (8,)
         assert (g.high_gate > 0).all() and (g.high_gate < hi).all()
         assert (g.low_gate > 0).all() and (g.low_gate < hi).all()
@@ -149,8 +149,8 @@ def test_gate_ranges(rng):
 def test_zeroed_gate_head_is_exactly_neutral(rng):
     # w3 = 0 makes the pre-activation zero; 2σ(0) = 1 exactly
     p = make_fusion_params(rng, zero_gates=True)
-    g = fusion.channel_gates(rng.standard_normal((8, 2, 2)),
-                             rng.standard_normal((8, 2, 2)), p)
+    g = fusion.channel_gates_fwd(rng.standard_normal((8, 2, 2)),
+                                 rng.standard_normal((8, 2, 2)), p)[0]
     assert g.high_gate.tolist() == [1.0] * 8
     assert g.low_gate.tolist() == [1.0] * 8
 
@@ -159,8 +159,8 @@ def test_neutral_gates_reduce_to_plain_addition_bit_exact(rng):
     p = make_fusion_params(rng, zero_gates=True)
     upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    gated = fusion.fuse_topdown(upper, lateral, p, guided=True, gated=True)
-    plain = fusion.fuse_topdown(upper, lateral, p, guided=True, gated=False)
+    gated = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=True)[0]
+    plain = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
     npt.assert_array_equal(gated.data, plain.data)
 
 
@@ -168,8 +168,8 @@ def test_neutral_gates_bottomup_bit_exact(rng):
     p = make_fusion_params(rng, kind="down", zero_gates=True)
     lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    gated = fusion.fuse_bottomup(lower, td, p, guided=True, gated=True)
-    plain = fusion.fuse_bottomup(lower, td, p, guided=True, gated=False)
+    gated = fusion.fuse_fwd(lower, td, p, guided=True, gated=True)[0]
+    plain = fusion.fuse_fwd(lower, td, p, guided=True, gated=False)[0]
     npt.assert_array_equal(gated.data, plain.data)
 
 
@@ -178,36 +178,32 @@ def test_carafe_baseline_is_the_composed_plain_pipeline(rng):
     p = make_fusion_params(rng, guided=False)
     upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    out = fusion.carafe_baseline(upper, lateral, p)
-    kern, _ = fusion.predict_up_kernels_fwd(upper.data, None, p)
-    up = fusion.reassemble_up(upper.data, kern, 2)
-    want = nn_ops.conv2d(p.smooth, up + lateral.data)
+    out = fusion.fuse_fwd(upper, lateral, p, guided=False, gated=False)[0]
+    kern, _ = fusion.predict_kernels_fwd(upper.data, None, p)
+    up = fusion.reassemble_up_fwd(upper.data, kern, 2)[0]
+    want = nn_ops.conv2d_fwd(p.smooth, up + lateral.data)[0]
     npt.assert_array_equal(out.data, want)
-    flagged = fusion.fuse_topdown(upper, lateral, p, guided=False, gated=False)
-    npt.assert_array_equal(out.data, flagged.data)
 
 
 def test_cap_baseline_is_the_composed_plain_pipeline(rng):
     p = make_fusion_params(rng, kind="down", guided=False)
     lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    out = fusion.cap_baseline(lower, td, p)
-    kern, _ = fusion.predict_down_kernels_fwd(lower.data, None, p)
-    down = fusion.reassemble_down(lower.data, kern, 2)
-    want = nn_ops.conv2d(p.smooth, td.data + down)
+    out = fusion.fuse_fwd(lower, td, p, guided=False, gated=False)[0]
+    kern, _ = fusion.predict_kernels_fwd(lower.data, None, p)
+    down = fusion.reassemble_down_fwd(lower.data, kern, 2)[0]
+    want = nn_ops.conv2d_fwd(p.smooth, td.data + down)[0]
     npt.assert_array_equal(out.data, want)
-    flagged = fusion.fuse_bottomup(lower, td, p, guided=False, gated=False)
-    npt.assert_array_equal(out.data, flagged.data)
 
 
 def test_guidance_changes_the_kernels(rng):
     p = make_fusion_params(rng, guided=True)
     upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    guided = fusion.fuse_topdown(upper, lateral, p, guided=True, gated=False)
-    pooled = nn_ops.max_pool2d(lateral.data)
-    kern_a, _ = fusion.predict_up_kernels_fwd(upper.data, pooled, p)
-    kern_b, _ = fusion.predict_up_kernels_fwd(upper.data, np.zeros_like(pooled), p)
+    guided = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
+    pooled = nn_ops.max_pool2d_fwd(lateral.data)[0]
+    kern_a, _ = fusion.predict_kernels_fwd(upper.data, pooled, p)
+    kern_b, _ = fusion.predict_kernels_fwd(upper.data, np.zeros_like(pooled), p)
     assert not np.allclose(kern_a, kern_b)
     assert guided.data.shape == lateral.data.shape
 
@@ -215,11 +211,11 @@ def test_guidance_changes_the_kernels(rng):
 def test_fuse_shape_validation(rng):
     p = make_fusion_params(rng)
     with pytest.raises(ValueError):
-        fusion.fuse_topdown(LevelFeature(3, 8, rng.standard_normal((8, 3, 4))),
-                            LevelFeature(2, 4, rng.standard_normal((8, 5, 8))), p)
+        fusion.fuse_fwd(LevelFeature(3, 8, rng.standard_normal((8, 3, 4))),
+                        LevelFeature(2, 4, rng.standard_normal((8, 5, 8))), p)
     with pytest.raises(ValueError):
-        fusion.fuse_bottomup(LevelFeature(2, 4, rng.standard_normal((8, 5, 8))),
-                             LevelFeature(3, 8, rng.standard_normal((8, 3, 4))), p)
+        fusion.fuse_fwd(LevelFeature(2, 4, rng.standard_normal((8, 5, 8))),
+                        LevelFeature(3, 8, rng.standard_normal((8, 3, 4))), p)
 
 
 def test_fusion_params_validation(rng):
@@ -233,5 +229,5 @@ def test_fuse_levels_and_strides_carry_over(rng):
     p = make_fusion_params(rng)
     upper = LevelFeature(4, 16, rng.standard_normal((8, 2, 2)))
     lateral = LevelFeature(3, 8, rng.standard_normal((8, 4, 4)))
-    out = fusion.fuse_topdown(upper, lateral, p)
+    out = fusion.fuse_fwd(upper, lateral, p)[0]
     assert (out.level, out.stride) == (3, 8)

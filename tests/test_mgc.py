@@ -9,7 +9,7 @@ from a2fpn.levels import LevelFeature
 def test_compatibility_columns_are_distributions(rng):
     q = rng.standard_normal((7, 4)).astype(np.float32)
     k = rng.standard_normal((4, 5)).astype(np.float32)
-    m = mgc.compatibility(q, k, 4)
+    m = mgc.compatibility_fwd(q, k, 4)[0]
     assert m.shape == (5, 7)  # keys × queries
     npt.assert_allclose(m.sum(axis=0), 1.0, atol=1e-6)
 
@@ -17,7 +17,7 @@ def test_compatibility_columns_are_distributions(rng):
 def test_compatibility_matches_oracle(rng):
     q = rng.standard_normal((6, 4))
     k = rng.standard_normal((4, 3))
-    npt.assert_allclose(mgc.compatibility(q, k, 4),
+    npt.assert_allclose(mgc.compatibility_fwd(q, k, 4)[0],
                         oracles.compatibility_oracle(q, k, 4), atol=1e-12)
 
 
@@ -27,22 +27,22 @@ def test_compatibility_invariant_to_key_rescale(rng):
     q = rng.standard_normal((6, 4))
     k = rng.standard_normal((4, 5)) + 0.1
     scales = rng.uniform(0.25, 30.0, size=5)
-    npt.assert_allclose(mgc.compatibility(q, k * scales, 4),
-                        mgc.compatibility(q, k, 4), atol=1e-12)
+    npt.assert_allclose(mgc.compatibility_fwd(q, k * scales, 4)[0],
+                        mgc.compatibility_fwd(q, k, 4)[0], atol=1e-12)
 
 
 def test_compatibility_not_invariant_to_query_rescale(rng):
     # queries are deliberately left unnormalized
     q = rng.standard_normal((6, 4))
     k = rng.standard_normal((4, 5)) + 0.1
-    assert not np.allclose(mgc.compatibility(q * 3.0, k, 4), mgc.compatibility(q, k, 4))
+    assert not np.allclose(mgc.compatibility_fwd(q * 3.0, k, 4)[0], mgc.compatibility_fwd(q, k, 4)[0])
 
 
 def test_compatibility_rejects_dim_mismatch(rng):
     with pytest.raises(ValueError):
-        mgc.compatibility(rng.standard_normal((3, 4)), rng.standard_normal((5, 2)), 4)
+        mgc.compatibility_fwd(rng.standard_normal((3, 4)), rng.standard_normal((5, 2)), 4)
     with pytest.raises(ValueError):
-        mgc.compatibility(rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), 8)
+        mgc.compatibility_fwd(rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), 8)
 
 
 def test_collect_context_shapes(rng):
@@ -93,7 +93,7 @@ def test_gcn_layer_zero_mix_is_identity(rng):
     g = rng.standard_normal((8, 5))
     triplet = mgc.GcnParams(rng.standard_normal((2, 8)), rng.standard_normal((2, 8)),
                             np.zeros((8, 8)))
-    npt.assert_array_equal(mgc.gcn_layer(g, triplet), g)
+    npt.assert_array_equal(mgc.gcn_layer_fwd(g, triplet)[0], g)
 
 
 def test_reason_multilevel_concats_columns(rng):
@@ -101,10 +101,10 @@ def test_reason_multilevel_concats_columns(rng):
                             0.3 * rng.standard_normal((2, 8)),
                             0.3 * rng.standard_normal((8, 8)))
     banks = [rng.standard_normal((8, 3)), rng.standard_normal((8, 5))]
-    fused = mgc.reason_multilevel(banks, triplet)
+    fused = mgc.reason_multilevel_fwd(banks, triplet)[0]
     assert fused.shape == (8, 8)
     with pytest.raises(ValueError):
-        mgc.reason_multilevel([banks[0], rng.standard_normal((4, 2))], triplet)
+        mgc.reason_multilevel_fwd([banks[0], rng.standard_normal((4, 2))], triplet)
 
 
 def _tiny_mgc_params(rng, c=8, collect=(2, 3), distribute=(2, 3, 4)):
@@ -132,7 +132,7 @@ def test_mgc_forward_enriches_every_level(rng):
     feats = [LevelFeature(2, 4, rng.standard_normal((8, 4, 4))),
              LevelFeature(3, 8, rng.standard_normal((8, 2, 2))),
              LevelFeature(4, 16, rng.standard_normal((8, 1, 2)))]
-    outs = mgc.mgc_forward(feats, params)
+    outs = mgc.mgc_forward_fwd(feats, params)[0]
     assert [f.level for f in outs] == [2, 3, 4]
     for before, after in zip(feats, outs):
         assert after.data.shape == before.data.shape
@@ -145,7 +145,7 @@ def test_mgc_forward_zero_out_weight_is_residual_projection(rng):
     params.out_weight = np.zeros_like(params.out_weight)
     feats = [LevelFeature(2, 4, rng.standard_normal((8, 4, 4))),
              LevelFeature(3, 8, rng.standard_normal((8, 2, 2)))]
-    outs = mgc.mgc_forward(feats, params)
+    outs = mgc.mgc_forward_fwd(feats, params)[0]
     for f in feats:
         xi = params.levels[f.level].xi
         want = (xi @ f.data.reshape(8, -1)).reshape(f.data.shape)
@@ -157,7 +157,7 @@ def test_mgc_forward_requires_a_collector(rng):
     params = _tiny_mgc_params(rng, collect=())
     feats = [LevelFeature(2, 4, rng.standard_normal((8, 2, 2)))]
     with pytest.raises(ValueError):
-        mgc.mgc_forward(feats, params)
+        mgc.mgc_forward_fwd(feats, params)
 
 
 def test_mgc_backward_covers_all_param_names(rng):

@@ -11,7 +11,7 @@ def test_conv2d_matches_oracle(rng, stride, pad):
     x = rng.standard_normal((3, 6, 8))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    got = nn_ops.conv2d(ConvParams(w, b, stride=stride, padding=pad), x)
+    got = nn_ops.conv2d_fwd(ConvParams(w, b, stride=stride, padding=pad), x)[0]
     want = oracles.conv2d_oracle(w, b, x, stride, pad)
     npt.assert_allclose(got, want, atol=1e-12)
 
@@ -19,7 +19,7 @@ def test_conv2d_matches_oracle(rng, stride, pad):
 def test_conv2d_identity_kernel(rng):
     x = rng.standard_normal((3, 5, 5))
     w = np.eye(3).reshape(3, 3, 1, 1)
-    npt.assert_allclose(nn_ops.conv2d(ConvParams(w, np.zeros(3)), x), x, atol=1e-15)
+    npt.assert_allclose(nn_ops.conv2d_fwd(ConvParams(w, np.zeros(3)), x)[0], x, atol=1e-15)
 
 
 def test_conv2d_bwd_bias_is_spatial_sum(rng):
@@ -192,7 +192,7 @@ def test_conv2d_1x1_backward_matches_oracle(rng, pad):
 
 def test_max_pool_matches_oracle(rng):
     x = rng.standard_normal((3, 6, 8))
-    npt.assert_array_equal(nn_ops.max_pool2d(x), oracles.max_pool2d_oracle(x))
+    npt.assert_array_equal(nn_ops.max_pool2d_fwd(x)[0], oracles.max_pool2d_oracle(x))
 
 
 def test_max_pool_routes_gradient_to_argmax():
@@ -215,13 +215,13 @@ def test_max_pool_ties_and_nan_windows_follow_argmax():
 
 def test_bilinear_matches_oracle(rng):
     x = rng.standard_normal((2, 3, 5))
-    npt.assert_allclose(nn_ops.bilinear_upsample(x, 2),
+    npt.assert_allclose(nn_ops.bilinear_upsample_fwd(x, 2)[0],
                         oracles.bilinear_upsample_oracle(x, 2), atol=1e-12)
 
 
 def test_bilinear_preserves_constants():
     x = np.full((2, 3, 4), 0.7)
-    npt.assert_allclose(nn_ops.bilinear_upsample(x, 2), np.full((2, 6, 8), 0.7), atol=1e-12)
+    npt.assert_allclose(nn_ops.bilinear_upsample_fwd(x, 2)[0], np.full((2, 6, 8), 0.7), atol=1e-12)
 
 
 def test_nearest_upsample_replicates(rng):
@@ -233,12 +233,12 @@ def test_nearest_upsample_replicates(rng):
 
 def test_pixel_shuffle_matches_oracle(rng):
     x = rng.standard_normal((8, 3, 4))
-    npt.assert_array_equal(nn_ops.pixel_shuffle(x, 2), oracles.pixel_shuffle_oracle(x, 2))
+    npt.assert_array_equal(nn_ops.pixel_shuffle_fwd(x, 2)[0], oracles.pixel_shuffle_oracle(x, 2))
 
 
 def test_pixel_shuffle_roundtrip(rng):
     x = rng.standard_normal((12, 2, 5))
-    npt.assert_array_equal(nn_ops.pixel_unshuffle(nn_ops.pixel_shuffle(x, 2), 2), x)
+    npt.assert_array_equal(nn_ops.pixel_unshuffle(nn_ops.pixel_shuffle_fwd(x, 2)[0], 2), x)
 
 
 def test_concat_channels_splits_backward(rng):
@@ -255,7 +255,7 @@ def test_concat_channels_splits_backward(rng):
 def test_conv2d_rejects_bad_input_rank(rng):
     p = ConvParams(rng.standard_normal((2, 2, 1, 1)), np.zeros(2))
     with pytest.raises(ValueError):
-        nn_ops.conv2d(p, rng.standard_normal((2, 4)))
+        nn_ops.conv2d_fwd(p, rng.standard_normal((2, 4)))
 
 
 @pytest.mark.parametrize("shape,stride,n,winograd", [

@@ -157,18 +157,18 @@ def test_fpn_matches_straight_line_composition(rng):
     levels = small_levels(rng)
     outs = pyramid.forward_pyramid(levels, store, cfg)
 
-    lat = {f.level: nn_ops.conv2d(ConvParams(store[f"fpn.lateral.l{f.level}.weight"],
-                                             store[f"fpn.lateral.l{f.level}.bias"]), f.data)
+    lat = {f.level: nn_ops.conv2d_fwd(ConvParams(store[f"fpn.lateral.l{f.level}.weight"],
+                                                 store[f"fpn.lateral.l{f.level}.bias"]), f.data)[0]
            for f in levels}
     merged = {5: lat[5]}
     for lvl in (4, 3, 2):
         merged[lvl] = lat[lvl] + nn_ops.nearest_upsample(merged[lvl + 1], 2)
     for i, lvl in enumerate((2, 3, 4, 5)):
-        want = nn_ops.conv2d(ConvParams(store[f"fpn.smooth.l{lvl}.weight"],
-                                        store[f"fpn.smooth.l{lvl}.bias"], padding=1),
-                             merged[lvl])
+        want = nn_ops.conv2d_fwd(ConvParams(store[f"fpn.smooth.l{lvl}.weight"],
+                                            store[f"fpn.smooth.l{lvl}.bias"], padding=1),
+                                 merged[lvl])[0]
         npt.assert_array_equal(outs[i].data, want)
-    npt.assert_array_equal(outs[4].data, nn_ops.max_pool2d(outs[3].data))
+    npt.assert_array_equal(outs[4].data, nn_ops.max_pool2d_fwd(outs[3].data)[0])
 
 
 def test_pafpn_shares_the_fpn_finest_level(rng):
@@ -195,7 +195,7 @@ def test_a2fpn_lite_pools_its_top_level(rng):
     store = pyramid.init_params(cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
     assert "extra" not in cache and "pool_top" in cache
-    npt.assert_array_equal(outs[4].data, nn_ops.max_pool2d(outs[3].data))
+    npt.assert_array_equal(outs[4].data, nn_ops.max_pool2d_fwd(outs[3].data)[0])
 
 
 def test_forward_is_deterministic(rng):

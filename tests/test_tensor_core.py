@@ -1,5 +1,6 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from a2fpn import oracles, tensor_core as tc
 
@@ -7,7 +8,12 @@ from a2fpn import oracles, tensor_core as tc
 def test_matmul_matches_numpy(rng):
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((7, 3))
-    npt.assert_array_equal(tc.matmul(a, b), a @ b)
+    npt.assert_array_equal(tc.matmul_fwd(a, b)[0], a @ b)
+
+
+def test_matmul_rejects_inner_mismatch(rng):
+    with pytest.raises(ValueError, match="inner extents"):
+        tc.matmul_fwd(rng.standard_normal((3, 4)), rng.standard_normal((5, 2)))
 
 
 def test_matmul_bwd_shapes(rng):
@@ -21,45 +27,52 @@ def test_matmul_bwd_shapes(rng):
 def test_softmax_rows_are_distributions(rng):
     t = rng.standard_normal((6, 9))
     for axis in (0, 1):
-        y = tc.softmax(t, axis)
+        y = tc.softmax_fwd(t, axis)[0]
         npt.assert_allclose(y.sum(axis=axis), 1.0, atol=1e-12)
         assert (y > 0).all()
 
 
 def test_softmax_matches_oracle(rng):
     v = rng.standard_normal(11)
-    npt.assert_allclose(tc.softmax(v, 0), oracles.softmax_oracle(v), atol=1e-15)
+    npt.assert_allclose(tc.softmax_fwd(v, 0)[0], oracles.softmax_oracle(v), atol=1e-15)
 
 
 def test_softmax_is_shift_stable():
     v = np.array([1e4, 1e4 + 1.0, 1e4 - 2.0])
-    y = tc.softmax(v, 0)
+    y = tc.softmax_fwd(v, 0)[0]
     assert np.isfinite(y).all()
     npt.assert_allclose(y.sum(), 1.0, atol=1e-12)
 
 
 def test_l2_normalize_columns_unit_norm(rng):
     t = rng.standard_normal((4, 6)) + 0.1
-    y = tc.l2_normalize(t, axis=0)
+    y = tc.l2_normalize_fwd(t, axis=0)[0]
     npt.assert_allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
 
 
 def test_l2_normalize_scale_invariant(rng):
     t = rng.standard_normal((4, 6)) + 0.1
     scales = rng.uniform(0.5, 20.0, size=6)
-    base = tc.l2_normalize(t, axis=0)
-    scaled = tc.l2_normalize(t * scales, axis=0)
+    base = tc.l2_normalize_fwd(t, axis=0)[0]
+    scaled = tc.l2_normalize_fwd(t * scales, axis=0)[0]
     npt.assert_allclose(scaled, base, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-12])
+def test_l2_normalize_rejects_nonpositive_eps(eps):
+    # a zero slice would divide 0 by max(0, eps) and come out NaN
+    with pytest.raises(ValueError, match="eps must be positive"):
+        tc.l2_normalize_fwd(np.zeros((3, 2)), 0, eps=eps)
 
 
 def test_two_sigmoid_is_double_sigmoid(rng):
     t = rng.standard_normal((3, 4))
-    npt.assert_allclose(tc.two_sigmoid(t), 2.0 * tc.sigmoid(t), atol=1e-15)
+    npt.assert_allclose(tc.two_sigmoid_fwd(t)[0], 2.0 * tc.sigmoid_fwd(t)[0], atol=1e-15)
 
 
 def test_two_sigmoid_neutral_at_zero():
     # σ(0) = 0.5 exactly, so the doubled gate is exactly one
-    assert tc.two_sigmoid(np.zeros(5)).tolist() == [1.0] * 5
+    assert tc.two_sigmoid_fwd(np.zeros(5))[0].tolist() == [1.0] * 5
 
 
 def test_relu_masks_backward(rng):
@@ -72,7 +85,7 @@ def test_relu_masks_backward(rng):
 
 def test_layer_norm_standardizes_rows(rng):
     t = rng.standard_normal((5, 8)) * 3.0 + 2.0
-    y = tc.layer_norm(t, np.ones(8), np.zeros(8))
+    y = tc.layer_norm_fwd(t, np.ones(8), np.zeros(8))[0]
     npt.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
     npt.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
@@ -81,13 +94,13 @@ def test_layer_norm_matches_oracle(rng):
     v = rng.standard_normal(9)
     gain = rng.standard_normal(9)
     shift = rng.standard_normal(9)
-    got = tc.layer_norm(v, gain, shift)
+    got = tc.layer_norm_fwd(v, gain, shift)[0]
     want = oracles.layer_norm_oracle(v, gain, shift, tc.LAYERNORM_EPS)
     npt.assert_allclose(got, want, atol=1e-13)
 
 
 def test_f32_passes_stay_f32(rng):
     t = rng.standard_normal((4, 6)).astype(np.float32)
-    assert tc.softmax(t, 0).dtype == np.float32
-    assert tc.l2_normalize(t, axis=0).dtype == np.float32
-    assert tc.relu(t).dtype == np.float32
+    assert tc.softmax_fwd(t, 0)[0].dtype == np.float32
+    assert tc.l2_normalize_fwd(t, axis=0)[0].dtype == np.float32
+    assert tc.relu_fwd(t)[0].dtype == np.float32

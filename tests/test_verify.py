@@ -31,8 +31,30 @@ def test_finite_diff_matches_quadratic(rng):
     np.testing.assert_allclose(g, 2 * x + a, atol=1e-8)
 
 
+GRADCHECK_NAMES = (
+    "matmul", "softmax", "l2_normalize", "sigmoid", "two_sigmoid", "relu", "layer_norm",
+    "conv2d", "conv2d_stride2", "conv2d_1x1", "conv2d_winograd", "conv2d_n2",
+    "conv2d_stride2_n2", "conv2d_winograd_n2", "conv2d_gather_n2", "conv2d_stride2_gather_n2",
+    "max_pool2d", "bilinear_upsample", "pixel_shuffle", "concat_channels",
+    "compatibility", "collect_context", "orthogonal_reg", "gcn_layer", "reason_multilevel",
+    "distribute_context", "mgc_forward", "mgc_forward_n2",
+    "predict_up_kernels", "predict_down_kernels", "reassemble_up", "reassemble_down",
+    "channel_gates", "reassemble_up_n2", "reassemble_down_n2", "channel_gates_n2",
+    "fuse_topdown", "fuse_bottomup", "carafe_baseline", "cap_baseline",
+    "toy_backbone", "make_extra_level", "a2fpn_full", "a2fpn_lite", "a2fpn_full_n2",
+)
+ORACLE_NAMES = (
+    "conv2d", "conv2d_bwd", "conv2d_gx_gather", "conv2d_gx_fold",
+    "conv2d_winograd", "conv2d_winograd_bwd", "attention_pool", "compatibility",
+    "reassemble_up", "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
+    "pixel_shuffle", "pixel_shuffle_roundtrip", "bilinear_upsample", "bilinear_upsample_bwd",
+    "max_pool2d", "matmul", "softmax", "layer_norm",
+)
+
+
 def test_registry_names_are_well_formed():
-    assert len(REGISTRY) >= 30
+    # every check, by name and in report order: a dropped or renamed check fails here
+    assert tuple(REGISTRY) == GRADCHECK_NAMES
     for name, (builder, tol, cap) in REGISTRY.items():
         assert callable(builder)
         assert tol in (PRIMITIVE_TOL, COMPOSITE_TOL)
@@ -77,16 +99,12 @@ def test_gradcheck_report_is_serializable(tmp_path):
 def test_oracle_suite_runs_fifty_cases_each():
     entries, ok = oracle_suite(seed=3, cases=50)
     assert ok
-    by_name = {e.op: e for e in entries}
-    core = {"conv2d", "conv2d_bwd", "conv2d_gx_gather", "conv2d_gx_fold",
-            "conv2d_winograd", "conv2d_winograd_bwd",
-            "attention_pool", "compatibility", "reassemble_up",
-            "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
-            "pixel_shuffle", "bilinear_upsample", "bilinear_upsample_bwd"}
-    assert core <= set(by_name)
-    for name in core:
-        assert by_name[name].cases >= 50
-        assert by_name[name].max_abs_err <= ORACLE_TOL
+    # every sweep, by name and in run order: a dropped or renamed sweep fails here
+    assert tuple(e.op for e in entries) == ORACLE_NAMES
+    for e in entries:
+        # the round trip is a fixed 20 cases, whatever ``cases`` asks
+        assert e.cases == (20 if e.op == "pixel_shuffle_roundtrip" else 50)
+        assert e.max_abs_err <= ORACLE_TOL
 
 
 def test_oracle_report_saved(tmp_path):
