@@ -44,7 +44,7 @@ lateral = LevelFeature(2, 4, rng.standard_normal((c, 8, 12)))
 # one; every output position gets its own k*k tap distribution
 p_up = site("up")
 pooled, _ = max_pool2d_fwd(lateral.data)
-kernels, _ = fusion.predict_kernels_fwd(upper.data, pooled, p_up)
+kernels, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p_up)
 print("upsampling kernels:", kernels.shape)   # taps x out_h x out_w
 print("tap sums (should all be 1):", kernels.sum(axis=0).round(12).min(),
       kernels.sum(axis=0).round(12).max())
@@ -67,7 +67,7 @@ print("fused level:", fused.level, "stride", fused.stride, "shape", fused.data.s
 # reassemble, add, smooth
 p_plain = site("up", guided=False)
 a, _ = fusion.fuse_fwd(upper, lateral, p_plain, guided=False, gated=False)
-kern_plain, _ = fusion.predict_kernels_fwd(upper.data, None, p_plain)
+kern_plain, _ = fusion.predict_kernels_fwd(upper.data, p_plain)
 b, _ = conv2d_fwd(p_plain.smooth, fusion.reassemble_up_fwd(upper.data, kern_plain, 2)[0] + lateral.data)
 print("switched-off site equals the plain pipeline:", np.array_equal(a.data, b))
 

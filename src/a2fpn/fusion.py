@@ -59,6 +59,11 @@ GATE_ACTS = ("two_sigmoid", "sigmoid")
 # L2-sized, so the gather and its GEMM stay in cache, and the op's transient
 # memory stays bounded at any level size.
 _UNFOLD_BLOCK_BYTES = 2 << 20
+# Size cap on one channel block of reassemble_down's output: the block, its
+# product buffer and the plane slices a tap reads stay in L2 across the k²
+# taps.  Measured with one BLAS thread in f32 at c=256, 256 KB was as fast as
+# any cap from 64 KB to 1 MB at outputs of 32², 64² and 128².
+_DOWN_BLOCK_BYTES = 256 << 10
 
 
 @dataclass
@@ -110,18 +115,15 @@ def _tap_count(k2):
 # kernel prediction
 # ---------------------------------------------------------------------------
 
-def predict_kernels_fwd(src, guide, p):
-    """[src, guide] -> compress -> encode -> predict logits -> softmax over
-    the k² tap axis.  guide None drops the guidance.
+def predict_kernels_fwd(x, p):
+    """x -> compress -> encode -> predict logits -> softmax over the k² tap axis.
 
-    A stride-1 predictor (upsampling) emits s²k² logits per source pixel,
+    x is the site's reader input: the source, or the concatenation
+    [source, guidance] that fuse_fwd builds once for both readers.  A
+    stride-1 predictor (upsampling) emits s²k² logits per source pixel,
     which pixel shuffle onto the s× grid; a stride-s one (downsampling)
     emits k² logits on the 1/s grid directly.
     """
-    if guide is not None:
-        x, c_cat = concat_channels_fwd(src, guide)
-    else:
-        x, c_cat = src, None
     z1, c1 = conv2d_fwd(p.compressor, x)
     z2, c2 = conv2d_fwd(p.encoder, z1)
     z3, c3 = relu_fwd(z2)
@@ -130,12 +132,12 @@ def predict_kernels_fwd(src, guide, p):
     if p.predictor.stride == 1:
         logits, c5 = pixel_shuffle_fwd(logits, p.s)
     kern, c6 = softmax_fwd(logits, axis=-3)
-    return kern, (c_cat, c1, c2, c3, c4, c5, c6)
+    return kern, (c1, c2, c3, c4, c5, c6)
 
 
 def predict_kernels_bwd(cache, gkern):
-    """(gsrc, gguide, param grads); gguide is None without guidance."""
-    c_cat, c1, c2, c3, c4, c5, c6 = cache
+    """(gx, param grads): gx is the gradient of the whole reader input."""
+    c1, c2, c3, c4, c5, c6 = cache
     g4 = softmax_bwd(c6, gkern)
     if c5 is not None:
         g4 = pixel_shuffle_bwd(c5, g4)
@@ -143,10 +145,6 @@ def predict_kernels_bwd(cache, gkern):
     g2 = relu_bwd(c3, g3)
     g1, gw_e, gb_e = conv2d_bwd(c2, g2)
     gx, gw_c, gb_c = conv2d_bwd(c1, g1)
-    if c_cat is not None:
-        gsrc, gguide = concat_channels_bwd(c_cat, gx)
-    else:
-        gsrc, gguide = gx, None
     pg = {
         "kpred.compressor.weight": gw_c,
         "kpred.compressor.bias": gb_c,
@@ -155,7 +153,7 @@ def predict_kernels_bwd(cache, gkern):
         "kpred.predictor.weight": gw_p,
         "kpred.predictor.bias": gb_p,
     }
-    return gsrc, gguide, pg
+    return gx, pg
 
 
 # ---------------------------------------------------------------------------
@@ -266,36 +264,91 @@ def reassemble_up_bwd(cache, gout):
     return (gc, gkern) if len(shape) == 4 else (gc[0], gkern[0])
 
 
-def reassemble_down_fwd(fine, kernels, s=2):
-    """out(x, y) = kernel(x, y) · k×k zero-padded window of fine(s·x, s·y)."""
+def _plane_span(ph, n, r, s):
+    """Where the phase-ph plane of an axis of n values zero-padded by r
+    meets the input: (first input index, first plane index, count, plane length)."""
+    i0 = (ph - r) % s
+    return i0, (i0 + r - ph) // s, len(range(i0, n, s)), len(range(ph, n + 2 * r, s))
+
+
+def _phase_planes(fine, r, s):
+    """The s² phase planes fp[..., py::s, px::s] of fine zero-padded by r,
+    each contiguous, in row-major phase order; fp itself is never built."""
     sh, sw = fine.shape[-2:]
+    planes = []
+    for py in range(s):
+        iy, ay, ny, ly = _plane_span(py, sh, r, s)
+        for px in range(s):
+            ix, ax, nx, lx = _plane_span(px, sw, r, s)
+            plane = np.zeros(fine.shape[:-2] + (ly, lx), dtype=fine.dtype)
+            plane[..., ay : ay + ny, ax : ax + nx] = fine[..., iy::s, ix::s]
+            planes.append(plane)
+    return planes
+
+
+def _tap_view(planes, dy, dx, s, h, w):
+    """fp[..., dy : dy + s·h : s, dx : dx + s·w : s], a unit-stride slice of one phase plane."""
+    plane = planes[(dy % s) * s + dx % s]
+    return plane[..., dy // s : dy // s + h, dx // s : dx // s + w]
+
+
+def reassemble_down_fwd(fine, kernels, s=2):
+    """out(x, y) = kernel(x, y) · k×k zero-padded window of fine(s·x, s·y).
+
+    The padded fine map fp is split once into its s² phase planes (CAP-style
+    pooling reads only every s-th pixel per tap), so tap (dy, dx) reads a
+    unit-stride slice of plane (dy mod s, dx mod s) offset by
+    (dy // s, dx // s).  The output is built in blocks of channels sized by
+    _DOWN_BLOCK_BYTES; within a block the k² products go through one
+    preallocated buffer and add into the output in tap order, so every
+    output value sums the same products in the same order as a single pass.
+    The cache holds the planes.
+    """
     k = _tap_count(kernels.shape[-3])
     h, w = kernels.shape[-2:]
-    _check_cover(fine, kernels, (sh, sw) == (s * h, s * w), f"/{s}")
+    _check_cover(fine, kernels, fine.shape[-2:] == (s * h, s * w), f"/{s}")
     r = (k - 1) // 2
-    fp = np.pad(fine, ((0, 0),) * (fine.ndim - 2) + ((r, r), (r, r)))
+    planes = _phase_planes(fine, r, s)
     out = np.zeros(fine.shape[:-2] + (h, w), dtype=fine.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            win = fp[..., dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s]
-            out += kernels[..., dy * k + dx, None, :, :] * win
-    return out, (fine.shape, kernels, fp, s, k, r)
+    c = out.shape[-3]
+    cb = max(1, _DOWN_BLOCK_BYTES // max(1, out[..., :1, :, :].nbytes))  # channels per block
+    prod = np.empty(out.shape[:-3] + (min(cb, c), h, w), dtype=np.result_type(kernels, fine))
+    for c0 in range(0, c, cb):
+        block = out[..., c0 : c0 + cb, :, :]
+        pb = prod[..., : block.shape[-3], :, :]
+        for t in range(k * k):
+            dy, dx = divmod(t, k)
+            win = _tap_view(planes, dy, dx, s, h, w)[..., c0 : c0 + cb, :, :]
+            np.multiply(kernels[..., t, None, :, :], win, out=pb)
+            block += pb
+    return out, (fine.shape, kernels, planes, s, k, r)
 
 
 def reassemble_down_bwd(cache, gout):
-    shape, kernels, fp, s, k, r = cache
+    """Adjoint of reassemble_down_fwd, tap by tap over the cached phase planes.
+
+    gK for tap t is gout · (its plane slice), summed over channels; the
+    fine-map gradient accumulates into one buffer per phase plane, in tap
+    order, and the planes are interleaved back into the fine grid once.
+    """
+    shape, kernels, planes, s, k, r = cache
     sh, sw = shape[-2:]
     h, w = gout.shape[-2:]
     gkern = np.empty_like(kernels)
-    gfp = np.zeros_like(fp)
-    for dy in range(k):
-        for dx in range(k):
-            t = dy * k + dx
-            win = fp[..., dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s]
-            gkern[..., t, :, :] = (gout * win).sum(axis=-3)
-            gfp[..., dy : dy + s * (h - 1) + 1 : s, dx : dx + s * (w - 1) + 1 : s] += \
-                kernels[..., t, None, :, :] * gout
-    return gfp[..., r : r + sh, r : r + sw], gkern
+    gplanes = [np.zeros_like(plane) for plane in planes]
+    prod = np.empty(gout.shape, dtype=np.result_type(gout, kernels, planes[0]))
+    for t in range(k * k):
+        dy, dx = divmod(t, k)
+        np.multiply(gout, _tap_view(planes, dy, dx, s, h, w), out=prod)
+        np.sum(prod, axis=-3, out=gkern[..., t, :, :])
+        np.multiply(kernels[..., t, None, :, :], gout, out=prod)
+        _tap_view(gplanes, dy, dx, s, h, w)[...] += prod
+    gfine = np.empty(shape, dtype=gplanes[0].dtype)
+    for t, gplane in enumerate(gplanes):
+        iy, ay, ny, _ = _plane_span(t // s, sh, r, s)
+        ix, ax, nx, _ = _plane_span(t % s, sw, r, s)
+        gfine[..., iy::s, ix::s] = gplane[..., ay : ay + ny, ax : ax + nx]
+    return gfine, gkern
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +365,14 @@ def _outer_sum(a, b):
     return sum_batch(a[..., :, None] * b[..., None, :], 2)
 
 
-def channel_gates_fwd(a, b, p):
-    """Attention-pool the concat [a, b] into a descriptor, squeeze and gate.
+def channel_gates_fwd(x, p):
+    """Attention-pool the reader input x into a descriptor, squeeze and gate.
 
+    x is the source, or [source, guidance] as predict_kernels_fwd reads it.
     Returns gates of length 2·c (per image) split as (high_gate, low_gate),
     where c is the channel width of the fused pyramid features.
     """
-    if b is not None:
-        src, c_cat = concat_channels_fwd(a, b)
-    else:
-        src, c_cat = a, None
-    m = src.reshape(src.shape[:-2] + (-1,))
+    m = x.reshape(x.shape[:-2] + (-1,))
     logits = (p.gate_w1 @ m)[..., 0, :]
     attn, c_soft = softmax_fwd(logits, axis=-1)
     z = _mv(m, attn)
@@ -336,12 +386,13 @@ def channel_gates_fwd(a, b, p):
         g, c_act = sigmoid_fwd(pre)
     c = g.shape[-1] // 2
     gates = ChannelGates(high_gate=g[..., :c], low_gate=g[..., c:])
-    cache = (c_cat, src.shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
+    cache = (x.shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
     return gates, cache
 
 
 def channel_gates_bwd(cache, ghigh, glow):
-    c_cat, src_shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
+    """(gx, param grads) of channel_gates_fwd."""
+    x_shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
     gg = np.concatenate([ghigh, glow], axis=-1)
     if p.gate_act == "two_sigmoid":
         gpre = two_sigmoid_bwd(c_act, gg)
@@ -358,11 +409,6 @@ def channel_gates_bwd(cache, ghigh, glow):
     glogits = softmax_bwd(c_soft, gattn)
     gw1 = sum_batch(glogits[..., None, :] @ m.swapaxes(-1, -2), 2)
     gm = gm + p.gate_w1.T @ glogits[..., None, :]
-    gsrc = gm.reshape(src_shape)
-    if c_cat is not None:
-        ga, gb = concat_channels_bwd(c_cat, gsrc)
-    else:
-        ga, gb = gsrc, None
     pg = {
         "gate.w1.weight": gw1,
         "gate.w2.weight": gw2,
@@ -370,7 +416,7 @@ def channel_gates_bwd(cache, ghigh, glow):
         "gate.ln.gain": ggain,
         "gate.ln.shift": gshift,
     }
-    return ga, gb, pg
+    return gm.reshape(x_shape), pg
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +427,14 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
     """Merge src into the adjacent level dst; returns (fused dst level, cache).
 
     src above dst (src.level > dst.level) fuses top-down: dst is max-pooled
-    onto src's grid as the guidance and src is upsampled by reassemble_up.
-    src below dst fuses bottom-up: dst is upsampled bilinearly as the
-    guidance and src is pooled by reassemble_down.  Either way the kernel
-    predictor and the channel gates read [src, guidance], the high gate
-    scales the coarser summand and the low gate the finer, and the sum is
-    smoothed by the anti-alias conv.  guided False drops the guidance from
-    both readers; gated False adds the two summands ungated.
+    s×s onto src's grid as the guidance and src is upsampled by
+    reassemble_up.  src below dst fuses bottom-up: dst is upsampled
+    bilinearly as the guidance and src is pooled by reassemble_down.  Either
+    way [src, guidance] is concatenated once and read by both the kernel
+    predictor and the channel gates; the high gate scales the coarser
+    summand and the low gate the finer, the gated sum is built in place,
+    and it is smoothed by the anti-alias conv.  guided False drops the
+    guidance from both readers; gated False adds the two summands ungated.
     """
     up = src.level > dst.level
     coarse, fine = (src, dst) if up else (dst, src)
@@ -395,30 +442,36 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
     if fine.data.shape != coarse.data.shape[:-2] + (p.s * h, p.s * w):
         raise ValueError(f"level {fine.level} {fine.data.shape} is not ×{p.s} of "
                          f"level {coarse.level} {coarse.data.shape}")
-    guide = c_guide = None
+    x, c_guide, c_cat = src.data, None, None
     if guided:
-        if up:
-            guide, c_guide = max_pool2d_fwd(dst.data)
-        else:
-            guide, c_guide = bilinear_upsample_fwd(dst.data, p.s)
-    kern, c_kern = predict_kernels_fwd(src.data, guide, p)
+        resample_fwd = max_pool2d_fwd if up else bilinear_upsample_fwd
+        guide, c_guide = resample_fwd(dst.data, p.s)
+        x, c_cat = concat_channels_fwd(src.data, guide)
+    kern, c_kern = predict_kernels_fwd(x, p)
     reassemble_fwd = reassemble_up_fwd if up else reassemble_down_fwd
     re, c_re = reassemble_fwd(src.data, kern, p.s)
     if gated:
-        gates, c_gate = channel_gates_fwd(src.data, guide, p)
+        gates, c_gate = channel_gates_fwd(x, p)
         hi, lo = gates.high_gate[..., None, None], gates.low_gate[..., None, None]
-        pre = hi * re + lo * dst.data if up else hi * dst.data + lo * re
+        coarser, finer = (re, dst.data) if up else (dst.data, re)
+        pre = hi * coarser
+        pre += lo * finer
     else:
         gates, c_gate = None, None
         pre = re + dst.data
     out, c_sm = conv2d_fwd(p.smooth, pre)
     feat = LevelFeature(dst.level, dst.stride, out)
-    return feat, (up, dst.data, re, gates, c_guide, c_kern, c_re, c_gate, c_sm)
+    return feat, (up, dst.data, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm)
+
+
+def _split(c_cat, gx):
+    """(gsrc, gguide) of a reader-input gradient; gguide is None without guidance."""
+    return concat_channels_bwd(c_cat, gx) if c_cat is not None else (gx, None)
 
 
 def fuse_bwd(cache, gout):
     """(gsrc, gdst, param grads) of fuse_fwd."""
-    up, dst, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
+    up, dst, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm = cache
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gates is not None:
@@ -427,18 +480,20 @@ def fuse_bwd(cache, gout):
         coarse, fine = (re, dst) if up else (dst, re)
         ghigh = (gpre * coarse).sum(axis=(-2, -1))
         glow = (gpre * fine).sum(axis=(-2, -1))
-        gsrc_g, gguide_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
+        gx_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
+        gsrc_g, gguide_g = _split(c_cat, gx_g)
         pg.update(gate_pg)
     else:
         gre, gdst = gpre, gpre.copy()
         gsrc_g, gguide_g = 0, None
     reassemble_bwd = reassemble_up_bwd if up else reassemble_down_bwd
     gsrc_r, gkern = reassemble_bwd(c_re, gre)
-    gsrc_k, gguide, kpred_pg = predict_kernels_bwd(c_kern, gkern)
+    gx_k, kpred_pg = predict_kernels_bwd(c_kern, gkern)
+    gsrc_k, gguide = _split(c_cat, gx_k)
     pg.update(kpred_pg)
     if gguide is not None:
         if gguide_g is not None:
             gguide = gguide_g + gguide
         resample_bwd = max_pool2d_bwd if up else bilinear_upsample_bwd
-        gdst = gdst + resample_bwd(c_guide, gguide)
+        gdst += resample_bwd(c_guide, gguide)
     return gsrc_r + gsrc_k + gsrc_g, gdst, pg

@@ -38,6 +38,11 @@ conv's per-image shape alone:
 Every conv caches its padded input, not its column matrix: the backward
 builds the columns again, so a batch's forward caches stay about the size
 of its feature maps.
+
+The s×s max pool likewise caches references, to its input and its output,
+not a window index: the forward is s² - 1 np.maximum passes over phase
+views, and the backward, which alone needs the index, finds it by
+comparing each phase with the output.
 """
 
 from __future__ import annotations
@@ -452,38 +457,51 @@ def conv2d_bwd(cache, gy, need_gx=True):
 
 
 # ---------------------------------------------------------------------------
-# 2×2 max pooling, stride 2
+# s×s max pooling, stride s
 # ---------------------------------------------------------------------------
 
-def max_pool2d_fwd(x):
-    """2×2 max and its window index (row-major), from the four phase views.
+def max_pool2d_fwd(x, s=2):
+    """s×s max pool with stride s, the running np.maximum of the s² phase views.
 
-    x is (c, h, w) or (n, c, h, w).  y is np.maximum over the phase views
-    x[..., i::2, j::2].  arg (uint8, cached for the backward) matches
-    np.argmax over each window: the first of tied values wins, and so does
-    the first NaN, which the equality tests miss and a NaN-only pass sets.
-    (Where a window holds both 0.0 and -0.0, y may carry the other zero.)
+    x is (c, h, w) or (n, c, h, w) with extents divisible by s ≥ 2; y folds
+    x[..., i::s, j::s] in row-major phase order.  No window index is built:
+    the cache is (x, y, s), references to the input and the output, and
+    max_pool2d_bwd finds the index from them.
     """
-    if x.ndim not in (3, 4) or x.shape[-2] % 2 or x.shape[-1] % 2:
-        raise ValueError(f"max_pool2d needs a (c, h, w) or (n, c, h, w) input with even extents, "
-                         f"got {x.shape}")
-    phases = [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    y = np.maximum(np.maximum(phases[0], phases[1]), np.maximum(phases[2], phases[3]))
-    arg = np.full(y.shape, 3, dtype=np.uint8)
-    for t in (2, 1, 0):  # later writes win, so the first equal phase is kept
-        np.copyto(arg, t, where=phases[t] == y)
-    nan = np.isnan(y)
-    if nan.any():
-        for t in (3, 2, 1, 0):
-            np.copyto(arg, t, where=nan & np.isnan(phases[t]))
-    return y, (x.shape, arg)
+    if s < 2 or x.ndim not in (3, 4) or x.shape[-2] % s or x.shape[-1] % s:
+        raise ValueError(f"max_pool2d needs s ≥ 2 and a (c, h, w) or (n, c, h, w) input with "
+                         f"extents divisible by s, got s={s} and {x.shape}")
+    y = np.maximum(x[..., 0::s, 0::s], x[..., 0::s, 1::s])
+    for t in range(2, s * s):
+        np.maximum(y, x[..., t // s :: s, t % s :: s], out=y)
+    return y, (x, y, s)
 
 
 def max_pool2d_bwd(cache, gy):
-    shape, arg = cache
-    gwin = np.zeros(arg.shape + (4,), dtype=gy.dtype)
-    np.put_along_axis(gwin, arg[..., None], gy[..., None], axis=-1)
-    return gwin.reshape(arg.shape + (2, 2)).swapaxes(-3, -2).reshape(shape)
+    """Routes each window's gradient to the phase np.argmax over the window picks.
+
+    Phases are visited in row-major window order; a window is claimed by the
+    first phase equal to its max or, in a NaN window, by the first NaN, which
+    the equality misses.  (Where a window holds both 0.0 and -0.0, y may
+    carry the other zero; either compares equal.)
+    """
+    x, y, s = cache
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    open_ = np.ones(y.shape, dtype=bool)  # windows not yet claimed
+    nan = np.isnan(y)
+    nan = nan if nan.any() else None
+    for t in range(s * s):
+        ph = x[..., t // s :: s, t % s :: s]
+        if t < s * s - 1:  # the last phase takes every window left open
+            hit = ph == y
+            if nan is not None:
+                hit |= nan & np.isnan(ph)
+            hit &= open_
+            open_ ^= hit
+        else:
+            hit = open_
+        np.copyto(gx[..., t // s :: s, t % s :: s], gy, where=hit)
+    return gx
 
 
 # ---------------------------------------------------------------------------

@@ -96,16 +96,16 @@ def conv2d_bwd_oracle(w, b, x, gy, stride, pad):
     return gx, gw, gb
 
 
-def max_pool2d_oracle(x):
+def max_pool2d_oracle(x, s=2):
     c, h, w = x.shape
-    out = np.zeros((c, h // 2, w // 2), dtype=np.float64)
+    out = np.zeros((c, h // s, w // s), dtype=np.float64)
     for ci in range(c):
-        for oy in range(h // 2):
-            for ox in range(w // 2):
+        for oy in range(h // s):
+            for ox in range(w // s):
                 best = -math.inf
-                for dy in range(2):
-                    for dx in range(2):
-                        best = max(best, float(x[ci, 2 * oy + dy, 2 * ox + dx]))
+                for dy in range(s):
+                    for dx in range(s):
+                        best = max(best, float(x[ci, s * oy + dy, s * ox + dx]))
                 out[ci, oy, ox] = best
     return out
 

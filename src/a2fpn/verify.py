@@ -227,28 +227,9 @@ def _op_builder(fwd, bwd, draw, **kw):
 
 
 def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_bwd):
-    def build(rng):
-        x = rng.standard_normal(x_shape)
-        w = rng.standard_normal(w_shape)
-        b = rng.standard_normal(w_shape[0])
-        p = ConvParams(w, b, stride=stride, padding=padding)
-        r_holder = {}
-
-        def loss():
-            y, _ = fwd(p, x)
-            if "r" not in r_holder:
-                r_holder["r"] = np.random.default_rng(7).standard_normal(y.shape)
-            return float(np.sum(y * r_holder["r"]))
-
-        def grads():
-            _, cache = fwd(p, x)
-            loss()  # materialize the projection
-            gx, gw, gb = bwd(cache, r_holder["r"])
-            return {"x": gx, "w": gw, "b": gb}
-
-        return {"x": x, "w": w, "b": b}, loss, grads
-
-    return build
+    """Check of one conv: x, its kernel w and bias b, under a projection drawn after them."""
+    return _op_builder(lambda x, w, b: fwd(ConvParams(w, b, stride=stride, padding=padding), x), bwd,
+                       _normal(x=x_shape, w=w_shape, b=w_shape[0]))
 
 
 def _build_orthogonal_reg(rng):
@@ -369,7 +350,7 @@ def _build_mgc_forward(rng, lead=()):
     return arrays, loss, grads
 
 
-def _tiny_fusion_params(rng, kind, guided=True):
+def _tiny_fusion_params(rng, kind, guided=True, s=2):
     # draws are damped so the tap softmax and the sigmoid gates stay in
     # their smooth regime; saturated units have ~zero true gradient and
     # finite differences then measure only roundoff.  c=8 keeps the gate
@@ -377,7 +358,7 @@ def _tiny_fusion_params(rng, kind, guided=True):
     # vector at +-1 and zero out every upstream gradient.
     c, c_m, k = 8, 3, 3
     src = 2 * c if guided else c
-    logits = 4 * k * k if kind == "up" else k * k
+    logits = s * s * k * k if kind == "up" else k * k
     arrays = {
         "kpred.compressor.weight": 0.3 * rng.standard_normal((c_m, src, 1, 1)),
         "kpred.compressor.bias": 0.3 * rng.standard_normal(c_m),
@@ -399,7 +380,7 @@ def _tiny_fusion_params(rng, kind, guided=True):
         predictor=ConvParams(
             arrays["kpred.predictor.weight"],
             arrays["kpred.predictor.bias"],
-            stride=1 if kind == "up" else 2,
+            stride=1 if kind == "up" else s,
         ),
         gate_w1=arrays["gate.w1.weight"],
         gate_w2=arrays["gate.w2.weight"],
@@ -408,7 +389,7 @@ def _tiny_fusion_params(rng, kind, guided=True):
         ln_shift=arrays["gate.ln.shift"],
         smooth=ConvParams(arrays["smooth.weight"], arrays["smooth.bias"], padding=1),
         k=k,
-        s=2,
+        s=s,
     )
     return p, arrays
 
@@ -420,16 +401,20 @@ def _predictor_builder(kind, src, guide, hw):
         p, p_arrays = _tiny_fusion_params(rng, kind)
         arrays = {src: rng.standard_normal((8,) + hw), guide: rng.standard_normal((8,) + hw)}
         arrays.update({k: v for k, v in p_arrays.items() if k.startswith("kpred.")})
-        r = rng.standard_normal(fusion.predict_kernels_fwd(arrays[src], arrays[guide], p)[0].shape)
+
+        def fwd():
+            x, c_cat = concat_channels_fwd(arrays[src], arrays[guide])
+            return fusion.predict_kernels_fwd(x, p) + (c_cat,)
+
+        r = rng.standard_normal(fwd()[0].shape)
 
         def loss():
-            y, _ = fusion.predict_kernels_fwd(arrays[src], arrays[guide], p)
-            return float(np.sum(y * r))
+            return float(np.sum(fwd()[0] * r))
 
         def grads():
-            _, cache = fusion.predict_kernels_fwd(arrays[src], arrays[guide], p)
-            gsrc, gguide, pg = fusion.predict_kernels_bwd(cache, r)
-            return {src: gsrc, guide: gguide, **pg}
+            _, cache, c_cat = fwd()
+            gx, pg = fusion.predict_kernels_bwd(cache, r)
+            return dict(zip((src, guide), concat_channels_bwd(c_cat, gx)), **pg)
 
         return arrays, loss, grads
 
@@ -445,26 +430,30 @@ def _build_channel_gates(rng, lead=()):
     arrays = {"a": a, "b": b}
     arrays.update({k: v for k, v in p_arrays.items() if k.startswith("gate.")})
 
+    def fwd():
+        x, c_cat = concat_channels_fwd(a, b)
+        return fusion.channel_gates_fwd(x, p) + (c_cat,)
+
     def loss():
-        g, _ = fusion.channel_gates_fwd(a, b, p)
+        g = fwd()[0]
         return float(np.sum(g.high_gate * rh) + np.sum(g.low_gate * rl))
 
     def grads():
-        _, cache = fusion.channel_gates_fwd(a, b, p)
-        ga, gb, pg = fusion.channel_gates_bwd(cache, rh, rl)
-        return {"a": ga, "b": gb, **pg}
+        _, cache, c_cat = fwd()
+        gx, pg = fusion.channel_gates_bwd(cache, rh, rl)
+        return dict(zip(("a", "b"), concat_channels_bwd(c_cat, gx)), **pg)
 
     return arrays, loss, grads
 
 
-def _fuse_builder(direction, guided):
+def _fuse_builder(direction, guided, s=2):
     """Check of fuse_fwd/bwd between a level-3 "coarse" and a level-2 "fine"
-    feature: coarse into fine for direction "td", fine into coarse for "bu"."""
+    feature s× finer: coarse into fine for direction "td", fine into coarse for "bu"."""
     def build(rng):
         kind = "up" if direction == "td" else "down"
-        p, p_arrays = _tiny_fusion_params(rng, kind, guided=guided)
+        p, p_arrays = _tiny_fusion_params(rng, kind, guided=guided, s=s)
         coarse = LevelFeature(3, 8, rng.standard_normal((8, 2, 3)))
-        fine = LevelFeature(2, 4, rng.standard_normal((8, 4, 6)))
+        fine = LevelFeature(2, 4, rng.standard_normal((8, 2 * s, 3 * s)))
         arrays = {"coarse": coarse.data, "fine": fine.data}
         arrays.update(p_arrays)
         if not guided:  # gates off too: the plain-reassembly baselines
@@ -660,6 +649,8 @@ REGISTRY = {
     "fuse_bottomup": (_fuse_builder("bu", True), COMPOSITE_TOL, 24),
     "carafe_baseline": (_fuse_builder("td", False), COMPOSITE_TOL, 24),
     "cap_baseline": (_fuse_builder("bu", False), COMPOSITE_TOL, 24),
+    # s = 3: a 3×3 max-pool guidance and an 81-logit predictor
+    "fuse_topdown_s3": (_fuse_builder("td", True, s=3), COMPOSITE_TOL, 24),
     "toy_backbone": (_build_toy_backbone, COMPOSITE_TOL, 32),
     "make_extra_level": (_build_make_extra_level, COMPOSITE_TOL, 0),
     "a2fpn_full": (_net_builder("a2fpn"), COMPOSITE_TOL, 3),
@@ -860,9 +851,10 @@ def oracle_suite(seed=0, cases=50):
         return draw
 
     def pool(lead):
-        c = int(rng.integers(1, 4))
-        h, w = 2 * rng.integers(1, 5, 2)
-        return (rng.standard_normal(lead + (c, h, w)),), max_pool2d_fwd, oracles.max_pool2d_oracle
+        c, s = int(rng.integers(1, 4)), int(rng.choice([2, 3]))
+        h, w = s * rng.integers(1, 5, 2)
+        return (rng.standard_normal(lead + (c, h, w)),), partial(max_pool2d_fwd, s=s), \
+            partial(oracles.max_pool2d_oracle, s=s)
 
     def soft(lead):
         n = int(rng.integers(2, 8))

@@ -63,7 +63,7 @@ def test_criterion_3_invariants():
     p32 = make_fusion_params(rng, kind="up")
     coarse32 = rng.standard_normal((8, 3, 4)).astype(np.float32)
     pooled32 = rng.standard_normal((8, 3, 4)).astype(np.float32)
-    kern, _ = fusion.predict_kernels_fwd(coarse32, pooled32, p32)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse32, pooled32]), p32)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-6)
 
     # positive per-key rescaling cannot move the map (f64)
@@ -184,7 +184,7 @@ def test_criterion_7_baselines_and_gate_variants():
     upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     base_up = fusion.fuse_fwd(upper, lateral, p_up, guided=False, gated=False)[0]
-    kern_up, _ = fusion.predict_kernels_fwd(upper.data, None, p_up)
+    kern_up, _ = fusion.predict_kernels_fwd(upper.data, p_up)
     composed_up = nn_ops.conv2d_fwd(
         p_up.smooth, fusion.reassemble_up_fwd(upper.data, kern_up, 2)[0] + lateral.data)[0]
     assert np.array_equal(base_up.data, composed_up)
@@ -193,7 +193,7 @@ def test_criterion_7_baselines_and_gate_variants():
     lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     base_dn = fusion.fuse_fwd(lower, td, p_dn, guided=False, gated=False)[0]
-    kern_dn, _ = fusion.predict_kernels_fwd(lower.data, None, p_dn)
+    kern_dn, _ = fusion.predict_kernels_fwd(lower.data, p_dn)
     composed_dn = nn_ops.conv2d_fwd(
         p_dn.smooth, td.data + fusion.reassemble_down_fwd(lower.data, kern_dn, 2)[0])[0]
     assert np.array_equal(base_dn.data, composed_dn)

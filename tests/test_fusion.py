@@ -11,7 +11,7 @@ def test_up_kernels_are_tap_distributions(rng):
     p = make_fusion_params(rng, kind="up")
     coarse = rng.standard_normal((8, 3, 4))
     pooled = rng.standard_normal((8, 3, 4))
-    kern, _ = fusion.predict_kernels_fwd(coarse, pooled, p)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), p)
     assert kern.shape == (9, 6, 8)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-12)
     assert (kern > 0).all()
@@ -21,7 +21,7 @@ def test_down_kernels_are_tap_distributions(rng):
     p = make_fusion_params(rng, kind="down")
     fine = rng.standard_normal((8, 6, 8))
     ups = rng.standard_normal((8, 6, 8))
-    kern, _ = fusion.predict_kernels_fwd(fine, ups, p)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([fine, ups]), p)
     assert kern.shape == (9, 3, 4)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-12)
 
@@ -30,7 +30,7 @@ def test_kernels_are_distributions_in_f32(rng):
     p = make_fusion_params(rng, kind="up")
     coarse = rng.standard_normal((8, 2, 2)).astype(np.float32)
     pooled = rng.standard_normal((8, 2, 2)).astype(np.float32)
-    kern, _ = fusion.predict_kernels_fwd(coarse, pooled, p)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), p)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-6)
 
 
@@ -71,6 +71,44 @@ def test_reassemble_up_row_blocks_match_loop_oracles(monkeypatch, c, h, w, k, s)
     npt.assert_allclose(gc, want_gc, rtol=0, atol=1e-12)
     npt.assert_allclose(gk, want_gk, rtol=0, atol=1e-12)
 
+
+
+@pytest.mark.parametrize("k,s", [
+    (3, 3),  # padded extents 3·h + 2 and 3·w + 2: phase planes of unequal length
+    (5, 3),
+    (5, 2),  # taps reach plane offsets dy // s up to 2
+])
+@pytest.mark.parametrize("n", [1, 3])
+def test_reassemble_down_phase_planes_match_loop_oracles(monkeypatch, k, s, n):
+    rng = np.random.default_rng([k, s, n])
+    c, h, w = 3, 3, 4
+    # one channel per output block, so the forward crosses blocks
+    monkeypatch.setattr(fusion, "_DOWN_BLOCK_BYTES", n * h * w * 8)
+    fine = rng.standard_normal((n, c, s * h, s * w))
+    kern = rng.standard_normal((n, k * k, h, w))
+    gout = rng.standard_normal((n, c, h, w))
+    out, cache = fusion.reassemble_down_fwd(fine, kern, s)
+    gf, gk = fusion.reassemble_down_bwd(cache, gout)
+    for i in range(n):
+        npt.assert_allclose(out[i], oracles.reassemble_down_oracle(fine[i], kern[i], s, k), rtol=0, atol=1e-12)
+        want_gf, want_gk = oracles.reassemble_down_bwd_oracle(fine[i], kern[i], gout[i], s, k)
+        npt.assert_allclose(gf[i], want_gf, rtol=0, atol=1e-12)
+        npt.assert_allclose(gk[i], want_gk, rtol=0, atol=1e-12)
+
+
+def test_reassemble_down_f32_equals_the_strided_view_formula(monkeypatch, rng):
+    # the phase planes and channel blocks reorder memory, not arithmetic:
+    # same products, same tap order
+    s, k, r, h, w = 2, 5, 2, 6, 5
+    monkeypatch.setattr(fusion, "_DOWN_BLOCK_BYTES", 3 * 2 * h * w * 4)  # blocks of 3, 3, 2 channels
+    fine = rng.standard_normal((2, 8, s * h, s * w)).astype(np.float32)
+    kern = tc.softmax_fwd(rng.standard_normal((2, k * k, h, w)), axis=1)[0].astype(np.float32)
+    fp = np.pad(fine, ((0, 0), (0, 0), (r, r), (r, r)))
+    want = np.zeros((2, 8, h, w), dtype=np.float32)
+    for dy in range(k):
+        for dx in range(k):
+            want += kern[:, dy * k + dx, None] * fp[..., dy : dy + s * h : s, dx : dx + s * w : s]
+    npt.assert_array_equal(fusion.reassemble_down_fwd(fine, kern, s)[0], want)
 
 def test_reassemble_up_f32_matches_f64_and_caches_no_unfold(rng):
     c, h, w, k, s = 64, 16, 24, 5, 2
@@ -140,7 +178,7 @@ def test_gate_ranges(rng):
     b = rng.standard_normal((8, 3, 4))
     for act, hi in (("two_sigmoid", 2.0), ("sigmoid", 1.0)):
         p = make_fusion_params(rng, gate_act=act, scale=1.0)
-        g = fusion.channel_gates_fwd(a, b, p)[0]
+        g = fusion.channel_gates_fwd(np.concatenate([a, b]), p)[0]
         assert g.high_gate.shape == (8,) and g.low_gate.shape == (8,)
         assert (g.high_gate > 0).all() and (g.high_gate < hi).all()
         assert (g.low_gate > 0).all() and (g.low_gate < hi).all()
@@ -149,8 +187,7 @@ def test_gate_ranges(rng):
 def test_zeroed_gate_head_is_exactly_neutral(rng):
     # w3 = 0 makes the pre-activation zero; 2σ(0) = 1 exactly
     p = make_fusion_params(rng, zero_gates=True)
-    g = fusion.channel_gates_fwd(rng.standard_normal((8, 2, 2)),
-                                 rng.standard_normal((8, 2, 2)), p)[0]
+    g = fusion.channel_gates_fwd(rng.standard_normal((16, 2, 2)), p)[0]
     assert g.high_gate.tolist() == [1.0] * 8
     assert g.low_gate.tolist() == [1.0] * 8
 
@@ -179,7 +216,7 @@ def test_carafe_baseline_is_the_composed_plain_pipeline(rng):
     upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     out = fusion.fuse_fwd(upper, lateral, p, guided=False, gated=False)[0]
-    kern, _ = fusion.predict_kernels_fwd(upper.data, None, p)
+    kern, _ = fusion.predict_kernels_fwd(upper.data, p)
     up = fusion.reassemble_up_fwd(upper.data, kern, 2)[0]
     want = nn_ops.conv2d_fwd(p.smooth, up + lateral.data)[0]
     npt.assert_array_equal(out.data, want)
@@ -190,7 +227,7 @@ def test_cap_baseline_is_the_composed_plain_pipeline(rng):
     lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
     out = fusion.fuse_fwd(lower, td, p, guided=False, gated=False)[0]
-    kern, _ = fusion.predict_kernels_fwd(lower.data, None, p)
+    kern, _ = fusion.predict_kernels_fwd(lower.data, p)
     down = fusion.reassemble_down_fwd(lower.data, kern, 2)[0]
     want = nn_ops.conv2d_fwd(p.smooth, td.data + down)[0]
     npt.assert_array_equal(out.data, want)
@@ -202,8 +239,8 @@ def test_guidance_changes_the_kernels(rng):
     lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
     guided = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
     pooled = nn_ops.max_pool2d_fwd(lateral.data)[0]
-    kern_a, _ = fusion.predict_kernels_fwd(upper.data, pooled, p)
-    kern_b, _ = fusion.predict_kernels_fwd(upper.data, np.zeros_like(pooled), p)
+    kern_a, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)
+    kern_b, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, np.zeros_like(pooled)]), p)
     assert not np.allclose(kern_a, kern_b)
     assert guided.data.shape == lateral.data.shape
 
@@ -231,3 +268,35 @@ def test_fuse_levels_and_strides_carry_over(rng):
     lateral = LevelFeature(3, 8, rng.standard_normal((8, 4, 4)))
     out = fusion.fuse_fwd(upper, lateral, p)[0]
     assert (out.level, out.stride) == (3, 8)
+
+
+@pytest.mark.parametrize("kind", ["up", "down"])
+def test_guided_site_concatenates_once(monkeypatch, rng, kind):
+    # the kernel predictor and the gates read the same [src, guide] array
+    calls = []
+    concat = fusion.concat_channels_fwd
+    monkeypatch.setattr(fusion, "concat_channels_fwd", lambda a, b: calls.append(1) or concat(a, b))
+    p = make_fusion_params(rng, kind=kind)
+    coarse = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
+    fine = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
+    fusion.fuse_fwd(src, dst, p)
+    assert len(calls) == 1
+
+
+def test_guided_topdown_site_with_s3(rng):
+    # a 3×3 max-pool guidance lands on the source grid; 3² · 3² = 81 logits
+    p = make_fusion_params(rng, s=3)
+    assert p.predictor.weight.shape[0] == 81
+    upper = LevelFeature(3, 8, rng.standard_normal((8, 2, 3)))
+    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 9)))
+    out, cache = fusion.fuse_fwd(upper, lateral, p)
+    pooled = oracles.max_pool2d_oracle(lateral.data, 3)
+    kern = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)[0]
+    assert kern.shape == (9, 6, 9)
+    gates = fusion.channel_gates_fwd(np.concatenate([upper.data, pooled]), p)[0]
+    up = fusion.reassemble_up_fwd(upper.data, kern, 3)[0]
+    pre = gates.high_gate[:, None, None] * up + gates.low_gate[:, None, None] * lateral.data
+    npt.assert_allclose(out.data, nn_ops.conv2d_fwd(p.smooth, pre)[0], rtol=0, atol=1e-12)
+    gsrc, gdst, _ = fusion.fuse_bwd(cache, rng.standard_normal(out.data.shape))
+    assert gsrc.shape == upper.data.shape and gdst.shape == lateral.data.shape

@@ -213,6 +213,35 @@ def test_max_pool_ties_and_nan_windows_follow_argmax():
                                          [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]]))
 
 
+
+def test_max_pool_caches_no_array_of_its_own(rng):
+    x = rng.standard_normal((2, 3, 6, 8)).astype(np.float32)
+    y, cache = nn_ops.max_pool2d_fwd(x)
+    arrays = [a for a in cache if isinstance(a, np.ndarray)]
+    assert arrays and all(np.shares_memory(a, x) or np.shares_memory(a, y) for a in arrays)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_max_pool_windows_follow_np_max_and_argmax(rng, s):
+    # few distinct values and some NaNs: ties and NaN windows are common
+    x = rng.integers(0, 3, (2, 3, 2 * s, 3 * s)).astype(np.float64)
+    x[rng.random(x.shape) < 0.1] = np.nan
+    y, cache = nn_ops.max_pool2d_fwd(x, s)
+    win = x.reshape(2, 3, 2, s, 3, s).swapaxes(3, 4).reshape(2, 3, 2, 3, s * s)
+    npt.assert_array_equal(y, np.max(win, axis=-1))
+    gy = rng.standard_normal(y.shape)
+    gwin = np.zeros(win.shape)
+    np.put_along_axis(gwin, np.argmax(win, axis=-1)[..., None], gy[..., None], axis=-1)
+    want = gwin.reshape(2, 3, 2, 3, s, s).swapaxes(3, 4).reshape(x.shape)
+    npt.assert_array_equal(nn_ops.max_pool2d_bwd(cache, gy), want)
+
+
+def test_max_pool_s3_matches_oracle_and_rejects_partial_windows(rng):
+    x = rng.standard_normal((2, 6, 9))
+    npt.assert_array_equal(nn_ops.max_pool2d_fwd(x, 3)[0], oracles.max_pool2d_oracle(x, 3))
+    with pytest.raises(ValueError):
+        nn_ops.max_pool2d_fwd(rng.standard_normal((2, 6, 8)), 3)
+
 def test_bilinear_matches_oracle(rng):
     x = rng.standard_normal((2, 3, 5))
     npt.assert_allclose(nn_ops.bilinear_upsample_fwd(x, 2)[0],

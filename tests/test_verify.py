@@ -40,7 +40,7 @@ GRADCHECK_NAMES = (
     "distribute_context", "mgc_forward", "mgc_forward_n2",
     "predict_up_kernels", "predict_down_kernels", "reassemble_up", "reassemble_down",
     "channel_gates", "reassemble_up_n2", "reassemble_down_n2", "channel_gates_n2",
-    "fuse_topdown", "fuse_bottomup", "carafe_baseline", "cap_baseline",
+    "fuse_topdown", "fuse_bottomup", "carafe_baseline", "cap_baseline", "fuse_topdown_s3",
     "toy_backbone", "make_extra_level", "a2fpn_full", "a2fpn_lite", "a2fpn_full_n2",
 )
 ORACLE_NAMES = (
@@ -141,3 +141,16 @@ def test_directional_probe_detects_a_corrupted_gradient():
         worst, _ = verify._probe(arrays, loss, grads, verify.DEFAULT_EPS,
                                  np.random.default_rng(0), cap, verify.DIRECTIONAL[op])
         assert worst > 10 * tol, key
+
+
+def test_conv_gradcheck_projection_follows_the_seed():
+    # with the drawn arrays made equal, the two seeds' losses differ only by
+    # their projections r, which must come from each check's own draw
+    names = [op for op in REGISTRY if op.startswith("conv2d")]
+    assert len(names) == 9
+    for op in names:
+        builder = REGISTRY[op][0]
+        (a0, loss0, _), (a1, loss1, _) = (builder(verify._op_rng(op, seed)) for seed in (0, 1))
+        for key in a0:
+            a1[key][...] = a0[key]
+        assert loss0() != loss1(), op
