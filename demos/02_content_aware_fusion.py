@@ -8,33 +8,28 @@ import numpy as np
 from a2fpn import fusion
 from a2fpn.fusion import FusionParams
 from a2fpn.levels import LevelFeature
-from a2fpn.nn_ops import ConvParams, conv2d_fwd, max_pool2d_fwd
+from a2fpn.nn_ops import conv2d_fwd, max_pool2d_fwd
 
 rng = np.random.default_rng(11)
 c, c_m, k = 8, 4, 3
 
 
 def site(kind, guided=True, zero_gates=False, scale=0.3):
+    """A small fusion site, read from a store of dotted names as the necks read theirs."""
     src = 2 * c if guided else c
     logits = 4 * k * k if kind == "up" else k * k
     w3 = np.zeros((2 * c, c // 2)) if zero_gates else scale * rng.standard_normal((2 * c, c // 2))
-    return FusionParams(
-        compressor=ConvParams(scale * rng.standard_normal((c_m, src, 1, 1)),
-                              scale * rng.standard_normal(c_m)),
-        encoder=ConvParams(scale * rng.standard_normal((c_m, c_m, 3, 3)),
-                           scale * rng.standard_normal(c_m), padding=1),
-        predictor=ConvParams(scale * rng.standard_normal((logits, c_m, 1, 1)),
-                             scale * rng.standard_normal(logits),
-                             stride=1 if kind == "up" else 2),
-        gate_w1=scale * rng.standard_normal((1, src)),
-        gate_w2=scale * rng.standard_normal((c // 2, src)),
-        gate_w3=w3,
-        ln_gain=np.ones(c // 2),
-        ln_shift=np.zeros(c // 2),
-        smooth=ConvParams(scale * rng.standard_normal((c, c, 3, 3)),
-                          scale * rng.standard_normal(c), padding=1),
-        k=k,
-    )
+    shapes = {
+        "kpred.compressor.weight": (c_m, src, 1, 1), "kpred.compressor.bias": (c_m,),
+        "kpred.encoder.weight": (c_m, c_m, 3, 3), "kpred.encoder.bias": (c_m,),
+        "kpred.predictor.weight": (logits, c_m, 1, 1), "kpred.predictor.bias": (logits,),
+        "gate.w1.weight": (1, src), "gate.w2.weight": (c // 2, src),
+        "smooth.weight": (c, c, 3, 3), "smooth.bias": (c,),
+    }
+    store = {name: scale * rng.standard_normal(shape) for name, shape in shapes.items()}
+    store.update({"gate.w3.weight": w3, "gate.ln.gain": np.ones(c // 2),
+                  "gate.ln.shift": np.zeros(c // 2)})
+    return FusionParams.from_store(store, "", k, kind == "up")
 
 
 upper = LevelFeature(3, 8, rng.standard_normal((c, 4, 6)))

@@ -154,11 +154,12 @@ def _a2fpn_lines(inv, spec, cfg):
     def width(lvl):
         return c if lvl == 6 else spec.channels_of(lvl)
 
-    if not cfg.drop_extra_level:
+    if not cfg.lite:
         inv.conv("extra.f6", spec.channels_of(5), c, 3, hw[6])
 
-    n_total = sum(cfg.n_context(l) for l in cfg.collect_levels)
-    for lvl in cfg.collect_levels:
+    # levels 2-5 collect context; the extra level 6 only receives it
+    n_total = sum(cfg.n_context(l) for l in (2, 3, 4, 5))
+    for lvl in (2, 3, 4, 5):
         ci, ni = width(lvl), cfg.n_context(lvl)
         inv.elem(f"mgc.l{lvl}.collect.keynorm", 3 * ci * hw[lvl])
         inv.conv(f"mgc.l{lvl}.psi", ci, ni, 1, hw[lvl], bias=False)
@@ -178,7 +179,7 @@ def _a2fpn_lines(inv, spec, cfg):
         inv.matmul(f"mgc.l{lvl}.dist.apply", c, n_total, hw[lvl])
         inv.elem(f"mgc.l{lvl}.dist.residual", c * hw[lvl])
 
-    src = 2 * c if cfg.use_concat_guidance else c
+    src = 2 * c  # kernels and gates read [source, guidance]
     for lvl in range(top - 1, 1, -1):
         q, o = hw[lvl + 1], hw[lvl]
         site = f"td.l{lvl}"
@@ -190,7 +191,7 @@ def _a2fpn_lines(inv, spec, cfg):
         inv.elem(f"{site}.merge", 3 * c * o)
         inv.conv(f"{site}.smooth", c, c, 3, o)
 
-    if not cfg.drop_finest_smooth:
+    if not cfg.lite:
         inv.conv("bu.l2.smooth", c, c, 3, hw[2])
     for lvl in range(3, top + 1):
         f, o = hw[lvl - 1], hw[lvl]
@@ -202,15 +203,8 @@ def _a2fpn_lines(inv, spec, cfg):
         _gate_lines(inv, f"{site}.gate", c, src, f)
         inv.elem(f"{site}.merge", 3 * c * o)
         inv.conv(f"{site}.smooth", c, c, 3, o)
-    if cfg.pool_top:
+    if cfg.lite:
         inv.elem("bu.pool_top", 3 * c * hw[6])
-
-
-def _effective_cfg(arch, cfg):
-    if arch == cfg.arch or arch == "none":
-        return cfg
-    return replace(cfg, arch=arch, drop_extra_level=None, pool_top=None,
-                   drop_finest_smooth=None)
 
 
 def _build_report(arch, spec, cfg, image_size):
@@ -218,7 +212,7 @@ def _build_report(arch, spec, cfg, image_size):
         raise ValueError(f"unknown arch {arch!r}, have {COUNT_ARCHS}")
     inv = _Inventory(_level_sizes(image_size))
     if arch != "none":
-        cfg = _effective_cfg(arch, cfg)
+        cfg = replace(cfg, arch=arch)
         spec = resolve_backbone(spec if spec is not None else cfg.backbone)
         if arch == "fpn":
             _fpn_lines(inv, spec, cfg)

@@ -23,6 +23,7 @@ from .pyramid import (
     PyramidConfig,
     forward_pyramid,
     init_params,
+    resolve_backbone,
     toy_backbone_fwd,
 )
 from .tensor_io import TensorFormatError, load_tensor, save_params, save_tensor
@@ -52,22 +53,35 @@ class RunReport:
         return path
 
 
+def _extents(text, order):
+    """'AxB' read in ``order`` ("HxW" or "WxH") as (h, w), both positive
+    multiples of 64; anything else is a usage error."""
+    try:
+        a, b = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {order}, got {text!r}")
+    h, w = (a, b) if order == "HxW" else (b, a)
+    if min(h, w) < 1 or h % 64 or w % 64:
+        raise argparse.ArgumentTypeError(f"extents in {text!r} must be positive multiples of 64")
+    return h, w
+
+
 def _parse_hw(text):
     """'256x256' as height x width."""
-    try:
-        h, w = (int(v) for v in text.lower().split("x"))
-        return h, w
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected HxW, got {text!r}")
+    return _extents(text, "HxW")
 
 
 def _parse_wh(text):
     """'1280x832' as width x height (the table convention); stored (h, w)."""
+    return _extents(text, "WxH")
+
+
+def _parse_backbone(text):
+    """A preset name or four comma-separated stage widths."""
     try:
-        w, h = (int(v) for v in text.lower().split("x"))
-        return h, w
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
+        return resolve_backbone(tuple(int(v) for v in text.split(",")) if "," in text else text)
+    except ValueError as exc:  # ConfigError included
+        raise argparse.ArgumentTypeError(f"bad backbone spec {text!r}: {exc}")
 
 
 def _load_config(path, default=None):
@@ -124,9 +138,7 @@ def cmd_oracles(args):
 def cmd_forward(args):
     cfg = _load_config(args.config)
     if args.arch:
-        cfg = PyramidConfig.from_dict({**cfg.to_dict(), "arch": args.arch,
-                                       "drop_extra_level": None, "pool_top": None,
-                                       "drop_finest_smooth": None})
+        cfg = PyramidConfig.from_dict({**cfg.to_dict(), "arch": args.arch})
     if args.seed is not None:
         cfg = PyramidConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     t0 = time.perf_counter()
@@ -135,6 +147,9 @@ def cmd_forward(args):
         if image.ndim != 3 or image.shape[0] != 3:
             raise ValueError(f"input tensor must be 3×H×W, got {image.shape}")
         image = image.astype(cfg.np_dtype)
+        if not np.isfinite(image).all():
+            raise ValueError(f"input tensor {args.input} holds non-finite values "
+                             f"(as {cfg.dtype})")
     else:
         h, w = args.random if args.random else cfg.image_size
         rng = np.random.default_rng([cfg.seed, 0x1A])
@@ -143,6 +158,10 @@ def cmd_forward(args):
     store = init_params(cfg, with_backbone=True)
     levels, _ = toy_backbone_fwd(image, store)
     outs = forward_pyramid(levels, store, cfg)
+    for f in outs:
+        if not np.isfinite(f.data).all():
+            raise FloatingPointError(f"non-finite values in output p{f.level}; "
+                                     f"no tensors written")
 
     out = _ensure_out(args) or "."
     os.makedirs(out, exist_ok=True)
@@ -166,13 +185,10 @@ def cmd_forward(args):
 
 def cmd_count(args):
     cfg = _load_config(args.config, default=None)
-    spec = args.backbone_spec
-    if spec and "," in spec:
-        spec = tuple(int(v) for v in spec.split(","))
 
     def report_for(arch):
         c = cfg if cfg is not None else analysis.reference_config(arch)
-        return analysis.count_flops(arch, spec, args.image_size, c)
+        return analysis.count_flops(arch, args.backbone_spec, args.image_size, c)
 
     main_report = report_for(args.arch)
     reports = [main_report]
@@ -257,7 +273,7 @@ def build_parser():
     c = sub.add_parser("count", help="analytic parameter/FLOP table")
     c.add_argument("--arch", choices=analysis.COUNT_ARCHS, default="a2fpn")
     c.add_argument("--image-size", type=_parse_wh, default=(832, 1280), metavar="WxH")
-    c.add_argument("--backbone-spec", default=None,
+    c.add_argument("--backbone-spec", type=_parse_backbone, default=None,
                    help="toy, nominal, or four comma-separated widths")
     c.add_argument("--diff", choices=analysis.COUNT_ARCHS, default=None)
     c.add_argument("--config")

@@ -97,6 +97,30 @@ class FusionParams:
         if self.gate_act not in GATE_ACTS:
             raise ValueError(f"gate_act must be one of {GATE_ACTS}")
 
+    @classmethod
+    def from_store(cls, store, prefix, k, up, s=2, gate_act="two_sigmoid"):
+        """The site stored under ``{prefix}.kpred.*``, ``{prefix}.gate.*`` and
+        ``{prefix}.smooth.*`` (the bare names when prefix is empty).  An
+        upsampling site (up) predicts at stride 1, a downsampling one at
+        stride s."""
+        def name(key):
+            return f"{prefix}.{key}" if prefix else key
+
+        return cls(
+            compressor=ConvParams.from_store(store, name("kpred.compressor")),
+            encoder=ConvParams.from_store(store, name("kpred.encoder")),
+            predictor=ConvParams.from_store(store, name("kpred.predictor"), stride=1 if up else s),
+            gate_w1=store[name("gate.w1.weight")],
+            gate_w2=store[name("gate.w2.weight")],
+            gate_w3=store[name("gate.w3.weight")],
+            ln_gain=store[name("gate.ln.gain")],
+            ln_shift=store[name("gate.ln.shift")],
+            smooth=ConvParams.from_store(store, name("smooth")),
+            k=k,
+            s=s,
+            gate_act=gate_act,
+        )
+
 
 @dataclass
 class ChannelGates:

@@ -45,6 +45,11 @@ class GcnParams:
     w2: np.ndarray
     w3: np.ndarray
 
+    @classmethod
+    def from_store(cls, store, prefix):
+        """The triplet stored as ``{prefix}.w1.weight`` .. ``{prefix}.w3.weight``."""
+        return cls(*(store[f"{prefix}.w{i}.weight"] for i in (1, 2, 3)))
+
 
 @dataclass
 class MgcLevelParams:
@@ -68,6 +73,24 @@ class MgcParams:
     shared_gcn: Optional[GcnParams] = None
     out_weight: Optional[np.ndarray] = None  # c × c
     lambda_o: float = 1e-4
+
+    @classmethod
+    def from_store(cls, store, levels, lambda_o=1e-4):
+        """The module stored under ``mgc.*`` for the given level indices.  A
+        level collects context when the store holds its ``psi`` weight."""
+        params = {}
+        for lvl in levels:
+            name = f"mgc.l{lvl}"
+            collects = f"{name}.psi.weight" in store
+            params[lvl] = MgcLevelParams(
+                theta=store[f"{name}.theta.weight"],
+                xi=store[f"{name}.xi.weight"],
+                psi=store.get(f"{name}.psi.weight"),
+                phi=store.get(f"{name}.phi.weight"),
+                gcn=GcnParams.from_store(store, f"{name}.gcn") if collects else None,
+            )
+        return cls(levels=params, shared_gcn=GcnParams.from_store(store, "mgc.shared_gcn"),
+                   out_weight=store["mgc.out.weight"], lambda_o=lambda_o)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,14 @@ class ConvParams:
         if self.stride < 1 or self.padding < 0:
             raise ValueError("stride must be ≥ 1 and padding ≥ 0")
 
+    @classmethod
+    def from_store(cls, store, name, stride=1):
+        """The conv stored as ``{name}.weight`` and, if present, ``{name}.bias``,
+        with "same" padding for its kernel."""
+        weight = store[f"{name}.weight"]
+        return cls(weight, store.get(f"{name}.bias"), stride=stride,
+                   padding=same_padding(weight.shape[-1]))
+
     @property
     def ksize(self):
         return self.weight.shape[2]

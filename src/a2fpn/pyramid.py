@@ -2,8 +2,9 @@
 
 Parameters live in a flat dict keyed by dotted names (``mgc.l3.psi.weight``,
 ``td.l4.kpred.predictor.weight``, ...); the same names are used for
-serialization and for gradient accumulation.  Builder helpers wrap store
-slices into the typed parameter views the op modules expect.
+serialization and for gradient accumulation.  Each parameter type reads its
+typed view from the store by those names (``ConvParams.from_store``,
+``FusionParams.from_store``, ``MgcParams.from_store``).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .nn_ops import (
     max_pool2d_bwd,
     max_pool2d_fwd,
     nearest_upsample,
-    same_padding,
 )
 from .tensor_core import DTYPES, relu_bwd, relu_fwd
 
@@ -41,24 +41,19 @@ class BackboneSpec:
     """Per-stage channel counts of the four backbone levels (strides 4..32)."""
 
     channels: tuple
-    name: str = "custom"
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
         if len(self.channels) != 4 or min(self.channels) < 1:
             raise ConfigError(f"backbone needs 4 positive stage widths, got {self.channels}")
 
-    @property
-    def strides(self):
-        return (4, 8, 16, 32)
-
     def channels_of(self, level):
         return self.channels[level - 2]
 
 
 BACKBONE_PRESETS = {
-    "toy": BackboneSpec((32, 64, 128, 256), name="toy"),
-    "nominal": BackboneSpec((256, 512, 1024, 2048), name="nominal"),
+    "toy": BackboneSpec((32, 64, 128, 256)),
+    "nominal": BackboneSpec((256, 512, 1024, 2048)),
 }
 
 
@@ -77,9 +72,11 @@ class PyramidConfig:
     """Architecture variant plus every knob the necks read.
 
     n_formula is the coefficient a in n_i = a·(6−i); the reference setting
-    uses a=64 with the nominal backbone.  The three lite flags drop the
-    stride-64 input conv, build the top output by max-pooling, and drop the
-    finest-level output conv; arch "a2fpn_lite" turns them all on.
+    uses a=64 with the nominal backbone.  The arch alone picks the neck's
+    structure.  Both attention-aggregation necks collect context at levels
+    2–5 and predict every site's kernels from both adjacent levels; arch
+    "a2fpn_lite" (``lite``) also has no stride-64 input conv, builds the top
+    output by max-pooling and has no finest-level output conv.
     """
 
     arch: str = "a2fpn"
@@ -90,11 +87,6 @@ class PyramidConfig:
     k_en: int = 3
     c_m: int = 64
     gate_act: str = "two_sigmoid"
-    use_concat_guidance: bool = True
-    collect_levels: tuple = (2, 3, 4, 5)
-    drop_extra_level: Optional[bool] = None
-    pool_top: Optional[bool] = None
-    drop_finest_smooth: Optional[bool] = None
     seed: int = 0
     dtype: str = "f32"
     image_size: tuple = (256, 256)
@@ -102,14 +94,6 @@ class PyramidConfig:
     lambda_o: float = 1e-4
 
     def __post_init__(self):
-        lite = self.arch == "a2fpn_lite"
-        if self.drop_extra_level is None:
-            self.drop_extra_level = lite
-        if self.pool_top is None:
-            self.pool_top = lite
-        if self.drop_finest_smooth is None:
-            self.drop_finest_smooth = lite
-        self.collect_levels = tuple(sorted(int(v) for v in self.collect_levels))
         self.image_size = tuple(int(v) for v in self.image_size)
         self.validate()
 
@@ -128,12 +112,8 @@ class PyramidConfig:
             raise ConfigError(f"gate_act must be one of {fusion.GATE_ACTS}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
-        if not self.collect_levels or not set(self.collect_levels) <= {2, 3, 4, 5}:
-            raise ConfigError("collect_levels must be a non-empty subset of {2,3,4,5}")
         if len(self.image_size) != 2 or any(v % 64 for v in self.image_size):
             raise ConfigError(f"image extents {self.image_size} must be divisible by 64")
-        if self.drop_extra_level != self.pool_top:
-            raise ConfigError("drop_extra_level and pool_top must toggle together")
         resolve_backbone(self.backbone)
 
     # -- derived ----------------------------------------------------------
@@ -142,9 +122,14 @@ class PyramidConfig:
         return self.a * (6 - level)
 
     @property
+    def lite(self):
+        """True for the A²-FPN-Lite neck."""
+        return self.arch == "a2fpn_lite"
+
+    @property
     def top_level(self):
         """Highest level reached by the fusion chains (6 full, 5 lite)."""
-        return 5 if self.drop_extra_level else 6
+        return 5 if self.lite else 6
 
     @property
     def np_dtype(self):
@@ -161,9 +146,6 @@ class PyramidConfig:
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
         coerced = dict(doc)
-        for key in ("collect_levels", "image_size"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
         if isinstance(coerced.get("backbone"), list):
             coerced["backbone"] = tuple(coerced["backbone"])
         try:
@@ -224,7 +206,7 @@ def _orthonormal_rows(rng, rows, cols, dtype):
 def _init_fusion_site(store, rng, prefix, cfg, kind):
     dt = cfg.np_dtype
     c = cfg.c
-    src = 2 * c if cfg.use_concat_guidance else c
+    src = 2 * c  # kernels and gates read [source, guidance]
     k = cfg.k_up if kind == "up" else cfg.k_dn
     logits = (4 * k * k) if kind == "up" else (k * k)
     _conv_init(store, rng, f"{prefix}.kpred.compressor", cfg.c_m, src, 1, dt)
@@ -270,17 +252,17 @@ def init_params(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=Fa
             for lvl in (3, 4, 5):
                 _conv_init(store, rng, f"pafpn.smooth.l{lvl}", c, c, 3, dt)
     else:
-        if not cfg.drop_extra_level:
+        if not cfg.lite:
             _conv_init(store, rng, "extra.f6", c, spec.channels_of(5), 3, dt)
-        dist_levels = (2, 3, 4, 5) if cfg.drop_extra_level else (2, 3, 4, 5, 6)
-        for lvl in dist_levels:
+        # levels 2-5 collect context; the extra level 6 only receives it
+        for lvl in range(2, cfg.top_level + 1):
             ci = c if lvl == 6 else spec.channels_of(lvl)
-            if lvl in cfg.collect_levels:
+            if lvl != 6:
                 store[f"mgc.l{lvl}.psi.weight"] = _orthonormal_rows(rng, cfg.n_context(lvl), ci, dt)
                 store[f"mgc.l{lvl}.phi.weight"] = _kaiming(rng, (c, ci), ci, dt)
             store[f"mgc.l{lvl}.theta.weight"] = _kaiming(rng, (c, ci), ci, dt)
             store[f"mgc.l{lvl}.xi.weight"] = _kaiming(rng, (c, ci), ci, dt)
-            if lvl in cfg.collect_levels:
+            if lvl != 6:
                 store[f"mgc.l{lvl}.gcn.w1.weight"] = _kaiming(rng, (c // 4, c), c, dt)
                 store[f"mgc.l{lvl}.gcn.w2.weight"] = _kaiming(rng, (c // 4, c), c, dt)
                 store[f"mgc.l{lvl}.gcn.w3.weight"] = _kaiming(rng, (c, c), c, dt)
@@ -290,7 +272,7 @@ def init_params(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=Fa
         store["mgc.out.weight"] = _kaiming(rng, (c, c), c, dt)
         for lvl in range(cfg.top_level - 1, 1, -1):
             _init_fusion_site(store, rng, f"td.l{lvl}", cfg, "up")
-        if not cfg.drop_finest_smooth:
+        if not cfg.lite:
             _conv_init(store, rng, "bu.l2.smooth", c, c, 3, dt)
         for lvl in range(3, cfg.top_level + 1):
             _init_fusion_site(store, rng, f"bu.l{lvl}", cfg, "down")
@@ -298,65 +280,6 @@ def init_params(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=Fa
     if with_head:
         _conv_init(store, rng, "head", 1, c, 1, dt)
     return store
-
-
-# ---------------------------------------------------------------------------
-# store views
-# ---------------------------------------------------------------------------
-
-def _conv_view(store, name, stride=1, padding=0):
-    return ConvParams(
-        store[f"{name}.weight"], store.get(f"{name}.bias"), stride=stride, padding=padding
-    )
-
-
-def _fusion_view(store, prefix, cfg, kind):
-    pred_stride = 1 if kind == "up" else 2
-    return fusion.FusionParams(
-        compressor=_conv_view(store, f"{prefix}.kpred.compressor"),
-        encoder=_conv_view(store, f"{prefix}.kpred.encoder", padding=same_padding(3)),
-        predictor=_conv_view(
-            store, f"{prefix}.kpred.predictor", stride=pred_stride, padding=same_padding(cfg.k_en)
-        ),
-        gate_w1=store[f"{prefix}.gate.w1.weight"],
-        gate_w2=store[f"{prefix}.gate.w2.weight"],
-        gate_w3=store[f"{prefix}.gate.w3.weight"],
-        ln_gain=store[f"{prefix}.gate.ln.gain"],
-        ln_shift=store[f"{prefix}.gate.ln.shift"],
-        smooth=_conv_view(store, f"{prefix}.smooth", padding=same_padding(3)),
-        k=cfg.k_up if kind == "up" else cfg.k_dn,
-        s=2,
-        gate_act=cfg.gate_act,
-    )
-
-
-def _mgc_view(store, cfg):
-    levels = {}
-    dist_levels = (2, 3, 4, 5) if cfg.drop_extra_level else (2, 3, 4, 5, 6)
-    for lvl in dist_levels:
-        kw = dict(
-            theta=store[f"mgc.l{lvl}.theta.weight"],
-            xi=store[f"mgc.l{lvl}.xi.weight"],
-        )
-        if f"mgc.l{lvl}.psi.weight" in store:
-            kw.update(
-                psi=store[f"mgc.l{lvl}.psi.weight"],
-                phi=store[f"mgc.l{lvl}.phi.weight"],
-                gcn=mgc.GcnParams(
-                    store[f"mgc.l{lvl}.gcn.w1.weight"],
-                    store[f"mgc.l{lvl}.gcn.w2.weight"],
-                    store[f"mgc.l{lvl}.gcn.w3.weight"],
-                ),
-            )
-        levels[lvl] = mgc.MgcLevelParams(**kw)
-    shared = mgc.GcnParams(
-        store["mgc.shared_gcn.w1.weight"],
-        store["mgc.shared_gcn.w2.weight"],
-        store["mgc.shared_gcn.w3.weight"],
-    )
-    return mgc.MgcParams(
-        levels=levels, shared_gcn=shared, out_weight=store["mgc.out.weight"], lambda_o=cfg.lambda_o
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +306,7 @@ def toy_backbone_fwd(image, store):
     x = image
     feats = []
     for name in _BACKBONE_STAGES:
-        z, c_conv = conv2d_fwd(_conv_view(store, name, stride=2, padding=1), x)
+        z, c_conv = conv2d_fwd(ConvParams.from_store(store, name, stride=2), x)
         x, c_relu = relu_fwd(z)
         caches.append((name, c_conv, c_relu))
         feats.append(x)
@@ -418,7 +341,7 @@ def toy_backbone_bwd(caches, glevels, need_gimage=True):
 
 def make_extra_level_fwd(f5: LevelFeature, store):
     """Stride-2 conv from the coarsest backbone feature to a stride-64 level."""
-    y, cache = conv2d_fwd(_conv_view(store, "extra.f6", stride=2, padding=1), f5.data)
+    y, cache = conv2d_fwd(ConvParams.from_store(store, "extra.f6", stride=2), f5.data)
     return LevelFeature(6, f5.stride * 2, y), cache
 
 
@@ -441,7 +364,7 @@ def forward_fpn(levels, store, cfg):
     stride-64 extra level by max pooling."""
     _check_levels(levels)
     lat = {
-        f.level: conv2d_fwd(_conv_view(store, f"fpn.lateral.l{f.level}"), f.data)[0]
+        f.level: conv2d_fwd(ConvParams.from_store(store, f"fpn.lateral.l{f.level}"), f.data)[0]
         for f in levels
     }
     merged = {5: lat[5]}
@@ -449,7 +372,7 @@ def forward_fpn(levels, store, cfg):
         merged[lvl] = lat[lvl] + nearest_upsample(merged[lvl + 1], 2)
     outs = []
     for lvl in (2, 3, 4, 5):
-        p = _conv_view(store, f"fpn.smooth.l{lvl}", padding=1)
+        p = ConvParams.from_store(store, f"fpn.smooth.l{lvl}")
         outs.append(LevelFeature(lvl, 2 ** lvl, conv2d_fwd(p, merged[lvl])[0]))
     outs.append(LevelFeature(6, 64, max_pool2d_fwd(outs[-1].data)[0]))
     return outs
@@ -462,8 +385,8 @@ def forward_pafpn(levels, store, cfg):
     chain = by_level[2]
     outs = [LevelFeature(2, 4, chain)]
     for lvl in (3, 4, 5):
-        down = conv2d_fwd(_conv_view(store, f"pafpn.down.l{lvl}", stride=2, padding=1), chain)[0]
-        p = _conv_view(store, f"pafpn.smooth.l{lvl}", padding=1)
+        down = conv2d_fwd(ConvParams.from_store(store, f"pafpn.down.l{lvl}", stride=2), chain)[0]
+        p = ConvParams.from_store(store, f"pafpn.smooth.l{lvl}")
         chain = conv2d_fwd(p, down + by_level[lvl])[0]
         outs.append(LevelFeature(lvl, 2 ** lvl, chain))
     outs.append(LevelFeature(6, 64, max_pool2d_fwd(outs[-1].data)[0]))
@@ -474,9 +397,18 @@ def forward_pafpn(levels, store, cfg):
 # attention-aggregation neck
 # ---------------------------------------------------------------------------
 
+def _sites(cfg):
+    """(prefix, source level, destination level) of every fusion site in
+    forward order: top-down from the top level to level 2, then bottom-up
+    back to the top."""
+    top = cfg.top_level
+    return ([(f"td.l{lvl}", lvl + 1, lvl) for lvl in range(top - 1, 1, -1)]
+            + [(f"bu.l{lvl}", lvl - 1, lvl) for lvl in range(3, top + 1)])
+
+
 def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
-    """Full pipeline: optional extra level, global-context enrichment,
-    top-down content-aware fusion, then the gated bottom-up chain.
+    """Full pipeline: the extra level (full neck only), global-context
+    enrichment, top-down content-aware fusion, then the gated bottom-up chain.
 
     Returns (outputs, cache); outputs are five LevelFeatures at strides
     4..64 with cfg.c channels.
@@ -486,37 +418,28 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
     cache = {"cfg": cfg}
 
     feats = list(levels)
-    if not cfg.drop_extra_level:
+    if not cfg.lite:
         f6, cache["extra"] = make_extra_level_fwd(levels[-1], store)
         feats.append(f6)
 
-    ctx, cache["mgc"] = mgc.mgc_forward_fwd(feats, _mgc_view(store, cfg))
-    lc = {f.level: f for f in ctx}
+    mgc_params = mgc.MgcParams.from_store(store, range(2, top + 1), cfg.lambda_o)
+    ctx, cache["mgc"] = mgc.mgc_forward_fwd(feats, mgc_params)
+    cur = {f.level: f for f in ctx}
 
-    td = {top: lc[top]}
-    for lvl in range(top - 1, 1, -1):
-        td[lvl], cache[f"td.l{lvl}"] = fusion.fuse_fwd(
-            td[lvl + 1], lc[lvl], _fusion_view(store, f"td.l{lvl}", cfg, "up"),
-            guided=cfg.use_concat_guidance,
-        )
+    for prefix, src, dst in _sites(cfg):
+        up = src > dst
+        p = fusion.FusionParams.from_store(store, prefix, cfg.k_up if up else cfg.k_dn, up,
+                                           gate_act=cfg.gate_act)
+        cur[dst], cache[prefix] = fusion.fuse_fwd(cur[src], cur[dst], p)
 
-    bu = {2: td[2]}
-    for lvl in range(3, top + 1):
-        bu[lvl], cache[f"bu.l{lvl}"] = fusion.fuse_fwd(
-            bu[lvl - 1], td[lvl], _fusion_view(store, f"bu.l{lvl}", cfg, "down"),
-            guided=cfg.use_concat_guidance,
-        )
-
-    if cfg.drop_finest_smooth:
-        out2 = bu[2]
-    else:
-        p = _conv_view(store, "bu.l2.smooth", padding=1)
-        y2, cache["bu.l2.smooth"] = conv2d_fwd(p, bu[2].data)
-        out2 = LevelFeature(2, 4, y2)
-    outs = [out2] + [bu[lvl] for lvl in range(3, top + 1)]
-    if cfg.pool_top:
-        y6, cache["pool_top"] = max_pool2d_fwd(bu[top].data)
+    outs = [cur[lvl] for lvl in range(2, top + 1)]
+    if cfg.lite:
+        y6, cache["pool_top"] = max_pool2d_fwd(cur[top].data)
         outs.append(LevelFeature(6, 64, y6))
+    else:
+        p = ConvParams.from_store(store, "bu.l2.smooth")
+        y2, cache["bu.l2.smooth"] = conv2d_fwd(p, cur[2].data)
+        outs[0] = LevelFeature(2, 4, y2)
     return outs, cache
 
 
@@ -524,64 +447,34 @@ def forward_a2fpn_bwd(cache, gouts):
     """gouts: list of gradients matching the forward outputs in order.
 
     Returns (glevels dict for the backbone levels 2..5, param grads).  The
-    cache serves one backward: each chain's fusion caches are dropped from
-    it once that chain's backward is done, so the rest of the backward does
-    not hold them (for a batch, they are most of the forward's cache).
+    fusion sites run backward in the reverse of their forward order; each
+    site's cache is popped from the cache as its backward starts, so it is
+    freed once that backward is done, and the cache holds no ``td.*`` or
+    ``bu.*`` key afterwards.  The cache serves one backward.
     """
     cfg = cache["cfg"]
     top = cfg.top_level
     pg = {}
 
-    def put(prefix, local):
-        for name, g in local.items():
-            key = f"{prefix}.{name}" if prefix else name
-            pg[key] = pg[key] + g if key in pg else g
-
-    gbu = {}
-    if cfg.pool_top:
-        gbu[top] = max_pool2d_bwd(cache["pool_top"], gouts[-1])
-        inner = gouts[:-1]
+    g = dict(zip(range(2, top + 1), gouts))
+    if cfg.lite:
+        g[top] = max_pool2d_bwd(cache["pool_top"], gouts[-1]) + g[top]
     else:
-        inner = gouts
-    for idx, lvl in enumerate(range(3, top + 1), start=1):
-        gbu[lvl] = gbu.get(lvl, 0) + inner[idx]
+        g[2], gw, gb = conv2d_bwd(cache.pop("bu.l2.smooth"), g[2])
+        pg.update({"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
 
-    if cfg.drop_finest_smooth:
-        g2 = inner[0]
-    else:
-        g2, gw, gb = conv2d_bwd(cache["bu.l2.smooth"], inner[0])
-        put("", {"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
+    for prefix, src, dst in reversed(_sites(cfg)):
+        gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
+        pg.update((f"{prefix}.{name}", v) for name, v in local.items())
+        g[src] = g[src] + gsrc
 
-    gtd = {}
-    for lvl in range(top, 2, -1):
-        glower, gtd_lvl, local = fusion.fuse_bwd(cache[f"bu.l{lvl}"], gbu[lvl])
-        put(f"bu.l{lvl}", local)
-        gtd[lvl] = gtd_lvl
-        if lvl - 1 == 2:
-            g2 = g2 + glower
-        else:
-            gbu[lvl - 1] = gbu[lvl - 1] + glower
-    gtd[2] = g2
-    for lvl in range(top, 2, -1):
-        del cache[f"bu.l{lvl}"]
-
-    glc = {}
-    for lvl in range(2, top):
-        gupper, glat, local = fusion.fuse_bwd(cache[f"td.l{lvl}"], gtd[lvl])
-        put(f"td.l{lvl}", local)
-        glc[lvl] = glat
-        gtd[lvl + 1] = gtd[lvl + 1] + gupper
-    glc[top] = gtd[top]
-    for lvl in range(2, top):
-        del cache[f"td.l{lvl}"]
-
-    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], [glc[lvl] for lvl in range(2, top + 1)])
-    put("", local)
+    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], [g[lvl] for lvl in range(2, top + 1)])
+    pg.update(local)
 
     glevels = {lvl: gfeats[lvl] for lvl in (2, 3, 4, 5)}
-    if not cfg.drop_extra_level:
+    if not cfg.lite:
         gf5, local = make_extra_level_bwd(cache["extra"], gfeats[6])
-        put("", local)
+        pg.update(local)
         glevels[5] = glevels[5] + gf5
     return glevels, pg
 

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mgc import orthogonal_reg_grads, orthogonal_reg_loss
-from .nn_ops import bilinear_upsample_bwd, bilinear_upsample_fwd, conv2d_bwd, conv2d_fwd
+from .mgc import MgcParams, orthogonal_reg_grads, orthogonal_reg_loss
+from .nn_ops import ConvParams, bilinear_upsample_bwd, bilinear_upsample_fwd, conv2d_bwd, conv2d_fwd
 from .pyramid import (
     PyramidConfig,
-    _conv_view,
-    _mgc_view,
     forward_a2fpn_bwd,
     forward_a2fpn_fwd,
     init_params,
@@ -121,7 +119,7 @@ def _head_pass(p2, masks, store):
     Its own function, so that the head's full-resolution maps are freed
     before the neck's backward runs.
     """
-    z4, head_cache = conv2d_fwd(_conv_view(store, "head"), p2)
+    z4, head_cache = conv2d_fwd(ConvParams.from_store(store, "head"), p2)
     z2, up1 = bilinear_upsample_fwd(z4)
     z1, up2 = bilinear_upsample_fwd(z2)
     z = z1[:, 0]
@@ -135,7 +133,7 @@ def _head_pass(p2, masks, store):
 
 def _objective_grads(images, masks, store, cfg):
     task, grads = batch_pass(images, masks, store, cfg)
-    view = _mgc_view(store, cfg)
+    view = MgcParams.from_store(store, range(2, cfg.top_level + 1), cfg.lambda_o)
     reg = orthogonal_reg_loss(view)
     for lvl, g in orthogonal_reg_grads(view).items():
         key = f"mgc.l{lvl}.psi.weight"

@@ -307,30 +307,7 @@ def _build_mgc_forward(rng, lead=()):
         "mgc.shared_gcn.w3.weight": rng.standard_normal((c, c)),
         "mgc.out.weight": rng.standard_normal((c, c)),
     }
-    params = mgc.MgcParams(
-        levels={
-            2: mgc.MgcLevelParams(
-                theta=arrays["mgc.l2.theta.weight"],
-                xi=arrays["mgc.l2.xi.weight"],
-                psi=arrays["mgc.l2.psi.weight"],
-                phi=arrays["mgc.l2.phi.weight"],
-                gcn=mgc.GcnParams(
-                    arrays["mgc.l2.gcn.w1.weight"],
-                    arrays["mgc.l2.gcn.w2.weight"],
-                    arrays["mgc.l2.gcn.w3.weight"],
-                ),
-            ),
-            3: mgc.MgcLevelParams(
-                theta=arrays["mgc.l3.theta.weight"], xi=arrays["mgc.l3.xi.weight"]
-            ),
-        },
-        shared_gcn=mgc.GcnParams(
-            arrays["mgc.shared_gcn.w1.weight"],
-            arrays["mgc.shared_gcn.w2.weight"],
-            arrays["mgc.shared_gcn.w3.weight"],
-        ),
-        out_weight=arrays["mgc.out.weight"],
-    )
+    params = mgc.MgcParams.from_store(arrays, (2, 3))  # level 3 only receives context
     r2 = rng.standard_normal(lead + (c, 4, 4))
     r3 = rng.standard_normal(lead + (c, 2, 2))
 
@@ -374,24 +351,7 @@ def _tiny_fusion_params(rng, kind, guided=True, s=2):
         "smooth.weight": 0.3 * rng.standard_normal((c, c, 3, 3)),
         "smooth.bias": 0.3 * rng.standard_normal(c),
     }
-    p = fusion.FusionParams(
-        compressor=ConvParams(arrays["kpred.compressor.weight"], arrays["kpred.compressor.bias"]),
-        encoder=ConvParams(arrays["kpred.encoder.weight"], arrays["kpred.encoder.bias"], padding=1),
-        predictor=ConvParams(
-            arrays["kpred.predictor.weight"],
-            arrays["kpred.predictor.bias"],
-            stride=1 if kind == "up" else s,
-        ),
-        gate_w1=arrays["gate.w1.weight"],
-        gate_w2=arrays["gate.w2.weight"],
-        gate_w3=arrays["gate.w3.weight"],
-        ln_gain=arrays["gate.ln.gain"],
-        ln_shift=arrays["gate.ln.shift"],
-        smooth=ConvParams(arrays["smooth.weight"], arrays["smooth.bias"], padding=1),
-        k=k,
-        s=s,
-    )
-    return p, arrays
+    return fusion.FusionParams.from_store(arrays, "", k, kind == "up", s=s), arrays
 
 
 def _predictor_builder(kind, src, guide, hw):

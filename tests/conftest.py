@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from a2fpn.fusion import FusionParams
-from a2fpn.nn_ops import ConvParams
 
 
 @pytest.fixture
@@ -18,22 +17,14 @@ def make_fusion_params(rng, c=8, c_m=3, k=3, kind="up", guided=True,
     src = 2 * c if guided else c
     logits = s * s * k * k if kind == "up" else k * k
     w3 = np.zeros((2 * c, c // 2)) if zero_gates else scale * rng.standard_normal((2 * c, c // 2))
-    return FusionParams(
-        compressor=ConvParams(scale * rng.standard_normal((c_m, src, 1, 1)),
-                              scale * rng.standard_normal(c_m)),
-        encoder=ConvParams(scale * rng.standard_normal((c_m, c_m, 3, 3)),
-                           scale * rng.standard_normal(c_m), padding=1),
-        predictor=ConvParams(scale * rng.standard_normal((logits, c_m, 1, 1)),
-                             scale * rng.standard_normal(logits),
-                             stride=1 if kind == "up" else s),
-        gate_w1=scale * rng.standard_normal((1, src)),
-        gate_w2=scale * rng.standard_normal((c // 2, src)),
-        gate_w3=w3,
-        ln_gain=np.ones(c // 2),
-        ln_shift=np.zeros(c // 2),
-        smooth=ConvParams(scale * rng.standard_normal((c, c, 3, 3)),
-                          scale * rng.standard_normal(c), padding=1),
-        k=k,
-        s=s,
-        gate_act=gate_act,
-    )
+    shapes = {  # in draw order
+        "kpred.compressor.weight": (c_m, src, 1, 1), "kpred.compressor.bias": (c_m,),
+        "kpred.encoder.weight": (c_m, c_m, 3, 3), "kpred.encoder.bias": (c_m,),
+        "kpred.predictor.weight": (logits, c_m, 1, 1), "kpred.predictor.bias": (logits,),
+        "gate.w1.weight": (1, src), "gate.w2.weight": (c // 2, src),
+        "smooth.weight": (c, c, 3, 3), "smooth.bias": (c,),
+    }
+    store = {name: scale * rng.standard_normal(shape) for name, shape in shapes.items()}
+    store.update({"gate.w3.weight": w3, "gate.ln.gain": np.ones(c // 2),
+                  "gate.ln.shift": np.zeros(c // 2)})
+    return FusionParams.from_store(store, "", k, kind == "up", s=s, gate_act=gate_act)

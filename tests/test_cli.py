@@ -156,3 +156,64 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fpn" in proc.stdout
+
+
+def test_config_naming_a_removed_key_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, drop_extra_level=True)
+    assert cli.main(["forward", "--config", cfg, "--random", "64x64",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "drop_extra_level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--image-size", "100x64"],
+    ["count", "--backbone-spec", "a,b,c,d"],
+    ["forward", "--random", "100x64"],
+], ids=["count-image-size", "count-backbone-spec", "forward-random"])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+def test_non_finite_input_exits_1_and_writes_nothing(tmp_path, capsys):
+    img = tmp_path / "img.a2tsr"
+    data = np.random.default_rng(0).standard_normal((3, 64, 64))
+    data[1, 5, 7] = np.nan
+    tensor_io.save_tensor(img, data)
+    out = tmp_path / "o"
+    assert cli.main(["forward", "--config", small_config(tmp_path), "--input", str(img),
+                     "--out", str(out)]) == 1
+    assert str(img) in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/p*.a2tsr"))
+
+
+def test_non_finite_output_exits_1_naming_the_level(tmp_path, capsys, monkeypatch):
+    real = cli.forward_pyramid
+
+    def forward_with_inf_at_p4(levels, store, cfg):
+        outs = real(levels, store, cfg)
+        outs[2].data[0, 0, 0] = np.inf
+        return outs
+
+    monkeypatch.setattr(cli, "forward_pyramid", forward_with_inf_at_p4)
+    out = tmp_path / "o"
+    assert cli.main(["forward", "--config", small_config(tmp_path), "--random", "64x64",
+                     "--out", str(out)]) == 1
+    assert "output p4" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/p*.a2tsr"))
+
+
+def test_overflowing_input_exits_1_with_no_tensors(tmp_path, capsys):
+    # finite f32 values so large that the backbone convs overflow
+    img = tmp_path / "img.a2tsr"
+    tensor_io.save_tensor(img, np.full((3, 64, 64), 3e38, dtype=np.float32))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["forward", "--config", small_config(tmp_path), "--input", str(img),
+                         "--out", str(out)])
+    assert code == 1
+    assert "non-finite values in output p2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/p*.a2tsr"))

@@ -25,11 +25,26 @@ def small_levels(rng, widths=(4, 4, 8, 8), h=16, w=16):
 
 def test_defaults_follow_the_arch():
     full = PyramidConfig(arch="a2fpn")
-    assert (full.drop_extra_level, full.pool_top, full.drop_finest_smooth) == (False, False, False)
-    assert full.top_level == 6
+    assert not full.lite and full.top_level == 6
     lite = PyramidConfig(arch="a2fpn_lite")
-    assert (lite.drop_extra_level, lite.pool_top, lite.drop_finest_smooth) == (True, True, True)
-    assert lite.top_level == 5
+    assert lite.lite and lite.top_level == 5
+    assert [a for a in ARCHS if PyramidConfig(arch=a).lite] == ["a2fpn_lite"]
+
+
+@pytest.mark.parametrize("key", ["drop_extra_level", "pool_top", "drop_finest_smooth",
+                                 "use_concat_guidance", "collect_levels"])
+def test_from_dict_rejects_removed_keys(key):
+    with pytest.raises(ConfigError, match=key):
+        PyramidConfig.from_dict({"arch": "a2fpn", key: None})
+
+
+def test_sites_run_top_down_then_bottom_up():
+    assert pyramid._sites(small_cfg("a2fpn")) == [
+        ("td.l5", 6, 5), ("td.l4", 5, 4), ("td.l3", 4, 3), ("td.l2", 3, 2),
+        ("bu.l3", 2, 3), ("bu.l4", 3, 4), ("bu.l5", 4, 5), ("bu.l6", 5, 6)]
+    assert pyramid._sites(small_cfg("a2fpn_lite")) == [
+        ("td.l4", 5, 4), ("td.l3", 4, 3), ("td.l2", 3, 2),
+        ("bu.l3", 2, 3), ("bu.l4", 3, 4), ("bu.l5", 4, 5)]
 
 
 def test_context_column_formula():
@@ -37,6 +52,7 @@ def test_context_column_formula():
     assert [cfg.n_context(i) for i in (2, 3, 4, 5)] == [256, 192, 128, 64]
 
 
+# fixed ids, so that a case keeps its name when another case is removed
 @pytest.mark.parametrize("bad", [
     dict(arch="fancy"),
     dict(c=6),
@@ -44,13 +60,10 @@ def test_context_column_formula():
     dict(k_dn=2),
     dict(gate_act="tanh"),
     dict(dtype="f16"),
-    dict(collect_levels=()),
-    dict(collect_levels=(1, 2)),
     dict(image_size=(100, 64)),
-    dict(drop_extra_level=True, pool_top=False),
     dict(backbone="resnet"),
     dict(backbone=(32, 64)),
-])
+], ids=[f"bad{i}" for i in (0, 1, 2, 3, 4, 5, 8, 10, 11)])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
         PyramidConfig(**bad)
@@ -68,6 +81,11 @@ def test_config_dict_roundtrip_and_digest():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         PyramidConfig.from_dict({"arch": "fpn", "depth": 50})
+
+
+def test_from_dict_rejects_a_scalar_image_size():
+    with pytest.raises(ConfigError):
+        PyramidConfig.from_dict({"arch": "fpn", "image_size": 64})
 
 
 def test_from_file_errors(tmp_path):
@@ -283,10 +301,29 @@ def test_batched_backward_sums_the_images_param_grads(rng, arch):
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
 def test_backward_drops_the_fusion_caches(rng, arch):
-    # the fusion stages' caches are freed once their chain's backward is done
+    # every site's cache, and the finest smooth's, is gone after the backward
     cfg = small_cfg(arch)
     store = pyramid.init_params(cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
     assert any(k.startswith("td.") for k in cache) and any(k.startswith("bu.l3") for k in cache)
     pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
-    assert not [k for k in cache if k.startswith(("td.", "bu.")) and k != "bu.l2.smooth"]
+    assert not [k for k in cache if k.startswith(("td.", "bu."))]
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, arch):
+    # when a site's backward runs, the cache holds only the sites still to come
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
+    order = [prefix for prefix, _, _ in reversed(pyramid._sites(cfg))]
+    held = []
+    real_bwd = pyramid.fusion.fuse_bwd
+
+    def spy(site_cache, gout):
+        held.append(sorted(k for k in cache if k in order))
+        return real_bwd(site_cache, gout)
+
+    monkeypatch.setattr(pyramid.fusion, "fuse_bwd", spy)
+    pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
+    assert held == [sorted(order[i + 1:]) for i in range(len(order))]
