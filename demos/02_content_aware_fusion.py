@@ -6,7 +6,7 @@ run in the other direction."""
 import numpy as np
 
 from a2fpn import fusion
-from a2fpn.fusion import FusionParams
+from a2fpn.fusion import FusionParams, site_shapes
 from a2fpn.levels import LevelFeature
 from a2fpn.nn_ops import conv2d_fwd, max_pool2d_fwd
 
@@ -16,24 +16,17 @@ c, c_m, k = 8, 4, 3
 
 def site(kind, guided=True, zero_gates=False, scale=0.3):
     """A small fusion site, read from a store of dotted names as the necks read theirs."""
-    src = 2 * c if guided else c
-    logits = 4 * k * k if kind == "up" else k * k
-    w3 = np.zeros((2 * c, c // 2)) if zero_gates else scale * rng.standard_normal((2 * c, c // 2))
-    shapes = {
-        "kpred.compressor.weight": (c_m, src, 1, 1), "kpred.compressor.bias": (c_m,),
-        "kpred.encoder.weight": (c_m, c_m, 3, 3), "kpred.encoder.bias": (c_m,),
-        "kpred.predictor.weight": (logits, c_m, 1, 1), "kpred.predictor.bias": (logits,),
-        "gate.w1.weight": (1, src), "gate.w2.weight": (c // 2, src),
-        "smooth.weight": (c, c, 3, 3), "smooth.bias": (c,),
-    }
-    store = {name: scale * rng.standard_normal(shape) for name, shape in shapes.items()}
-    store.update({"gate.w3.weight": w3, "gate.ln.gain": np.ones(c // 2),
-                  "gate.ln.shift": np.zeros(c // 2)})
+    shapes = site_shapes(c, c_m, k, 1, kind == "up", guided=guided)
+    w3 = shapes.pop("gate.w3.weight")  # drawn first
+    store = {"gate.w3.weight": np.zeros(w3) if zero_gates else scale * rng.standard_normal(w3),
+             "gate.ln.gain": np.ones(shapes.pop("gate.ln.gain")),
+             "gate.ln.shift": np.zeros(shapes.pop("gate.ln.shift"))}
+    store.update((name, scale * rng.standard_normal(shape)) for name, shape in shapes.items())
     return FusionParams.from_store(store, "", k, kind == "up")
 
 
-upper = LevelFeature(3, 8, rng.standard_normal((c, 4, 6)))
-lateral = LevelFeature(2, 4, rng.standard_normal((c, 8, 12)))
+upper = LevelFeature(3, rng.standard_normal((c, 4, 6)))
+lateral = LevelFeature(2, rng.standard_normal((c, 8, 12)))
 
 # kernels are predicted from the coarse map plus a pooled view of the fine
 # one; every output position gets its own k*k tap distribution
@@ -76,7 +69,7 @@ print("neutral gates are bit-exact no-ops:", np.array_equal(gated.data, plain.da
 # the same site bottom-up: fine level (2) into coarse (3), kernels read
 # the fine map with an upsampled top-down hint
 p_dn = site("down")
-lower = LevelFeature(2, 4, rng.standard_normal((c, 8, 12)))
-td = LevelFeature(3, 8, rng.standard_normal((c, 4, 6)))
+lower = LevelFeature(2, rng.standard_normal((c, 8, 12)))
+td = LevelFeature(3, rng.standard_normal((c, 4, 6)))
 down, _ = fusion.fuse_fwd(lower, td, p_dn)
 print("bottom-up fused:", down.level, "stride", down.stride, "shape", down.data.shape)

@@ -17,10 +17,11 @@ config (asserted in the tests).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .pyramid import ARCHS, PyramidConfig, resolve_backbone
+from .pyramid import ARCHS, PyramidConfig, param_shapes
 
 COUNT_ARCHS = ARCHS + ("none",)
 
@@ -68,19 +69,26 @@ class ComplexityReport:
 
 
 class _Inventory:
-    def __init__(self, sizes):
+    def __init__(self, sizes, shapes):
         self.sizes = sizes  # level -> h·w (all zero when only counting params)
+        self.shapes = shapes  # parameter name -> shape, as param_shapes lists them
         self.lines = []
 
-    def conv(self, name, cin, cout, k, hw, bias=True):
-        params = cout * cin * k * k + (cout if bias else 0)
-        self.lines.append(CostLine(name, params, cout * cin * k * k * hw, "conv"))
+    def size(self, *names):
+        """Stored elements of the named parameters; a name not stored counts 0."""
+        return sum(math.prod(self.shapes[n]) for n in names if n in self.shapes)
+
+    def conv(self, name, hw):
+        """The conv or linear map stored as ``{name}.weight`` (and ``.bias``)
+        evaluated at hw positions: one MAC per weight element and position."""
+        w = self.size(f"{name}.weight")
+        self.lines.append(CostLine(name, w + self.size(f"{name}.bias"), w * hw, "conv"))
 
     def matmul(self, name, m, k, n):
         self.lines.append(CostLine(name, 0, m * k * n, "matmul"))
 
-    def elem(self, name, flops, params=0):
-        self.lines.append(CostLine(name, params, flops, "elementwise"))
+    def elem(self, name, flops, params=()):
+        self.lines.append(CostLine(name, self.size(*params), flops, "elementwise"))
 
 
 def _level_sizes(image_size):
@@ -92,117 +100,105 @@ def _level_sizes(image_size):
     return {lvl: (h // 2 ** lvl) * (w // 2 ** lvl) for lvl in (2, 3, 4, 5, 6)}
 
 
-def _fpn_lines(inv, spec, cfg):
+def _fpn_lines(inv, cfg):
     c = cfg.c
     hw = inv.sizes
     for lvl in (2, 3, 4, 5):
-        inv.conv(f"fpn.lateral.l{lvl}", spec.channels_of(lvl), c, 1, hw[lvl])
+        inv.conv(f"fpn.lateral.l{lvl}", hw[lvl])
     for lvl in (2, 3, 4):
         inv.elem(f"fpn.add.l{lvl}", c * hw[lvl])
     for lvl in (2, 3, 4, 5):
-        inv.conv(f"fpn.smooth.l{lvl}", c, c, 3, hw[lvl])
+        inv.conv(f"fpn.smooth.l{lvl}", hw[lvl])
     inv.elem("fpn.extra.pool", 3 * c * hw[6])
 
 
-def _pafpn_lines(inv, spec, cfg):
-    _fpn_lines(inv, spec, cfg)
+def _pafpn_lines(inv, cfg):
+    _fpn_lines(inv, cfg)
     c = cfg.c
     hw = inv.sizes
     for lvl in (3, 4, 5):
-        inv.conv(f"pafpn.down.l{lvl}", c, c, 3, hw[lvl])
+        inv.conv(f"pafpn.down.l{lvl}", hw[lvl])
         inv.elem(f"pafpn.add.l{lvl}", c * hw[lvl])
-        inv.conv(f"pafpn.smooth.l{lvl}", c, c, 3, hw[lvl])
+        inv.conv(f"pafpn.smooth.l{lvl}", hw[lvl])
 
 
 def _gcn_lines(inv, prefix, c, n):
-    inv.conv(f"{prefix}.w1", c, c // 4, 1, n, bias=False)
-    inv.conv(f"{prefix}.w2", c, c // 4, 1, n, bias=False)
-    inv.elem(f"{prefix}.keynorm", 3 * (c // 4) * n)
-    inv.matmul(f"{prefix}.scores", n, c // 4, n)
+    q = inv.shapes[f"{prefix}.w1.weight"][0]  # the bottleneck width
+    inv.conv(f"{prefix}.w1", n)
+    inv.conv(f"{prefix}.w2", n)
+    inv.elem(f"{prefix}.keynorm", 3 * q * n)
+    inv.matmul(f"{prefix}.scores", n, q, n)
     inv.elem(f"{prefix}.softmax", 4 * n * n)
     inv.matmul(f"{prefix}.mix", c, n, n)
-    inv.conv(f"{prefix}.w3", c, c, 1, n, bias=False)
+    inv.conv(f"{prefix}.w3", n)
     inv.elem(f"{prefix}.residual", c * n)
 
 
-def _gate_lines(inv, prefix, c, src, hw_in):
-    inv.conv(f"{prefix}.w1", src, 1, 1, hw_in, bias=False)
-    inv.elem(f"{prefix}.softmax", 3 * hw_in)
-    inv.matmul(f"{prefix}.pool", src, hw_in, 1)
-    inv.conv(f"{prefix}.w2", src, c // 2, 1, 1, bias=False)
-    inv.elem(f"{prefix}.ln", 5 * (c // 2), params=c)
-    inv.elem(f"{prefix}.relu", c // 2)
-    inv.conv(f"{prefix}.w3", c // 2, 2 * c, 1, 1, bias=False)
-    inv.elem(f"{prefix}.act", 4 * 2 * c)
+def _site_lines(inv, site, cfg, hw_in, pred_hw, o, k):
+    """One fusion site: its readers run at hw_in positions and the predictor
+    conv at pred_hw (the coarse grid both ways: directly when upsampling,
+    via its stride when downsampling); the output level has o positions."""
+    c, c_m = cfg.c, cfg.c_m
+    cin = inv.shapes[f"{site}.gate.w1.weight"][1]  # the reader input [source, guidance]
+    q = inv.shapes[f"{site}.gate.w2.weight"][0]  # the gate bottleneck
+    inv.conv(f"{site}.kpred.compressor", hw_in)
+    inv.conv(f"{site}.kpred.encoder", hw_in)
+    inv.elem(f"{site}.kpred.relu", c_m * hw_in)
+    inv.conv(f"{site}.kpred.predictor", pred_hw)
+    inv.elem(f"{site}.kpred.softmax", 3 * k * k * o)
+    inv.matmul(f"{site}.reassemble", c, k * k, o)
+    inv.conv(f"{site}.gate.w1", hw_in)
+    inv.elem(f"{site}.gate.softmax", 3 * hw_in)
+    inv.matmul(f"{site}.gate.pool", cin, hw_in, 1)
+    inv.conv(f"{site}.gate.w2", 1)
+    inv.elem(f"{site}.gate.ln", 5 * q, params=(f"{site}.gate.ln.gain", f"{site}.gate.ln.shift"))
+    inv.elem(f"{site}.gate.relu", q)
+    inv.conv(f"{site}.gate.w3", 1)
+    inv.elem(f"{site}.gate.act", 4 * 2 * c)
+    inv.elem(f"{site}.merge", 3 * c * o)
+    inv.conv(f"{site}.smooth", o)
 
 
-def _kpred_lines(inv, prefix, cfg, src, hw_in, pred_hw, logits):
-    # pred_hw: positions the predictor conv evaluates at (the coarse grid
-    # both ways: directly when upsampling, via its stride when downsampling)
-    inv.conv(f"{prefix}.compressor", src, cfg.c_m, 1, hw_in)
-    inv.conv(f"{prefix}.encoder", cfg.c_m, cfg.c_m, 3, hw_in)
-    inv.elem(f"{prefix}.relu", cfg.c_m * hw_in)
-    inv.conv(f"{prefix}.predictor", cfg.c_m, logits, cfg.k_en, pred_hw)
-
-
-def _a2fpn_lines(inv, spec, cfg):
+def _a2fpn_lines(inv, cfg):
     c = cfg.c
     hw = inv.sizes
     top = cfg.top_level
-    levels = tuple(range(2, top + 1))
-
-    def width(lvl):
-        return c if lvl == 6 else spec.channels_of(lvl)
 
     if not cfg.lite:
-        inv.conv("extra.f6", spec.channels_of(5), c, 3, hw[6])
+        inv.conv("extra.f6", hw[6])
 
     # levels 2-5 collect context; the extra level 6 only receives it
     n_total = sum(cfg.n_context(l) for l in (2, 3, 4, 5))
     for lvl in (2, 3, 4, 5):
-        ci, ni = width(lvl), cfg.n_context(lvl)
+        ni, ci = inv.shapes[f"mgc.l{lvl}.psi.weight"]
         inv.elem(f"mgc.l{lvl}.collect.keynorm", 3 * ci * hw[lvl])
-        inv.conv(f"mgc.l{lvl}.psi", ci, ni, 1, hw[lvl], bias=False)
+        inv.conv(f"mgc.l{lvl}.psi", hw[lvl])
         inv.elem(f"mgc.l{lvl}.collect.softmax", 4 * ni * hw[lvl])
-        inv.conv(f"mgc.l{lvl}.phi", ci, c, 1, hw[lvl], bias=False)
+        inv.conv(f"mgc.l{lvl}.phi", hw[lvl])
         inv.matmul(f"mgc.l{lvl}.collect.pool", c, hw[lvl], ni)
         _gcn_lines(inv, f"mgc.l{lvl}.gcn", c, ni)
     _gcn_lines(inv, "mgc.shared_gcn", c, n_total)
-    inv.conv("mgc.out", c, c, 1, n_total, bias=False)
-    for lvl in levels:
-        ci = width(lvl)
-        inv.conv(f"mgc.l{lvl}.theta", ci, c, 1, hw[lvl], bias=False)
-        inv.conv(f"mgc.l{lvl}.xi", ci, c, 1, hw[lvl], bias=False)
+    inv.conv("mgc.out", n_total)
+    for lvl in range(2, top + 1):
+        inv.conv(f"mgc.l{lvl}.theta", hw[lvl])
+        inv.conv(f"mgc.l{lvl}.xi", hw[lvl])
         inv.elem(f"mgc.l{lvl}.dist.keynorm", 3 * c * n_total)
         inv.matmul(f"mgc.l{lvl}.dist.scores", hw[lvl], c, n_total)
         inv.elem(f"mgc.l{lvl}.dist.softmax", 4 * n_total * hw[lvl])
         inv.matmul(f"mgc.l{lvl}.dist.apply", c, n_total, hw[lvl])
         inv.elem(f"mgc.l{lvl}.dist.residual", c * hw[lvl])
 
-    src = 2 * c  # kernels and gates read [source, guidance]
     for lvl in range(top - 1, 1, -1):
         q, o = hw[lvl + 1], hw[lvl]
-        site = f"td.l{lvl}"
-        inv.elem(f"{site}.pool", 3 * c * q)
-        _kpred_lines(inv, f"{site}.kpred", cfg, src, q, q, 4 * cfg.k_up ** 2)
-        inv.elem(f"{site}.kpred.softmax", 3 * cfg.k_up ** 2 * o)
-        inv.matmul(f"{site}.reassemble", c, cfg.k_up ** 2, o)
-        _gate_lines(inv, f"{site}.gate", c, src, q)
-        inv.elem(f"{site}.merge", 3 * c * o)
-        inv.conv(f"{site}.smooth", c, c, 3, o)
+        inv.elem(f"td.l{lvl}.pool", 3 * c * q)
+        _site_lines(inv, f"td.l{lvl}", cfg, q, q, o, cfg.k_up)
 
     if not cfg.lite:
-        inv.conv("bu.l2.smooth", c, c, 3, hw[2])
+        inv.conv("bu.l2.smooth", hw[2])
     for lvl in range(3, top + 1):
         f, o = hw[lvl - 1], hw[lvl]
-        site = f"bu.l{lvl}"
-        inv.elem(f"{site}.upsample", 8 * c * f)
-        _kpred_lines(inv, f"{site}.kpred", cfg, src, f, o, cfg.k_dn ** 2)
-        inv.elem(f"{site}.kpred.softmax", 3 * cfg.k_dn ** 2 * o)
-        inv.matmul(f"{site}.reassemble", c, cfg.k_dn ** 2, o)
-        _gate_lines(inv, f"{site}.gate", c, src, f)
-        inv.elem(f"{site}.merge", 3 * c * o)
-        inv.conv(f"{site}.smooth", c, c, 3, o)
+        inv.elem(f"bu.l{lvl}.upsample", 8 * c * f)
+        _site_lines(inv, f"bu.l{lvl}", cfg, f, o, o, cfg.k_dn)
     if cfg.lite:
         inv.elem("bu.pool_top", 3 * c * hw[6])
 
@@ -210,16 +206,11 @@ def _a2fpn_lines(inv, spec, cfg):
 def _build_report(arch, spec, cfg, image_size):
     if arch not in COUNT_ARCHS:
         raise ValueError(f"unknown arch {arch!r}, have {COUNT_ARCHS}")
-    inv = _Inventory(_level_sizes(image_size))
-    if arch != "none":
-        cfg = replace(cfg, arch=arch)
-        spec = resolve_backbone(spec if spec is not None else cfg.backbone)
-        if arch == "fpn":
-            _fpn_lines(inv, spec, cfg)
-        elif arch == "pafpn":
-            _pafpn_lines(inv, spec, cfg)
-        else:
-            _a2fpn_lines(inv, spec, cfg)
+    if arch == "none":
+        return ComplexityReport(arch=arch, image_size=image_size, lines=[])
+    cfg = replace(cfg, arch=arch)
+    inv = _Inventory(_level_sizes(image_size), param_shapes(cfg, spec))
+    {"fpn": _fpn_lines, "pafpn": _pafpn_lines}.get(arch, _a2fpn_lines)(inv, cfg)
     return ComplexityReport(arch=arch, image_size=image_size, lines=inv.lines)
 
 

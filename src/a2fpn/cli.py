@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, train, verify
 from .pyramid import (
+    ARCHS,
     ConfigError,
     PyramidConfig,
     forward_pyramid,
@@ -261,7 +262,7 @@ def build_parser():
     o.set_defaults(fn=cmd_oracles)
 
     f = sub.add_parser("forward", help="run a neck forward pass and save the pyramid")
-    f.add_argument("--arch", choices=("fpn", "pafpn", "a2fpn", "a2fpn_lite"))
+    f.add_argument("--arch", choices=ARCHS)
     f.add_argument("--config")
     f.add_argument("--input", help="input image tensor (.a2tsr, 3xHxW)")
     f.add_argument("--random", type=_parse_hw, metavar="HxW",

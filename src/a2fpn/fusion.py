@@ -66,6 +66,27 @@ _UNFOLD_BLOCK_BYTES = 2 << 20
 _DOWN_BLOCK_BYTES = 256 << 10
 
 
+def site_shapes(c, c_m, k, k_en, up, s=2, guided=True):
+    """Relative name -> shape of every parameter of one fusion site, in store order.
+
+    The kernel predictor and the gates read [source, guidance] (2c channels;
+    c without guidance).  The predictor emits s²k² logits per source pixel
+    when upsampling (up) and k² when downsampling; the gate squeezes to a
+    c/2 bottleneck and emits a high and a low gate per channel.
+    """
+    cin = 2 * c if guided else c
+    logits = s * s * k * k if up else k * k
+    return {
+        "kpred.compressor.weight": (c_m, cin, 1, 1), "kpred.compressor.bias": (c_m,),
+        "kpred.encoder.weight": (c_m, c_m, 3, 3), "kpred.encoder.bias": (c_m,),
+        "kpred.predictor.weight": (logits, c_m, k_en, k_en), "kpred.predictor.bias": (logits,),
+        "gate.w1.weight": (1, cin), "gate.w2.weight": (c // 2, cin),
+        "gate.w3.weight": (2 * c, c // 2),
+        "gate.ln.gain": (c // 2,), "gate.ln.shift": (c // 2,),
+        "smooth.weight": (c, c, 3, 3), "smooth.bias": (c,),
+    }
+
+
 @dataclass
 class FusionParams:
     """Everything one fusion site owns.
@@ -484,7 +505,7 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
         gates, c_gate = None, None
         pre = re + dst.data
     out, c_sm = conv2d_fwd(p.smooth, pre)
-    feat = LevelFeature(dst.level, dst.stride, out)
+    feat = LevelFeature(dst.level, out)
     return feat, (up, dst.data, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm)
 
 

@@ -37,6 +37,32 @@ def _t(a):
     return a.swapaxes(-1, -2)
 
 
+def _gcn_shapes(prefix, c):
+    return {f"{prefix}.w{i}.weight": (c if i == 3 else c // 4, c) for i in (1, 2, 3)}
+
+
+def _level_shapes(lvl, c, c_i, n_i=None):
+    """Name -> shape of level lvl's projections from width c_i, in store order.
+    With n_i entities the level also collects context (psi, phi and its
+    graph layer); without, it only receives it (theta, xi)."""
+    name = f"mgc.l{lvl}"
+    dist = {f"{name}.theta.weight": (c, c_i), f"{name}.xi.weight": (c, c_i)}
+    if n_i is None:
+        return dist
+    return {f"{name}.psi.weight": (n_i, c_i), f"{name}.phi.weight": (c, c_i), **dist,
+            **_gcn_shapes(f"{name}.gcn", c)}
+
+
+def param_shapes(c, levels):
+    """Name -> shape of the whole module in store order: each level's
+    projections, for ``levels`` mapping level index to (c_i, n_i) as
+    _level_shapes takes them, then the shared graph layer and output map."""
+    shapes = {}
+    for lvl, (c_i, n_i) in levels.items():
+        shapes.update(_level_shapes(lvl, c, c_i, n_i))
+    return {**shapes, **_gcn_shapes("mgc.shared_gcn", c), "mgc.out.weight": (c, c)}
+
+
 @dataclass
 class GcnParams:
     """Residual graph layer triplet: w1, w2 (c/4 × c) and w3 (c × c)."""
@@ -286,7 +312,7 @@ def mgc_forward_fwd(levels, params):
     for f in levels:
         lp = params.levels[f.level]
         out, dc = distribute_context_fwd(f.data, fused, lp.theta, lp.xi, params.out_weight)
-        outs.append(LevelFeature(f.level, f.stride, out))
+        outs.append(LevelFeature(f.level, out))
         dist_caches.append(dc)
     cache = (levels, collected, params, col_caches, gcn_caches, reason_cache, dist_caches)
     return outs, cache

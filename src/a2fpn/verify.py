@@ -34,7 +34,10 @@ from .nn_ops import (
     pixel_unshuffle,
 )
 from .pyramid import (
+    BackboneSpec,
     PyramidConfig,
+    backbone_shapes,
+    extra_level_shapes,
     forward_a2fpn_bwd,
     forward_a2fpn_fwd,
     init_params,
@@ -235,15 +238,9 @@ def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_
 def _build_orthogonal_reg(rng):
     psi2 = rng.standard_normal((3, 5))
     psi3 = rng.standard_normal((2, 6))
-    params = mgc.MgcParams(
-        levels={
-            2: mgc.MgcLevelParams(theta=np.zeros((1, 5)), xi=np.zeros((1, 5)), psi=psi2,
-                                  phi=np.zeros((1, 5))),
-            3: mgc.MgcLevelParams(theta=np.zeros((1, 6)), xi=np.zeros((1, 6)), psi=psi3,
-                                  phi=np.zeros((1, 6))),
-        },
-        lambda_o=0.25,
-    )
+    # the penalty reads only the entity weights
+    params = mgc.MgcParams(levels={2: mgc.MgcLevelParams(None, None, psi=psi2),
+                                   3: mgc.MgcLevelParams(None, None, psi=psi3)}, lambda_o=0.25)
 
     def loss():
         return float(mgc.orthogonal_reg_loss(params))
@@ -255,31 +252,9 @@ def _build_orthogonal_reg(rng):
     return {"psi2": psi2, "psi3": psi3}, loss, grads
 
 
-def _gcn_triplet(rng, c):
-    return mgc.GcnParams(
-        rng.standard_normal((c // 4, c)),
-        rng.standard_normal((c // 4, c)),
-        rng.standard_normal((c, c)),
-    )
-
-
-def _build_reason_multilevel(rng):
-    b2 = rng.standard_normal((8, 3))
-    b3 = rng.standard_normal((8, 2))
-    t = _gcn_triplet(rng, 8)
-    r = rng.standard_normal((8, 5))
-    arrays = {"b2": b2, "b3": b3, "w1": t.w1, "w2": t.w2, "w3": t.w3}
-
-    def loss():
-        y, _ = mgc.reason_multilevel_fwd([b2, b3], t)
-        return float(np.sum(y * r))
-
-    def grads():
-        _, cache = mgc.reason_multilevel_fwd([b2, b3], t)
-        gbanks, gw1, gw2, gw3 = mgc.reason_multilevel_bwd(cache, r)
-        return {"b2": gbanks[0], "b3": gbanks[1], "w1": gw1, "w2": gw2, "w3": gw3}
-
-    return arrays, loss, grads
+def _reason_multilevel_bwd(cache, r):
+    gbanks, *gw = mgc.reason_multilevel_bwd(cache, r)
+    return (*gbanks, *gw)
 
 
 def _build_mgc_forward(rng, lead=()):
@@ -290,29 +265,15 @@ def _build_mgc_forward(rng, lead=()):
     c = 8
     f2 = rng.standard_normal(lead + (4, 4, 4))
     f3 = rng.standard_normal(lead + (6, 2, 2))
-    arrays = {
-        "f2": f2,
-        "f3": f3,
-        "mgc.l2.psi.weight": rng.standard_normal((2, 4)),
-        "mgc.l2.phi.weight": rng.standard_normal((c, 4)),
-        "mgc.l2.theta.weight": rng.standard_normal((c, 4)),
-        "mgc.l2.xi.weight": rng.standard_normal((c, 4)),
-        "mgc.l2.gcn.w1.weight": 0.3 * rng.standard_normal((c // 4, c)),
-        "mgc.l2.gcn.w2.weight": 0.3 * rng.standard_normal((c // 4, c)),
-        "mgc.l2.gcn.w3.weight": rng.standard_normal((c, c)),
-        "mgc.l3.theta.weight": rng.standard_normal((c, 6)),
-        "mgc.l3.xi.weight": rng.standard_normal((c, 6)),
-        "mgc.shared_gcn.w1.weight": 0.3 * rng.standard_normal((c // 4, c)),
-        "mgc.shared_gcn.w2.weight": 0.3 * rng.standard_normal((c // 4, c)),
-        "mgc.shared_gcn.w3.weight": rng.standard_normal((c, c)),
-        "mgc.out.weight": rng.standard_normal((c, c)),
-    }
+    arrays = {"f2": f2, "f3": f3}
+    for name, shape in mgc.param_shapes(c, {2: (4, 2), 3: (6, None)}).items():
+        arrays[name] = (0.3 if name in _GRAPH_WEIGHTS else 1.0) * rng.standard_normal(shape)
     params = mgc.MgcParams.from_store(arrays, (2, 3))  # level 3 only receives context
     r2 = rng.standard_normal(lead + (c, 4, 4))
     r3 = rng.standard_normal(lead + (c, 2, 2))
 
     def fwd():
-        levels = [LevelFeature(2, 4, f2), LevelFeature(3, 8, f3)]
+        levels = [LevelFeature(2, f2), LevelFeature(3, f3)]
         return mgc.mgc_forward_fwd(levels, params)
 
     def loss():
@@ -334,23 +295,8 @@ def _tiny_fusion_params(rng, kind, guided=True, s=2):
     # bottleneck at 4 channels: layer norm over 2 would pin the normalized
     # vector at +-1 and zero out every upstream gradient.
     c, c_m, k = 8, 3, 3
-    src = 2 * c if guided else c
-    logits = s * s * k * k if kind == "up" else k * k
-    arrays = {
-        "kpred.compressor.weight": 0.3 * rng.standard_normal((c_m, src, 1, 1)),
-        "kpred.compressor.bias": 0.3 * rng.standard_normal(c_m),
-        "kpred.encoder.weight": 0.3 * rng.standard_normal((c_m, c_m, 3, 3)),
-        "kpred.encoder.bias": 0.3 * rng.standard_normal(c_m),
-        "kpred.predictor.weight": 0.3 * rng.standard_normal((logits, c_m, 1, 1)),
-        "kpred.predictor.bias": 0.3 * rng.standard_normal(logits),
-        "gate.w1.weight": 0.3 * rng.standard_normal((1, src)),
-        "gate.w2.weight": 0.3 * rng.standard_normal((c // 2, src)),
-        "gate.w3.weight": 0.3 * rng.standard_normal((2 * c, c // 2)),
-        "gate.ln.gain": 0.3 * rng.standard_normal(c // 2),
-        "gate.ln.shift": 0.3 * rng.standard_normal(c // 2),
-        "smooth.weight": 0.3 * rng.standard_normal((c, c, 3, 3)),
-        "smooth.bias": 0.3 * rng.standard_normal(c),
-    }
+    shapes = fusion.site_shapes(c, c_m, k, 1, kind == "up", s=s, guided=guided)
+    arrays = {name: 0.3 * rng.standard_normal(shape) for name, shape in shapes.items()}
     return fusion.FusionParams.from_store(arrays, "", k, kind == "up", s=s), arrays
 
 
@@ -412,8 +358,8 @@ def _fuse_builder(direction, guided, s=2):
     def build(rng):
         kind = "up" if direction == "td" else "down"
         p, p_arrays = _tiny_fusion_params(rng, kind, guided=guided, s=s)
-        coarse = LevelFeature(3, 8, rng.standard_normal((8, 2, 3)))
-        fine = LevelFeature(2, 4, rng.standard_normal((8, 2 * s, 3 * s)))
+        coarse = LevelFeature(3, rng.standard_normal((8, 2, 3)))
+        fine = LevelFeature(2, rng.standard_normal((8, 2 * s, 3 * s)))
         arrays = {"coarse": coarse.data, "fine": fine.data}
         arrays.update(p_arrays)
         if not guided:  # gates off too: the plain-reassembly baselines
@@ -440,13 +386,8 @@ def _fuse_builder(direction, guided, s=2):
 
 def _build_toy_backbone(rng):
     widths = (2, 3, 4, 5)
-    names = ("backbone.stem1", "backbone.stem2", "backbone.stage3",
-             "backbone.stage4", "backbone.stage5")
-    chain = (3, widths[0], widths[0], widths[1], widths[2], widths[3])
-    store = {}
-    for i, name in enumerate(names):
-        store[f"{name}.weight"] = rng.standard_normal((chain[i + 1], chain[i], 3, 3)) * 0.5
-        store[f"{name}.bias"] = rng.standard_normal(chain[i + 1]) * 0.1
+    store = {name: rng.standard_normal(shape) * (0.1 if name.endswith(".bias") else 0.5)
+             for name, shape in backbone_shapes(BackboneSpec(widths)).items()}
     image = rng.standard_normal((3, 64, 64))
     rs = {lvl: rng.standard_normal((widths[lvl - 2], 64 // 2 ** lvl, 64 // 2 ** lvl))
           for lvl in (2, 3, 4, 5)}
@@ -465,11 +406,8 @@ def _build_toy_backbone(rng):
 
 
 def _build_make_extra_level(rng):
-    f5 = LevelFeature(5, 32, rng.standard_normal((5, 2, 2)))
-    store = {
-        "extra.f6.weight": rng.standard_normal((6, 5, 3, 3)),
-        "extra.f6.bias": rng.standard_normal(6),
-    }
+    f5 = LevelFeature(5, rng.standard_normal((5, 2, 2)))
+    store = {name: rng.standard_normal(shape) for name, shape in extra_level_shapes(6, 5).items()}
     r = rng.standard_normal((6, 1, 1))
     arrays = {"f5": f5.data, **store}
 
@@ -512,7 +450,7 @@ def _net_builder(arch, lead=()):
         arrays.update(store)
 
         def fwd():
-            levels = [LevelFeature(lvl, 2 ** lvl, feats[lvl]) for lvl in (2, 3, 4, 5)]
+            levels = [LevelFeature(lvl, feats[lvl]) for lvl in (2, 3, 4, 5)]
             return forward_a2fpn_fwd(levels, store, cfg)
 
         outs0, _ = fwd()
@@ -585,7 +523,10 @@ REGISTRY = {
     "gcn_layer": (_op_builder(lambda g, w1, w2, w3: mgc.gcn_layer_fwd(g, mgc.GcnParams(w1, w2, w3)),
                               mgc.gcn_layer_bwd, _normal(g=(8, 5), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
                   COMPOSITE_TOL, 0),
-    "reason_multilevel": (_build_reason_multilevel, COMPOSITE_TOL, 0),
+    "reason_multilevel": (_op_builder(lambda b2, b3, w1, w2, w3: mgc.reason_multilevel_fwd(
+                              [b2, b3], mgc.GcnParams(w1, w2, w3)), _reason_multilevel_bwd,
+                              _normal(b2=(8, 3), b3=(8, 2), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
+                          COMPOSITE_TOL, 0),
     "distribute_context": (_op_builder(mgc.distribute_context_fwd, mgc.distribute_context_bwd,
                                        _normal(fdata=(4, 3, 3), fused=(8, 5), theta=(8, 4), xi=(8, 4),
                                                w_o=(8, 8))), COMPOSITE_TOL, 0),

@@ -85,14 +85,14 @@ def test_criterion_3_invariants():
 
     # zero gate head -> 2σ(0) = 1 -> gated merge equals the plain sum, bit-exact
     p_neutral = make_fusion_params(rng, zero_gates=True)
-    upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     gated = fusion.fuse_fwd(upper, lateral, p_neutral, guided=True, gated=True)[0]
     plain = fusion.fuse_fwd(upper, lateral, p_neutral, guided=True, gated=False)[0]
     assert np.array_equal(gated.data, plain.data)
     p_neutral_dn = make_fusion_params(rng, kind="down", zero_gates=True)
-    lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
+    lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
+    td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     gated_dn = fusion.fuse_fwd(lower, td, p_neutral_dn, guided=True, gated=True)[0]
     plain_dn = fusion.fuse_fwd(lower, td, p_neutral_dn, guided=True, gated=False)[0]
     assert np.array_equal(gated_dn.data, plain_dn.data)
@@ -181,8 +181,8 @@ def test_criterion_7_baselines_and_gate_variants():
     # with guidance off and gates pinned, the fusion site IS the plain
     # CARAFE/CAP baseline: it equals the hand-composed pipeline bit for bit
     p_up = make_fusion_params(rng, guided=False)
-    upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     base_up = fusion.fuse_fwd(upper, lateral, p_up, guided=False, gated=False)[0]
     kern_up, _ = fusion.predict_kernels_fwd(upper.data, p_up)
     composed_up = nn_ops.conv2d_fwd(
@@ -190,8 +190,8 @@ def test_criterion_7_baselines_and_gate_variants():
     assert np.array_equal(base_up.data, composed_up)
 
     p_dn = make_fusion_params(rng, kind="down", guided=False)
-    lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
+    lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
+    td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     base_dn = fusion.fuse_fwd(lower, td, p_dn, guided=False, gated=False)[0]
     kern_dn, _ = fusion.predict_kernels_fwd(lower.data, p_dn)
     composed_dn = nn_ops.conv2d_fwd(

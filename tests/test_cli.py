@@ -29,6 +29,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert cli.main(["forward", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"c": 8.0}, {"a": 1.5}, {"c_m": 2.5}, {"k_up": 3.0}, {"seed": -1}, {"lambda_o": "x"},
+    {"c": 8, "k_en": 2}, {"c": 8, "image_size": [0, 64]},
+], ids=["c-float", "a-float", "c_m-float", "k_up-float", "seed-negative", "lambda_o-str",
+        "k_en-even", "image-size-zero"])
+def test_mistyped_config_exits_2_without_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["forward", "--config", str(path), "--random", "64x64",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_corrupt_input_tensor_exits_1(tmp_path, capsys):
     junk = tmp_path / "img.a2tsr"
     junk.write_bytes(b"NOTFMT\x01" + b"\0" * 64)

@@ -194,8 +194,8 @@ def test_zeroed_gate_head_is_exactly_neutral(rng):
 
 def test_neutral_gates_reduce_to_plain_addition_bit_exact(rng):
     p = make_fusion_params(rng, zero_gates=True)
-    upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     gated = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=True)[0]
     plain = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
     npt.assert_array_equal(gated.data, plain.data)
@@ -203,8 +203,8 @@ def test_neutral_gates_reduce_to_plain_addition_bit_exact(rng):
 
 def test_neutral_gates_bottomup_bit_exact(rng):
     p = make_fusion_params(rng, kind="down", zero_gates=True)
-    lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
+    lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
+    td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     gated = fusion.fuse_fwd(lower, td, p, guided=True, gated=True)[0]
     plain = fusion.fuse_fwd(lower, td, p, guided=True, gated=False)[0]
     npt.assert_array_equal(gated.data, plain.data)
@@ -213,8 +213,8 @@ def test_neutral_gates_bottomup_bit_exact(rng):
 def test_carafe_baseline_is_the_composed_plain_pipeline(rng):
     # re-derive the whole unguided, ungated path from the individual ops
     p = make_fusion_params(rng, guided=False)
-    upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     out = fusion.fuse_fwd(upper, lateral, p, guided=False, gated=False)[0]
     kern, _ = fusion.predict_kernels_fwd(upper.data, p)
     up = fusion.reassemble_up_fwd(upper.data, kern, 2)[0]
@@ -224,8 +224,8 @@ def test_carafe_baseline_is_the_composed_plain_pipeline(rng):
 
 def test_cap_baseline_is_the_composed_plain_pipeline(rng):
     p = make_fusion_params(rng, kind="down", guided=False)
-    lower = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
-    td = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
+    lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
+    td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     out = fusion.fuse_fwd(lower, td, p, guided=False, gated=False)[0]
     kern, _ = fusion.predict_kernels_fwd(lower.data, p)
     down = fusion.reassemble_down_fwd(lower.data, kern, 2)[0]
@@ -235,8 +235,8 @@ def test_cap_baseline_is_the_composed_plain_pipeline(rng):
 
 def test_guidance_changes_the_kernels(rng):
     p = make_fusion_params(rng, guided=True)
-    upper = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     guided = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
     pooled = nn_ops.max_pool2d_fwd(lateral.data)[0]
     kern_a, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)
@@ -248,11 +248,11 @@ def test_guidance_changes_the_kernels(rng):
 def test_fuse_shape_validation(rng):
     p = make_fusion_params(rng)
     with pytest.raises(ValueError):
-        fusion.fuse_fwd(LevelFeature(3, 8, rng.standard_normal((8, 3, 4))),
-                        LevelFeature(2, 4, rng.standard_normal((8, 5, 8))), p)
+        fusion.fuse_fwd(LevelFeature(3, rng.standard_normal((8, 3, 4))),
+                        LevelFeature(2, rng.standard_normal((8, 5, 8))), p)
     with pytest.raises(ValueError):
-        fusion.fuse_fwd(LevelFeature(2, 4, rng.standard_normal((8, 5, 8))),
-                        LevelFeature(3, 8, rng.standard_normal((8, 3, 4))), p)
+        fusion.fuse_fwd(LevelFeature(2, rng.standard_normal((8, 5, 8))),
+                        LevelFeature(3, rng.standard_normal((8, 3, 4))), p)
 
 
 def test_fusion_params_validation(rng):
@@ -264,8 +264,8 @@ def test_fusion_params_validation(rng):
 
 def test_fuse_levels_and_strides_carry_over(rng):
     p = make_fusion_params(rng)
-    upper = LevelFeature(4, 16, rng.standard_normal((8, 2, 2)))
-    lateral = LevelFeature(3, 8, rng.standard_normal((8, 4, 4)))
+    upper = LevelFeature(4, rng.standard_normal((8, 2, 2)))
+    lateral = LevelFeature(3, rng.standard_normal((8, 4, 4)))
     out = fusion.fuse_fwd(upper, lateral, p)[0]
     assert (out.level, out.stride) == (3, 8)
 
@@ -277,8 +277,8 @@ def test_guided_site_concatenates_once(monkeypatch, rng, kind):
     concat = fusion.concat_channels_fwd
     monkeypatch.setattr(fusion, "concat_channels_fwd", lambda a, b: calls.append(1) or concat(a, b))
     p = make_fusion_params(rng, kind=kind)
-    coarse = LevelFeature(3, 8, rng.standard_normal((8, 3, 4)))
-    fine = LevelFeature(2, 4, rng.standard_normal((8, 6, 8)))
+    coarse = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    fine = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
     fusion.fuse_fwd(src, dst, p)
     assert len(calls) == 1
@@ -288,8 +288,8 @@ def test_guided_topdown_site_with_s3(rng):
     # a 3×3 max-pool guidance lands on the source grid; 3² · 3² = 81 logits
     p = make_fusion_params(rng, s=3)
     assert p.predictor.weight.shape[0] == 81
-    upper = LevelFeature(3, 8, rng.standard_normal((8, 2, 3)))
-    lateral = LevelFeature(2, 4, rng.standard_normal((8, 6, 9)))
+    upper = LevelFeature(3, rng.standard_normal((8, 2, 3)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 9)))
     out, cache = fusion.fuse_fwd(upper, lateral, p)
     pooled = oracles.max_pool2d_oracle(lateral.data, 3)
     kern = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)[0]

@@ -129,9 +129,9 @@ def _tiny_mgc_params(rng, c=8, collect=(2, 3), distribute=(2, 3, 4)):
 
 def test_mgc_forward_enriches_every_level(rng):
     params = _tiny_mgc_params(rng)
-    feats = [LevelFeature(2, 4, rng.standard_normal((8, 4, 4))),
-             LevelFeature(3, 8, rng.standard_normal((8, 2, 2))),
-             LevelFeature(4, 16, rng.standard_normal((8, 1, 2)))]
+    feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
+             LevelFeature(3, rng.standard_normal((8, 2, 2))),
+             LevelFeature(4, rng.standard_normal((8, 1, 2)))]
     outs = mgc.mgc_forward_fwd(feats, params)[0]
     assert [f.level for f in outs] == [2, 3, 4]
     for before, after in zip(feats, outs):
@@ -143,8 +143,8 @@ def test_mgc_forward_zero_out_weight_is_residual_projection(rng):
     # with the output mix zeroed, distribution degenerates to the xi path
     params = _tiny_mgc_params(rng)
     params.out_weight = np.zeros_like(params.out_weight)
-    feats = [LevelFeature(2, 4, rng.standard_normal((8, 4, 4))),
-             LevelFeature(3, 8, rng.standard_normal((8, 2, 2)))]
+    feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
+             LevelFeature(3, rng.standard_normal((8, 2, 2)))]
     outs = mgc.mgc_forward_fwd(feats, params)[0]
     for f in feats:
         xi = params.levels[f.level].xi
@@ -155,16 +155,16 @@ def test_mgc_forward_zero_out_weight_is_residual_projection(rng):
 
 def test_mgc_forward_requires_a_collector(rng):
     params = _tiny_mgc_params(rng, collect=())
-    feats = [LevelFeature(2, 4, rng.standard_normal((8, 2, 2)))]
+    feats = [LevelFeature(2, rng.standard_normal((8, 2, 2)))]
     with pytest.raises(ValueError):
         mgc.mgc_forward_fwd(feats, params)
 
 
 def test_mgc_backward_covers_all_param_names(rng):
     params = _tiny_mgc_params(rng)
-    feats = [LevelFeature(2, 4, rng.standard_normal((8, 4, 4))),
-             LevelFeature(3, 8, rng.standard_normal((8, 2, 2))),
-             LevelFeature(4, 16, rng.standard_normal((8, 1, 2)))]
+    feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
+             LevelFeature(3, rng.standard_normal((8, 2, 2))),
+             LevelFeature(4, rng.standard_normal((8, 1, 2)))]
     outs, cache = mgc.mgc_forward_fwd(feats, params)
     glevels, pg = mgc.mgc_forward_bwd(cache, [np.ones_like(o.data) for o in outs])
     assert sorted(glevels) == [2, 3, 4]

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from a2fpn import nn_ops, pyramid
+from a2fpn import nn_ops, pyramid, verify
 from a2fpn.levels import LevelFeature
 from a2fpn.nn_ops import ConvParams
 from a2fpn.pyramid import ARCHS, ConfigError, PyramidConfig
@@ -16,8 +18,7 @@ def small_cfg(arch, **kw):
 
 
 def small_levels(rng, widths=(4, 4, 8, 8), h=16, w=16):
-    return [LevelFeature(lvl, 2 ** lvl,
-                         rng.standard_normal((widths[lvl - 2], h >> (lvl - 2), w >> (lvl - 2))))
+    return [LevelFeature(lvl, rng.standard_normal((widths[lvl - 2], h >> (lvl - 2), w >> (lvl - 2))))
             for lvl in (2, 3, 4, 5)]
 
 
@@ -63,10 +64,27 @@ def test_context_column_formula():
     dict(image_size=(100, 64)),
     dict(backbone="resnet"),
     dict(backbone=(32, 64)),
-], ids=[f"bad{i}" for i in (0, 1, 2, 3, 4, 5, 8, 10, 11)])
+    dict(c=8.0),
+    dict(a=1.5),
+    dict(c_m=2.5),
+    dict(k_up=3.0),
+    dict(c=True),
+    dict(seed=-1),
+    dict(lambda_o="x"),
+    dict(k_en=2),
+    dict(image_size=(0, 64)),
+    dict(image_size=(64.5, 64)),
+    dict(backbone=(4.5, 4, 8, 8)),
+], ids=[f"bad{i}" for i in (0, 1, 2, 3, 4, 5, 8, 10, 11, *range(12, 23))])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
         PyramidConfig(**bad)
+
+
+def test_even_encoder_kernel_is_a_config_error():
+    # every conv pads (k−1)//2, which keeps the extent only for odd k
+    with pytest.raises(ConfigError, match="k_en"):
+        PyramidConfig.from_dict({"c": 8, "k_en": 2})
 
 
 def test_config_dict_roundtrip_and_digest():
@@ -76,6 +94,11 @@ def test_config_dict_roundtrip_and_digest():
     assert again.digest() == cfg.digest()
     assert len(cfg.digest()) == 64
     assert cfg.digest() != small_cfg("a2fpn_lite", seed=8).digest()
+
+
+def test_numpy_integers_give_the_same_config_document():
+    cfg = small_cfg("a2fpn", c=np.int64(8), seed=np.int32(7), image_size=np.array([64, 64]))
+    assert cfg.digest() == small_cfg("a2fpn", seed=7).digest()
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -108,6 +131,35 @@ def test_init_params_deterministic():
         npt.assert_array_equal(a[k], b[k])
     c = pyramid.init_params(small_cfg("a2fpn", seed=1))
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+# sha256 over each entry's name, dtype, shape and bytes, in store order, of
+# init_params(tiny_config(arch), with_backbone=True, with_head=True): the
+# store's names, order, shapes and random draws are pinned
+INIT_DIGESTS = {
+    "fpn": "20abb82e7bd01d883926ba286f889ed270867b1dfffdc034aff1c70c627a81dc",
+    "pafpn": "fe8d60d6bce5a79d7c0a2a8055c9c4bbd72c309b828a958d9ab02bde2ddf5f6b",
+    "a2fpn": "30c0bd1b9abc00a33e66d108a445b00a607a91db4e2c3bd3da9cf1ddf0e21f33",
+    "a2fpn_lite": "0713f66e759a8411a9ff680b2b4cf76d0b1e8286e6e18d18265b4714cd42ef04",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_init_params_bits_are_pinned(arch):
+    store = pyramid.init_params(verify.tiny_config(arch), with_backbone=True, with_head=True)
+    h = hashlib.sha256()
+    for name, v in store.items():
+        h.update(f"{name}|{v.dtype.str}|{v.shape}|".encode())
+        h.update(v.tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[arch]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_init_params_follows_param_shapes(arch):
+    cfg = verify.tiny_config(arch)
+    store = pyramid.init_params(cfg, with_backbone=True, with_head=True)
+    shapes = pyramid.param_shapes(cfg, with_backbone=True, with_head=True)
+    assert [(k, v.shape) for k, v in store.items()] == list(shapes.items())
 
 
 def test_init_params_dtype_and_psi_orthonormal():
@@ -280,14 +332,14 @@ def test_batched_neck_matches_each_image(rng, arch):
 def test_batched_backward_sums_the_images_param_grads(rng, arch):
     cfg = small_cfg(arch)
     store = pyramid.init_params(cfg)
-    batch = [LevelFeature(f.level, f.stride, np.stack([f.data, 2 * f.data[::-1]]))
+    batch = [LevelFeature(f.level, np.stack([f.data, 2 * f.data[::-1]]))
              for f in small_levels(rng)]
     outs, cache = pyramid.forward_a2fpn_fwd(batch, store, cfg)
     gouts = [rng.standard_normal(f.data.shape) for f in outs]
     glevels, pg = pyramid.forward_a2fpn_bwd(cache, gouts)
     want_pg = {}
     for i in range(2):
-        single = [LevelFeature(f.level, f.stride, f.data[i]) for f in batch]
+        single = [LevelFeature(f.level, f.data[i]) for f in batch]
         _, c1 = pyramid.forward_a2fpn_fwd(single, store, cfg)
         g1, p1 = pyramid.forward_a2fpn_bwd(c1, [g[i] for g in gouts])
         for lvl, g in g1.items():
