@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .pyramid import ARCHS, PyramidConfig, param_shapes
+from .pyramid import ARCHS, PyramidConfig, _sites, param_shapes
 
 COUNT_ARCHS = ARCHS + ("none",)
 
@@ -188,17 +188,15 @@ def _a2fpn_lines(inv, cfg):
         inv.matmul(f"mgc.l{lvl}.dist.apply", c, n_total, hw[lvl])
         inv.elem(f"mgc.l{lvl}.dist.residual", c * hw[lvl])
 
-    for lvl in range(top - 1, 1, -1):
-        q, o = hw[lvl + 1], hw[lvl]
-        inv.elem(f"td.l{lvl}.pool", 3 * c * q)
-        _site_lines(inv, f"td.l{lvl}", cfg, q, q, o, cfg.k_up)
-
-    if not cfg.lite:
-        inv.conv("bu.l2.smooth", hw[2])
-    for lvl in range(3, top + 1):
-        f, o = hw[lvl - 1], hw[lvl]
-        inv.elem(f"bu.l{lvl}.upsample", 8 * c * f)
-        _site_lines(inv, f"bu.l{lvl}", cfg, f, o, o, cfg.k_dn)
+    for prefix, src, dst in _sites(cfg):
+        up = src > dst
+        if prefix == "bu.l3" and not cfg.lite:  # stored between the two chains
+            inv.conv("bu.l2.smooth", hw[2])
+        if up:
+            inv.elem(f"{prefix}.pool", 3 * c * hw[src])
+        else:
+            inv.elem(f"{prefix}.upsample", 8 * c * hw[src])
+        _site_lines(inv, prefix, cfg, hw[src], hw[src if up else dst], hw[dst], cfg.k_up if up else cfg.k_dn)
     if cfg.lite:
         inv.elem("bu.pool_top", 3 * c * hw[6])
 

@@ -214,12 +214,9 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
         if step == steps:
             break
         for key in store:
-            g = grads.get(key)
-            if g is None:
-                continue
             v = velocity[key]
             v *= MOMENTUM
-            v += g
+            v += grads[key]
             store[key] -= lr * v
         del grads  # spent: not kept alive through the next step's pass
     report.seconds = time.perf_counter() - t0

@@ -120,30 +120,27 @@ def rel_err(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
-def finite_diff_grad(f, x, eps=DEFAULT_EPS):
-    """Central differences of a scalar function at every coordinate of x."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    g = np.zeros_like(x, dtype=np.float64)
-    for idx in range(x.size):
-        orig = x.flat[idx]
-        x.flat[idx] = orig + eps
-        fp = f(x)
-        x.flat[idx] = orig - eps
-        fm = f(x)
-        x.flat[idx] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise FloatingPointError(f"non-finite value at coordinate {idx}")
-        g.flat[idx] = (fp - fm) / (2.0 * eps)
-    return g
-
-
 def _op_rng(name, seed):
     return np.random.default_rng([seed] + list(name.encode("utf-8")))
 
 
 def _shapes_of(arrays):
     return ", ".join(f"{k}{list(v.shape)}" for k, v in arrays.items())
+
+
+def _central(loss_fn, arr, where, step, eps):
+    """Central difference of loss_fn as arr[where] moves along step:
+    (f(x + eps·step) − f(x − eps·step)) / 2eps, or None when either side is
+    not finite.  arr[where] is restored afterwards."""
+    orig = arr[where].copy()
+    arr[where] = orig + eps * step
+    fp = loss_fn()
+    arr[where] = orig - eps * step
+    fm = loss_fn()
+    arr[where] = orig
+    if not (np.isfinite(fp) and np.isfinite(fm)):
+        return None
+    return (fp - fm) / (2.0 * eps)
 
 
 def _probe(arrays, loss_fn, analytic, eps, rng, cap, directional=()):
@@ -161,31 +158,18 @@ def _probe(arrays, loss_fn, analytic, eps, rng, cap, directional=()):
         if key in directional:
             v = rng.standard_normal(arr.shape)
             v /= np.linalg.norm(v)
-            orig = arr.copy()
-            arr += eps * v
-            fp = loss_fn()
-            arr[...] = orig - eps * v
-            fm = loss_fn()
-            arr[...] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                return float("inf"), checked
-            worst = max(worst, rel_err(float(np.sum(g * v)), (fp - fm) / (2.0 * eps)))
-            checked += 1
-            continue
-        if cap and arr.size > cap:
-            idxs = np.sort(rng.choice(arr.size, size=cap, replace=False))
+            probes = [(..., v, float(np.sum(g * v)))]
         else:
-            idxs = range(arr.size)
-        for idx in idxs:
-            orig = arr.flat[idx]
-            arr.flat[idx] = orig + eps
-            fp = loss_fn()
-            arr.flat[idx] = orig - eps
-            fm = loss_fn()
-            arr.flat[idx] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
+            if cap and arr.size > cap:
+                idxs = np.sort(rng.choice(arr.size, size=cap, replace=False))
+            else:
+                idxs = range(arr.size)
+            probes = ((np.unravel_index(idx, arr.shape), 1.0, g.flat[idx]) for idx in idxs)
+        for where, step, a in probes:
+            fd = _central(loss_fn, arr, where, step, eps)
+            if fd is None:
                 return float("inf"), checked
-            worst = max(worst, rel_err(g.flat[idx], (fp - fm) / (2.0 * eps)))
+            worst = max(worst, rel_err(a, fd))
             checked += 1
     return worst, checked
 
@@ -204,29 +188,54 @@ def _normal(**shapes):
     return lambda rng: {name: rng.standard_normal(shape) for name, shape in shapes.items()}
 
 
-def _op_builder(fwd, bwd, draw, **kw):
-    """Check of one fwd/bwd pair: fwd(*arrays, **kw) for the arrays ``draw``
-    makes, under a projection r drawn after them with the output's shape.
+def _outputs(y):
+    """The arrays of an output in order: an array itself, a level's data,
+    the high and low gate, or those of each item of a list."""
+    if isinstance(y, list):
+        return [a for item in y for a in _outputs(item)]
+    if isinstance(y, LevelFeature):
+        return [y.data]
+    if isinstance(y, fusion.ChannelGates):
+        return [y.high_gate, y.low_gate]
+    return [y]
 
-    bwd(cache, r) returns the adjoints in the order of the arrays, or the
-    one adjoint of a single array.
+
+def _check(setup):
+    """The builder of one check under a random-projection loss.
+
+    setup(rng) draws the arrays and returns (arrays, fwd, bwd): fwd() runs
+    the computation on the arrays and returns (output, cache), and
+    bwd(cache, rs) returns the adjoints by name, or in the order of the
+    arrays.  Right after setup, one standard-normal projection r per output
+    array (see _outputs) is drawn; rs lists them in output order, and the
+    loss is the sum of ⟨y, r⟩ over them in that order.
     """
     def build(rng):
-        arrays = draw(rng)
-        r = rng.standard_normal(fwd(*arrays.values(), **kw)[0].shape)
+        arrays, fwd, bwd = setup(rng)
+        rs = [rng.standard_normal(y.shape) for y in _outputs(fwd()[0])]
 
         def loss():
-            y, _ = fwd(*arrays.values(), **kw)
-            return float(np.sum(y * r))
+            return float(sum(np.sum(y * r) for y, r in zip(_outputs(fwd()[0]), rs)))
 
         def grads():
-            _, cache = fwd(*arrays.values(), **kw)
-            g = bwd(cache, r)
+            g = bwd(fwd()[1], rs)
+            if isinstance(g, dict):
+                return g
             return dict(zip(arrays, g if isinstance(g, tuple) else (g,)))
 
         return arrays, loss, grads
 
     return build
+
+
+def _op_builder(fwd, bwd, draw, **kw):
+    """Check of one fwd/bwd pair: fwd(*arrays, **kw) on the arrays ``draw``
+    makes, and bwd(cache, r) for its one output's projection r."""
+    def setup(rng):
+        arrays = draw(rng)
+        return arrays, lambda: fwd(*arrays.values(), **kw), lambda cache, rs: bwd(cache, *rs)
+
+    return _check(setup)
 
 
 def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_bwd):
@@ -236,6 +245,7 @@ def _conv_builder(x_shape, w_shape, stride, padding, fwd=conv2d_fwd, bwd=conv2d_
 
 
 def _build_orthogonal_reg(rng):
+    # the one check whose loss is the op itself, not a projection
     psi2 = rng.standard_normal((3, 5))
     psi3 = rng.standard_normal((2, 6))
     # the penalty reads only the entity weights
@@ -257,7 +267,7 @@ def _reason_multilevel_bwd(cache, r):
     return (*gbanks, *gw)
 
 
-def _build_mgc_forward(rng, lead=()):
+def _mgc_forward_setup(rng, lead=()):
     # the graph layers' w1/w2 are damped 0.3× so their adjacency softmax
     # stays in its smooth regime: undamped, seeds 4 and 6 saturate it so far
     # that a whole w1/w2 gradient has norm ~1e-8, below what even the
@@ -269,23 +279,12 @@ def _build_mgc_forward(rng, lead=()):
     for name, shape in mgc.param_shapes(c, {2: (4, 2), 3: (6, None)}).items():
         arrays[name] = (0.3 if name in _GRAPH_WEIGHTS else 1.0) * rng.standard_normal(shape)
     params = mgc.MgcParams.from_store(arrays, (2, 3))  # level 3 only receives context
-    r2 = rng.standard_normal(lead + (c, 4, 4))
-    r3 = rng.standard_normal(lead + (c, 2, 2))
 
-    def fwd():
-        levels = [LevelFeature(2, f2), LevelFeature(3, f3)]
-        return mgc.mgc_forward_fwd(levels, params)
-
-    def loss():
-        outs, _ = fwd()
-        return float(np.sum(outs[0].data * r2) + np.sum(outs[1].data * r3))
-
-    def grads():
-        _, cache = fwd()
-        glevels, pg = mgc.mgc_forward_bwd(cache, [r2, r3])
+    def bwd(cache, rs):
+        glevels, pg = mgc.mgc_forward_bwd(cache, rs)
         return {"f2": glevels[2], "f3": glevels[3], **pg}
 
-    return arrays, loss, grads
+    return arrays, lambda: mgc.mgc_forward_fwd([LevelFeature(2, f2), LevelFeature(3, f3)], params), bwd
 
 
 def _tiny_fusion_params(rng, kind, guided=True, s=2):
@@ -300,127 +299,76 @@ def _tiny_fusion_params(rng, kind, guided=True, s=2):
     return fusion.FusionParams.from_store(arrays, "", k, kind == "up", s=s), arrays
 
 
-def _predictor_builder(kind, src, guide, hw):
-    """Check of predict_kernels_fwd/bwd on a tiny site of ``kind``: 8-channel
-    inputs named src and guide of extents hw, and the kpred parameters."""
-    def build(rng):
+def _reader_builder(part, kind, names, hw, lead=()):
+    """Check of one reader of a tiny site of ``kind`` on [src, guide]: the
+    kernel predictor (part "kpred") or the channel gates ("gate"), its
+    parameters, and two 8-channel inputs of extents hw with the given names."""
+    fwd_op, bwd_op = {"kpred": (fusion.predict_kernels_fwd, fusion.predict_kernels_bwd),
+                      "gate": (fusion.channel_gates_fwd, fusion.channel_gates_bwd)}[part]
+
+    def setup(rng):
         p, p_arrays = _tiny_fusion_params(rng, kind)
-        arrays = {src: rng.standard_normal((8,) + hw), guide: rng.standard_normal((8,) + hw)}
-        arrays.update({k: v for k, v in p_arrays.items() if k.startswith("kpred.")})
+        arrays = {name: rng.standard_normal(lead + (8,) + hw) for name in names}
+        arrays.update((k, v) for k, v in p_arrays.items() if k.startswith(part + "."))
 
         def fwd():
-            x, c_cat = concat_channels_fwd(arrays[src], arrays[guide])
-            return fusion.predict_kernels_fwd(x, p) + (c_cat,)
+            x, c_cat = concat_channels_fwd(*(arrays[name] for name in names))
+            y, cache = fwd_op(x, p)
+            return y, (cache, c_cat)
 
-        r = rng.standard_normal(fwd()[0].shape)
+        def bwd(cache, rs):
+            gx, pg = bwd_op(cache[0], *rs)
+            return dict(zip(names, concat_channels_bwd(cache[1], gx)), **pg)
 
-        def loss():
-            return float(np.sum(fwd()[0] * r))
+        return arrays, fwd, bwd
 
-        def grads():
-            _, cache, c_cat = fwd()
-            gx, pg = fusion.predict_kernels_bwd(cache, r)
-            return dict(zip((src, guide), concat_channels_bwd(c_cat, gx)), **pg)
-
-        return arrays, loss, grads
-
-    return build
-
-
-def _build_channel_gates(rng, lead=()):
-    p, p_arrays = _tiny_fusion_params(rng, "up")
-    a = rng.standard_normal(lead + (8, 2, 3))
-    b = rng.standard_normal(lead + (8, 2, 3))
-    rh = rng.standard_normal(lead + (8,))
-    rl = rng.standard_normal(lead + (8,))
-    arrays = {"a": a, "b": b}
-    arrays.update({k: v for k, v in p_arrays.items() if k.startswith("gate.")})
-
-    def fwd():
-        x, c_cat = concat_channels_fwd(a, b)
-        return fusion.channel_gates_fwd(x, p) + (c_cat,)
-
-    def loss():
-        g = fwd()[0]
-        return float(np.sum(g.high_gate * rh) + np.sum(g.low_gate * rl))
-
-    def grads():
-        _, cache, c_cat = fwd()
-        gx, pg = fusion.channel_gates_bwd(cache, rh, rl)
-        return dict(zip(("a", "b"), concat_channels_bwd(c_cat, gx)), **pg)
-
-    return arrays, loss, grads
+    return _check(setup)
 
 
 def _fuse_builder(direction, guided, s=2):
     """Check of fuse_fwd/bwd between a level-3 "coarse" and a level-2 "fine"
     feature s× finer: coarse into fine for direction "td", fine into coarse for "bu"."""
-    def build(rng):
+    def setup(rng):
         kind = "up" if direction == "td" else "down"
         p, p_arrays = _tiny_fusion_params(rng, kind, guided=guided, s=s)
         coarse = LevelFeature(3, rng.standard_normal((8, 2, 3)))
         fine = LevelFeature(2, rng.standard_normal((8, 2 * s, 3 * s)))
         arrays = {"coarse": coarse.data, "fine": fine.data}
-        arrays.update(p_arrays)
-        if not guided:  # gates off too: the plain-reassembly baselines
-            for key in list(arrays):
-                if key.startswith("gate."):
-                    del arrays[key]
+        # unguided means gates off too: the plain-reassembly baselines
+        arrays.update((k, v) for k, v in p_arrays.items() if guided or not k.startswith("gate."))
         src, dst = (coarse, fine) if direction == "td" else (fine, coarse)
         names = ("coarse", "fine") if direction == "td" else ("fine", "coarse")
-        r = rng.standard_normal(dst.data.shape)
 
-        def loss():
-            out, _ = fusion.fuse_fwd(src, dst, p, guided=guided, gated=guided)
-            return float(np.sum(out.data * r))
-
-        def grads():
-            _, cache = fusion.fuse_fwd(src, dst, p, guided=guided, gated=guided)
-            gsrc, gdst, pg = fusion.fuse_bwd(cache, r)
+        def bwd(cache, rs):
+            gsrc, gdst, pg = fusion.fuse_bwd(cache, *rs)
             return {names[0]: gsrc, names[1]: gdst, **pg}
 
-        return arrays, loss, grads
+        return arrays, lambda: fusion.fuse_fwd(src, dst, p, guided=guided, gated=guided), bwd
 
-    return build
+    return _check(setup)
 
 
-def _build_toy_backbone(rng):
-    widths = (2, 3, 4, 5)
+def _toy_backbone_setup(rng):
     store = {name: rng.standard_normal(shape) * (0.1 if name.endswith(".bias") else 0.5)
-             for name, shape in backbone_shapes(BackboneSpec(widths)).items()}
+             for name, shape in backbone_shapes(BackboneSpec((2, 3, 4, 5))).items()}
     image = rng.standard_normal((3, 64, 64))
-    rs = {lvl: rng.standard_normal((widths[lvl - 2], 64 // 2 ** lvl, 64 // 2 ** lvl))
-          for lvl in (2, 3, 4, 5)}
-    arrays = {"image": image, **store}
 
-    def loss():
-        levels, _ = toy_backbone_fwd(image, store)
-        return float(sum(np.sum(f.data * rs[f.level]) for f in levels))
-
-    def grads():
-        _, caches = toy_backbone_fwd(image, store)
-        gimage, pg = toy_backbone_bwd(caches, rs)
+    def bwd(caches, rs):
+        gimage, pg = toy_backbone_bwd(caches, dict(zip((2, 3, 4, 5), rs)))
         return {"image": gimage, **pg}
 
-    return arrays, loss, grads
+    return {"image": image, **store}, lambda: toy_backbone_fwd(image, store), bwd
 
 
-def _build_make_extra_level(rng):
+def _extra_level_setup(rng):
     f5 = LevelFeature(5, rng.standard_normal((5, 2, 2)))
     store = {name: rng.standard_normal(shape) for name, shape in extra_level_shapes(6, 5).items()}
-    r = rng.standard_normal((6, 1, 1))
-    arrays = {"f5": f5.data, **store}
 
-    def loss():
-        out, _ = make_extra_level_fwd(f5, store)
-        return float(np.sum(out.data * r))
-
-    def grads():
-        _, cache = make_extra_level_fwd(f5, store)
-        gf5, pg = make_extra_level_bwd(cache, r)
+    def bwd(cache, rs):
+        gf5, pg = make_extra_level_bwd(cache, *rs)
         return {"f5": gf5, **pg}
 
-    return arrays, loss, grads
+    return {"f5": f5.data, **store}, lambda: make_extra_level_fwd(f5, store), bwd
 
 
 def tiny_config(arch="a2fpn"):
@@ -432,7 +380,7 @@ def tiny_config(arch="a2fpn"):
 
 
 def _net_builder(arch, lead=()):
-    def build(rng):
+    def setup(rng):
         cfg = tiny_config(arch)
         store = init_params(cfg)
         # re-randomize so the check is not anchored to the init's statistics
@@ -450,24 +398,15 @@ def _net_builder(arch, lead=()):
         arrays.update(store)
 
         def fwd():
-            levels = [LevelFeature(lvl, feats[lvl]) for lvl in (2, 3, 4, 5)]
-            return forward_a2fpn_fwd(levels, store, cfg)
+            return forward_a2fpn_fwd([LevelFeature(lvl, feats[lvl]) for lvl in (2, 3, 4, 5)], store, cfg)
 
-        outs0, _ = fwd()
-        rs = [rng.standard_normal(o.data.shape) for o in outs0]
-
-        def loss():
-            outs, _ = fwd()
-            return float(sum(np.sum(o.data * r) for o, r in zip(outs, rs)))
-
-        def grads():
-            _, cache = fwd()
+        def bwd(cache, rs):
             glevels, pg = forward_a2fpn_bwd(cache, rs)
             return {**{f"f{lvl}": g for lvl, g in glevels.items()}, **pg}
 
-        return arrays, loss, grads
+        return arrays, fwd, bwd
 
-    return build
+    return _check(setup)
 
 
 # The graph layers' w1/w2 set the logits of a softmax over graph nodes.  Even
@@ -530,20 +469,20 @@ REGISTRY = {
     "distribute_context": (_op_builder(mgc.distribute_context_fwd, mgc.distribute_context_bwd,
                                        _normal(fdata=(4, 3, 3), fused=(8, 5), theta=(8, 4), xi=(8, 4),
                                                w_o=(8, 8))), COMPOSITE_TOL, 0),
-    "mgc_forward": (_build_mgc_forward, COMPOSITE_TOL, 16),
-    "mgc_forward_n2": (partial(_build_mgc_forward, lead=(2,)), COMPOSITE_TOL, 16),
-    "predict_up_kernels": (_predictor_builder("up", "coarse", "pooled", (2, 3)), COMPOSITE_TOL, 32),
-    "predict_down_kernels": (_predictor_builder("down", "fine", "ups", (4, 6)), COMPOSITE_TOL, 32),
+    "mgc_forward": (_check(_mgc_forward_setup), COMPOSITE_TOL, 16),
+    "mgc_forward_n2": (_check(partial(_mgc_forward_setup, lead=(2,))), COMPOSITE_TOL, 16),
+    "predict_up_kernels": (_reader_builder("kpred", "up", ("coarse", "pooled"), (2, 3)), COMPOSITE_TOL, 32),
+    "predict_down_kernels": (_reader_builder("kpred", "down", ("fine", "ups"), (4, 6)), COMPOSITE_TOL, 32),
     "reassemble_up": (_op_builder(fusion.reassemble_up_fwd, fusion.reassemble_up_bwd,
                                   _normal(coarse=(3, 2, 3), kern=(9, 4, 6))), COMPOSITE_TOL, 0),
     "reassemble_down": (_op_builder(fusion.reassemble_down_fwd, fusion.reassemble_down_bwd,
                                     _normal(fine=(3, 4, 6), kern=(9, 2, 3))), COMPOSITE_TOL, 0),
-    "channel_gates": (_build_channel_gates, COMPOSITE_TOL, 0),
+    "channel_gates": (_reader_builder("gate", "up", ("a", "b"), (2, 3)), COMPOSITE_TOL, 0),
     "reassemble_up_n2": (_op_builder(fusion.reassemble_up_fwd, fusion.reassemble_up_bwd,
                                      _normal(coarse=(2, 3, 2, 3), kern=(2, 9, 4, 6))), COMPOSITE_TOL, 0),
     "reassemble_down_n2": (_op_builder(fusion.reassemble_down_fwd, fusion.reassemble_down_bwd,
                                        _normal(fine=(2, 3, 4, 6), kern=(2, 9, 2, 3))), COMPOSITE_TOL, 0),
-    "channel_gates_n2": (partial(_build_channel_gates, lead=(2,)), COMPOSITE_TOL, 0),
+    "channel_gates_n2": (_reader_builder("gate", "up", ("a", "b"), (2, 3), lead=(2,)), COMPOSITE_TOL, 0),
     # the one fusion site: top-down and bottom-up, guided and gated, or plain
     # (the CARAFE/CAP baselines)
     "fuse_topdown": (_fuse_builder("td", True), COMPOSITE_TOL, 24),
@@ -552,8 +491,8 @@ REGISTRY = {
     "cap_baseline": (_fuse_builder("bu", False), COMPOSITE_TOL, 24),
     # s = 3: a 3×3 max-pool guidance and an 81-logit predictor
     "fuse_topdown_s3": (_fuse_builder("td", True, s=3), COMPOSITE_TOL, 24),
-    "toy_backbone": (_build_toy_backbone, COMPOSITE_TOL, 32),
-    "make_extra_level": (_build_make_extra_level, COMPOSITE_TOL, 0),
+    "toy_backbone": (_check(_toy_backbone_setup), COMPOSITE_TOL, 32),
+    "make_extra_level": (_check(_extra_level_setup), COMPOSITE_TOL, 0),
     "a2fpn_full": (_net_builder("a2fpn"), COMPOSITE_TOL, 3),
     "a2fpn_lite": (_net_builder("a2fpn_lite"), COMPOSITE_TOL, 3),
     "a2fpn_full_n2": (_net_builder("a2fpn", lead=(2,)), COMPOSITE_TOL, 3),

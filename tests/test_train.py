@@ -63,6 +63,24 @@ def test_zero_lr_freezes_the_loss():
     assert len(losses) == 1
 
 
+def test_a_missing_gradient_stops_training(monkeypatch):
+    # a backward that drops one parameter's gradient must not leave that
+    # parameter frozen: the first site's backward (bu.l6) loses gate.w3's
+    real = fusion.fuse_bwd
+    calls = []
+
+    def drop_one(cache, gout):
+        gsrc, gdst, pg = real(cache, gout)
+        if not calls:
+            del pg["gate.w3.weight"]
+        calls.append(1)
+        return gsrc, gdst, pg
+
+    monkeypatch.setattr(fusion, "fuse_bwd", drop_one)
+    with pytest.raises(KeyError, match=r"'bu\.l6\.gate\.w3\.weight'"):
+        train_toy(toy_train_config("a2fpn"), steps=1)
+
+
 def test_training_is_invocation_deterministic():
     a, _ = train_toy(toy_train_config("a2fpn_lite"), steps=8)
     b, _ = train_toy(toy_train_config("a2fpn_lite"), steps=8)
