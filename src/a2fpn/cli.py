@@ -157,7 +157,7 @@ def cmd_forward(args):
         image = rng.standard_normal((3, h, w)).astype(cfg.np_dtype)
 
     store = init_params(cfg, with_backbone=True)
-    levels, _ = toy_backbone_fwd(image, store)
+    levels = toy_backbone_fwd(image, store)[0]
     outs = forward_pyramid(levels, store, cfg)
     for f in outs:
         if not np.isfinite(f.data).all():

@@ -492,6 +492,7 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
         resample_fwd = max_pool2d_fwd if up else bilinear_upsample_fwd
         guide, c_guide = resample_fwd(dst.data, p.s)
         x, c_cat = concat_channels_fwd(src.data, guide)
+        del guide  # the concat holds it; a max-pool guide lives on in c_guide
     kern, c_kern = predict_kernels_fwd(x, p)
     reassemble_fwd = reassemble_up_fwd if up else reassemble_down_fwd
     re, c_re = reassemble_fwd(src.data, kern, p.s)

@@ -16,7 +16,7 @@ conv's per-image shape alone:
   per 2×2 output tile and channel pair where direct convolution needs 36.
   In the neck at a 256² input these are the c=256 convs at 32² and 64².
   The tiles are transformed and multiplied image by image, in blocks of
-  tile rows sized by ``_WINOGRAD_BLOCK_BYTES``, so no im2col matrix and no
+  tile rows sized by ``_BLOCK_BYTES`` (2 MB), so no im2col matrix and no
   full transformed input is built.  The backward recomputes the
   transformed kernels and, block by block, the input transform.
 * Their forward takes Winograd only from ``_WINOGRAD_FWD_MIN_SIZE`` (2²⁹)
@@ -24,11 +24,15 @@ conv's per-image shape alone:
   im2col, so that a 256² input keeps the f32 rounding the committed
   perfbench digests were made with (ROADMAP item 1).  The backward changes
   no forward value, so only the forward is held.
-* Every other conv (strided, k ≠ 3, or below ``_WINOGRAD_MIN_SIZE``) is one
-  GEMM of the kernel matrix with the im2col column matrix
-  (cin·k², n·h_out·w_out), which covers all n images at once.  For 1×1
-  stride-1 convs of one image that matrix is a view of the input.  Its
-  weight gradient is one GEMM with the same columns; its input gradient
+* Every other conv (strided, k ≠ 3, or below ``_WINOGRAD_MIN_SIZE``)
+  multiplies the kernel matrix with the im2col column matrix
+  (cin·k², n·h_out·w_out).  Its forward streams the columns: a matrix
+  larger than ``_BLOCK_BYTES`` is built image by image in blocks of output
+  rows, in one reused L2-sized buffer, each block one GEMM into the output
+  (Chetlur et al., arXiv 1410.0759); a smaller one is one GEMM over all n
+  images, and for 1×1 stride-1 convs of one image it is a view of the
+  input.  Its backward builds the whole matrix again: its weight gradient
+  is one GEMM with those columns; its input gradient
   takes one of two routes, picked by ``_use_gather`` from the shapes:
   gather, s² stride-1 correlations of gy with the flipped, transposed
   kernel (a transposed convolution, one im2col and GEMM per input phase),
@@ -37,7 +41,8 @@ conv's per-image shape alone:
 
 Every conv caches its padded input, not its column matrix: the backward
 builds the columns again, so a batch's forward caches stay about the size
-of its feature maps.
+of its feature maps, and an im2col forward's transient memory beyond its
+maps is one column block.
 
 The s×s max pool likewise caches references, to its input and its output,
 not a window index: the forward is s² - 1 np.maximum passes over phase
@@ -51,7 +56,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass
@@ -116,10 +120,14 @@ _WINOGRAD_MIN_SIZE = 1 << 25
 # changes no forward value, so it is not held.  Delete this hold, so that
 # both directions use _WINOGRAD_MIN_SIZE, once the digests are mended.
 _WINOGRAD_FWD_MIN_SIZE = 1 << 29
-# Size cap on one row block of transformed tiles (the larger of the input
-# and output transforms): about L2-sized, so the transforms stream through
-# cache rather than DRAM.
-_WINOGRAD_BLOCK_BYTES = 2 << 20
+# Size cap on one row block: of transformed Winograd tiles (the larger of the
+# input and output transforms), and of an im2col forward's column matrix.
+# About L2-sized, so a block streams through cache rather than DRAM.  BLAS
+# does not promise a GEMM the same bits when it is split into column blocks,
+# so the cap moves f32 rounding: at 1 MB the infer-512 outputs and the
+# fwdbwd-256 gradients differ from those at 2 MB, where every output and
+# gradient of the three perfbench workloads keeps its unblocked bits.
+_BLOCK_BYTES = 2 << 20
 
 
 def _use_winograd(weight_shape, stride, h_out, w_out):
@@ -137,7 +145,7 @@ def _bt(d, out):
 
 def _winograd_rows(cin, cout, tw, itemsize):
     """Tile rows per block of the Winograd transforms."""
-    return max(1, _WINOGRAD_BLOCK_BYTES // (16 * max(cin, cout) * tw * itemsize))
+    return max(1, _BLOCK_BYTES // (16 * max(cin, cout) * tw * itemsize))
 
 
 def _winograd_input(xp, ty0, n, tw, dtype):
@@ -264,34 +272,73 @@ def _winograd_bwd(cache, gy):
     return (gx if gy.ndim == 4 else gx[0]), gw, gb
 
 
-def _im2col(xp, kh, kw, stride, h_out, w_out):
+def _taps(xp, kh, kw, stride, h_out, w_out, origin=(0, 0)):
+    """View (cin, kh, kw, n, h_out, w_out) of the batch xp with
+    [ci, dy, dx, i, y, x] = xp[i, ci, y0 + stride·y + dy, x0 + stride·x + dx], (y0, x0) = origin.
+
+    It is an np.ndarray over xp's own buffer, ~1 µs a call where as_strided
+    takes ~5 µs.  That needs a C-contiguous xp, so any other is copied first.
+    """
+    if not xp.flags.c_contiguous:
+        xp = np.ascontiguousarray(xp)
+    sn, sc, sh, sw = xp.strides
+    y0, x0 = origin
+    return np.ndarray((xp.shape[1], kh, kw, xp.shape[0], h_out, w_out), xp.dtype, buffer=xp,
+                      offset=y0 * sh + x0 * sw, strides=(sc, sh, sw, sn, stride * sh, stride * sw))
+
+
+def _im2col(xp, kh, kw, stride, h_out, w_out, origin=(0, 0)):
     """Column matrix (cin·kh·kw, n·h_out·w_out) of the padded batch xp, in one copy.
 
     Row (ci, dy, dx) holds tap (dy, dx) of channel ci for every output pixel
-    of every image, images outermost.  For 1×1 stride-1 convs of one image
-    it is a view of xp.
+    of every image, images outermost; origin is the window's top-left corner
+    in xp (_taps).  For 1×1 stride-1 convs that read all of xp it is a view
+    when xp holds one image.
     """
     n, cin = xp.shape[:2]
-    if kh == kw == 1 and stride == 1:
+    if kh == kw == 1 and stride == 1 and xp.shape[2:] == (h_out, w_out):
         return xp.transpose(1, 0, 2, 3).reshape(cin, n * h_out * w_out)
-    sn, sc, sh, sw = xp.strides
     cols = np.empty((cin, kh, kw, n, h_out, w_out), dtype=xp.dtype)
-    np.copyto(cols, as_strided(xp, cols.shape, (sc, sh, sw, sn, stride * sh, stride * sw),
-                               writeable=False))
+    np.copyto(cols, _taps(xp, kh, kw, stride, h_out, w_out, origin))
     return cols.reshape(cin * kh * kw, n * h_out * w_out)
 
 
+def _im2col_rows(wm, xp, k, stride, h_out, w_out, rows):
+    """wm @ the column matrix of xp, as an (n, cout, h_out·w_out) array, built
+    image by image in blocks of `rows` output rows.
+
+    Each block's columns are copied into one reused buffer, and its GEMM
+    writes straight into the output, so the whole column matrix never exists.
+    """
+    n = xp.shape[0]
+    kk = wm.shape[1]
+    taps = _taps(xp, k, k, stride, h_out, w_out)
+    y = np.empty((n, wm.shape[0], h_out * w_out), dtype=np.result_type(wm, xp))
+    buf = np.empty(kk * rows * w_out, dtype=xp.dtype)
+    for i in range(n):
+        for r0 in range(0, h_out, rows):
+            r1 = min(r0 + rows, h_out)
+            cols = buf[: kk * (r1 - r0) * w_out].reshape(taps.shape[:3] + (r1 - r0, w_out))
+            np.copyto(cols, taps[:, :, :, i, r0:r1])
+            np.matmul(wm, cols.reshape(kk, -1), out=y[i, :, r0 * w_out : r1 * w_out])
+    return y
+
+
 def _window(x, y0, x0, hh, ww):
-    """x[:, :, y0:y0+hh, x0:x0+ww] of a batch, zero where it leaves x; a view when it does not."""
+    """(batch, origin) holding x[:, :, y0:y0+hh, x0:x0+ww] at origin, zero where it leaves x.
+
+    That is x itself at (y0, x0) when the window lies inside x, otherwise a
+    zero-padded copy of the window at (0, 0).
+    """
     h, w = x.shape[-2:]
     if y0 >= 0 and x0 >= 0 and y0 + hh <= h and x0 + ww <= w:
-        return x[:, :, y0 : y0 + hh, x0 : x0 + ww]
+        return x, (y0, x0)
     out = np.zeros(x.shape[:2] + (hh, ww), dtype=x.dtype)
     ty, tx = max(0, -y0), max(0, -x0)
     by, bx = min(hh, h - y0), min(ww, w - x0)
     if by > ty and bx > tx:
         out[:, :, ty:by, tx:bx] = x[:, :, y0 + ty : y0 + by, x0 + tx : x0 + bx]
-    return out
+    return out, (0, 0)
 
 
 def conv2d_fwd(p: ConvParams, x):
@@ -302,8 +349,10 @@ def conv2d_fwd(p: ConvParams, x):
     Winograd F(2×2, 3×3), and their forward by Winograd (_winograd_fwd) only
     from _WINOGRAD_FWD_MIN_SIZE up, which keeps the im2col f32 rounding of a
     256² neck input until the perfbench digests are mended (ROADMAP item 1).
-    Every other forward is one GEMM of the kernel matrix with the im2col
-    column matrix (cin·k², n·h_out·w_out).
+    Every other forward multiplies the kernel matrix with the im2col column
+    matrix (cin·k², n·h_out·w_out): as one GEMM when that matrix fits
+    _BLOCK_BYTES, or when it is a view (a 1×1 stride-1 conv of one image);
+    otherwise image by image in blocks of output rows (_im2col_rows).
 
     The cache is (p, x.shape, xp), xp the input as an (n, cin, ·, ·) batch
     zero-padded: as _winograd_pad pads it when the backward is Winograd,
@@ -322,17 +371,24 @@ def conv2d_fwd(p: ConvParams, x):
     if winograd_bwd and cout * cin * h_out * w_out >= _WINOGRAD_FWD_MIN_SIZE:
         return _winograd_fwd(p, x)
     xb = _lift(x)
+    n = xb.shape[0]
     if winograd_bwd:
         xp = _winograd_pad(xb, p.padding)
     elif p.padding:
         xp = _zero_pad(xb, p.padding)
     else:
         xp = xb
-    y = p.weight.reshape(cout, -1) @ _im2col(xp, k, k, p.stride, h_out, w_out)
+    wm = p.weight.reshape(cout, -1)
+    rows = max(1, _BLOCK_BYTES // (wm.shape[1] * w_out * xp.itemsize))
+    if n * h_out <= rows or (k == 1 and p.stride == 1 and n == 1):
+        # one GEMM, its (cout, n·h_out·w_out) result viewed as (n, cout, h_out·w_out)
+        y = (wm @ _im2col(xp, k, k, p.stride, h_out, w_out)).reshape(cout, n, -1).swapaxes(0, 1)
+    else:
+        y = _im2col_rows(wm, xp, k, p.stride, h_out, w_out, rows)
     if p.bias is not None:
-        y = y + p.bias[:, None]
-    # (cout, n·h_out·w_out) -> (n, cout, h_out, w_out); no copy for one image
-    y = np.ascontiguousarray(y.reshape(cout, xb.shape[0], h_out, w_out).swapaxes(0, 1))
+        y += p.bias[:, None]
+    # a copy only for several images in one GEMM
+    y = np.ascontiguousarray(y).reshape(n, cout, h_out, w_out)
     return (y if x.ndim == 4 else y[0]), (p, x.shape, xp)
 
 
@@ -396,7 +452,8 @@ def _gx_gather(p: ConvParams, x_shape, gy, gyf):
             if (ty, tx, oy, ox, na, nb) == (1, 1, 0, 0, h_out, w_out):
                 cols = gyf  # one tap over all of gy: its columns are gy's own
             else:
-                cols = _im2col(_window(gy, oy, ox, na + ty - 1, nb + tx - 1), ty, tx, 1, na, nb)
+                win, origin = _window(gy, oy, ox, na + ty - 1, nb + tx - 1)
+                cols = _im2col(win, ty, tx, 1, na, nb, origin)
             g = (wt @ cols).reshape(cin, n, na, nb).swapaxes(0, 1)
             if s == 1:
                 return g

@@ -413,16 +413,27 @@ def _sites(cfg):
             + [(f"bu.l{lvl}", lvl - 1, lvl) for lvl in range(3, top + 1)])
 
 
-def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
+class _Discard(dict):
+    """A stage cache that stores nothing, so each stage's cache is freed as it returns."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True):
     """Full pipeline: the extra level (full neck only), global-context
     enrichment, top-down content-aware fusion, then the gated bottom-up chain.
 
     Returns (outputs, cache); outputs are five LevelFeatures at strides
-    4..64 with cfg.c channels.
+    4..64 with cfg.c channels.  With keep_cache False the cache is None:
+    the backward cache of each stage (extra, mgc, every fusion site, and
+    bu.l2.smooth or pool_top), with its concatenations, phase planes, padded
+    inputs and attention maps, is freed as soon as that stage returns, and
+    each level a site replaces is freed once the site has read it.
     """
     _check_levels(levels)
     top = cfg.top_level
-    cache = {"cfg": cfg}
+    cache = {"cfg": cfg} if keep_cache else _Discard()
 
     feats = list(levels)
     if not cfg.lite:
@@ -432,6 +443,7 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
     mgc_params = mgc.MgcParams.from_store(store, range(2, top + 1), cfg.lambda_o)
     ctx, cache["mgc"] = mgc.mgc_forward_fwd(feats, mgc_params)
     cur = {f.level: f for f in ctx}
+    del ctx  # cur holds the only reference to each level a site replaces
 
     for prefix, src, dst in _sites(cfg):
         up = src > dst
@@ -447,7 +459,7 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig):
         p = ConvParams.from_store(store, "bu.l2.smooth")
         y2, cache["bu.l2.smooth"] = conv2d_fwd(p, cur[2].data)
         outs[0] = LevelFeature(2, y2)
-    return outs, cache
+    return outs, (cache if keep_cache else None)
 
 
 def forward_a2fpn_bwd(cache, gouts):
@@ -487,9 +499,14 @@ def forward_a2fpn_bwd(cache, gouts):
 
 
 def forward_pyramid(levels, store, cfg):
-    """Dispatch on cfg.arch; outputs are always five levels, strides 4..64."""
+    """Dispatch on cfg.arch; outputs are always five levels, strides 4..64.
+
+    The inference entry: the attention-aggregation necks run
+    forward_a2fpn_fwd with keep_cache False, so no backward cache outlives
+    its stage and the outputs are the same bits.
+    """
     if cfg.arch == "fpn":
         return forward_fpn(levels, store, cfg)
     if cfg.arch == "pafpn":
         return forward_pafpn(levels, store, cfg)
-    return forward_a2fpn_fwd(levels, store, cfg)[0]
+    return forward_a2fpn_fwd(levels, store, cfg, keep_cache=False)[0]

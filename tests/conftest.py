@@ -1,5 +1,7 @@
 """Shared helpers for the test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,15 @@ def make_fusion_params(rng, c=8, c_m=3, k=3, kind="up", guided=True,
              "gate.ln.shift": np.zeros(shapes.pop("gate.ln.shift"))}
     store.update((name, scale * rng.standard_normal(shape)) for name, shape in shapes.items())
     return FusionParams.from_store(store, "", k, kind == "up", s=s, gate_act=gate_act)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes traced while it ran); numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -4,6 +4,7 @@ import pytest
 
 from a2fpn import nn_ops, oracles
 from a2fpn.nn_ops import ConvParams
+from conftest import traced_peak
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
@@ -43,7 +44,7 @@ def _two_tile_row_blocks(monkeypatch, cin, cout, h, w, pad):
     """Shrink the block cap to two tile rows, so small shapes cross blocks."""
     h_out, w_out = h + 2 * pad - 2, w + 2 * pad - 2
     th, tw = -(-h_out // 2), -(-w_out // 2)
-    monkeypatch.setattr(nn_ops, "_WINOGRAD_BLOCK_BYTES", 2 * 16 * max(cin, cout) * tw * 8)
+    monkeypatch.setattr(nn_ops, "_BLOCK_BYTES", 2 * 16 * max(cin, cout) * tw * 8)
     assert nn_ops._winograd_rows(cin, cout, tw, 8) == 2
     assert th == 1 or -(-th // 2) >= 3
     return h_out, w_out
@@ -62,6 +63,46 @@ def _spy(monkeypatch, name, calls):
 def _cached_arrays(cache):
     # a cached view counts with the array it keeps alive
     return [a if a.base is None else a.base for a in cache if isinstance(a, np.ndarray)]
+
+
+BLOCKED_SHAPES = [  # n, cin, cout, k, stride, pad, h, w; every h_out is 7
+    (1, 3, 4, 3, 1, 1, 7, 5),
+    (2, 3, 4, 3, 1, 1, 7, 5),
+    (1, 2, 3, 3, 2, 1, 13, 6),
+    (2, 2, 3, 3, 2, 1, 14, 6),
+    (2, 4, 3, 1, 1, 0, 7, 5),  # a batched 1×1 conv
+]
+
+
+@pytest.mark.parametrize("n,cin,cout,k,stride,pad,h,w", BLOCKED_SHAPES)
+def test_im2col_row_blocks_match_loop_oracle(monkeypatch, n, cin, cout, k, stride, pad, h, w):
+    h_out, w_out = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    # a cap of two output rows of columns: blocks of 2, 2, 2 and 1 rows per image
+    monkeypatch.setattr(nn_ops, "_BLOCK_BYTES", 2 * cin * k * k * w_out * 8)
+    assert h_out == 7
+    calls = []
+    _spy(monkeypatch, "_im2col_rows", calls)
+    rng = np.random.default_rng([n, cin, cout, k, stride, h])
+    x = rng.standard_normal((n, cin, h, w))
+    p = ConvParams(rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout),
+                   stride=stride, padding=pad)
+    y, _ = nn_ops.conv2d_fwd(p, x if n > 1 else x[0])
+    assert calls == ["_im2col_rows"] and y.flags.c_contiguous
+    for xi, yi in zip(x, y.reshape(n, cout, h_out, w_out)):
+        npt.assert_allclose(yi, oracles.conv2d_oracle(p.weight, p.bias, xi, stride, pad),
+                            rtol=0, atol=1e-12)
+
+
+def test_im2col_forward_streams_its_columns(rng):
+    # c=256 3×3 at 64², a 37.7 MB column matrix, stays within its maps, the
+    # padded input it caches, one column block and 1 MB
+    x = rng.standard_normal((256, 64, 64)).astype(np.float32)
+    p = ConvParams((rng.standard_normal((256, 256, 3, 3)) / 48).astype(np.float32),
+                   np.zeros(256, np.float32), padding=1)
+    (y, cache), peak = traced_peak(lambda: nn_ops.conv2d_fwd(p, x))
+    xp = cache[2]
+    assert xp.shape == (1, 256, 66, 66)
+    assert peak <= x.nbytes + xp.nbytes + y.nbytes + nn_ops._BLOCK_BYTES + (1 << 20)
 
 
 @pytest.mark.parametrize("cin,cout,h,w,pad", WINOGRAD_SHAPES)

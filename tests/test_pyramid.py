@@ -8,6 +8,7 @@ from a2fpn import nn_ops, pyramid, verify
 from a2fpn.levels import LevelFeature
 from a2fpn.nn_ops import ConvParams
 from a2fpn.pyramid import ARCHS, ConfigError, PyramidConfig
+from conftest import traced_peak
 
 
 def small_cfg(arch, **kw):
@@ -300,6 +301,23 @@ def test_backward_gradients_are_finite(rng):
     glevels, pg = pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
     assert all(np.isfinite(g).all() for g in pg.values())
     assert all(np.isfinite(g).all() for g in glevels.values())
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_inference_keeps_no_backward_caches(rng, arch):
+    # forward_pyramid frees each stage's cache as the stage returns: the same
+    # bits as the training forward in well under its memory
+    cfg = PyramidConfig(arch=arch, c=64, image_size=(256, 256))
+    store = pyramid.init_params(cfg, with_backbone=True)
+    levels = pyramid.toy_backbone_fwd(rng.standard_normal((3, 256, 256)).astype(np.float32),
+                                      store)[0]
+    (outs, cache), peak_train = traced_peak(lambda: pyramid.forward_a2fpn_fwd(levels, store, cfg))
+    del cache
+    infer, peak_infer = traced_peak(lambda: pyramid.forward_pyramid(levels, store, cfg))
+    assert pyramid.forward_a2fpn_fwd(levels, store, cfg, keep_cache=False)[1] is None
+    for a, b in zip(outs, infer):
+        npt.assert_array_equal(a.data, b.data)
+    assert peak_infer <= 0.6 * peak_train
 
 
 def test_forward_rejects_misordered_levels(rng):
