@@ -254,6 +254,7 @@ def _winograd_bwd(cache, gy):
     aa_t = _WINO_AA.T.astype(dt)
     bb_t = _WINO_BB.T.astype(dt)
     gu = np.zeros((16, cout, cin), dtype=dt)
+    gu_block = np.empty_like(gu)  # each block's gM Vᵀ, before it is added into gU
     gxp = np.zeros(xp.shape, dtype=dt)
     rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
     for xpi, gyti, gxpi in zip(xp, gyt, gxp):
@@ -261,12 +262,13 @@ def _winograd_bwd(cache, gy):
             n = min(rows, th - ty0)
             g = np.ascontiguousarray(gyti[:, ty0 : ty0 + n].transpose(2, 4, 0, 1, 3), dtype=dt)
             gm = (aa_t @ g.reshape(4, -1)).reshape(16, cout, n * tw)
-            gu += np.matmul(gm, _winograd_input(xpi, ty0, n, tw, dt).swapaxes(1, 2))
+            gu += np.matmul(gm, _winograd_input(xpi, ty0, n, tw, dt).swapaxes(1, 2), out=gu_block)
             gv = np.matmul(u.swapaxes(1, 2), gm)
             gd = (bb_t @ gv.reshape(16, -1)).reshape(4, 4, cin, n, tw)
             for a in range(4):
                 for b in range(4):
                     gxpi[:, 2 * ty0 + a : 2 * (ty0 + n) + a : 2, b : 2 * tw + b : 2] += gd[a, b]
+    del gu_block
     gw = (_WINO_GG.T.astype(dt) @ gu.reshape(16, cout * cin)).T.reshape(p.weight.shape)
     gx = gxp[:, :, pad : pad + h, pad : pad + w]
     return (gx if gy.ndim == 4 else gx[0]), gw, gb

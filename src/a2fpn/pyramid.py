@@ -462,32 +462,61 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True):
     return outs, (cache if keep_cache else None)
 
 
+def _zero_grads(prefix, shapes, dtype):
+    """Exact-zero gradients of a skipped stage's parameters, from their
+    names relative to prefix and their shapes."""
+    return {f"{prefix}.{name}": np.zeros(shape, dtype) for name, shape in shapes.items()}
+
+
 def forward_a2fpn_bwd(cache, gouts):
-    """gouts: list of gradients matching the forward outputs in order.
+    """gouts: list of gradients matching the forward outputs in order; None
+    stands for an output whose gradient is zero.
 
     Returns (glevels dict for the backbone levels 2..5, param grads).  The
-    fusion sites run backward in the reverse of their forward order; each
-    site's cache is popped from the cache as its backward starts, so it is
-    freed once that backward is done, and the cache holds no ``td.*`` or
-    ``bu.*`` key afterwards.  The cache serves one backward.
+    stages run backward in the reverse of their forward order: bu.l2.smooth
+    or pool_top, then the fusion sites.  A stage whose output gradient is
+    still None is skipped, and reports exact-zero gradients for every one
+    of its parameters, so the param grads always cover the neck and equal a
+    run with zero maps in place of the Nones.  A level that receives no
+    gradient stays None, and one still None at the context stage is read as
+    zeros.  Each stage's cache is popped from the cache as the stage starts
+    (or is skipped), so it is freed once that stage is done, and the cache
+    holds no ``td.*`` or ``bu.*`` key afterwards.  The cache serves one
+    backward.
     """
     cfg = cache["cfg"]
     top = cfg.top_level
+    dt = cfg.np_dtype
     pg = {}
 
     g = dict(zip(range(2, top + 1), gouts))
     if cfg.lite:
-        g[top] = max_pool2d_bwd(cache["pool_top"], gouts[-1]) + g[top]
+        if gouts[-1] is not None:
+            gpool = max_pool2d_bwd(cache["pool_top"], gouts[-1])
+            g[top] = gpool if g[top] is None else gpool + g[top]
+    elif g[2] is None:
+        del cache["bu.l2.smooth"]
+        pg.update(_zero_grads("bu.l2", _conv_shapes("smooth", cfg.c, cfg.c, 3), dt))
     else:
         g[2], gw, gb = conv2d_bwd(cache.pop("bu.l2.smooth"), g[2])
         pg.update({"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
 
     for prefix, src, dst in reversed(_sites(cfg)):
+        if g[dst] is None:
+            del cache[prefix]
+            up = src > dst
+            shapes = fusion.site_shapes(cfg.c, cfg.c_m, cfg.k_up if up else cfg.k_dn, cfg.k_en, up)
+            pg.update(_zero_grads(prefix, shapes, dt))
+            continue
         gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
         pg.update((f"{prefix}.{name}", v) for name, v in local.items())
-        g[src] = g[src] + gsrc
+        g[src] = gsrc if g[src] is None else g[src] + gsrc
 
-    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], [g[lvl] for lvl in range(2, top + 1)])
+    # the context stage's cache starts with the levels it read, in level
+    # order; each of its outputs has c channels
+    gctx = [np.zeros(f.data.shape[:-3] + (cfg.c,) + f.data.shape[-2:], f.data.dtype)
+            if g[f.level] is None else g[f.level] for f in cache["mgc"][0]]
+    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], gctx)
     pg.update(local)
 
     glevels = {lvl: gfeats[lvl] for lvl in (2, 3, 4, 5)}

@@ -2,11 +2,18 @@
 finest pyramid output, per-pixel binary cross-entropy plus the orthogonality
 penalty, momentum SGD.
 
-The task exists to drive every backward path with real gradients, not to
-benchmark anything.  Each step runs one forward and one backward over the
-whole batch: every op carries the image axis, and the gradient of each
-shared parameter is summed over the images inside its GEMMs and reductions,
-in a fixed order, so trajectories are bit-identical from run to run.
+Everything upstream of p2 trains on real gradients: the backbone, the
+context stage, the top-down sites, and in the full neck the extra level and
+the finest smooth.  The task checks training; it is not a benchmark.  The head
+reads p2 alone, so the bottom-up sites (bu.l3 and up) get exact-zero
+gradients and never train: their backward is skipped.  Their adjoints are
+covered by the whole-neck gradchecks of ``verify`` (``a2fpn_full``,
+``a2fpn_lite``) and by the benchmark's fwdbwd-256 workload, which sends a
+cotangent into every output.  Each step runs one forward and one backward
+over the whole batch: every op carries the image axis, and the gradient of
+each shared parameter is summed over the images inside its GEMMs and
+reductions, in a fixed order, so trajectories are bit-identical from run to
+run.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .pyramid import (
     PyramidConfig,
     forward_a2fpn_bwd,
     forward_a2fpn_fwd,
+    forward_pyramid,
     init_params,
     toy_backbone_bwd,
     toy_backbone_fwd,
@@ -84,6 +92,13 @@ def _bce_with_logits(z, target):
     return float(np.mean(np.mean(elem, axis=(-2, -1))))
 
 
+def _as_batch(images, masks):
+    """A single (3, H, W) image and (H, W) mask as a batch of one."""
+    images = images if images.ndim == 4 else images[None]
+    masks = masks if masks.ndim == 3 else masks[None]
+    return images, masks
+
+
 def batch_pass(images, masks, store, cfg):
     """Forward + backward for a batch (n, 3, H, W) of images, or for one (3, H, W).
 
@@ -91,8 +106,7 @@ def batch_pass(images, masks, store, cfg):
     mean BCE, and its gradient.  The whole batch is one pass through every
     op; each parameter gradient comes out summed over the images.
     """
-    images = images if images.ndim == 4 else images[None]
-    masks = masks if masks.ndim == 3 else masks[None]
+    images, masks = _as_batch(images, masks)
     levels, bb_cache = toy_backbone_fwd(images, store)
     loss, glevels, pg = _neck_and_head_pass(levels, masks, store, cfg)
     # the neck's caches are gone by now, so the batch's caches are not all
@@ -103,42 +117,62 @@ def batch_pass(images, masks, store, cfg):
 
 
 def _neck_and_head_pass(levels, masks, store, cfg):
-    """Loss, backbone-level gradients and neck and head param grads."""
+    """Loss, backbone-level gradients and neck and head param grads.
+
+    The head reads p2 alone, so the other four outputs go back as None: the
+    bottom-up sites, whose outputs feed only those four, are skipped and
+    report zero gradients.
+    """
     outs, neck_cache = forward_a2fpn_fwd(levels, store, cfg)
-    loss, gp2, gw_head, gb_head = _head_pass(outs[0].data, masks, store)
-    gouts = [gp2] + [np.zeros_like(o.data) for o in outs[1:]]
-    glevels, pg = forward_a2fpn_bwd(neck_cache, gouts)
+    loss, head_cache = _head_fwd(outs[0].data, masks, store)
+    gp2, gw_head, gb_head = _head_bwd(head_cache)
+    del head_cache  # the head's full-resolution maps go before the neck's backward
+    glevels, pg = forward_a2fpn_bwd(neck_cache, [gp2, None, None, None, None])
     pg["head.weight"] = gw_head
     pg["head.bias"] = gb_head
     return loss, glevels, pg
 
 
-def _head_pass(p2, masks, store):
-    """Loss of the 1×1 head on p2 upsampled ×4, and its gradients (gp2, gw, gb).
-
-    Its own function, so that the head's full-resolution maps are freed
-    before the neck's backward runs.
-    """
-    z4, head_cache = conv2d_fwd(ConvParams.from_store(store, "head"), p2)
-    z2, up1 = bilinear_upsample_fwd(z4)
-    z1, up2 = bilinear_upsample_fwd(z2)
+def _head_fwd(p2, masks, store):
+    """Loss of the 1×1 head on p2 upsampled ×4, and the head's cache."""
+    z4, c_conv = conv2d_fwd(ConvParams.from_store(store, "head"), p2)
+    z2, c_up1 = bilinear_upsample_fwd(z4)
+    z1, c_up2 = bilinear_upsample_fwd(z2)
     z = z1[:, 0]
-    loss = _bce_with_logits(z, masks)
+    return _bce_with_logits(z, masks), (z, masks, c_conv, c_up1, c_up2)
 
-    gz = ((sigmoid_fwd(z)[0] - masks) / z.size).astype(z1.dtype)
-    g2 = bilinear_upsample_bwd(up2, gz[:, None])
-    g4 = bilinear_upsample_bwd(up1, g2)
-    return (loss,) + conv2d_bwd(head_cache, g4)
+
+def _head_bwd(cache):
+    """(gp2, gw, gb) of the loss _head_fwd returned."""
+    z, masks, c_conv, c_up1, c_up2 = cache
+    gz = ((sigmoid_fwd(z)[0] - masks) / z.size).astype(z.dtype)
+    g2 = bilinear_upsample_bwd(c_up2, gz[:, None])
+    g4 = bilinear_upsample_bwd(c_up1, g2)
+    return conv2d_bwd(c_conv, g4)
+
+
+def _reg_view(store, cfg):
+    return MgcParams.from_store(store, range(2, cfg.top_level + 1), cfg.lambda_o)
 
 
 def _objective_grads(images, masks, store, cfg):
     task, grads = batch_pass(images, masks, store, cfg)
-    view = MgcParams.from_store(store, range(2, cfg.top_level + 1), cfg.lambda_o)
+    view = _reg_view(store, cfg)
     reg = orthogonal_reg_loss(view)
     for lvl, g in orthogonal_reg_grads(view).items():
         key = f"mgc.l{lvl}.psi.weight"
         grads[key] = grads[key] + g if key in grads else g
     return task + reg, reg, grads
+
+
+def _objective(images, masks, store, cfg):
+    """The (loss, reg) of _objective_grads, forward only: no cache is kept
+    and no gradient is taken."""
+    images, masks = _as_batch(images, masks)
+    levels = toy_backbone_fwd(images, store)[0]
+    task, _ = _head_fwd(forward_pyramid(levels, store, cfg)[0].data, masks, store)
+    reg = orthogonal_reg_loss(_reg_view(store, cfg))
+    return task + reg, reg
 
 
 @dataclass
@@ -194,7 +228,9 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
 
     The loss column holds the total objective (task + penalty); a final row
     at index `steps` records the post-training loss the convergence check
-    reads.  Non-finite loss stops the run and marks the report diverged.
+    reads.  That row is taken forward only (no cache, no gradient), with
+    the same bits as a full pass at the trained store.  Non-finite loss
+    stops the run and marks the report diverged.
     """
     if cfg.arch not in TRAIN_ARCHS:
         raise ValueError(f"training covers {TRAIN_ARCHS}, not {cfg.arch!r}")
@@ -206,7 +242,10 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     report = TrainReport(arch=cfg.arch, steps=steps, lr=lr, seed=cfg.seed)
 
     for step in range(steps + 1):
-        loss, reg, grads = _objective_grads(images, masks, store, cfg)
+        if step == steps:  # the last row needs only the loss
+            loss, reg = _objective(images, masks, store, cfg)
+        else:
+            loss, reg, grads = _objective_grads(images, masks, store, cfg)
         report.rows.append((step, loss, reg))
         if not np.isfinite(loss):
             report.diverged = True

@@ -381,6 +381,33 @@ def test_backward_drops_the_fusion_caches(rng, arch):
 
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_none_gradients_equal_zero_maps(rng, arch, dtype):
+    # None for an output's gradient gives the bits of a zero map in its
+    # place: each output None in turn, the toy trainer's p2-only pattern
+    # (which skips every bottom-up site), and all five None
+    cfg = small_cfg(arch, dtype=dtype)
+    store = pyramid.init_params(cfg)
+    levels = [LevelFeature(f.level, f.data.astype(cfg.np_dtype)) for f in small_levels(rng)]
+    outs, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    full = [rng.standard_normal(f.data.shape).astype(cfg.np_dtype) for f in outs]
+    for nones in [{i} for i in range(5)] + [{1, 2, 3, 4}, {0, 1, 2, 3, 4}]:
+        zero_maps = [np.zeros_like(g) if i in nones else g for i, g in enumerate(full)]
+        want_levels, want_pg = pyramid.forward_a2fpn_bwd(
+            pyramid.forward_a2fpn_fwd(levels, store, cfg)[1], zero_maps)
+        _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+        glevels, pg = pyramid.forward_a2fpn_bwd(
+            cache, [None if i in nones else g for i, g in enumerate(full)])
+        assert not [k for k in cache if k.startswith(("td.", "bu."))]
+        assert set(pg) == set(want_pg) == set(store)
+        for k, g in pg.items():
+            assert g.dtype == want_pg[k].dtype and np.array_equal(g, want_pg[k]), (nones, k)
+        assert set(glevels) == set(want_levels)
+        for lvl, g in glevels.items():
+            assert g.dtype == want_levels[lvl].dtype and np.array_equal(g, want_levels[lvl])
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
 def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, arch):
     # when a site's backward runs, the cache holds only the sites still to come
     cfg = small_cfg(arch)
