@@ -14,7 +14,7 @@ for i in range(0, len(names), 5):
     print("   " + ", ".join(names[i:i + 5]))
 
 print("\nspot checks (max relative error vs central differences):")
-for op in ("matmul", "layer_norm", "conv2d", "compatibility",
+for op in ("softmax", "layer_norm", "conv2d", "compatibility",
            "fuse_topdown", "a2fpn_full"):
     r = verify.check_gradients(op, seed=0)
     flag = "ok" if r.passed else "FAIL"

@@ -3,7 +3,7 @@
 The package is organized as layered pure functions, each with an explicit
 hand-derived backward pass:
 
-* ``tensor_core``: matmul, softmax, normalizations, gate activations
+* ``tensor_core``: softmax, normalizations, activations, batch sums
 * ``nn_ops``: conv2d, pooling, bilinear resize, pixel shuffle
 * ``mgc``: multi-level global context (collect / reason / distribute)
 * ``fusion``: content-aware upsampling and downsampling fusion

@@ -188,7 +188,7 @@ def _a2fpn_lines(inv, cfg):
         inv.matmul(f"mgc.l{lvl}.dist.apply", c, n_total, hw[lvl])
         inv.elem(f"mgc.l{lvl}.dist.residual", c * hw[lvl])
 
-    for prefix, src, dst in _sites(cfg):
+    for prefix, src, dst, k in _sites(cfg):
         up = src > dst
         if prefix == "bu.l3" and not cfg.lite:  # stored between the two chains
             inv.conv("bu.l2.smooth", hw[2])
@@ -196,7 +196,7 @@ def _a2fpn_lines(inv, cfg):
             inv.elem(f"{prefix}.pool", 3 * c * hw[src])
         else:
             inv.elem(f"{prefix}.upsample", 8 * c * hw[src])
-        _site_lines(inv, prefix, cfg, hw[src], hw[src if up else dst], hw[dst], cfg.k_up if up else cfg.k_dn)
+        _site_lines(inv, prefix, cfg, hw[src], hw[src if up else dst], hw[dst], k)
     if cfg.lite:
         inv.elem("bu.pool_top", 3 * c * hw[6])
 

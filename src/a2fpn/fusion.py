@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import nn_ops
 from .levels import LevelFeature
 from .nn_ops import (
     ConvParams,
@@ -50,15 +51,10 @@ from .tensor_core import (
     softmax_bwd,
     softmax_fwd,
     sum_batch,
-    two_sigmoid_bwd,
-    two_sigmoid_fwd,
 )
 
-GATE_ACTS = ("two_sigmoid", "sigmoid")
-# Size cap on one row block of the unfolded source in reassemble_up: about
-# L2-sized, so the gather and its GEMM stay in cache, and the op's transient
-# memory stays bounded at any level size.
-_UNFOLD_BLOCK_BYTES = 2 << 20
+# gate_act -> range r of the gate r·σ(x): two_sigmoid is 1 at x = 0
+GATE_ACTS = {"sigmoid": 1.0, "two_sigmoid": 2.0}
 # Size cap on one channel block of reassemble_down's output: the block, its
 # product buffer and the plane slices a tap reads stay in L2 across the k²
 # taps.  Measured with one BLAS thread in f32 at c=256, 256 KB was as fast as
@@ -116,7 +112,7 @@ class FusionParams:
         if self.k % 2 == 0:
             raise ValueError("reassembly tap size must be odd")
         if self.gate_act not in GATE_ACTS:
-            raise ValueError(f"gate_act must be one of {GATE_ACTS}")
+            raise ValueError(f"gate_act must be one of {tuple(GATE_ACTS)}")
 
     @classmethod
     def from_store(cls, store, prefix, k, up, s=2, gate_act="two_sigmoid"):
@@ -141,12 +137,6 @@ class FusionParams:
             s=s,
             gate_act=gate_act,
         )
-
-
-@dataclass
-class ChannelGates:
-    high_gate: np.ndarray  # (c,) or (n, c): scales the coarser-level feature
-    low_gate: np.ndarray  # (c,) or (n, c): scales the finer-level feature
 
 
 def _tap_count(k2):
@@ -206,8 +196,10 @@ def predict_kernels_bwd(cache, gkern):
 # ---------------------------------------------------------------------------
 
 def _unfold_rows(w, c, k2, itemsize):
-    """Coarse rows per block of the unfolded source in reassemble_up."""
-    return max(1, _UNFOLD_BLOCK_BYTES // (w * c * k2 * itemsize))
+    """Coarse rows per block of the unfolded source in reassemble_up: the
+    block is capped at nn_ops' L2-sized _BLOCK_BYTES, so the gather and its
+    GEMM stay in cache and the op's transient memory stays bounded."""
+    return max(1, nn_ops._BLOCK_BYTES // (w * c * k2 * itemsize))
 
 
 def _row_blocks(n, h, rows):
@@ -246,7 +238,7 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     window and the cell's kernels.  U comes from a sliding_window_view of a
     channel-last copy of the padded source.  The products run as one stacked
     matmul per block of coarse rows (whole images while one fits), sized so
-    that the unfolded block stays under _UNFOLD_BLOCK_BYTES, and each block's
+    that the unfolded block stays under nn_ops._BLOCK_BYTES, and each block's
     products are written straight into the s×s pixels of their cells.
     """
     h, w = coarse.shape[-2:]
@@ -414,8 +406,10 @@ def channel_gates_fwd(x, p):
     """Attention-pool the reader input x into a descriptor, squeeze and gate.
 
     x is the source, or [source, guidance] as predict_kernels_fwd reads it.
-    Returns gates of length 2·c (per image) split as (high_gate, low_gate),
-    where c is the channel width of the fused pyramid features.
+    Returns ((high, low), cache): the two halves of the 2·c gates r·σ(pre)
+    (per image), with r = GATE_ACTS[p.gate_act] and c the channel width of
+    the fused pyramid features.  The high gate scales the coarser summand
+    of a fusion, the low gate the finer.
     """
     m = x.reshape(x.shape[:-2] + (-1,))
     logits = (p.gate_w1 @ m)[..., 0, :]
@@ -425,24 +419,18 @@ def channel_gates_fwd(x, p):
     ln, c_ln = layer_norm_fwd(h1, p.ln_gain, p.ln_shift)
     act_in, c_relu = relu_fwd(ln)
     pre = _mv(p.gate_w3, act_in)
-    if p.gate_act == "two_sigmoid":
-        g, c_act = two_sigmoid_fwd(pre)
-    else:
-        g, c_act = sigmoid_fwd(pre)
+    sig, c_act = sigmoid_fwd(pre)
+    g = GATE_ACTS[p.gate_act] * sig
     c = g.shape[-1] // 2
-    gates = ChannelGates(high_gate=g[..., :c], low_gate=g[..., c:])
     cache = (x.shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
-    return gates, cache
+    return (g[..., :c], g[..., c:]), cache
 
 
 def channel_gates_bwd(cache, ghigh, glow):
     """(gx, param grads) of channel_gates_fwd."""
     x_shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
     gg = np.concatenate([ghigh, glow], axis=-1)
-    if p.gate_act == "two_sigmoid":
-        gpre = two_sigmoid_bwd(c_act, gg)
-    else:
-        gpre = sigmoid_bwd(c_act, gg)
+    gpre = sigmoid_bwd(c_act, GATE_ACTS[p.gate_act] * gg)
     gw3 = _outer_sum(gpre, act_in)
     gact = _mv(p.gate_w3.T, gpre)
     gln = relu_bwd(c_relu, gact)
@@ -498,7 +486,7 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
     re, c_re = reassemble_fwd(src.data, kern, p.s)
     if gated:
         gates, c_gate = channel_gates_fwd(x, p)
-        hi, lo = gates.high_gate[..., None, None], gates.low_gate[..., None, None]
+        hi, lo = (g[..., None, None] for g in gates)
         coarser, finer = (re, dst.data) if up else (dst.data, re)
         pre = hi * coarser
         pre += lo * finer
@@ -521,7 +509,7 @@ def fuse_bwd(cache, gout):
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gates is not None:
-        hi, lo = gates.high_gate[..., None, None], gates.low_gate[..., None, None]
+        hi, lo = (g[..., None, None] for g in gates)
         gre, gdst = (hi * gpre, lo * gpre) if up else (lo * gpre, hi * gpre)
         coarse, fine = (re, dst) if up else (dst, re)
         ghigh = (gpre * coarse).sum(axis=(-2, -1))

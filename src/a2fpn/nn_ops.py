@@ -121,7 +121,8 @@ _WINOGRAD_MIN_SIZE = 1 << 25
 # both directions use _WINOGRAD_MIN_SIZE, once the digests are mended.
 _WINOGRAD_FWD_MIN_SIZE = 1 << 29
 # Size cap on one row block: of transformed Winograd tiles (the larger of the
-# input and output transforms), and of an im2col forward's column matrix.
+# input and output transforms), of an im2col forward's column matrix, and of
+# reassemble_up's unfolded source (fusion._unfold_rows).
 # About L2-sized, so a block streams through cache rather than DRAM.  BLAS
 # does not promise a GEMM the same bits when it is split into column blocks,
 # so the cap moves f32 rounding: at 1 MB the infer-512 outputs and the

@@ -194,20 +194,6 @@ def compatibility_oracle(queries, keys, scale_dim):
     return out
 
 
-def attention_pool_oracle(values, attn):
-    """values (c × n_keys) · attn (n_keys × n_q), one scalar at a time."""
-    c, n_k = values.shape
-    _, n_q = attn.shape
-    out = np.zeros((c, n_q), dtype=np.float64)
-    for ci in range(c):
-        for qi in range(n_q):
-            acc = 0.0
-            for ki in range(n_k):
-                acc += float(values[ci, ki]) * float(attn[ki, qi])
-            out[ci, qi] = acc
-    return out
-
-
 def reassemble_up_oracle(coarse, kernels, s, k):
     """Weighted k×k neighborhood of coarse(⌊x/s⌋, ⌊y/s⌋), zero padded."""
     c, h, w = coarse.shape

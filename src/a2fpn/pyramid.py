@@ -130,7 +130,7 @@ class PyramidConfig:
         if self.k_up % 2 == 0 or self.k_dn % 2 == 0 or self.k_en % 2 == 0:
             raise ConfigError("kernel sizes k_up, k_dn and k_en must be odd")
         if self.gate_act not in fusion.GATE_ACTS:
-            raise ConfigError(f"gate_act must be one of {fusion.GATE_ACTS}")
+            raise ConfigError(f"gate_act must be one of {tuple(fusion.GATE_ACTS)}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
         if len(self.image_size) != 2 or not all(_is_number(v) and v > 0 and v % 64 == 0
@@ -257,11 +257,10 @@ def param_shapes(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=F
         shapes.update(mgc.param_shapes(c, {
             lvl: (c, None) if lvl == 6 else (spec.channels_of(lvl), cfg.n_context(lvl))
             for lvl in range(2, cfg.top_level + 1)}))
-        for prefix, src, dst in _sites(cfg):
+        for prefix, src, dst, k in _sites(cfg):
             if prefix == "bu.l3" and not cfg.lite:  # stored between the two chains
                 shapes.update(_conv_shapes("bu.l2.smooth", c, c, 3))
-            up = src > dst
-            site = fusion.site_shapes(c, cfg.c_m, cfg.k_up if up else cfg.k_dn, cfg.k_en, up)
+            site = fusion.site_shapes(c, cfg.c_m, k, cfg.k_en, src > dst)
             shapes.update((f"{prefix}.{name}", shape) for name, shape in site.items())
     if with_head:
         shapes.update(_conv_shapes("head", 1, c, 1))
@@ -405,12 +404,12 @@ def forward_pafpn(levels, store, cfg):
 # ---------------------------------------------------------------------------
 
 def _sites(cfg):
-    """(prefix, source level, destination level) of every fusion site in
-    forward order: top-down from the top level to level 2, then bottom-up
-    back to the top."""
+    """(prefix, source level, destination level, reassembly tap size) of
+    every fusion site in forward order: top-down from the top level to
+    level 2 at k_up, then bottom-up back to the top at k_dn."""
     top = cfg.top_level
-    return ([(f"td.l{lvl}", lvl + 1, lvl) for lvl in range(top - 1, 1, -1)]
-            + [(f"bu.l{lvl}", lvl - 1, lvl) for lvl in range(3, top + 1)])
+    return ([(f"td.l{lvl}", lvl + 1, lvl, cfg.k_up) for lvl in range(top - 1, 1, -1)]
+            + [(f"bu.l{lvl}", lvl - 1, lvl, cfg.k_dn) for lvl in range(3, top + 1)])
 
 
 class _Discard(dict):
@@ -445,10 +444,8 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True):
     cur = {f.level: f for f in ctx}
     del ctx  # cur holds the only reference to each level a site replaces
 
-    for prefix, src, dst in _sites(cfg):
-        up = src > dst
-        p = fusion.FusionParams.from_store(store, prefix, cfg.k_up if up else cfg.k_dn, up,
-                                           gate_act=cfg.gate_act)
+    for prefix, src, dst, k in _sites(cfg):
+        p = fusion.FusionParams.from_store(store, prefix, k, src > dst, gate_act=cfg.gate_act)
         cur[dst], cache[prefix] = fusion.fuse_fwd(cur[src], cur[dst], p)
 
     outs = [cur[lvl] for lvl in range(2, top + 1)]
@@ -462,12 +459,6 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True):
     return outs, (cache if keep_cache else None)
 
 
-def _zero_grads(prefix, shapes, dtype):
-    """Exact-zero gradients of a skipped stage's parameters, from their
-    names relative to prefix and their shapes."""
-    return {f"{prefix}.{name}": np.zeros(shape, dtype) for name, shape in shapes.items()}
-
-
 def forward_a2fpn_bwd(cache, gouts):
     """gouts: list of gradients matching the forward outputs in order; None
     stands for an output whose gradient is zero.
@@ -475,19 +466,19 @@ def forward_a2fpn_bwd(cache, gouts):
     Returns (glevels dict for the backbone levels 2..5, param grads).  The
     stages run backward in the reverse of their forward order: bu.l2.smooth
     or pool_top, then the fusion sites.  A stage whose output gradient is
-    still None is skipped, and reports exact-zero gradients for every one
-    of its parameters, so the param grads always cover the neck and equal a
-    run with zero maps in place of the Nones.  A level that receives no
-    gradient stays None, and one still None at the context stage is read as
-    zeros.  Each stage's cache is popped from the cache as the stage starts
-    (or is skipped), so it is freed once that stage is done, and the cache
-    holds no ``td.*`` or ``bu.*`` key afterwards.  The cache serves one
-    backward.
+    still None is skipped, and reports exact-zero gradients for every
+    parameter param_shapes names under its prefix, so the param grads always
+    cover the neck and equal a run with zero maps in place of the Nones.  A
+    level that receives no gradient stays None, and one still None at the
+    context stage is read as zeros.  Each stage's cache is popped from the
+    cache as the stage starts (or is skipped), so it is freed once that
+    stage is done, and the cache holds no ``td.*`` or ``bu.*`` key
+    afterwards.  The cache serves one backward.
     """
     cfg = cache["cfg"]
     top = cfg.top_level
-    dt = cfg.np_dtype
     pg = {}
+    skipped = []  # the skipped stages' parameter-name prefixes
 
     g = dict(zip(range(2, top + 1), gouts))
     if cfg.lite:
@@ -496,17 +487,15 @@ def forward_a2fpn_bwd(cache, gouts):
             g[top] = gpool if g[top] is None else gpool + g[top]
     elif g[2] is None:
         del cache["bu.l2.smooth"]
-        pg.update(_zero_grads("bu.l2", _conv_shapes("smooth", cfg.c, cfg.c, 3), dt))
+        skipped.append("bu.l2.smooth.")
     else:
         g[2], gw, gb = conv2d_bwd(cache.pop("bu.l2.smooth"), g[2])
         pg.update({"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
 
-    for prefix, src, dst in reversed(_sites(cfg)):
+    for prefix, src, dst, _ in reversed(_sites(cfg)):
         if g[dst] is None:
             del cache[prefix]
-            up = src > dst
-            shapes = fusion.site_shapes(cfg.c, cfg.c_m, cfg.k_up if up else cfg.k_dn, cfg.k_en, up)
-            pg.update(_zero_grads(prefix, shapes, dt))
+            skipped.append(prefix + ".")
             continue
         gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
         pg.update((f"{prefix}.{name}", v) for name, v in local.items())
@@ -518,6 +507,9 @@ def forward_a2fpn_bwd(cache, gouts):
             if g[f.level] is None else g[f.level] for f in cache["mgc"][0]]
     gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], gctx)
     pg.update(local)
+    if skipped:
+        pg.update((name, np.zeros(shape, cfg.np_dtype)) for name, shape in param_shapes(cfg).items()
+                  if name.startswith(tuple(skipped)))
 
     glevels = {lvl: gfeats[lvl] for lvl in (2, 3, 4, 5)}
     if not cfg.lite:

@@ -31,28 +31,10 @@ def dtype_name(arr: np.ndarray) -> str:
     raise TypeError(f"unsupported dtype {arr.dtype}, expected float32/float64")
 
 
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
 def sum_batch(g, ndim):
     """g summed over its leading axes down to its last ``ndim``: the gradient
     of a parameter shared by every image of a batch.  No-op at rank ndim."""
     return g.sum(axis=tuple(range(g.ndim - ndim))) if g.ndim > ndim else g
-
-
-def matmul_fwd(a, b):
-    """a @ b, over stacks of matrices too (leading axes broadcast)."""
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ValueError(f"inner extents disagree: {a.shape} @ {b.shape}")
-    return a @ b, (a, b)
-
-
-def matmul_bwd(cache, gy):
-    a, b = cache
-    ga = gy @ b.swapaxes(-1, -2)
-    gb = a.swapaxes(-1, -2) @ gy
-    return sum_batch(ga, a.ndim), sum_batch(gb, b.ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +60,12 @@ def softmax_bwd(cache, gy):
 # L2 normalization
 # ---------------------------------------------------------------------------
 
-def l2_normalize_fwd(t, axis, eps=L2_EPS):
-    """Divide each slice along ``axis`` by max(its L2 norm, eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def l2_normalize_fwd(t, axis):
+    """Divide each slice along ``axis`` by max(its L2 norm, L2_EPS)."""
     norm = np.sqrt(np.sum(t * t, axis=axis, keepdims=True))
-    denom = np.maximum(norm, eps)
+    denom = np.maximum(norm, L2_EPS)
     y = t / denom
-    return y, (t, denom, norm >= eps, axis)
+    return y, (t, denom, norm >= L2_EPS, axis)
 
 
 def l2_normalize_bwd(cache, gy):
@@ -115,17 +95,6 @@ def sigmoid_bwd(cache, gy):
     return gy * y * (1.0 - y)
 
 
-def two_sigmoid_fwd(t):
-    """2 / (1 + exp(-x)): value 1 at x = 0, range (0, 2)."""
-    s, _ = sigmoid_fwd(t)
-    return 2.0 * s, s
-
-
-def two_sigmoid_bwd(cache, gy):
-    s = cache
-    return gy * 2.0 * s * (1.0 - s)
-
-
 def relu_fwd(t):
     return np.maximum(t, 0.0), t > 0
 
@@ -138,7 +107,7 @@ def relu_bwd(cache, gy):
 # layer norm (statistics over the last axis)
 # ---------------------------------------------------------------------------
 
-def layer_norm_fwd(t, gain, shift, eps=LAYERNORM_EPS):
+def layer_norm_fwd(t, gain, shift):
     """Normalize each slice of the last axis to zero mean / unit variance,
     then scale by ``gain`` and offset by ``shift`` (both 1-D of that length).
     """
@@ -146,7 +115,7 @@ def layer_norm_fwd(t, gain, shift, eps=LAYERNORM_EPS):
         raise ValueError("gain/shift must be vectors matching the last axis")
     mu = np.mean(t, axis=-1, keepdims=True)
     var = np.mean((t - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (t - mu) * inv
     return xhat * gain + shift, (xhat, inv, gain)
 

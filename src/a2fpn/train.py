@@ -92,21 +92,13 @@ def _bce_with_logits(z, target):
     return float(np.mean(np.mean(elem, axis=(-2, -1))))
 
 
-def _as_batch(images, masks):
-    """A single (3, H, W) image and (H, W) mask as a batch of one."""
-    images = images if images.ndim == 4 else images[None]
-    masks = masks if masks.ndim == 3 else masks[None]
-    return images, masks
-
-
 def batch_pass(images, masks, store, cfg):
-    """Forward + backward for a batch (n, 3, H, W) of images, or for one (3, H, W).
+    """Forward + backward for a batch (n, 3, H, W) of images and (n, H, W) of masks.
 
     Returns (task loss, param grads): the mean over images of each image's
     mean BCE, and its gradient.  The whole batch is one pass through every
     op; each parameter gradient comes out summed over the images.
     """
-    images, masks = _as_batch(images, masks)
     levels, bb_cache = toy_backbone_fwd(images, store)
     loss, glevels, pg = _neck_and_head_pass(levels, masks, store, cfg)
     # the neck's caches are gone by now, so the batch's caches are not all
@@ -135,6 +127,9 @@ def _neck_and_head_pass(levels, masks, store, cfg):
 
 def _head_fwd(p2, masks, store):
     """Loss of the 1×1 head on p2 upsampled ×4, and the head's cache."""
+    if p2.ndim != 4 or masks.ndim != 3:
+        raise ValueError(f"the head takes a batch: p2 (n, c, h, w) and masks (n, H, W), "
+                         f"got {p2.shape} and {masks.shape}")
     z4, c_conv = conv2d_fwd(ConvParams.from_store(store, "head"), p2)
     z2, c_up1 = bilinear_upsample_fwd(z4)
     z1, c_up2 = bilinear_upsample_fwd(z2)
@@ -168,7 +163,6 @@ def _objective_grads(images, masks, store, cfg):
 def _objective(images, masks, store, cfg):
     """The (loss, reg) of _objective_grads, forward only: no cache is kept
     and no gradient is taken."""
-    images, masks = _as_batch(images, masks)
     levels = toy_backbone_fwd(images, store)[0]
     task, _ = _head_fwd(forward_pyramid(levels, store, cfg)[0].data, masks, store)
     reg = orthogonal_reg_loss(_reg_view(store, cfg))

@@ -52,16 +52,12 @@ from .tensor_core import (
     layer_norm_fwd,
     l2_normalize_bwd,
     l2_normalize_fwd,
-    matmul_bwd,
-    matmul_fwd,
     relu_bwd,
     relu_fwd,
     sigmoid_bwd,
     sigmoid_fwd,
     softmax_bwd,
     softmax_fwd,
-    two_sigmoid_bwd,
-    two_sigmoid_fwd,
 )
 
 DEFAULT_EPS = 1e-5
@@ -190,13 +186,11 @@ def _normal(**shapes):
 
 def _outputs(y):
     """The arrays of an output in order: an array itself, a level's data,
-    the high and low gate, or those of each item of a list."""
-    if isinstance(y, list):
+    or those of each item of a list or tuple (the high and low gate)."""
+    if isinstance(y, (list, tuple)):
         return [a for item in y for a in _outputs(item)]
     if isinstance(y, LevelFeature):
         return [y.data]
-    if isinstance(y, fusion.ChannelGates):
-        return [y.high_gate, y.low_gate]
     return [y]
 
 
@@ -422,13 +416,11 @@ DIRECTIONAL = {"mgc_forward": _GRAPH_WEIGHTS, "mgc_forward_n2": _GRAPH_WEIGHTS}
 # Entries ending in _n2 run the same op on a batch of two images, whose
 # shared parameters take the sum of the two images' gradients.
 REGISTRY = {
-    "matmul": (_op_builder(matmul_fwd, matmul_bwd, _normal(a=(3, 4), b=(4, 5))), PRIMITIVE_TOL, 0),
     "softmax": (_op_builder(softmax_fwd, softmax_bwd, _normal(t=(4, 7)), axis=1), PRIMITIVE_TOL, 0),
     "l2_normalize": (_op_builder(l2_normalize_fwd, l2_normalize_bwd,
                                  lambda rng: {"t": rng.standard_normal((5, 4)) + 0.1}, axis=0),
                      PRIMITIVE_TOL, 0),
     "sigmoid": (_op_builder(sigmoid_fwd, sigmoid_bwd, _normal(t=(3, 5))), PRIMITIVE_TOL, 0),
-    "two_sigmoid": (_op_builder(two_sigmoid_fwd, two_sigmoid_bwd, _normal(t=(3, 5))), PRIMITIVE_TOL, 0),
     "relu": (_op_builder(relu_fwd, relu_bwd, lambda rng: {"t": _signed(rng, (4, 6))}), PRIMITIVE_TOL, 0),
     "layer_norm": (_op_builder(layer_norm_fwd, layer_norm_bwd, _normal(t=(3, 4, 6), gain=6, shift=6)),
                    PRIMITIVE_TOL, 0),
@@ -573,6 +565,13 @@ def _per_image(lead, oracle, *arrays, summed=()):
                  for i, col in enumerate(zip(*per)))
 
 
+def _collect_context_oracle(fdata, psi, phi):
+    """collect_context_fwd by loops: (phi·F)·A, A the compatibility map of psi on F."""
+    fm = fdata.reshape(fdata.shape[0], -1)
+    attn = oracles.compatibility_oracle(psi, fm, scale_dim=fdata.shape[0])
+    return oracles.matmul_oracle(oracles.matmul_oracle(phi, fm), attn)
+
+
 def oracle_suite(seed=0, cases=50):
     """Production kernels vs straight-line loop references, random shapes.
 
@@ -647,11 +646,13 @@ def oracle_suite(seed=0, cases=50):
         b = rng.standard_normal(cout) if rng.random() < 0.5 else None
         return ConvParams(wgt, b, padding=pad), x
 
-    def product(lo, oracle):
-        def draw(lead):
-            m, k, n = rng.integers(lo, 6, 3)
-            return (rng.standard_normal(lead + (m, k)), rng.standard_normal(lead + (k, n))), matmul_fwd, oracle
-        return draw
+    def context(lead):
+        c_i, n_i, c = rng.integers(2, 6, 3)
+        h, w = rng.integers(1, 5, 2)
+        fdata = rng.standard_normal(lead + (c_i, h, w))
+        psi, phi = rng.standard_normal((n_i, c_i)), rng.standard_normal((c, c_i))
+        return (fdata,), partial(mgc.collect_context_fwd, psi=psi, phi=phi), \
+            partial(_collect_context_oracle, psi=psi, phi=phi)
 
     def compat(lead):
         nq, d, nk = rng.integers(2, 6, 3)
@@ -718,7 +719,7 @@ def oracle_suite(seed=0, cases=50):
         ("conv2d_winograd_bwd", cases, case(conv(winograd_params, nn_ops._winograd_fwd,
                                                  oracles.conv2d_bwd_oracle),
                                             nn_ops._winograd_bwd, summed=(1, 2))),
-        ("attention_pool", cases, case(product(2, oracles.attention_pool_oracle))),
+        ("attention_pool", cases, case(context)),
         ("compatibility", cases, case(compat)),
         ("reassemble_up", cases, case(reassembly(True, oracles.reassemble_up_oracle))),
         ("reassemble_down", cases, case(reassembly(False, oracles.reassemble_down_oracle))),
@@ -732,7 +733,6 @@ def oracle_suite(seed=0, cases=50):
         ("bilinear_upsample_bwd", cases, case(bilinear(
             lambda xi, gi: oracles.bilinear_upsample_bwd_oracle(xi.shape, gi, 2)), bilinear_upsample_bwd)),
         ("max_pool2d", cases, case(pool)),
-        ("matmul", cases, case(product(1, oracles.matmul_oracle))),
         ("softmax", cases, case(soft)),
         ("layer_norm", cases, case(ln)),
     )

@@ -58,7 +58,7 @@ def test_reassemble_down_matches_loop_oracle(rng):
 ])
 def test_reassemble_up_row_blocks_match_loop_oracles(monkeypatch, c, h, w, k, s):
     # shrink the block cap to two coarse rows, so small shapes cross blocks
-    monkeypatch.setattr(fusion, "_UNFOLD_BLOCK_BYTES", 2 * w * c * k * k * 8)
+    monkeypatch.setattr(nn_ops, "_BLOCK_BYTES", 2 * w * c * k * k * 8)
     assert fusion._unfold_rows(w, c, k * k, 8) == 2
     rng = np.random.default_rng([c, h, w, k, s])
     coarse = rng.standard_normal((c, h, w))
@@ -178,18 +178,42 @@ def test_gate_ranges(rng):
     b = rng.standard_normal((8, 3, 4))
     for act, hi in (("two_sigmoid", 2.0), ("sigmoid", 1.0)):
         p = make_fusion_params(rng, gate_act=act, scale=1.0)
-        g = fusion.channel_gates_fwd(np.concatenate([a, b]), p)[0]
-        assert g.high_gate.shape == (8,) and g.low_gate.shape == (8,)
-        assert (g.high_gate > 0).all() and (g.high_gate < hi).all()
-        assert (g.low_gate > 0).all() and (g.low_gate < hi).all()
+        high, low = fusion.channel_gates_fwd(np.concatenate([a, b]), p)[0]
+        assert high.shape == (8,) and low.shape == (8,)
+        assert (high > 0).all() and (high < hi).all()
+        assert (low > 0).all() and (low < hi).all()
 
 
 def test_zeroed_gate_head_is_exactly_neutral(rng):
-    # w3 = 0 makes the pre-activation zero; 2σ(0) = 1 exactly
-    p = make_fusion_params(rng, zero_gates=True)
-    g = fusion.channel_gates_fwd(rng.standard_normal((16, 2, 2)), p)[0]
-    assert g.high_gate.tolist() == [1.0] * 8
-    assert g.low_gate.tolist() == [1.0] * 8
+    # w3 = 0 makes the pre-activation zero; 2σ(0) = 1 exactly, and σ(0) = 0.5
+    x = rng.standard_normal((16, 2, 2))
+    for act, neutral in (("two_sigmoid", 1.0), ("sigmoid", 0.5)):
+        p = make_fusion_params(rng, zero_gates=True, gate_act=act)
+        high, low = fusion.channel_gates_fwd(x, p)[0]
+        assert high.tolist() == [neutral] * 8
+        assert low.tolist() == [neutral] * 8
+
+
+def test_two_sigmoid_gates_are_twice_the_sigmoid_gates(rng):
+    # the gate is r·σ(pre): with the same parameters, two_sigmoid's gates and
+    # every gradient under the same cotangent are exactly twice sigmoid's,
+    # for one image and for a batch
+    p = make_fusion_params(rng, scale=1.0)
+    for lead in ((), (2,)):
+        x = rng.standard_normal(lead + (16, 2, 3))
+        ghigh, glow = rng.standard_normal(lead + (8,)), rng.standard_normal(lead + (8,))
+        runs = []
+        for act in ("sigmoid", "two_sigmoid"):
+            p.gate_act = act
+            gates, cache = fusion.channel_gates_fwd(x, p)
+            runs.append((gates, *fusion.channel_gates_bwd(cache, ghigh, glow)))
+        (gates1, gx1, pg1), (gates2, gx2, pg2) = runs
+        for g1, g2 in zip(gates1, gates2):
+            assert np.array_equal(g2, 2.0 * g1)
+        assert np.array_equal(gx2, 2.0 * gx1)
+        assert set(pg1) == set(pg2)
+        for k in pg1:
+            assert np.array_equal(pg2[k], 2.0 * pg1[k]), (lead, k)
 
 
 def test_neutral_gates_reduce_to_plain_addition_bit_exact(rng):
@@ -294,9 +318,9 @@ def test_guided_topdown_site_with_s3(rng):
     pooled = oracles.max_pool2d_oracle(lateral.data, 3)
     kern = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)[0]
     assert kern.shape == (9, 6, 9)
-    gates = fusion.channel_gates_fwd(np.concatenate([upper.data, pooled]), p)[0]
+    high, low = fusion.channel_gates_fwd(np.concatenate([upper.data, pooled]), p)[0]
     up = fusion.reassemble_up_fwd(upper.data, kern, 3)[0]
-    pre = gates.high_gate[:, None, None] * up + gates.low_gate[:, None, None] * lateral.data
+    pre = high[:, None, None] * up + low[:, None, None] * lateral.data
     npt.assert_allclose(out.data, nn_ops.conv2d_fwd(p.smooth, pre)[0], rtol=0, atol=1e-12)
     gsrc, gdst, _ = fusion.fuse_bwd(cache, rng.standard_normal(out.data.shape))
     assert gsrc.shape == upper.data.shape and gdst.shape == lateral.data.shape

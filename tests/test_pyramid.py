@@ -41,12 +41,13 @@ def test_from_dict_rejects_removed_keys(key):
 
 
 def test_sites_run_top_down_then_bottom_up():
-    assert pyramid._sites(small_cfg("a2fpn")) == [
-        ("td.l5", 6, 5), ("td.l4", 5, 4), ("td.l3", 4, 3), ("td.l2", 3, 2),
-        ("bu.l3", 2, 3), ("bu.l4", 3, 4), ("bu.l5", 4, 5), ("bu.l6", 5, 6)]
-    assert pyramid._sites(small_cfg("a2fpn_lite")) == [
-        ("td.l4", 5, 4), ("td.l3", 4, 3), ("td.l2", 3, 2),
-        ("bu.l3", 2, 3), ("bu.l4", 3, 4), ("bu.l5", 4, 5)]
+    # top-down sites reassemble at k_up, bottom-up ones at k_dn
+    assert pyramid._sites(small_cfg("a2fpn", k_up=5, k_dn=3)) == [
+        ("td.l5", 6, 5, 5), ("td.l4", 5, 4, 5), ("td.l3", 4, 3, 5), ("td.l2", 3, 2, 5),
+        ("bu.l3", 2, 3, 3), ("bu.l4", 3, 4, 3), ("bu.l5", 4, 5, 3), ("bu.l6", 5, 6, 3)]
+    assert pyramid._sites(small_cfg("a2fpn_lite", k_up=3, k_dn=7)) == [
+        ("td.l4", 5, 4, 3), ("td.l3", 4, 3, 3), ("td.l2", 3, 2, 3),
+        ("bu.l3", 2, 3, 7), ("bu.l4", 3, 4, 7), ("bu.l5", 4, 5, 7)]
 
 
 def test_context_column_formula():
@@ -413,7 +414,7 @@ def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, a
     cfg = small_cfg(arch)
     store = pyramid.init_params(cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
-    order = [prefix for prefix, _, _ in reversed(pyramid._sites(cfg))]
+    order = [prefix for prefix, *_ in reversed(pyramid._sites(cfg))]
     held = []
     real_bwd = pyramid.fusion.fuse_bwd
 

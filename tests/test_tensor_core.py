@@ -2,26 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from a2fpn import oracles, tensor_core as tc
-
-
-def test_matmul_matches_numpy(rng):
-    a = rng.standard_normal((5, 7))
-    b = rng.standard_normal((7, 3))
-    npt.assert_array_equal(tc.matmul_fwd(a, b)[0], a @ b)
-
-
-def test_matmul_rejects_inner_mismatch(rng):
-    with pytest.raises(ValueError, match="inner extents"):
-        tc.matmul_fwd(rng.standard_normal((3, 4)), rng.standard_normal((5, 2)))
-
-
-def test_matmul_bwd_shapes(rng):
-    a = rng.standard_normal((5, 7))
-    b = rng.standard_normal((7, 3))
-    _, cache = tc.matmul_fwd(a, b)
-    ga, gb = tc.matmul_bwd(cache, np.ones((5, 3)))
-    assert ga.shape == a.shape and gb.shape == b.shape
+from a2fpn import fusion, oracles, tensor_core as tc
 
 
 def test_softmax_rows_are_distributions(rng):
@@ -58,21 +39,31 @@ def test_l2_normalize_scale_invariant(rng):
     npt.assert_allclose(scaled, base, atol=1e-12)
 
 
+def test_l2_normalize_maps_a_zero_slice_to_zero(rng):
+    # the norm is floored at L2_EPS > 0, so a zero slice divides 0 by L2_EPS
+    # rather than by 0: it maps to zero with the finite gradient of x/L2_EPS
+    t = np.zeros((3, 2))
+    t[:, 1] = rng.standard_normal(3)
+    y, cache = tc.l2_normalize_fwd(t, 0)
+    g = tc.l2_normalize_bwd(cache, np.ones_like(t))
+    assert np.isfinite(y).all() and np.isfinite(g).all()
+    assert y[:, 0].tolist() == [0.0] * 3
+    npt.assert_array_equal(g[:, 0], np.full(3, 1.0 / tc.L2_EPS))
+
+
 @pytest.mark.parametrize("eps", [0.0, -1e-12])
 def test_l2_normalize_rejects_nonpositive_eps(eps):
-    # a zero slice would divide 0 by max(0, eps) and come out NaN
-    with pytest.raises(ValueError, match="eps must be positive"):
+    # a zero slice would divide 0 by max(0, eps) and come out NaN; the floor
+    # is the fixed L2_EPS > 0, and no caller can pass another
+    assert tc.L2_EPS > 0
+    with pytest.raises(TypeError, match="eps"):
         tc.l2_normalize_fwd(np.zeros((3, 2)), 0, eps=eps)
 
 
-def test_two_sigmoid_is_double_sigmoid(rng):
-    t = rng.standard_normal((3, 4))
-    npt.assert_allclose(tc.two_sigmoid_fwd(t)[0], 2.0 * tc.sigmoid_fwd(t)[0], atol=1e-15)
-
-
 def test_two_sigmoid_neutral_at_zero():
-    # σ(0) = 0.5 exactly, so the doubled gate is exactly one
-    assert tc.two_sigmoid_fwd(np.zeros(5))[0].tolist() == [1.0] * 5
+    # σ(0) = 0.5 exactly, so the doubled gate r·σ(0) is exactly one
+    r = fusion.GATE_ACTS["two_sigmoid"]
+    assert (r * tc.sigmoid_fwd(np.zeros(5))[0]).tolist() == [1.0] * 5
 
 
 def test_relu_masks_backward(rng):

@@ -142,7 +142,7 @@ def test_batch_pass_matches_mean_of_single_image_passes(arch, dtype):
     images, masks = synth_shapes(cfg)
     store = init_params(cfg, with_backbone=True, with_head=True)
     loss, grads = train.batch_pass(images, masks, store, cfg)
-    singles = [train.batch_pass(images[i], masks[i], store, cfg) for i in range(len(images))]
+    singles = [train.batch_pass(images[i:i + 1], masks[i:i + 1], store, cfg) for i in range(len(images))]
     want_loss = np.mean([s[0] for s in singles])
     assert set(grads) == set(singles[0][1]) == set(store)
     if dtype == "f64":
@@ -157,6 +157,17 @@ def test_batch_pass_matches_mean_of_single_image_passes(arch, dtype):
             assert err <= 1e-10, f"{key}: {err:.2e}"
         else:
             assert err <= 1e-5 * np.max(np.abs(want)), f"{key}: {err:.2e}"
+
+
+def test_training_passes_reject_a_single_image():
+    # one image is the batch images[i:i + 1]; unbatched, the head would
+    # broadcast its (1, W) logit row against the (H, W) mask
+    cfg = toy_train_config("a2fpn")
+    images, masks = synth_shapes(cfg, count=1)
+    store = init_params(cfg, with_backbone=True, with_head=True)
+    for fn in (train.batch_pass, train._objective):
+        with pytest.raises(ValueError, match="the head takes a batch"):
+            fn(images[0], masks[0], store, cfg)
 
 
 def test_no_toy_training_conv_reaches_winograd(monkeypatch):

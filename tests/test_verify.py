@@ -36,7 +36,7 @@ def test_probe_passes_a_known_gradient(rng):
 
 
 GRADCHECK_NAMES = (
-    "matmul", "softmax", "l2_normalize", "sigmoid", "two_sigmoid", "relu", "layer_norm",
+    "softmax", "l2_normalize", "sigmoid", "relu", "layer_norm",
     "conv2d", "conv2d_stride2", "conv2d_1x1", "conv2d_winograd", "conv2d_n2",
     "conv2d_stride2_n2", "conv2d_winograd_n2", "conv2d_gather_n2", "conv2d_stride2_gather_n2",
     "max_pool2d", "bilinear_upsample", "pixel_shuffle", "concat_channels",
@@ -52,7 +52,7 @@ ORACLE_NAMES = (
     "conv2d_winograd", "conv2d_winograd_bwd", "attention_pool", "compatibility",
     "reassemble_up", "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
     "pixel_shuffle", "pixel_shuffle_roundtrip", "bilinear_upsample", "bilinear_upsample_bwd",
-    "max_pool2d", "matmul", "softmax", "layer_norm",
+    "max_pool2d", "softmax", "layer_norm",
 )
 
 
@@ -70,11 +70,9 @@ def test_registry_names_are_well_formed():
 # after the build: the arrays, and the count and order of all the draws
 # (the projections' too), are pinned
 DRAW_DIGESTS = {
-    "matmul": "8db02e1a08655bbfcfd974936101c8a7ad441c65b7defcf55056e5fa92de989b",
     "softmax": "8ffc8d6401bdabe3834985a97b1864e488f74f9ae8be7074e4f531aaab841a6c",
     "l2_normalize": "4cff3696e4cb7e7d6692b938bea5999dc9b78d735ca5d6cad1088ba56a56ac6b",
     "sigmoid": "0782a69bd85dd36456d50040d4d4c96112efc0d8ba40abc1f798b8f2ca428caf",
-    "two_sigmoid": "e7d95476d7c990a6d132a7a74d69a4fbc22e903bbf4150e3b4242b47ed89210d",
     "relu": "2a015c24eb14d24b89d0c1ab0c869b60c460b5bf844e14720a5f2b855e9c8169",
     "layer_norm": "2b3cb0ddfafe354ae727ade2975eae9ddde5631b0554c2ab0b4ee473d4dbf3a4",
     "conv2d": "c27667d7dc000c61a745b9c994f61e8c8e321e9072798fb44c13ef5b039e2356",
@@ -132,8 +130,8 @@ def test_gradcheck_draws_are_pinned(op):
 
 
 def test_single_check_report_fields():
-    r = check_gradients("matmul")
-    assert r.op == "matmul" and r.passed
+    r = check_gradients("softmax")
+    assert r.op == "softmax" and r.passed
     assert r.max_rel_err < PRIMITIVE_TOL
     assert r.coords > 0
     d = r.to_dict()
@@ -148,8 +146,8 @@ def test_unknown_op_rejected():
 def test_probe_detects_a_corrupted_gradient():
     # the harness itself is under test here: a wrong analytic gradient
     # must push the measured error far past the tolerance
-    builder, tol, cap = REGISTRY["matmul"]
-    arrays, loss, grads_fn = builder(verify._op_rng("matmul", 0))
+    builder, tol, cap = REGISTRY["softmax"]
+    arrays, loss, grads_fn = builder(verify._op_rng("softmax", 0))
     grads = grads_fn()
     key = sorted(grads)[0]
     grads[key] = grads[key] + 0.05
