@@ -29,13 +29,14 @@ upper = LevelFeature(3, rng.standard_normal((c, 4, 6)))
 lateral = LevelFeature(2, rng.standard_normal((c, 8, 12)))
 
 # kernels are predicted from the coarse map plus a pooled view of the fine
-# one; every output position gets its own k*k tap distribution
+# one, and stay on the coarse grid as the predictor emits them: each coarse
+# cell holds one k*k tap distribution for each of its 2x2 output pixels
 p_up = site("up")
 pooled, _ = max_pool2d_fwd(lateral.data)
 kernels, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p_up)
-print("upsampling kernels:", kernels.shape)   # taps x out_h x out_w
-print("tap sums (should all be 1):", kernels.sum(axis=0).round(12).min(),
-      kernels.sum(axis=0).round(12).max())
+print("upsampling kernels:", kernels.shape)   # (taps x 2 x 2) x coarse_h x coarse_w
+tap_sums = kernels.reshape(k * k, 2 * 2, 4, 6).sum(axis=0)
+print("tap sums (should all be 1):", tap_sums.round(12).min(), tap_sums.round(12).max())
 
 # a constant map survives reassembly untouched away from the border
 const = np.full((c, 4, 6), 1.5)

@@ -7,7 +7,7 @@ Counting conventions (all documented so reports are reproducible):
   - softmax: 3 FLOPs/element; the scaled attention variant adds 1 for the scale
   - L2 key normalization: 3/element, layer norm: 5/element, ReLU: 1/element
   - merges: 1/element per gate multiply and per addition
-  - bilinear ×2 resize: 8/output element; nearest and pixel shuffle are free
+  - bilinear ×2 resize: 8/output element; nearest resize is free
 
 Backbone and heads are out of scope; every line is neck-only.  Parameter
 totals agree element-for-element with an instantiated store of the same

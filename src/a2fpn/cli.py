@@ -85,6 +85,22 @@ def _parse_backbone(text):
         raise argparse.ArgumentTypeError(f"bad backbone spec {text!r}: {exc}")
 
 
+def _checked(cast, ok, what):
+    """An argparse type: cast(text) satisfying ok, else a usage error naming the flag (exit 2)."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in a failed cast
+    return parse
+
+
+_positive = _checked(float, lambda v: 0 < v < float("inf"), "a positive finite number")
+_at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _load_config(path, default=None):
     if path is None:
         return default if default is not None else PyramidConfig()
@@ -250,14 +266,14 @@ def build_parser():
     g = sub.add_parser("gradcheck", help="finite-difference checks of all registered ops")
     g.add_argument("--config", help="config JSON path")
     g.add_argument("--tol", type=float, default=None, help="override per-op tolerance")
-    g.add_argument("--eps", type=float, default=verify.DEFAULT_EPS)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--eps", type=_positive, default=verify.DEFAULT_EPS)
+    g.add_argument("--seed", type=_non_negative, default=None)
     g.add_argument("--out", help="directory for JSON reports")
     g.set_defaults(fn=cmd_gradcheck)
 
     o = sub.add_parser("oracles", help="production kernels vs naive loop references")
-    o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--cases", type=int, default=50)
+    o.add_argument("--seed", type=_non_negative, default=0)
+    o.add_argument("--cases", type=_at_least_one, default=50)
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracles)
 
@@ -267,7 +283,7 @@ def build_parser():
     f.add_argument("--input", help="input image tensor (.a2tsr, 3xHxW)")
     f.add_argument("--random", type=_parse_hw, metavar="HxW",
                    help="use a seeded random image of this size")
-    f.add_argument("--seed", type=int, default=None)
+    f.add_argument("--seed", type=_non_negative, default=None)
     f.add_argument("--out", default="forward_out")
     f.set_defaults(fn=cmd_forward)
 
@@ -283,9 +299,9 @@ def build_parser():
 
     t = sub.add_parser("train-toy", help="synthetic-shapes training check")
     t.add_argument("--config")
-    t.add_argument("--steps", type=int, default=train.DEFAULT_STEPS)
+    t.add_argument("--steps", type=_non_negative, default=train.DEFAULT_STEPS)
     t.add_argument("--lr", type=float, default=train.DEFAULT_LR)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_non_negative, default=None)
     t.add_argument("--out")
     t.set_defaults(fn=cmd_train_toy)
 

@@ -13,8 +13,10 @@ reassembly pools as in CAP.  Plain CARAFE/CAP ablation baselines are the
 same site with guidance off and gates pinned to 1.
 
 Features are one image (c, h, w) or a batch (n, c, h, w).  Kernels and
-gates are then per image, (n, k², h, w) and (n, c); the site's parameters
-are shared, so their gradients are summed over the images.
+gates are then per image, and the site's parameters are shared, so their
+gradients are summed over the images.  Kernels keep the predictor's layout
+on the coarse grid (h, w): (n, k², h, w) going down, and (n, k²·s², h, w)
+in (tap, dy, dx) channel order going up, k² taps per output of a cell.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .nn_ops import (
     conv2d_fwd,
     max_pool2d_bwd,
     max_pool2d_fwd,
-    pixel_shuffle_bwd,
-    pixel_shuffle_fwd,
 )
 from .tensor_core import (
     layer_norm_bwd,
@@ -143,6 +143,8 @@ def _tap_count(k2):
     k = math.isqrt(k2)
     if k * k != k2:
         raise ValueError(f"kernel axis {k2} is not a square tap count")
+    if k % 2 == 0:
+        raise ValueError("reassembly tap size must be odd")
     return k
 
 
@@ -154,28 +156,25 @@ def predict_kernels_fwd(x, p):
     """x -> compress -> encode -> predict logits -> softmax over the k² tap axis.
 
     x is the site's reader input: the source, or the concatenation
-    [source, guidance] that fuse_fwd builds once for both readers.  A
-    stride-1 predictor (upsampling) emits s²k² logits per source pixel,
-    which pixel shuffle onto the s× grid; a stride-s one (downsampling)
-    emits k² logits on the 1/s grid directly.
+    [source, guidance] that fuse_fwd builds once for both readers.  The
+    kernels keep the logits' layout (see the module docstring); the softmax
+    runs over the k² axis of the logits viewed as (k², s², h, w), where
+    s² = 1 going down.
     """
     z1, c1 = conv2d_fwd(p.compressor, x)
     z2, c2 = conv2d_fwd(p.encoder, z1)
     z3, c3 = relu_fwd(z2)
     logits, c4 = conv2d_fwd(p.predictor, z3)
-    c5 = None
-    if p.predictor.stride == 1:
-        logits, c5 = pixel_shuffle_fwd(logits, p.s)
-    kern, c6 = softmax_fwd(logits, axis=-3)
-    return kern, (c1, c2, c3, c4, c5, c6)
+    lead, (h, w) = logits.shape[:-3], logits.shape[-2:]
+    kern, c5 = softmax_fwd(logits.reshape(lead + (p.k * p.k, -1, h, w)), axis=-4)
+    return kern.reshape(logits.shape), (c1, c2, c3, c4, c5)
 
 
 def predict_kernels_bwd(cache, gkern):
     """(gx, param grads): gx is the gradient of the whole reader input."""
-    c1, c2, c3, c4, c5, c6 = cache
-    g4 = softmax_bwd(c6, gkern)
-    if c5 is not None:
-        g4 = pixel_shuffle_bwd(c5, g4)
+    c1, c2, c3, c4, c5 = cache
+    y, _ = c5  # the kernels in their tap view (…, k², s², h, w)
+    g4 = softmax_bwd(c5, gkern.reshape(y.shape)).reshape(gkern.shape)
     g3, gw_p, gb_p = conv2d_bwd(c4, g4)
     g2 = relu_bwd(c3, g3)
     g1, gw_e, gb_e = conv2d_bwd(c2, g2)
@@ -224,14 +223,21 @@ def _by_cell(a, s):
     return a.reshape(n, m, sh // s, s, sw // s, s).transpose(0, 2, 4, 1, 3, 5)
 
 
+def _kernel_cells(kernels, s):
+    """Up-kernels (n, k²·s², h, w) viewed as (n, h, w, k², s²): each coarse cell's kernels."""
+    n, _, h, w = kernels.shape
+    return kernels.reshape(n, -1, s * s, h, w).transpose(0, 3, 4, 1, 2)
+
+
 def _check_cover(src, kernels, fits, what):
     if not fits or src.ndim not in (3, 4) or kernels.shape[:-3] != src.shape[:-3]:
         raise ValueError(f"kernels {kernels.shape} do not cover a {what} output of {src.shape}")
 
 
 def reassemble_up_fwd(coarse, kernels, s=2):
-    """out(x, y) = kernel(x, y) · k×k zero-padded window of coarse(⌊x/s⌋, ⌊y/s⌋).
+    """out(s·y + dy, s·x + dx) = kernel(y, x)[:, dy, dx] · k×k zero-padded window of coarse(y, x).
 
+    The kernels are in the predictor's layout (see the module docstring).
     Computed as an unfold and a batched GEMM, as in CARAFE (Wang et al.,
     arXiv 1905.02188): the s² outputs of coarse cell (y, x) all read the
     same window, so they are one product U(c×k²) @ K(k²×s²) of the unfolded
@@ -242,8 +248,8 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     products are written straight into the s×s pixels of their cells.
     """
     h, w = coarse.shape[-2:]
-    k = _tap_count(kernels.shape[-3])
-    _check_cover(coarse, kernels, kernels.shape[-2:] == (s * h, s * w), f"×{s}")
+    k = _tap_count(kernels.shape[-3] // (s * s))
+    _check_cover(coarse, kernels, kernels.shape[-3:] == (k * k * s * s, h, w), f"×{s}")
     r = (k - 1) // 2
     k2 = k * k
     cb, kb = _lift(coarse), _lift(kernels)
@@ -252,12 +258,14 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     # the cache holds its channel-first view as the padded source
     cpt = np.pad(cb.transpose(0, 2, 3, 1), ((0, 0), (r, r), (r, r), (0, 0)))
     windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
-    kcell = _by_cell(kb, s)
+    kcell = _kernel_cells(kb, s)
     out = np.empty((n, c, s * h, s * w), dtype=coarse.dtype)
     ocell = _by_cell(out, s)
     for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cpt.itemsize)):
         ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
-        uk = np.matmul(ut.swapaxes(2, 3), kcell[i0:i1, y0:y1].reshape(-1, w, k2, s * s))
+        # copied: the GEMM is ~20% slower on the strided view a block of one image's rows gives
+        kt = np.ascontiguousarray(kcell[i0:i1, y0:y1]).reshape(-1, w, k2, s * s)
+        uk = np.matmul(ut.swapaxes(2, 3), kt)
         ocell[i0:i1, y0:y1] = uk.reshape(i1 - i0, y1 - y0, w, c, s, s)
     cp = cpt.transpose(0, 3, 1, 2)
     if coarse.ndim == 3:
@@ -280,20 +288,20 @@ def reassemble_up_bwd(cache, gout):
     n = kernels.shape[0]
     cpt = _lift(cp).transpose(0, 2, 3, 1)
     windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
-    kcell = _by_cell(kernels, s)
+    kcell = _kernel_cells(kernels, s)
     gcell = _by_cell(_lift(gout), s)
-    gkern = np.empty(kernels.shape, dtype=kernels.dtype)  # C order, so _by_cell is a view
-    gkcell = _by_cell(gkern, s)
+    gkern = np.empty(kernels.shape, dtype=kernels.dtype)  # C order, so _kernel_cells is a view
+    gkcell = _kernel_cells(gkern, s)
     gcpt = np.zeros(cpt.shape, dtype=cp.dtype)
     for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cp.itemsize)):
         ni, ny = i1 - i0, y1 - y0
         g = gcell[i0:i1, y0:y1].reshape(-1, w, c, s * s)
         # the unfolded block is freed before gUᵀ, of its size, is made
         ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
-        gkcell[i0:i1, y0:y1] = np.matmul(ut, g).reshape(ni, ny, w, k2, s, s)
+        gkcell[i0:i1, y0:y1] = np.matmul(ut, g).reshape(ni, ny, w, k2, s * s)
         del ut
-        gut = np.matmul(kcell[i0:i1, y0:y1].reshape(-1, w, k2, s * s), g.swapaxes(2, 3))
-        gut = gut.reshape(ni, ny, w, k2, c)
+        kt = np.ascontiguousarray(kcell[i0:i1, y0:y1]).reshape(-1, w, k2, s * s)
+        gut = np.matmul(kt, g.swapaxes(2, 3)).reshape(ni, ny, w, k2, c)
         for t in range(k2):
             dy, dx = divmod(t, k)
             gcpt[i0:i1, y0 + dy : y0 + dy + ny, dx : dx + w] += gut[:, :, :, t]

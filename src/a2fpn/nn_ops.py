@@ -1,4 +1,4 @@
-"""Spatial primitives: convolution, pooling, resampling, pixel shuffle.
+"""Spatial primitives: convolution, pooling, resampling, channel concatenation.
 
 Feature maps are channel-first, either one image (c, h, w) or a batch of
 images (n, c, h, w); every op takes both, and returns the rank it was given.
@@ -607,34 +607,6 @@ def bilinear_upsample_bwd(cache, gy):
 def nearest_upsample(x, s=2):
     """Nearest-neighbor ×s used by the plain pyramid baselines (forward only)."""
     return np.repeat(np.repeat(x, s, axis=-2), s, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# pixel shuffle
-# ---------------------------------------------------------------------------
-
-def pixel_shuffle_fwd(x, s=2):
-    cs, h, w = x.shape[-3:]
-    if cs % (s * s):
-        raise ValueError(f"channel count {cs} not divisible by s²={s * s}")
-    q = cs // (s * s)
-    # out[g, s·y+dy, s·x+dx] = in[g·s² + dy·s + dx, y, x], per image
-    y = x.reshape(-1, q, s, s, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(x.shape[:-3] + (q, s * h, s * w))
-    return y, s
-
-
-def pixel_shuffle_bwd(cache, gy):
-    # a permutation, so its adjoint is its inverse
-    return pixel_unshuffle(gy, cache)
-
-
-def pixel_unshuffle(x, s=2):
-    """Inverse rearrangement of pixel_shuffle_fwd."""
-    q, sh, sw = x.shape[-3:]
-    if sh % s or sw % s:
-        raise ValueError(f"spatial extents {sh}×{sw} not divisible by s={s}")
-    h, w = sh // s, sw // s
-    return x.reshape(-1, q, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(x.shape[:-3] + (q * s * s, h, w))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,8 @@ def bilinear_upsample_bwd_oracle(x_shape, gy, s):
 
 
 def pixel_shuffle_oracle(x, s):
+    """(q·s², h, w) with channels in (g, dy, dx) order onto the s× grid as (q, s·h, s·w):
+    predictor-layout up-kernels to the paper's per-pixel ones, as the oracles read them."""
     cs, h, w = x.shape
     q = cs // (s * s)
     out = np.zeros((q, s * h, s * w), dtype=np.float64)

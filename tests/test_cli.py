@@ -185,7 +185,20 @@ def test_config_naming_a_removed_key_exits_2(tmp_path, capsys):
     ["count", "--image-size", "100x64"],
     ["count", "--backbone-spec", "a,b,c,d"],
     ["forward", "--random", "100x64"],
-], ids=["count-image-size", "count-backbone-spec", "forward-random"])
+    ["gradcheck", "--eps", "0"],
+    ["gradcheck", "--eps", "nan"],
+    ["gradcheck", "--eps", "inf"],
+    ["oracles", "--cases", "0"],
+    ["oracles", "--cases", "-3"],
+    ["train-toy", "--steps", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["oracles", "--seed", "-1"],
+    ["forward", "--seed", "-1"],
+    ["train-toy", "--seed", "-1"],
+], ids=["count-image-size", "count-backbone-spec", "forward-random", "gradcheck-eps-zero",
+        "gradcheck-eps-nan", "gradcheck-eps-inf", "oracles-cases-zero", "oracles-cases-negative",
+        "train-toy-steps-negative", "gradcheck-seed-negative", "oracles-seed-negative",
+        "forward-seed-negative", "train-toy-seed-negative"])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -12,8 +12,9 @@ def test_up_kernels_are_tap_distributions(rng):
     coarse = rng.standard_normal((8, 3, 4))
     pooled = rng.standard_normal((8, 3, 4))
     kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), p)
-    assert kern.shape == (9, 6, 8)
-    npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-12)
+    # on the coarse grid: 9 taps for each of the 4 outputs of a cell
+    assert kern.shape == (36, 3, 4)
+    npt.assert_allclose(kern.reshape(9, 4, 3, 4).sum(axis=0), 1.0, atol=1e-12)
     assert (kern > 0).all()
 
 
@@ -31,14 +32,15 @@ def test_kernels_are_distributions_in_f32(rng):
     coarse = rng.standard_normal((8, 2, 2)).astype(np.float32)
     pooled = rng.standard_normal((8, 2, 2)).astype(np.float32)
     kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), p)
-    npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-6)
+    npt.assert_allclose(kern.reshape(9, 4, 2, 2).sum(axis=0), 1.0, atol=1e-6)
 
 
 def test_reassemble_up_matches_loop_oracle(rng):
     coarse = rng.standard_normal((3, 2, 3))
-    kern = tc.softmax_fwd(rng.standard_normal((9, 4, 6)), axis=0)[0]
+    kern = tc.softmax_fwd(rng.standard_normal((9, 4, 2, 3)), axis=0)[0].reshape(36, 2, 3)
     got = fusion.reassemble_up_fwd(coarse, kern, 2)[0]
-    npt.assert_allclose(got, oracles.reassemble_up_oracle(coarse, kern, 2, 3), atol=1e-13)
+    want = oracles.reassemble_up_oracle(coarse, oracles.pixel_shuffle_oracle(kern, 2), 2, 3)
+    npt.assert_allclose(got, want, atol=1e-13)
 
 
 def test_reassemble_down_matches_loop_oracle(rng):
@@ -62,14 +64,15 @@ def test_reassemble_up_row_blocks_match_loop_oracles(monkeypatch, c, h, w, k, s)
     assert fusion._unfold_rows(w, c, k * k, 8) == 2
     rng = np.random.default_rng([c, h, w, k, s])
     coarse = rng.standard_normal((c, h, w))
-    kern = rng.standard_normal((k * k, s * h, s * w))
+    kern = rng.standard_normal((k * k * s * s, h, w))
+    fine_kern = oracles.pixel_shuffle_oracle(kern, s)  # the paper's per-output layout
     gout = rng.standard_normal((c, s * h, s * w))
     out, cache = fusion.reassemble_up_fwd(coarse, kern, s)
-    npt.assert_allclose(out, oracles.reassemble_up_oracle(coarse, kern, s, k), rtol=0, atol=1e-12)
+    npt.assert_allclose(out, oracles.reassemble_up_oracle(coarse, fine_kern, s, k), rtol=0, atol=1e-12)
     gc, gk = fusion.reassemble_up_bwd(cache, gout)
-    want_gc, want_gk = oracles.reassemble_up_bwd_oracle(coarse, kern, gout, s, k)
+    want_gc, want_gk = oracles.reassemble_up_bwd_oracle(coarse, fine_kern, gout, s, k)
     npt.assert_allclose(gc, want_gc, rtol=0, atol=1e-12)
-    npt.assert_allclose(gk, want_gk, rtol=0, atol=1e-12)
+    npt.assert_allclose(oracles.pixel_shuffle_oracle(gk, s), want_gk, rtol=0, atol=1e-12)
 
 
 
@@ -115,7 +118,7 @@ def test_reassemble_up_f32_matches_f64_and_caches_no_unfold(rng):
     # at this size the default block cap splits the level into several blocks
     assert fusion._unfold_rows(w, c, k * k, 4) < h
     coarse = rng.standard_normal((c, h, w))
-    kern = tc.softmax_fwd(rng.standard_normal((k * k, s * h, s * w)), axis=0)[0]
+    kern = tc.softmax_fwd(rng.standard_normal((k * k, s * s, h, w)), axis=0)[0].reshape(-1, h, w)
     gout = rng.standard_normal((c, s * h, s * w))
     out64, cache64 = fusion.reassemble_up_fwd(coarse, kern, s)
     gc64, gk64 = fusion.reassemble_up_bwd(cache64, gout)
@@ -135,7 +138,7 @@ def test_reassemble_up_interior_constant_map(rng):
     # normalized kernels average a constant neighborhood back to itself;
     # only border cells see zero padding, so check the interior
     coarse = np.full((2, 4, 5), 1.5)
-    kern = tc.softmax_fwd(rng.standard_normal((9, 8, 10)), axis=0)[0]
+    kern = tc.softmax_fwd(rng.standard_normal((9, 4, 4, 5)), axis=0)[0].reshape(36, 4, 5)
     out = fusion.reassemble_up_fwd(coarse, kern, 2)[0]
     npt.assert_allclose(out[:, 2:-2, 2:-2], 1.5, atol=1e-12)
 
@@ -150,9 +153,9 @@ def test_reassemble_down_interior_constant_map(rng):
 def test_reassemble_up_center_tap_is_floor_gather(rng):
     # a delta kernel on the middle tap makes out(x, y) = coarse(x//s, y//s)
     coarse = rng.standard_normal((3, 2, 3))
-    kern = np.zeros((9, 4, 6))
+    kern = np.zeros((9, 4, 2, 3))
     kern[4] = 1.0
-    out = fusion.reassemble_up_fwd(coarse, kern, 2)[0]
+    out = fusion.reassemble_up_fwd(coarse, kern.reshape(36, 2, 3), 2)[0]
     npt.assert_array_equal(out, np.repeat(np.repeat(coarse, 2, axis=1), 2, axis=2))
 
 
@@ -166,11 +169,19 @@ def test_reassemble_down_center_tap_is_stride_gather(rng):
 
 def test_reassemble_rejects_wrong_cover(rng):
     with pytest.raises(ValueError):
-        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((9, 3, 3)), 2)
+        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((36, 3, 3)), 2)
     with pytest.raises(ValueError):
         fusion.reassemble_down_fwd(rng.standard_normal((2, 4, 4)), np.ones((9, 3, 3)), 2)
     with pytest.raises(ValueError):
-        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((8, 4, 4)), 2)
+        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((32, 2, 2)), 2)
+    # up-kernels on the fine grid are not the predictor's layout
+    with pytest.raises(ValueError):
+        fusion.reassemble_up_fwd(rng.standard_normal((2, 2, 2)), np.ones((9, 4, 4)), 2)
+    # an even tap size (k = 2) has no centre tap
+    with pytest.raises(ValueError, match="tap size must be odd"):
+        fusion.reassemble_up_fwd(np.ones((2, 3, 3)), np.ones((16, 3, 3)), 2)
+    with pytest.raises(ValueError, match="tap size must be odd"):
+        fusion.reassemble_down_fwd(np.ones((2, 6, 6)), np.ones((4, 3, 3)), 2)
 
 
 def test_gate_ranges(rng):
@@ -317,7 +328,7 @@ def test_guided_topdown_site_with_s3(rng):
     out, cache = fusion.fuse_fwd(upper, lateral, p)
     pooled = oracles.max_pool2d_oracle(lateral.data, 3)
     kern = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)[0]
-    assert kern.shape == (9, 6, 9)
+    assert kern.shape == (81, 2, 3)
     high, low = fusion.channel_gates_fwd(np.concatenate([upper.data, pooled]), p)[0]
     up = fusion.reassemble_up_fwd(upper.data, kern, 3)[0]
     pre = high[:, None, None] * up + low[:, None, None] * lateral.data

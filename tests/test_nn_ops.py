@@ -301,16 +301,6 @@ def test_nearest_upsample_replicates(rng):
     assert y.shape == (1, 4, 4)
 
 
-def test_pixel_shuffle_matches_oracle(rng):
-    x = rng.standard_normal((8, 3, 4))
-    npt.assert_array_equal(nn_ops.pixel_shuffle_fwd(x, 2)[0], oracles.pixel_shuffle_oracle(x, 2))
-
-
-def test_pixel_shuffle_roundtrip(rng):
-    x = rng.standard_normal((12, 2, 5))
-    npt.assert_array_equal(nn_ops.pixel_unshuffle(nn_ops.pixel_shuffle_fwd(x, 2)[0], 2), x)
-
-
 def test_concat_channels_splits_backward(rng):
     a = rng.standard_normal((2, 3, 3))
     b = rng.standard_normal((5, 3, 3))

@@ -39,7 +39,7 @@ GRADCHECK_NAMES = (
     "softmax", "l2_normalize", "sigmoid", "relu", "layer_norm",
     "conv2d", "conv2d_stride2", "conv2d_1x1", "conv2d_winograd", "conv2d_n2",
     "conv2d_stride2_n2", "conv2d_winograd_n2", "conv2d_gather_n2", "conv2d_stride2_gather_n2",
-    "max_pool2d", "bilinear_upsample", "pixel_shuffle", "concat_channels",
+    "max_pool2d", "bilinear_upsample", "concat_channels",
     "compatibility", "collect_context", "orthogonal_reg", "gcn_layer", "reason_multilevel",
     "distribute_context", "mgc_forward", "mgc_forward_n2",
     "predict_up_kernels", "predict_down_kernels", "reassemble_up", "reassemble_down",
@@ -51,8 +51,7 @@ ORACLE_NAMES = (
     "conv2d", "conv2d_bwd", "conv2d_gx_gather", "conv2d_gx_fold",
     "conv2d_winograd", "conv2d_winograd_bwd", "attention_pool", "compatibility",
     "reassemble_up", "reassemble_down", "reassemble_up_bwd", "reassemble_down_bwd",
-    "pixel_shuffle", "pixel_shuffle_roundtrip", "bilinear_upsample", "bilinear_upsample_bwd",
-    "max_pool2d", "softmax", "layer_norm",
+    "bilinear_upsample", "bilinear_upsample_bwd", "max_pool2d", "softmax", "layer_norm",
 )
 
 
@@ -86,7 +85,6 @@ DRAW_DIGESTS = {
     "conv2d_stride2_gather_n2": "bc9d560492bbc677deeef5804c6c446822d2134d059771a23a1590b6ce785437",
     "max_pool2d": "910af3d4d6b0fc33a4598bfe0c098b268311dcd23c1d72ed98271b65989d3805",
     "bilinear_upsample": "d3a6116c1f52349467038602cd55e5d588a2d32ad4a5da308bd14cdff2639004",
-    "pixel_shuffle": "96f4de60e8b4ed34e5b96c127f3d4e15820d5add70d540de1cd7770db15f3b7d",
     "concat_channels": "b9739b17b7636aab4b72e73e754c4955d928db4829afb926801b8b7bfe161065",
     "compatibility": "75994716985f2dd02a09f396dbcdf7af4f52f6770f8232a34db91a2d9248a54b",
     "collect_context": "416abf594d697f7be2c8f2d906c8db1858ad6229fea9f205d7bff47546abd1b8",
@@ -98,10 +96,10 @@ DRAW_DIGESTS = {
     "mgc_forward_n2": "5761ef99108535c97936cad2b9778367fb7ab211423accf4bf83b250ec3c3880",
     "predict_up_kernels": "6d472fad9271a22377ca9621c10e2f8ca0a68c88ace6d9960dba5c011ced9cd5",
     "predict_down_kernels": "28ed2c95c8988902cd2d3632eca3ffac0825a17888b63fce8fcff3e45f01dbd5",
-    "reassemble_up": "eb12eec7a2429f49c5bf1208986f2c3cb07145671891d36e6fe91e5d81685473",
+    "reassemble_up": "9597eef3bc837c94c1293e988dbfa17dbdcda2f689c3b01b260d346842f6c15f",
     "reassemble_down": "949557553977436fb4de6bcc8146d85a437264517167e3e55cbb77b90c9f9dff",
     "channel_gates": "3f461a82008aab5c641b57b47f079a315eba25fc0ebd374f66c9c041bd41e26a",
-    "reassemble_up_n2": "22c7a000dd7266ce46313839e7b42a00aa8fe9a572bb51af6d6ebf0bae066682",
+    "reassemble_up_n2": "f81ebe1ad08b7687fcbf83c422273a4df963fcb91c76bd7a26ebed09bcd846cb",
     "reassemble_down_n2": "dfd56105cebf0413a8d956f124028cfad6947897072b4b0cbf33ef055d6c09b4",
     "channel_gates_n2": "22523bea1e2b2160acd788f4c93f36f82337055fc5f8b057c4f1ca6ee9036d60",
     "fuse_topdown": "804a1d9a29d3fc22de436812781a7e73c59f29240323a3a747d2326f49ea7b0a",
@@ -170,8 +168,7 @@ def test_oracle_suite_runs_fifty_cases_each():
     # every sweep, by name and in run order: a dropped or renamed sweep fails here
     assert tuple(e.op for e in entries) == ORACLE_NAMES
     for e in entries:
-        # the round trip is a fixed 20 cases, whatever ``cases`` asks
-        assert e.cases == (20 if e.op == "pixel_shuffle_roundtrip" else 50)
+        assert e.cases == 50
         assert e.max_abs_err <= ORACLE_TOL
 
 
