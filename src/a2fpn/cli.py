@@ -265,7 +265,7 @@ def build_parser():
 
     g = sub.add_parser("gradcheck", help="finite-difference checks of all registered ops")
     g.add_argument("--config", help="config JSON path")
-    g.add_argument("--tol", type=float, default=None, help="override per-op tolerance")
+    g.add_argument("--tol", type=_positive, default=None, help="override per-op tolerance")
     g.add_argument("--eps", type=_positive, default=verify.DEFAULT_EPS)
     g.add_argument("--seed", type=_non_negative, default=None)
     g.add_argument("--out", help="directory for JSON reports")
@@ -300,7 +300,7 @@ def build_parser():
     t = sub.add_parser("train-toy", help="synthetic-shapes training check")
     t.add_argument("--config")
     t.add_argument("--steps", type=_non_negative, default=train.DEFAULT_STEPS)
-    t.add_argument("--lr", type=float, default=train.DEFAULT_LR)
+    t.add_argument("--lr", type=_positive, default=train.DEFAULT_LR)
     t.add_argument("--seed", type=_non_negative, default=None)
     t.add_argument("--out")
     t.set_defaults(fn=cmd_train_toy)

@@ -33,6 +33,7 @@ from .nn_ops import (
 from .tensor_core import DTYPES, relu_bwd, relu_fwd
 
 ARCHS = ("fpn", "pafpn", "a2fpn", "a2fpn_lite")
+OUTPUT_LEVELS = (2, 3, 4, 5, 6)  # every neck's outputs, strides 4..64
 _INT_FIELDS = ("c", "a", "k_up", "k_dn", "k_en", "c_m", "seed")
 
 
@@ -419,18 +420,28 @@ class _Discard(dict):
         pass
 
 
-def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True):
+def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=OUTPUT_LEVELS):
     """Full pipeline: the extra level (full neck only), global-context
     enrichment, top-down content-aware fusion, then the gated bottom-up chain.
 
     Returns (outputs, cache); outputs are five LevelFeatures at strides
-    4..64 with cfg.c channels.  With keep_cache False the cache is None:
+    4..64 with cfg.c channels, one per level of OUTPUT_LEVELS.  ``reads``
+    names the output levels the caller reads, and the forward runs only what
+    they need: the extra level, the context stage and the top-down chain
+    always run, a bottom-up site bu.l{d} only if a read level is ≥ d, and
+    bu.l2.smooth (full neck) or pool_top (lite) only if level 2 or level 6
+    is read.  An unread output is None; a read one has the bits of a
+    forward that reads every level.  With keep_cache False the cache is None:
     the backward cache of each stage (extra, mgc, every fusion site, and
     bu.l2.smooth or pool_top), with its concatenations, phase planes, padded
     inputs and attention maps, is freed as soon as that stage returns, and
     each level a site replaces is freed once the site has read it.
     """
     _check_levels(levels)
+    reads = frozenset(reads)
+    if not reads or not reads <= set(OUTPUT_LEVELS):
+        raise ValueError(f"reads must name one or more of the output levels {OUTPUT_LEVELS}, "
+                         f"got {sorted(reads)}")
     top = cfg.top_level
     cache = {"cfg": cfg} if keep_cache else _Discard()
 
@@ -444,60 +455,76 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True):
     cur = {f.level: f for f in ctx}
     del ctx  # cur holds the only reference to each level a site replaces
 
+    deepest = max(reads)
     for prefix, src, dst, k in _sites(cfg):
+        if src < dst and dst > deepest:  # bottom up, past every read level
+            break
         p = fusion.FusionParams.from_store(store, prefix, k, src > dst, gate_act=cfg.gate_act)
         cur[dst], cache[prefix] = fusion.fuse_fwd(cur[src], cur[dst], p)
 
-    outs = [cur[lvl] for lvl in range(2, top + 1)]
+    outs = [cur[lvl] if lvl in reads else None for lvl in range(2, top + 1)]
     if cfg.lite:
-        y6, cache["pool_top"] = max_pool2d_fwd(cur[top].data)
-        outs.append(LevelFeature(6, y6))
-    else:
+        outs.append(None)
+        if 6 in reads:
+            y6, cache["pool_top"] = max_pool2d_fwd(cur[top].data)
+            outs[-1] = LevelFeature(6, y6)
+    elif 2 in reads:
         p = ConvParams.from_store(store, "bu.l2.smooth")
         y2, cache["bu.l2.smooth"] = conv2d_fwd(p, cur[2].data)
         outs[0] = LevelFeature(2, y2)
     return outs, (cache if keep_cache else None)
 
 
+def _pop_stage(cache, name, lvl):
+    """The cache of stage name, whose output is level lvl, popped; a
+    ValueError if the forward did not run that stage."""
+    if name not in cache:
+        raise ValueError(f"p{lvl} has a gradient, but the forward did not run {name}")
+    return cache.pop(name)
+
+
 def forward_a2fpn_bwd(cache, gouts):
-    """gouts: list of gradients matching the forward outputs in order; None
-    stands for an output whose gradient is zero.
+    """gouts: gradients of the forward outputs in level order from p2; None,
+    or an entry left off the end, stands for an output whose gradient is
+    zero.  An output the forward did not read must get None.
 
     Returns (glevels dict for the backbone levels 2..5, param grads).  The
     stages run backward in the reverse of their forward order: bu.l2.smooth
     or pool_top, then the fusion sites.  A stage whose output gradient is
-    still None is skipped, and reports exact-zero gradients for every
-    parameter param_shapes names under its prefix, so the param grads always
-    cover the neck and equal a run with zero maps in place of the Nones.  A
-    level that receives no gradient stays None, and one still None at the
-    context stage is read as zeros.  Each stage's cache is popped from the
-    cache as the stage starts (or is skipped), so it is freed once that
-    stage is done, and the cache holds no ``td.*`` or ``bu.*`` key
-    afterwards.  The cache serves one backward.
+    still None is skipped, whether or not the forward ran it, and reports
+    exact-zero gradients for every parameter param_shapes names under its
+    prefix, so the param grads always cover the neck and equal a run with
+    zero maps in place of the Nones.  A gradient that reaches a stage the
+    forward did not run is a ValueError.  A level that receives no gradient
+    stays None, and one still None at the context stage is read as zeros.
+    Each stage's cache is popped from the cache as the stage starts (or is
+    skipped), so it is freed once that stage is done, and the cache holds
+    no ``td.*`` or ``bu.*`` key afterwards.  The cache serves one backward.
     """
     cfg = cache["cfg"]
     top = cfg.top_level
     pg = {}
     skipped = []  # the skipped stages' parameter-name prefixes
 
-    g = dict(zip(range(2, top + 1), gouts))
+    gin = dict(zip(OUTPUT_LEVELS, gouts))
+    g = {lvl: gin.get(lvl) for lvl in range(2, top + 1)}
     if cfg.lite:
-        if gouts[-1] is not None:
-            gpool = max_pool2d_bwd(cache["pool_top"], gouts[-1])
+        if gin.get(6) is not None:
+            gpool = max_pool2d_bwd(_pop_stage(cache, "pool_top", 6), gin[6])
             g[top] = gpool if g[top] is None else gpool + g[top]
     elif g[2] is None:
-        del cache["bu.l2.smooth"]
+        cache.pop("bu.l2.smooth", None)
         skipped.append("bu.l2.smooth.")
     else:
-        g[2], gw, gb = conv2d_bwd(cache.pop("bu.l2.smooth"), g[2])
+        g[2], gw, gb = conv2d_bwd(_pop_stage(cache, "bu.l2.smooth", 2), g[2])
         pg.update({"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
 
     for prefix, src, dst, _ in reversed(_sites(cfg)):
         if g[dst] is None:
-            del cache[prefix]
+            cache.pop(prefix, None)
             skipped.append(prefix + ".")
             continue
-        gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
+        gsrc, g[dst], local = fusion.fuse_bwd(_pop_stage(cache, prefix, dst), g[dst])
         pg.update((f"{prefix}.{name}", v) for name, v in local.items())
         g[src] = gsrc if g[src] is None else g[src] + gsrc
 

@@ -5,8 +5,9 @@ penalty, momentum SGD.
 Everything upstream of p2 trains on real gradients: the backbone, the
 context stage, the top-down sites, and in the full neck the extra level and
 the finest smooth.  The task checks training; it is not a benchmark.  The head
-reads p2 alone, so the bottom-up sites (bu.l3 and up) get exact-zero
-gradients and never train: their backward is skipped.  Their adjoints are
+reads p2 alone, so the neck's forward reads only p2 and skips the bottom-up
+sites (bu.l3 and up), whose outputs feed only the other four levels; they
+get exact-zero gradients and never train.  Their forward and adjoints are
 covered by the whole-neck gradchecks of ``verify`` (``a2fpn_full``,
 ``a2fpn_lite``) and by the benchmark's fwdbwd-256 workload, which sends a
 cotangent into every output.  Each step runs one forward and one backward
@@ -29,7 +30,6 @@ from .pyramid import (
     PyramidConfig,
     forward_a2fpn_bwd,
     forward_a2fpn_fwd,
-    forward_pyramid,
     init_params,
     toy_backbone_bwd,
     toy_backbone_fwd,
@@ -111,15 +111,16 @@ def batch_pass(images, masks, store, cfg):
 def _neck_and_head_pass(levels, masks, store, cfg):
     """Loss, backbone-level gradients and neck and head param grads.
 
-    The head reads p2 alone, so the other four outputs go back as None: the
-    bottom-up sites, whose outputs feed only those four, are skipped and
-    report zero gradients.
+    The head reads p2 alone, so the neck runs forward only what p2 needs
+    and gets p2's gradient alone back: the bottom-up sites, whose outputs
+    feed only the other four levels, run neither way and report zero
+    gradients.
     """
-    outs, neck_cache = forward_a2fpn_fwd(levels, store, cfg)
+    outs, neck_cache = forward_a2fpn_fwd(levels, store, cfg, reads=(2,))
     loss, head_cache = _head_fwd(outs[0].data, masks, store)
     gp2, gw_head, gb_head = _head_bwd(head_cache)
     del head_cache  # the head's full-resolution maps go before the neck's backward
-    glevels, pg = forward_a2fpn_bwd(neck_cache, [gp2, None, None, None, None])
+    glevels, pg = forward_a2fpn_bwd(neck_cache, [gp2])
     pg["head.weight"] = gw_head
     pg["head.bias"] = gb_head
     return loss, glevels, pg
@@ -161,10 +162,11 @@ def _objective_grads(images, masks, store, cfg):
 
 
 def _objective(images, masks, store, cfg):
-    """The (loss, reg) of _objective_grads, forward only: no cache is kept
-    and no gradient is taken."""
+    """The (loss, reg) of _objective_grads, forward only: no cache is kept,
+    no gradient is taken and the neck runs only what p2 needs."""
     levels = toy_backbone_fwd(images, store)[0]
-    task, _ = _head_fwd(forward_pyramid(levels, store, cfg)[0].data, masks, store)
+    outs = forward_a2fpn_fwd(levels, store, cfg, keep_cache=False, reads=(2,))[0]
+    task, _ = _head_fwd(outs[0].data, masks, store)
     reg = orthogonal_reg_loss(_reg_view(store, cfg))
     return task + reg, reg
 

@@ -589,8 +589,11 @@ def oracle_suite(seed=0, cases=50):
     Each case runs on a single image or on a batch of n ∈ {1, 3}; a batched
     result must equal the per-image oracles stacked, and a batched parameter
     gradient their sum.  The sweeps share one generator and run in table
-    order, so each sweep's cases depend on the sweeps before it.
+    order, so each sweep's cases depend on the sweeps before it.  cases < 1
+    is a ValueError: a sweep of no case compares nothing.
     """
+    if cases < 1:
+        raise ValueError(f"an oracle sweep needs cases >= 1, got {cases}")
     rng = np.random.default_rng([seed, 0x0A])
 
     def case(draw, bwd=None, summed=()):

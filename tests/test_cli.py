@@ -195,10 +195,14 @@ def test_config_naming_a_removed_key_exits_2(tmp_path, capsys):
     ["oracles", "--seed", "-1"],
     ["forward", "--seed", "-1"],
     ["train-toy", "--seed", "-1"],
+    *(["gradcheck", "--tol", v] for v in ("nan", "inf", "0", "-1")),
+    *(["train-toy", "--lr", v] for v in ("nan", "inf", "0", "-1")),
 ], ids=["count-image-size", "count-backbone-spec", "forward-random", "gradcheck-eps-zero",
         "gradcheck-eps-nan", "gradcheck-eps-inf", "oracles-cases-zero", "oracles-cases-negative",
         "train-toy-steps-negative", "gradcheck-seed-negative", "oracles-seed-negative",
-        "forward-seed-negative", "train-toy-seed-negative"])
+        "forward-seed-negative", "train-toy-seed-negative",
+        *(f"{cmd}-{v}" for cmd in ("gradcheck-tol", "train-toy-lr")
+          for v in ("nan", "inf", "zero", "negative"))])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

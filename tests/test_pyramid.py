@@ -425,3 +425,108 @@ def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, a
     monkeypatch.setattr(pyramid.fusion, "fuse_bwd", spy)
     pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
     assert held == [sorted(order[i + 1:]) for i in range(len(order))]
+
+
+# -- partial forward -----------------------------------------------------------
+
+def _levels_for(rng, batched):
+    levels = small_levels(rng)
+    if batched:
+        levels = [LevelFeature(f.level, np.stack([f.data, -0.5 * f.data[..., ::-1]]))
+                  for f in levels]
+    return levels
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+def test_reading_p2_alone_runs_only_the_top_down_sites(monkeypatch, rng, arch, batched):
+    # p2 keeps its bits, the other outputs are None, and of the fusion sites
+    # only the top-down chain runs, with or without a cache
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    levels = _levels_for(rng, batched)
+    full, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    real = pyramid.fusion.fuse_fwd
+    calls = []
+
+    def spy(src, dst, p):
+        calls.append((src.level, dst.level))
+        return real(src, dst, p)
+
+    monkeypatch.setattr(pyramid.fusion, "fuse_fwd", spy)
+    top_down = [(src, dst) for _, src, dst, _ in pyramid._sites(cfg) if src > dst]
+    assert len(top_down) == cfg.top_level - 2
+    for keep_cache in (True, False):
+        calls.clear()
+        outs, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, keep_cache, reads=(2,))
+        assert calls == top_down
+        assert outs[0].level == 2 and np.array_equal(outs[0].data, full[0].data)
+        assert outs[1:] == [None] * 4
+        if keep_cache:
+            assert not [k for k in cache if k.startswith("bu.l") and k != "bu.l2.smooth"]
+            assert "pool_top" not in cache
+        else:
+            assert cache is None
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+def test_p2_only_backward_matches_the_full_cache(rng, arch, batched):
+    # the partial cache's backward with [gp2] has the bits of the full
+    # cache's with [gp2, None, None, None, None]
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    levels = _levels_for(rng, batched)
+    outs, full_cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    gp2 = rng.standard_normal(outs[0].data.shape)
+    want_levels, want_pg = pyramid.forward_a2fpn_bwd(full_cache, [gp2, None, None, None, None])
+    _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(2,))
+    glevels, pg = pyramid.forward_a2fpn_bwd(cache, [gp2])
+    assert not [k for k in cache if k.startswith(("td.", "bu."))]
+    assert set(pg) == set(want_pg) == set(store)
+    for k, g in pg.items():
+        assert g.dtype == want_pg[k].dtype and np.array_equal(g, want_pg[k]), k
+    assert set(glevels) == set(want_levels)
+    for lvl, g in glevels.items():
+        assert np.array_equal(g, want_levels[lvl]), lvl
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_a_read_level_runs_the_bottom_up_sites_below_it(rng, arch):
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    levels = small_levels(rng)
+    full, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    outs, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(2, 4))
+    assert sorted(k for k in cache if k.startswith("bu.l") and k != "bu.l2.smooth") == ["bu.l3", "bu.l4"]
+    assert [f is None for f in outs] == [False, True, False, True, True]
+    for i in (0, 2):
+        assert np.array_equal(outs[i].data, full[i].data)
+    # the top level alone needs the whole bottom-up chain, but no finest smooth
+    outs, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(6,))
+    assert [p for p, *_ in pyramid._sites(cfg) if p in cache] == [p for p, *_ in pyramid._sites(cfg)]
+    assert "bu.l2.smooth" not in cache
+    assert outs[:4] == [None] * 4 and np.array_equal(outs[4].data, full[4].data)
+
+
+@pytest.mark.parametrize("reads", [(7,), (1, 2), (), (2, 2.5)])
+def test_forward_rejects_unknown_read_levels(rng, reads):
+    cfg = small_cfg("a2fpn")
+    with pytest.raises(ValueError, match="output levels"):
+        pyramid.forward_a2fpn_fwd(small_levels(rng), pyramid.init_params(cfg), cfg, reads=reads)
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_a_gradient_for_an_unread_output_is_refused(rng, arch):
+    # p6 without its top stage; in the full neck, p2 without its smooth (the
+    # lite neck's p2 is the top-down chain's level 2, which every forward makes)
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    levels = small_levels(rng)
+    outs, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    cases = [((2,), 6)] + ([((3,), 2)] if arch == "a2fpn" else [])
+    for reads, lvl in cases:
+        _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=reads)
+        gouts = [np.ones_like(f.data) if f.level == lvl else None for f in outs]
+        with pytest.raises(ValueError, match=f"p{lvl} has a gradient"):
+            pyramid.forward_a2fpn_bwd(cache, gouts)

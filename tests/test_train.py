@@ -94,6 +94,28 @@ def test_final_row_is_the_loss_of_the_trained_store(arch):
         assert report.rows[-1] == (steps, loss, reg)
 
 
+@pytest.mark.parametrize("arch", train.TRAIN_ARCHS)
+def test_training_reads_p2_alone_with_the_bits_of_a_full_forward(monkeypatch, arch):
+    # every neck forward of a run, the final row's included, reads p2 alone;
+    # a run whose forwards compute every level has the same rows and store
+    cfg = toy_train_config(arch)
+    want, want_store = train_toy(cfg, steps=3)
+    real = train.forward_a2fpn_fwd
+    asked = []
+
+    def every_level(levels, store, cfg, keep_cache=True, reads=None):
+        asked.append(reads)
+        return real(levels, store, cfg, keep_cache=keep_cache)
+
+    monkeypatch.setattr(train, "forward_a2fpn_fwd", every_level)
+    got, got_store = train_toy(cfg, steps=3)
+    assert asked == [(2,)] * 4
+    assert got.rows == want.rows
+    assert set(got_store) == set(want_store)
+    for k, v in got_store.items():
+        assert np.array_equal(v, want_store[k]), k
+
+
 def test_training_is_invocation_deterministic():
     a, _ = train_toy(toy_train_config("a2fpn_lite"), steps=8)
     b, _ = train_toy(toy_train_config("a2fpn_lite"), steps=8)
@@ -188,7 +210,7 @@ def test_no_toy_training_conv_reaches_winograd(monkeypatch):
     images, masks = synth_shapes(cfg)
     assert images.shape[0] == train.BATCH == 8
     train.batch_pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
-    assert len(sizes) == 40
+    assert len(sizes) == 24
     assert max(sizes) < nn_ops._WINOGRAD_MIN_SIZE
 
 

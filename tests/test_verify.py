@@ -172,6 +172,13 @@ def test_oracle_suite_runs_fifty_cases_each():
         assert e.max_abs_err <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("cases", [0, -3])
+def test_an_empty_oracle_sweep_is_refused(cases):
+    # a sweep of no case compares nothing, so it cannot pass
+    with pytest.raises(ValueError, match="cases >= 1"):
+        oracle_suite(cases=cases)
+
+
 def test_oracle_report_saved(tmp_path):
     entries, _ = oracle_suite(seed=1, cases=5)
     verify.save_oracle_report(tmp_path / "o.json", entries)
