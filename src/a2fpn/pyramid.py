@@ -431,7 +431,8 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=
     always run, a bottom-up site bu.l{d} only if a read level is ≥ d, and
     bu.l2.smooth (full neck) or pool_top (lite) only if level 2 or level 6
     is read.  An unread output is None; a read one has the bits of a
-    forward that reads every level.  With keep_cache False the cache is None:
+    forward that reads every level.  The cache records reads, which fix the
+    gradients forward_a2fpn_bwd takes.  With keep_cache False the cache is None:
     the backward cache of each stage (extra, mgc, every fusion site, and
     bu.l2.smooth or pool_top), with its concatenations, phase planes, padded
     inputs and attention maps, is freed as soon as that stage returns, and
@@ -443,7 +444,7 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=
         raise ValueError(f"reads must name one or more of the output levels {OUTPUT_LEVELS}, "
                          f"got {sorted(reads)}")
     top = cfg.top_level
-    cache = {"cfg": cfg} if keep_cache else _Discard()
+    cache = {"cfg": cfg, "reads": reads} if keep_cache else _Discard()
 
     feats = list(levels)
     if not cfg.lite:
@@ -475,68 +476,50 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=
     return outs, (cache if keep_cache else None)
 
 
-def _pop_stage(cache, name, lvl):
-    """The cache of stage name, whose output is level lvl, popped; a
-    ValueError if the forward did not run that stage."""
-    if name not in cache:
-        raise ValueError(f"p{lvl} has a gradient, but the forward did not run {name}")
-    return cache.pop(name)
-
-
 def forward_a2fpn_bwd(cache, gouts):
-    """gouts: gradients of the forward outputs in level order from p2; None,
-    or an entry left off the end, stands for an output whose gradient is
-    zero.  An output the forward did not read must get None.
+    """gouts: gradients of the forward outputs in level order from p2, one
+    for each level the forward read and None for each it did not; entries
+    left off the end count as None.  Any other pattern is a ValueError.
 
-    Returns (glevels dict for the backbone levels 2..5, param grads).  The
-    stages run backward in the reverse of their forward order: bu.l2.smooth
-    or pool_top, then the fusion sites.  A stage whose output gradient is
-    still None is skipped, whether or not the forward ran it, and reports
-    exact-zero gradients for every parameter param_shapes names under its
-    prefix, so the param grads always cover the neck and equal a run with
-    zero maps in place of the Nones.  A gradient that reaches a stage the
-    forward did not run is a ValueError.  A level that receives no gradient
-    stays None, and one still None at the context stage is read as zeros.
-    Each stage's cache is popped from the cache as the stage starts (or is
-    skipped), so it is freed once that stage is done, and the cache holds
-    no ``td.*`` or ``bu.*`` key afterwards.  The cache serves one backward.
+    Returns (glevels dict for the backbone levels 2..5, param grads).  A
+    stage runs backward exactly when the forward ran it, in the reverse of
+    the forward order: bu.l2.smooth or pool_top, then the fusion sites, then
+    the context stage and the extra level.  A stage the forward skipped
+    reports exact-zero gradients for every parameter param_shapes names
+    under its prefix, so the param grads always cover the neck and equal a
+    full forward's with zero maps for the unread levels.  Each stage's cache
+    is popped from the cache as the stage starts, so it is freed once that
+    stage is done, and the cache holds no ``td.*`` or ``bu.*`` key
+    afterwards.  The cache serves one backward.
     """
-    cfg = cache["cfg"]
+    cfg, reads = cache["cfg"], sorted(cache["reads"])
+    got = [lvl for lvl, g in enumerate(gouts, start=2) if g is not None]
+    if got != reads:
+        raise ValueError(f"the forward read levels {reads}, but levels {got} have gradients")
     top = cfg.top_level
+    stages = [prefix for prefix, *_ in _sites(cfg)] + ([] if cfg.lite else ["bu.l2.smooth"])
+    skipped = tuple(f"{prefix}." for prefix in stages if prefix not in cache)
     pg = {}
-    skipped = []  # the skipped stages' parameter-name prefixes
 
     gin = dict(zip(OUTPUT_LEVELS, gouts))
     g = {lvl: gin.get(lvl) for lvl in range(2, top + 1)}
-    if cfg.lite:
-        if gin.get(6) is not None:
-            gpool = max_pool2d_bwd(_pop_stage(cache, "pool_top", 6), gin[6])
-            g[top] = gpool if g[top] is None else gpool + g[top]
-    elif g[2] is None:
-        cache.pop("bu.l2.smooth", None)
-        skipped.append("bu.l2.smooth.")
-    else:
-        g[2], gw, gb = conv2d_bwd(_pop_stage(cache, "bu.l2.smooth", 2), g[2])
+    if "pool_top" in cache:
+        gpool = max_pool2d_bwd(cache.pop("pool_top"), gin[6])
+        g[top] = gpool if g[top] is None else gpool + g[top]
+    if "bu.l2.smooth" in cache:
+        g[2], gw, gb = conv2d_bwd(cache.pop("bu.l2.smooth"), g[2])
         pg.update({"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
 
     for prefix, src, dst, _ in reversed(_sites(cfg)):
-        if g[dst] is None:
-            cache.pop(prefix, None)
-            skipped.append(prefix + ".")
-            continue
-        gsrc, g[dst], local = fusion.fuse_bwd(_pop_stage(cache, prefix, dst), g[dst])
-        pg.update((f"{prefix}.{name}", v) for name, v in local.items())
-        g[src] = gsrc if g[src] is None else g[src] + gsrc
+        if prefix in cache:
+            gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
+            pg.update((f"{prefix}.{name}", v) for name, v in local.items())
+            g[src] = gsrc if g[src] is None else g[src] + gsrc
 
-    # the context stage's cache starts with the levels it read, in level
-    # order; each of its outputs has c channels
-    gctx = [np.zeros(f.data.shape[:-3] + (cfg.c,) + f.data.shape[-2:], f.data.dtype)
-            if g[f.level] is None else g[f.level] for f in cache["mgc"][0]]
-    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], gctx)
+    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], list(g.values()))
     pg.update(local)
-    if skipped:
-        pg.update((name, np.zeros(shape, cfg.np_dtype)) for name, shape in param_shapes(cfg).items()
-                  if name.startswith(tuple(skipped)))
+    pg.update((name, np.zeros(shape, cfg.np_dtype)) for name, shape in param_shapes(cfg).items()
+              if name.startswith(skipped))
 
     glevels = {lvl: gfeats[lvl] for lvl in (2, 3, 4, 5)}
     if not cfg.lite:

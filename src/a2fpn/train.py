@@ -6,11 +6,12 @@ Everything upstream of p2 trains on real gradients: the backbone, the
 context stage, the top-down sites, and in the full neck the extra level and
 the finest smooth.  The task checks training; it is not a benchmark.  The head
 reads p2 alone, so the neck's forward reads only p2 and skips the bottom-up
-sites (bu.l3 and up), whose outputs feed only the other four levels; they
-get exact-zero gradients and never train.  Their forward and adjoints are
-covered by the whole-neck gradchecks of ``verify`` (``a2fpn_full``,
-``a2fpn_lite``) and by the benchmark's fwdbwd-256 workload, which sends a
-cotangent into every output.  Each step runs one forward and one backward
+sites (bu.l3 and up), whose outputs feed only the other four levels.  Its
+backward takes p2's gradient alone, runs exactly the stages that forward
+ran, and gives the skipped sites exact-zero gradients, so they never train.
+Their forward and adjoints are covered by the whole-neck gradchecks of
+``verify`` (``a2fpn_full``, ``a2fpn_lite``) and by the benchmark's
+fwdbwd-256 workload, which sends a cotangent into every output.  Each step runs one forward and one backward
 over the whole batch: every op carries the image axis, and the gradient of
 each shared parameter is summed over the images inside its GEMMs and
 reductions, in a fixed order, so trajectories are bit-identical from run to
@@ -27,6 +28,7 @@ import numpy as np
 from .mgc import MgcParams, orthogonal_reg_grads, orthogonal_reg_loss
 from .nn_ops import ConvParams, bilinear_upsample_bwd, bilinear_upsample_fwd, conv2d_bwd, conv2d_fwd
 from .pyramid import (
+    ConfigError,
     PyramidConfig,
     forward_a2fpn_bwd,
     forward_a2fpn_fwd,
@@ -226,10 +228,11 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     at index `steps` records the post-training loss the convergence check
     reads.  That row is taken forward only (no cache, no gradient), with
     the same bits as a full pass at the trained store.  Non-finite loss
-    stops the run and marks the report diverged.
+    stops the run and marks the report diverged.  An arch outside
+    TRAIN_ARCHS is a ConfigError.
     """
     if cfg.arch not in TRAIN_ARCHS:
-        raise ValueError(f"training covers {TRAIN_ARCHS}, not {cfg.arch!r}")
+        raise ConfigError(f"training covers {TRAIN_ARCHS}, not {cfg.arch!r}")
     t0 = time.perf_counter()
     if store is None:
         store = init_params(cfg, with_backbone=True, with_head=True)

@@ -11,6 +11,7 @@ DIRECTIONAL are probed as a whole, along one random unit direction.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -487,11 +488,16 @@ REGISTRY = {
 
 
 def check_gradients(op, seed=0, eps=DEFAULT_EPS, tol=None):
-    """Run one registered check; see REGISTRY for the op list."""
+    """Run one registered check; see REGISTRY for the op list.  An eps or
+    tol that is not positive and finite is a ValueError: a zero step has no
+    difference quotient, and no error passes a tolerance of NaN."""
     if op not in REGISTRY:
         raise KeyError(f"unregistered op {op!r}; have {sorted(REGISTRY)}")
     builder, default_tol, cap = REGISTRY[op]
     tol = default_tol if tol is None else tol
+    for name, v in (("eps", eps), ("tol", tol)):
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"a gradient check needs a positive finite {name}, got {v}")
     t0 = time.perf_counter()
     arrays, loss_fn, grad_fn = builder(_op_rng(op, seed))
     analytic = grad_fn()

@@ -166,6 +166,16 @@ def test_train_toy_short_run_reports_not_converged(tmp_path, capsys):
     assert ckpt
 
 
+@pytest.mark.parametrize("arch", ["fpn", "pafpn"])
+def test_train_toy_config_with_an_untrained_arch_exits_2(tmp_path, capsys, arch):
+    cfg = small_config(tmp_path, arch=arch)
+    out = tmp_path / "t"
+    assert cli.main(["train-toy", "--config", cfg, "--steps", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training covers") and repr(arch) in err
+    assert not out.exists()
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "a2fpn.cli", "count", "--arch", "fpn"],
                           capture_output=True, text=True)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -382,33 +383,6 @@ def test_backward_drops_the_fusion_caches(rng, arch):
 
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-def test_none_gradients_equal_zero_maps(rng, arch, dtype):
-    # None for an output's gradient gives the bits of a zero map in its
-    # place: each output None in turn, the toy trainer's p2-only pattern
-    # (which skips every bottom-up site), and all five None
-    cfg = small_cfg(arch, dtype=dtype)
-    store = pyramid.init_params(cfg)
-    levels = [LevelFeature(f.level, f.data.astype(cfg.np_dtype)) for f in small_levels(rng)]
-    outs, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
-    full = [rng.standard_normal(f.data.shape).astype(cfg.np_dtype) for f in outs]
-    for nones in [{i} for i in range(5)] + [{1, 2, 3, 4}, {0, 1, 2, 3, 4}]:
-        zero_maps = [np.zeros_like(g) if i in nones else g for i, g in enumerate(full)]
-        want_levels, want_pg = pyramid.forward_a2fpn_bwd(
-            pyramid.forward_a2fpn_fwd(levels, store, cfg)[1], zero_maps)
-        _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
-        glevels, pg = pyramid.forward_a2fpn_bwd(
-            cache, [None if i in nones else g for i, g in enumerate(full)])
-        assert not [k for k in cache if k.startswith(("td.", "bu."))]
-        assert set(pg) == set(want_pg) == set(store)
-        for k, g in pg.items():
-            assert g.dtype == want_pg[k].dtype and np.array_equal(g, want_pg[k]), (nones, k)
-        assert set(glevels) == set(want_levels)
-        for lvl, g in glevels.items():
-            assert g.dtype == want_levels[lvl].dtype and np.array_equal(g, want_levels[lvl])
-
-
-@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
 def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, arch):
     # when a site's backward runs, the cache holds only the sites still to come
     cfg = small_cfg(arch)
@@ -473,22 +447,25 @@ def test_reading_p2_alone_runs_only_the_top_down_sites(monkeypatch, rng, arch, b
 @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
 def test_p2_only_backward_matches_the_full_cache(rng, arch, batched):
     # the partial cache's backward with [gp2] has the bits of the full
-    # cache's with [gp2, None, None, None, None]
-    cfg = small_cfg(arch)
-    store = pyramid.init_params(cfg)
-    levels = _levels_for(rng, batched)
-    outs, full_cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
-    gp2 = rng.standard_normal(outs[0].data.shape)
-    want_levels, want_pg = pyramid.forward_a2fpn_bwd(full_cache, [gp2, None, None, None, None])
-    _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(2,))
-    glevels, pg = pyramid.forward_a2fpn_bwd(cache, [gp2])
-    assert not [k for k in cache if k.startswith(("td.", "bu."))]
-    assert set(pg) == set(want_pg) == set(store)
-    for k, g in pg.items():
-        assert g.dtype == want_pg[k].dtype and np.array_equal(g, want_pg[k]), k
-    assert set(glevels) == set(want_levels)
-    for lvl, g in glevels.items():
-        assert np.array_equal(g, want_levels[lvl]), lvl
+    # cache's with zero maps for the four unread levels, in f64 and f32
+    for dtype in ("f64", "f32"):
+        cfg = small_cfg(arch, dtype=dtype)
+        store = pyramid.init_params(cfg)
+        levels = [LevelFeature(f.level, f.data.astype(cfg.np_dtype))
+                  for f in _levels_for(rng, batched)]
+        outs, full_cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+        gp2 = rng.standard_normal(outs[0].data.shape).astype(cfg.np_dtype)
+        want_levels, want_pg = pyramid.forward_a2fpn_bwd(
+            full_cache, [gp2] + [np.zeros_like(f.data) for f in outs[1:]])
+        _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(2,))
+        glevels, pg = pyramid.forward_a2fpn_bwd(cache, [gp2])
+        assert not [k for k in cache if k.startswith(("td.", "bu."))]
+        assert set(pg) == set(want_pg) == set(store)
+        for k, g in pg.items():
+            assert g.dtype == want_pg[k].dtype and np.array_equal(g, want_pg[k]), (dtype, k)
+        assert set(glevels) == set(want_levels)
+        for lvl, g in glevels.items():
+            assert g.dtype == want_levels[lvl].dtype and np.array_equal(g, want_levels[lvl])
 
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
@@ -518,15 +495,22 @@ def test_forward_rejects_unknown_read_levels(rng, reads):
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
 def test_a_gradient_for_an_unread_output_is_refused(rng, arch):
-    # p6 without its top stage; in the full neck, p2 without its smooth (the
-    # lite neck's p2 is the top-down chain's level 2, which every forward makes)
+    # so is None for a read output.  A p2 gradient after a forward that did
+    # not read p2 is refused in the lite neck too, where p2 is the top-down
+    # chain's level 2, which every forward makes
     cfg = small_cfg(arch)
     store = pyramid.init_params(cfg)
     levels = small_levels(rng)
     outs, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
-    cases = [((2,), 6)] + ([((3,), 2)] if arch == "a2fpn" else [])
-    for reads, lvl in cases:
+    for reads, given in [((2,), (2, 6)), ((2,), (6,)), ((3,), (2,)), ((3,), (2, 3)),
+                         ((2, 4), (2, 3, 4)), ((2,), ()), ((2, 4), (2,)), ((2, 4), (4,)),
+                         ((2, 3, 4, 5, 6), (2, 3, 4, 5))]:
         _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=reads)
-        gouts = [np.ones_like(f.data) if f.level == lvl else None for f in outs]
-        with pytest.raises(ValueError, match=f"p{lvl} has a gradient"):
+        gouts = [np.ones_like(f.data) if f.level in given else None for f in outs]
+        want = f"read levels {list(reads)}, but levels {list(given)} have gradients"
+        with pytest.raises(ValueError, match=re.escape(want)):
             pyramid.forward_a2fpn_bwd(cache, gouts)
+    # a sixth gradient names a level past p6
+    _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)
+    with pytest.raises(ValueError, match=re.escape("levels [2, 3, 4, 5, 6, 7] have")):
+        pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs] + [np.ones(1)])

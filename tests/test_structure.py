@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from a2fpn import fusion, mgc, nn_ops, tensor_core
+from a2fpn import fusion, mgc, nn_ops, pyramid, tensor_core, train
 
 PACKAGE = Path(fusion.__file__).resolve().parent
 # the checks and their references: naming a function there keeps nothing alive
@@ -37,9 +37,10 @@ def _public_functions(module):
             if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")]
 
 
-@pytest.mark.parametrize("module", [tensor_core, nn_ops, fusion, mgc], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [tensor_core, nn_ops, fusion, mgc, pyramid, train],
+                         ids=lambda m: m.__name__)
 def test_every_public_primitive_is_run_by_the_package(module):
-    # a primitive that only the checks call is dead code with a test attached
+    # a public function that only the checks call is dead code with a test attached
     used = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem not in CHECK_MODULES:

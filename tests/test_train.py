@@ -97,17 +97,26 @@ def test_final_row_is_the_loss_of_the_trained_store(arch):
 @pytest.mark.parametrize("arch", train.TRAIN_ARCHS)
 def test_training_reads_p2_alone_with_the_bits_of_a_full_forward(monkeypatch, arch):
     # every neck forward of a run, the final row's included, reads p2 alone;
-    # a run whose forwards compute every level has the same rows and store
+    # a run whose forwards compute every level, and whose backwards get zero
+    # maps for the four levels the loss does not read, has the same rows and store
     cfg = toy_train_config(arch)
     want, want_store = train_toy(cfg, steps=3)
-    real = train.forward_a2fpn_fwd
+    real_fwd, real_bwd = train.forward_a2fpn_fwd, train.forward_a2fpn_bwd
     asked = []
+    unread = []
 
     def every_level(levels, store, cfg, keep_cache=True, reads=None):
         asked.append(reads)
-        return real(levels, store, cfg, keep_cache=keep_cache)
+        outs, cache = real_fwd(levels, store, cfg, keep_cache=keep_cache)
+        unread[:] = [np.zeros_like(f.data) for f in outs[1:]]
+        return outs, cache
+
+    def zero_maps(cache, gouts):
+        assert len(gouts) == 1
+        return real_bwd(cache, list(gouts) + unread)
 
     monkeypatch.setattr(train, "forward_a2fpn_fwd", every_level)
+    monkeypatch.setattr(train, "forward_a2fpn_bwd", zero_maps)
     got, got_store = train_toy(cfg, steps=3)
     assert asked == [(2,)] * 4
     assert got.rows == want.rows

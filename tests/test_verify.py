@@ -141,6 +141,16 @@ def test_unknown_op_rejected():
         check_gradients("transmogrify")
 
 
+@pytest.mark.parametrize("kw", [{"eps": 0.0}, {"eps": -1e-5}, {"eps": float("nan")},
+                                {"eps": float("inf")}, {"tol": 0.0}, {"tol": -1.0},
+                                {"tol": float("nan")}, {"tol": float("inf")}],
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_a_step_or_tolerance_that_is_not_positive_and_finite_is_refused(kw):
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"positive finite {name}"):
+        check_gradients("softmax", **kw)
+
+
 def test_probe_detects_a_corrupted_gradient():
     # the harness itself is under test here: a wrong analytic gradient
     # must push the measured error far past the tolerance
