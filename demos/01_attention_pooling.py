@@ -35,16 +35,13 @@ print("entropy before/after sharpening: "
 # the full collection step: psi asks the questions, phi embeds the map,
 # the attention map mixes embedded positions into one column per query
 level = LevelFeature(2, fmap)
-p = mgc.MgcLevelParams(
-    theta=np.eye(16), xi=np.eye(16),
-    psi=0.5 * rng.standard_normal((4, 16)),
-    phi=0.5 * rng.standard_normal((16, 16)),
-)
-bank, _ = mgc.collect_context_fwd(level.data, p.psi, p.phi)
+psi = 0.5 * rng.standard_normal((4, 16))
+phi = 0.5 * rng.standard_normal((16, 16))
+bank, _ = mgc.collect_context_fwd(level.data, psi, phi)
 print("context bank shape:", bank.shape)
 
 # pooling a constant map gives back the embedded constant, whatever the queries do
 const = LevelFeature(2, np.full((16, 12, 18), 2.0))
-bank_const, _ = mgc.collect_context_fwd(const.data, p.psi, p.phi)
-expect = p.phi @ np.full(16, 2.0)
+bank_const, _ = mgc.collect_context_fwd(const.data, psi, phi)
+expect = phi @ np.full(16, 2.0)
 print("constant-map pooling error:", np.abs(bank_const - expect[:, None]).max())

@@ -95,8 +95,8 @@ def _level_sizes(image_size):
     if image_size is None:
         return {lvl: 0 for lvl in (2, 3, 4, 5, 6)}
     h, w = image_size
-    if h % 64 or w % 64:
-        raise ValueError(f"image extents {image_size} must be divisible by 64")
+    if min(h, w) < 1 or h % 64 or w % 64:
+        raise ValueError(f"image extents {image_size} must be positive and divisible by 64")
     return {lvl: (h // 2 ** lvl) * (w // 2 ** lvl) for lvl in (2, 3, 4, 5, 6)}
 
 
@@ -204,10 +204,11 @@ def _a2fpn_lines(inv, cfg):
 def _build_report(arch, spec, cfg, image_size):
     if arch not in COUNT_ARCHS:
         raise ValueError(f"unknown arch {arch!r}, have {COUNT_ARCHS}")
+    sizes = _level_sizes(image_size)
     if arch == "none":
         return ComplexityReport(arch=arch, image_size=image_size, lines=[])
     cfg = replace(cfg, arch=arch)
-    inv = _Inventory(_level_sizes(image_size), param_shapes(cfg, spec))
+    inv = _Inventory(sizes, param_shapes(cfg, spec))
     {"fpn": _fpn_lines, "pafpn": _pafpn_lines}.get(arch, _a2fpn_lines)(inv, cfg)
     return ComplexityReport(arch=arch, image_size=image_size, lines=inv.lines)
 

@@ -108,6 +108,7 @@ def _load_config(path, default=None):
 
 
 def _ensure_out(args):
+    """Make --out, if given, before any work: an unusable path fails at once."""
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -116,6 +117,7 @@ def _ensure_out(args):
 def cmd_gradcheck(args):
     cfg = _load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
+    out = _ensure_out(args)
     t0 = time.perf_counter()
     reports, passed = verify.run_all_checks(seed=seed, eps=args.eps, tol=args.tol)
     for r in reports:
@@ -123,7 +125,6 @@ def cmd_gradcheck(args):
         print(f"{r.op:<22} max_rel_err {r.max_rel_err:.3e}  tol {r.tol:.0e}  "
               f"coords {r.coords:>5}  {r.seconds:6.2f}s  {flag}")
     print(f"gradcheck: {sum(r.passed for r in reports)}/{len(reports)} ops passed")
-    out = _ensure_out(args)
     run = RunReport("gradcheck", cfg.digest(), seed, "pass" if passed else "fail",
                     seconds=time.perf_counter() - t0)
     if out:
@@ -135,13 +136,13 @@ def cmd_gradcheck(args):
 
 
 def cmd_oracles(args):
+    out = _ensure_out(args)
     t0 = time.perf_counter()
     entries, passed = verify.oracle_suite(seed=args.seed, cases=args.cases)
     for e in entries:
         flag = "ok" if e.passed else "FAIL"
         print(f"{e.op:<24} cases {e.cases:>3}  max_abs_err {e.max_abs_err:.3e}  {flag}")
     print(f"oracles: {sum(e.passed for e in entries)}/{len(entries)} ops agree")
-    out = _ensure_out(args)
     run = RunReport("oracles", "", args.seed, "pass" if passed else "fail",
                     seconds=time.perf_counter() - t0)
     if out:
@@ -172,6 +173,7 @@ def cmd_forward(args):
         rng = np.random.default_rng([cfg.seed, 0x1A])
         image = rng.standard_normal((3, h, w)).astype(cfg.np_dtype)
 
+    out = _ensure_out(args) or "."
     store = init_params(cfg, with_backbone=True)
     levels = toy_backbone_fwd(image, store)[0]
     outs = forward_pyramid(levels, store, cfg)
@@ -180,8 +182,6 @@ def cmd_forward(args):
             raise FloatingPointError(f"non-finite values in output p{f.level}; "
                                      f"no tensors written")
 
-    out = _ensure_out(args) or "."
-    os.makedirs(out, exist_ok=True)
     run = RunReport("forward", cfg.digest(), cfg.seed)
     manifest = {"arch": cfg.arch, "c": cfg.c, "input": list(image.shape), "levels": {}}
     for f in outs:
@@ -207,6 +207,7 @@ def cmd_count(args):
         c = cfg if cfg is not None else analysis.reference_config(arch)
         return analysis.count_flops(arch, args.backbone_spec, args.image_size, c)
 
+    out = _ensure_out(args)
     main_report = report_for(args.arch)
     reports = [main_report]
     diff = None
@@ -218,7 +219,6 @@ def cmd_count(args):
     if diff is not None:
         print()
         print(analysis.format_diff(diff))
-    out = _ensure_out(args)
     if out:
         run = RunReport("count", cfg.digest() if cfg else "", 0)
         path = os.path.join(out, f"count_{args.arch}.json")
@@ -236,13 +236,14 @@ def cmd_train_toy(args):
     cfg = _load_config(args.config, default=train.toy_train_config())
     if args.seed is not None:
         cfg = PyramidConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+    train.check_trainable(cfg)
+    out = _ensure_out(args)
     report, store = train.train_toy(cfg, steps=args.steps, lr=args.lr)
     ok = report.converged
     print(f"train-toy[{cfg.arch}]: initial {report.initial_loss:.6f} -> "
           f"final {report.final_loss:.6f} over {args.steps} steps "
           f"({'converged' if ok else 'diverged' if report.diverged else 'not converged'}, "
           f"{report.seconds:.1f}s)")
-    out = _ensure_out(args)
     run = RunReport("train-toy", cfg.digest(), cfg.seed, "pass" if ok else "fail",
                     seconds=report.seconds)
     if out:
@@ -313,7 +314,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names the path it could not use
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TensorFormatError, FloatingPointError) as exc:

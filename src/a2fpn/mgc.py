@@ -17,8 +17,6 @@ over the images (``sum_batch``).  Matrices multiply as stacks (broadcast
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -63,60 +61,10 @@ def param_shapes(c, levels):
     return {**shapes, **_gcn_shapes("mgc.shared_gcn", c), "mgc.out.weight": (c, c)}
 
 
-@dataclass
-class GcnParams:
-    """Residual graph layer triplet: w1, w2 (c/4 × c) and w3 (c × c)."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-
-    @classmethod
-    def from_store(cls, store, prefix):
-        """The triplet stored as ``{prefix}.w1.weight`` .. ``{prefix}.w3.weight``."""
-        return cls(*(store[f"{prefix}.w{i}.weight"] for i in (1, 2, 3)))
-
-
-@dataclass
-class MgcLevelParams:
-    """Per-level projections; collection fields are None on levels that
-    only receive distributed context (the extra top level)."""
-
-    theta: np.ndarray
-    xi: np.ndarray
-    psi: Optional[np.ndarray] = None
-    phi: Optional[np.ndarray] = None
-    gcn: Optional[GcnParams] = None
-
-    @property
-    def collects(self):
-        return self.psi is not None
-
-
-@dataclass
-class MgcParams:
-    levels: dict = field(default_factory=dict)  # level index -> MgcLevelParams
-    shared_gcn: Optional[GcnParams] = None
-    out_weight: Optional[np.ndarray] = None  # c × c
-    lambda_o: float = 1e-4
-
-    @classmethod
-    def from_store(cls, store, levels, lambda_o=1e-4):
-        """The module stored under ``mgc.*`` for the given level indices.  A
-        level collects context when the store holds its ``psi`` weight."""
-        params = {}
-        for lvl in levels:
-            name = f"mgc.l{lvl}"
-            collects = f"{name}.psi.weight" in store
-            params[lvl] = MgcLevelParams(
-                theta=store[f"{name}.theta.weight"],
-                xi=store[f"{name}.xi.weight"],
-                psi=store.get(f"{name}.psi.weight"),
-                phi=store.get(f"{name}.phi.weight"),
-                gcn=GcnParams.from_store(store, f"{name}.gcn") if collects else None,
-            )
-        return cls(levels=params, shared_gcn=GcnParams.from_store(store, "mgc.shared_gcn"),
-                   out_weight=store["mgc.out.weight"], lambda_o=lambda_o)
+def _gcn_weights(store, prefix):
+    """The graph layer stored as ``{prefix}.w1.weight`` .. ``{prefix}.w3.weight``,
+    as the (w1, w2, w3) tuple gcn_layer_fwd takes."""
+    return tuple(store[f"{prefix}.w{i}.weight"] for i in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -182,62 +130,57 @@ def collect_context_bwd(cache, gbank):
 # orthogonality penalty on the entity weights
 # ---------------------------------------------------------------------------
 
-def orthogonal_reg_loss(params: MgcParams):
-    total = 0.0
-    for lp in params.levels.values():
-        if lp.collects:
-            d = lp.psi @ lp.psi.T - np.eye(lp.psi.shape[0], dtype=lp.psi.dtype)
+def orthogonal_reg(store, lambda_o):
+    """(lambda_o · Σ ||ψψᵀ − I||², {name: gradient}) over every stored
+    ``mgc.l*.psi.weight``, in store order."""
+    total, grads = 0.0, {}
+    for name, psi in store.items():
+        if name.startswith("mgc.l") and name.endswith(".psi.weight"):
+            d = psi @ psi.T - np.eye(psi.shape[0], dtype=psi.dtype)
             total += float(np.sum(d * d))
-    return params.lambda_o * total
-
-
-def orthogonal_reg_grads(params: MgcParams):
-    """d loss / d psi per collecting level, keyed by level index."""
-    grads = {}
-    for lvl, lp in params.levels.items():
-        if lp.collects:
-            d = lp.psi @ lp.psi.T - np.eye(lp.psi.shape[0], dtype=lp.psi.dtype)
-            grads[lvl] = (4.0 * params.lambda_o) * (d @ lp.psi)
-    return grads
+            grads[name] = (4.0 * lambda_o) * (d @ psi)
+    return lambda_o * total, grads
 
 
 # ---------------------------------------------------------------------------
 # graph reasoning
 # ---------------------------------------------------------------------------
 
-def gcn_layer_fwd(g, triplet):
-    """Residual graph layer; the adjacency is self-attention over columns."""
+def gcn_layer_fwd(g, weights):
+    """Residual graph layer with weights (w1, w2, w3); the adjacency is
+    self-attention over columns."""
     c = g.shape[-2]
     if c % 4:
         raise ValueError("channel width must be divisible by 4")
-    a1 = triplet.w1 @ g
-    a2 = triplet.w2 @ g
+    w1, w2, w3 = weights
+    a1 = w1 @ g
+    a2 = w2 @ g
     adj, cf_cache = compatibility_fwd(_t(a1), a2, c // 4)  # (n × n)
     mix = g @ adj
-    out = triplet.w3 @ mix + g
-    return out, (g, triplet, adj, mix, cf_cache)
+    out = w3 @ mix + g
+    return out, (g, weights, adj, mix, cf_cache)
 
 
 def gcn_layer_bwd(cache, gout):
-    g, triplet, adj, mix, cf_cache = cache
+    g, (w1, w2, w3), adj, mix, cf_cache = cache
     gw3 = sum_batch(gout @ _t(mix), 2)
-    gmix = triplet.w3.T @ gout
+    gmix = w3.T @ gout
     gg = gout + gmix @ _t(adj)
     gadj = _t(g) @ gmix
     ga1t, ga2 = compatibility_bwd(cf_cache, gadj)
     gw1 = sum_batch(_t(ga1t) @ _t(g), 2)
     gw2 = sum_batch(ga2 @ _t(g), 2)
-    gg = gg + triplet.w1.T @ _t(ga1t) + triplet.w2.T @ ga2
+    gg = gg + w1.T @ _t(ga1t) + w2.T @ ga2
     return gg, gw1, gw2, gw3
 
 
-def reason_multilevel_fwd(banks, triplet):
+def reason_multilevel_fwd(banks, weights):
     """Column-concatenate the per-level banks and run one shared layer."""
     widths = {b.shape[-2] for b in banks}
     if len(widths) != 1:
         raise ValueError(f"banks disagree on channel width: {sorted(widths)}")
     cat = np.concatenate(banks, axis=-1)
-    fused, g_cache = gcn_layer_fwd(cat, triplet)
+    fused, g_cache = gcn_layer_fwd(cat, weights)
     return fused, (g_cache, [b.shape[-1] for b in banks])
 
 
@@ -284,37 +227,40 @@ def distribute_context_bwd(cache, gout):
 # whole module
 # ---------------------------------------------------------------------------
 
-def mgc_forward_fwd(levels, params):
+def mgc_forward_fwd(levels, store):
     """levels: list of LevelFeature -> list of context-enriched levels.
 
-    Collection runs on the levels whose params carry entity weights;
-    distribution runs on every level given.
+    Reads the store by the names param_shapes lists.  Collection runs on
+    the levels whose ``psi`` weight is stored; distribution runs on every
+    level given.
     """
     levels = sorted(levels, key=lambda f: f.level)
     for f in levels:
-        if f.level not in params.levels:
+        if f"mgc.l{f.level}.theta.weight" not in store:
             raise ValueError(f"no parameters for level {f.level}")
-    collected = [f for f in levels if params.levels[f.level].collects]
+    collected = [f for f in levels if f"mgc.l{f.level}.psi.weight" in store]
     if not collected:
         raise ValueError("at least one level must collect context")
 
     banks, col_caches, gcn_caches = [], [], []
     for f in collected:
-        lp = params.levels[f.level]
-        bank, cc = collect_context_fwd(f.data, lp.psi, lp.phi)
-        refined, gc = gcn_layer_fwd(bank, lp.gcn)
+        name = f"mgc.l{f.level}"
+        bank, cc = collect_context_fwd(f.data, store[f"{name}.psi.weight"],
+                                       store[f"{name}.phi.weight"])
+        refined, gc = gcn_layer_fwd(bank, _gcn_weights(store, f"{name}.gcn"))
         banks.append(refined)
         col_caches.append(cc)
         gcn_caches.append(gc)
-    fused, reason_cache = reason_multilevel_fwd(banks, params.shared_gcn)
+    fused, reason_cache = reason_multilevel_fwd(banks, _gcn_weights(store, "mgc.shared_gcn"))
 
     outs, dist_caches = [], []
     for f in levels:
-        lp = params.levels[f.level]
-        out, dc = distribute_context_fwd(f.data, fused, lp.theta, lp.xi, params.out_weight)
+        name = f"mgc.l{f.level}"
+        out, dc = distribute_context_fwd(f.data, fused, store[f"{name}.theta.weight"],
+                                         store[f"{name}.xi.weight"], store["mgc.out.weight"])
         outs.append(LevelFeature(f.level, out))
         dist_caches.append(dc)
-    cache = (levels, collected, params, col_caches, gcn_caches, reason_cache, dist_caches)
+    cache = (levels, collected, col_caches, gcn_caches, reason_cache, dist_caches)
     return outs, cache
 
 
@@ -324,7 +270,7 @@ def mgc_forward_bwd(cache, gouts):
     Returns (per-level input gradients keyed by level index, parameter
     gradients keyed by dotted names like ``mgc.l3.psi.weight``).
     """
-    levels, collected, params, col_caches, gcn_caches, reason_cache, dist_caches = cache
+    levels, collected, col_caches, gcn_caches, reason_cache, dist_caches = cache
     glevels = {f.level: np.zeros_like(f.data) for f in levels}
     pg = {}
 

@@ -4,9 +4,9 @@ Parameters live in a flat dict keyed by dotted names (``mgc.l3.psi.weight``,
 ``td.l4.kpred.predictor.weight``, ...); the same names are used for
 serialization and for gradient accumulation.  ``param_shapes`` lists every
 name with its shape, in store order; ``init_params`` draws over it and the
-analytic audit counts from it.  Each parameter type reads its typed view
-from the store by those names (``ConvParams.from_store``,
-``FusionParams.from_store``, ``MgcParams.from_store``).
+analytic audit counts from it.  The context module reads the store by name;
+a conv or fusion site reads a typed view that adds the strides, tap size and
+gate range the store lacks (``ConvParams``/``FusionParams.from_store``).
 """
 
 from __future__ import annotations
@@ -451,8 +451,7 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=
         f6, cache["extra"] = make_extra_level_fwd(levels[-1], store)
         feats.append(f6)
 
-    mgc_params = mgc.MgcParams.from_store(store, range(2, top + 1), cfg.lambda_o)
-    ctx, cache["mgc"] = mgc.mgc_forward_fwd(feats, mgc_params)
+    ctx, cache["mgc"] = mgc.mgc_forward_fwd(feats, store)
     cur = {f.level: f for f in ctx}
     del ctx  # cur holds the only reference to each level a site replaces
 

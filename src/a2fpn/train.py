@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mgc import MgcParams, orthogonal_reg_grads, orthogonal_reg_loss
+from .mgc import orthogonal_reg
 from .nn_ops import ConvParams, bilinear_upsample_bwd, bilinear_upsample_fwd, conv2d_bwd, conv2d_fwd
 from .pyramid import (
     ConfigError,
@@ -149,17 +149,11 @@ def _head_bwd(cache):
     return conv2d_bwd(c_conv, g4)
 
 
-def _reg_view(store, cfg):
-    return MgcParams.from_store(store, range(2, cfg.top_level + 1), cfg.lambda_o)
-
-
 def _objective_grads(images, masks, store, cfg):
     task, grads = batch_pass(images, masks, store, cfg)
-    view = _reg_view(store, cfg)
-    reg = orthogonal_reg_loss(view)
-    for lvl, g in orthogonal_reg_grads(view).items():
-        key = f"mgc.l{lvl}.psi.weight"
-        grads[key] = grads[key] + g if key in grads else g
+    reg, reg_grads = orthogonal_reg(store, cfg.lambda_o)
+    for key, g in reg_grads.items():
+        grads[key] = grads[key] + g
     return task + reg, reg, grads
 
 
@@ -169,7 +163,7 @@ def _objective(images, masks, store, cfg):
     levels = toy_backbone_fwd(images, store)[0]
     outs = forward_a2fpn_fwd(levels, store, cfg, keep_cache=False, reads=(2,))[0]
     task, _ = _head_fwd(outs[0].data, masks, store)
-    reg = orthogonal_reg_loss(_reg_view(store, cfg))
+    reg = orthogonal_reg(store, cfg.lambda_o)[0]
     return task + reg, reg
 
 
@@ -221,6 +215,12 @@ def write_loss_csv(path, rows):
             fh.write(f"{step},{loss!r},{reg!r}\n")
 
 
+def check_trainable(cfg):
+    """ConfigError unless train_toy covers cfg.arch."""
+    if cfg.arch not in TRAIN_ARCHS:
+        raise ConfigError(f"training covers {TRAIN_ARCHS}, not {cfg.arch!r}")
+
+
 def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     """Full-batch momentum SGD; returns (TrainReport, trained store).
 
@@ -229,10 +229,11 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     reads.  That row is taken forward only (no cache, no gradient), with
     the same bits as a full pass at the trained store.  Non-finite loss
     stops the run and marks the report diverged.  An arch outside
-    TRAIN_ARCHS is a ConfigError.
+    TRAIN_ARCHS is a ConfigError and a negative steps a ValueError.
     """
-    if cfg.arch not in TRAIN_ARCHS:
-        raise ConfigError(f"training covers {TRAIN_ARCHS}, not {cfg.arch!r}")
+    check_trainable(cfg)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     t0 = time.perf_counter()
     if store is None:
         store = init_params(cfg, with_backbone=True, with_head=True)

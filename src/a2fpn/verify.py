@@ -241,15 +241,14 @@ def _build_orthogonal_reg(rng):
     psi2 = rng.standard_normal((3, 5))
     psi3 = rng.standard_normal((2, 6))
     # the penalty reads only the entity weights
-    params = mgc.MgcParams(levels={2: mgc.MgcLevelParams(None, None, psi=psi2),
-                                   3: mgc.MgcLevelParams(None, None, psi=psi3)}, lambda_o=0.25)
+    store = {"mgc.l2.psi.weight": psi2, "mgc.l3.psi.weight": psi3}
 
     def loss():
-        return float(mgc.orthogonal_reg_loss(params))
+        return float(mgc.orthogonal_reg(store, 0.25)[0])
 
     def grads():
-        g = mgc.orthogonal_reg_grads(params)
-        return {"psi2": g[2], "psi3": g[3]}
+        g = mgc.orthogonal_reg(store, 0.25)[1]
+        return {"psi2": g["mgc.l2.psi.weight"], "psi3": g["mgc.l3.psi.weight"]}
 
     return {"psi2": psi2, "psi3": psi3}, loss, grads
 
@@ -270,13 +269,13 @@ def _mgc_forward_setup(rng, lead=()):
     arrays = {"f2": f2, "f3": f3}
     for name, shape in mgc.param_shapes(c, {2: (4, 2), 3: (6, None)}).items():
         arrays[name] = (0.3 if name in _GRAPH_WEIGHTS else 1.0) * rng.standard_normal(shape)
-    params = mgc.MgcParams.from_store(arrays, (2, 3))  # level 3 only receives context
 
     def bwd(cache, rs):
         glevels, pg = mgc.mgc_forward_bwd(cache, rs)
         return {"f2": glevels[2], "f3": glevels[3], **pg}
 
-    return arrays, lambda: mgc.mgc_forward_fwd([LevelFeature(2, f2), LevelFeature(3, f3)], params), bwd
+    # the arrays are the store; level 3 only receives context
+    return arrays, lambda: mgc.mgc_forward_fwd([LevelFeature(2, f2), LevelFeature(3, f3)], arrays), bwd
 
 
 def _tiny_fusion_params(rng, kind, guided=True, s=2):
@@ -447,11 +446,11 @@ REGISTRY = {
     "collect_context": (_op_builder(mgc.collect_context_fwd, mgc.collect_context_bwd,
                                     _normal(fdata=(4, 3, 3), psi=(2, 4), phi=(8, 4))), COMPOSITE_TOL, 0),
     "orthogonal_reg": (_build_orthogonal_reg, COMPOSITE_TOL, 0),
-    "gcn_layer": (_op_builder(lambda g, w1, w2, w3: mgc.gcn_layer_fwd(g, mgc.GcnParams(w1, w2, w3)),
+    "gcn_layer": (_op_builder(lambda g, w1, w2, w3: mgc.gcn_layer_fwd(g, (w1, w2, w3)),
                               mgc.gcn_layer_bwd, _normal(g=(8, 5), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
                   COMPOSITE_TOL, 0),
     "reason_multilevel": (_op_builder(lambda b2, b3, w1, w2, w3: mgc.reason_multilevel_fwd(
-                              [b2, b3], mgc.GcnParams(w1, w2, w3)), _reason_multilevel_bwd,
+                              [b2, b3], (w1, w2, w3)), _reason_multilevel_bwd,
                               _normal(b2=(8, 3), b3=(8, 2), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
                           COMPOSITE_TOL, 0),
     "distribute_context": (_op_builder(mgc.distribute_context_fwd, mgc.distribute_context_bwd,

@@ -101,8 +101,7 @@ def test_criterion_3_invariants():
     cfg = PyramidConfig(arch="a2fpn", c=8, a=1, c_m=4, k_up=3, k_dn=3, k_en=1,
                         dtype="f64", backbone=(4, 4, 8, 8), image_size=(64, 64))
     store = pyramid.init_params(cfg)
-    params = mgc.MgcParams.from_store(store, range(2, cfg.top_level + 1), cfg.lambda_o)
-    loss = mgc.orthogonal_reg_loss(params)
+    loss = mgc.orthogonal_reg(store, cfg.lambda_o)[0]
     assert loss < 1e-20, f"orthogonality penalty at init = {loss:.2e}"
     print("criterion 3: distributions, rescale invariance, constant maps, "
           "neutral gates, orthonormal init all hold")

@@ -77,6 +77,14 @@ def test_flops_need_64_divisible_extents():
         count_flops("fpn", image_size=(100, 128))
 
 
+@pytest.mark.parametrize("arch, size", [("fpn", (-64, 64)), ("fpn", (0, 64)), ("fpn", (64, 0)),
+                                        ("none", (-64, 64))])
+def test_flops_need_positive_extents(arch, size):
+    # a negative extent gave negative FLOPs and a zero one gave none
+    with pytest.raises(ValueError, match="must be positive"):
+        count_flops(arch, image_size=size)
+
+
 def test_bias_params_counted_but_not_flops():
     # one lateral conv line: weights + bias in params, MACs only in flops
     r = count_flops("fpn", image_size=(832, 1280))

@@ -259,3 +259,32 @@ def test_overflowing_input_exits_1_with_no_tensors(tmp_path, capsys):
     assert code == 1
     assert "non-finite values in output p2" in capsys.readouterr().err
     assert not list(tmp_path.glob("**/p*.a2tsr"))
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["gradcheck"], "verify.run_all_checks"),
+    (["oracles", "--cases", "1"], "verify.oracle_suite"),
+    (["forward", "--random", "64x64"], "forward_pyramid"),
+    (["count", "--arch", "fpn"], "analysis.count_flops"),
+    (["train-toy", "--steps", "1"], "train.train_toy"),
+], ids=["gradcheck", "oracles", "forward", "count", "train-toy"])
+@pytest.mark.parametrize("kind", ["existing-file", "under-a-file"])
+def test_an_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, work, kind):
+    def work_ran(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was made")
+
+    monkeypatch.setattr(f"a2fpn.cli.{work}", work_ran)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if kind == "existing-file" else blocker / "sub"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and "Traceback" not in err
+
+
+def test_an_input_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["forward", "--config", small_config(tmp_path), "--input", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert not (tmp_path / "o").exists()

@@ -66,73 +66,67 @@ def test_collect_pools_constant_map_exactly(rng):
 
 def test_orthogonal_loss_zero_at_orthonormal_rows():
     qr, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 3)))
-    params = mgc.MgcParams(
-        levels={2: mgc.MgcLevelParams(theta=np.zeros((8, 8)), xi=np.zeros((8, 8)),
-                                      psi=qr.T, phi=np.zeros((8, 8)),
-                                      gcn=None)},
-        lambda_o=1e-4,
-    )
-    assert mgc.orthogonal_reg_loss(params) < 1e-25
+    store = {"mgc.l2.theta.weight": np.zeros((8, 8)), "mgc.l2.xi.weight": np.zeros((8, 8)),
+             "mgc.l2.psi.weight": qr.T, "mgc.l2.phi.weight": np.zeros((8, 8))}
+    assert mgc.orthogonal_reg(store, 1e-4)[0] < 1e-25
 
 
 def test_orthogonal_loss_positive_off_manifold(rng):
     psi = rng.standard_normal((3, 8)) * 2.0
-    params = mgc.MgcParams(
-        levels={2: mgc.MgcLevelParams(theta=np.zeros((8, 8)), xi=np.zeros((8, 8)),
-                                      psi=psi, phi=np.zeros((8, 8)), gcn=None)},
-        lambda_o=1e-4,
-    )
-    loss = mgc.orthogonal_reg_loss(params)
+    store = {"mgc.l2.theta.weight": np.zeros((8, 8)), "mgc.l2.xi.weight": np.zeros((8, 8)),
+             "mgc.l2.psi.weight": psi, "mgc.l2.phi.weight": np.zeros((8, 8))}
+    loss, grads = mgc.orthogonal_reg(store, 1e-4)
     d = psi @ psi.T - np.eye(3)
     npt.assert_allclose(loss, 1e-4 * np.sum(d * d), atol=1e-12)
-    grads = mgc.orthogonal_reg_grads(params)
-    npt.assert_allclose(grads[2], 4e-4 * (d @ psi), atol=1e-12)
+    assert list(grads) == ["mgc.l2.psi.weight"]
+    npt.assert_allclose(grads["mgc.l2.psi.weight"], 4e-4 * (d @ psi), atol=1e-12)
 
 
 def test_gcn_layer_zero_mix_is_identity(rng):
     g = rng.standard_normal((8, 5))
-    triplet = mgc.GcnParams(rng.standard_normal((2, 8)), rng.standard_normal((2, 8)),
-                            np.zeros((8, 8)))
-    npt.assert_array_equal(mgc.gcn_layer_fwd(g, triplet)[0], g)
+    weights = (rng.standard_normal((2, 8)), rng.standard_normal((2, 8)), np.zeros((8, 8)))
+    npt.assert_array_equal(mgc.gcn_layer_fwd(g, weights)[0], g)
 
 
 def test_reason_multilevel_concats_columns(rng):
-    triplet = mgc.GcnParams(0.3 * rng.standard_normal((2, 8)),
-                            0.3 * rng.standard_normal((2, 8)),
-                            0.3 * rng.standard_normal((8, 8)))
+    weights = (0.3 * rng.standard_normal((2, 8)),
+               0.3 * rng.standard_normal((2, 8)),
+               0.3 * rng.standard_normal((8, 8)))
     banks = [rng.standard_normal((8, 3)), rng.standard_normal((8, 5))]
-    fused = mgc.reason_multilevel_fwd(banks, triplet)[0]
+    fused = mgc.reason_multilevel_fwd(banks, weights)[0]
     assert fused.shape == (8, 8)
     with pytest.raises(ValueError):
-        mgc.reason_multilevel_fwd([banks[0], rng.standard_normal((4, 2))], triplet)
+        mgc.reason_multilevel_fwd([banks[0], rng.standard_normal((4, 2))], weights)
 
 
-def _tiny_mgc_params(rng, c=8, collect=(2, 3), distribute=(2, 3, 4)):
-    levels = {}
+def _gcn_store(rng, prefix, c):
+    return {f"{prefix}.w{i}.weight": 0.4 * rng.standard_normal((c if i == 3 else c // 4, c))
+            for i in (1, 2, 3)}
+
+
+def _tiny_mgc_store(rng, c=8, collect=(2, 3), distribute=(2, 3, 4)):
+    store = {}
     for i, lvl in enumerate(distribute):
-        kw = dict(theta=0.4 * rng.standard_normal((c, c)),
-                  xi=0.4 * rng.standard_normal((c, c)))
+        name = f"mgc.l{lvl}"
+        store[f"{name}.theta.weight"] = 0.4 * rng.standard_normal((c, c))
+        store[f"{name}.xi.weight"] = 0.4 * rng.standard_normal((c, c))
         if lvl in collect:
             n = 4 - i
             qr, _ = np.linalg.qr(rng.standard_normal((c, n)))
-            kw.update(psi=qr.T, phi=0.4 * rng.standard_normal((c, c)),
-                      gcn=mgc.GcnParams(0.4 * rng.standard_normal((c // 4, c)),
-                                        0.4 * rng.standard_normal((c // 4, c)),
-                                        0.4 * rng.standard_normal((c, c))))
-        levels[lvl] = mgc.MgcLevelParams(**kw)
-    shared = mgc.GcnParams(0.4 * rng.standard_normal((c // 4, c)),
-                           0.4 * rng.standard_normal((c // 4, c)),
-                           0.4 * rng.standard_normal((c, c)))
-    return mgc.MgcParams(levels=levels, shared_gcn=shared,
-                         out_weight=0.4 * rng.standard_normal((c, c)))
+            store[f"{name}.psi.weight"] = qr.T
+            store[f"{name}.phi.weight"] = 0.4 * rng.standard_normal((c, c))
+            store.update(_gcn_store(rng, f"{name}.gcn", c))
+    store.update(_gcn_store(rng, "mgc.shared_gcn", c))
+    store["mgc.out.weight"] = 0.4 * rng.standard_normal((c, c))
+    return store
 
 
 def test_mgc_forward_enriches_every_level(rng):
-    params = _tiny_mgc_params(rng)
+    store = _tiny_mgc_store(rng)
     feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
              LevelFeature(3, rng.standard_normal((8, 2, 2))),
              LevelFeature(4, rng.standard_normal((8, 1, 2)))]
-    outs = mgc.mgc_forward_fwd(feats, params)[0]
+    outs = mgc.mgc_forward_fwd(feats, store)[0]
     assert [f.level for f in outs] == [2, 3, 4]
     for before, after in zip(feats, outs):
         assert after.data.shape == before.data.shape
@@ -141,31 +135,41 @@ def test_mgc_forward_enriches_every_level(rng):
 
 def test_mgc_forward_zero_out_weight_is_residual_projection(rng):
     # with the output mix zeroed, distribution degenerates to the xi path
-    params = _tiny_mgc_params(rng)
-    params.out_weight = np.zeros_like(params.out_weight)
+    store = _tiny_mgc_store(rng)
+    store["mgc.out.weight"] = np.zeros_like(store["mgc.out.weight"])
     feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
              LevelFeature(3, rng.standard_normal((8, 2, 2)))]
-    outs = mgc.mgc_forward_fwd(feats, params)[0]
+    outs = mgc.mgc_forward_fwd(feats, store)[0]
     for f in feats:
-        xi = params.levels[f.level].xi
+        xi = store[f"mgc.l{f.level}.xi.weight"]
         want = (xi @ f.data.reshape(8, -1)).reshape(f.data.shape)
         got = next(o for o in outs if o.level == f.level)
         npt.assert_allclose(got.data, want, atol=1e-12)
 
 
 def test_mgc_forward_requires_a_collector(rng):
-    params = _tiny_mgc_params(rng, collect=())
+    store = _tiny_mgc_store(rng, collect=())
     feats = [LevelFeature(2, rng.standard_normal((8, 2, 2)))]
     with pytest.raises(ValueError):
-        mgc.mgc_forward_fwd(feats, params)
+        mgc.mgc_forward_fwd(feats, store)
 
 
-def test_mgc_backward_covers_all_param_names(rng):
-    params = _tiny_mgc_params(rng)
+def test_mgc_forward_refuses_a_level_with_no_theta(rng):
+    store = _tiny_mgc_store(rng)
+    del store["mgc.l4.theta.weight"]
     feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
              LevelFeature(3, rng.standard_normal((8, 2, 2))),
              LevelFeature(4, rng.standard_normal((8, 1, 2)))]
-    outs, cache = mgc.mgc_forward_fwd(feats, params)
+    with pytest.raises(ValueError, match="no parameters for level 4"):
+        mgc.mgc_forward_fwd(feats, store)
+
+
+def test_mgc_backward_covers_all_param_names(rng):
+    store = _tiny_mgc_store(rng)
+    feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
+             LevelFeature(3, rng.standard_normal((8, 2, 2))),
+             LevelFeature(4, rng.standard_normal((8, 1, 2)))]
+    outs, cache = mgc.mgc_forward_fwd(feats, store)
     glevels, pg = mgc.mgc_forward_bwd(cache, [np.ones_like(o.data) for o in outs])
     assert sorted(glevels) == [2, 3, 4]
     want = {"mgc.out.weight"}

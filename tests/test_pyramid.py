@@ -296,6 +296,31 @@ def test_backward_covers_exactly_the_neck_params(rng, arch):
         assert glevels[f.level].shape == f.data.shape
 
 
+class _RecordingStore(dict):
+    """A parameter store that records every name read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_forward_reads_exactly_the_stored_neck(rng, arch):
+    # every stage reads its parameters by the names param_shapes lists
+    cfg = small_cfg(arch)
+    store = _RecordingStore(pyramid.init_params(cfg))
+    pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
+    assert store.read == set(pyramid.param_shapes(cfg))
+
+
 def test_backward_gradients_are_finite(rng):
     cfg = small_cfg("a2fpn")
     store = pyramid.init_params(cfg)

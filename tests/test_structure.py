@@ -15,11 +15,11 @@ CHECK_MODULES = ("verify", "oracles")
 
 def _names_used(tree):
     """Every identifier the module reads as a name or an attribute, except
-    inside the def of a function of that name (its own body)."""
+    inside the def of a function or class of that name (its own body)."""
     used = set()
 
     def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
         elif isinstance(node, ast.Name) and node.id not in enclosing:
             used.add(node.id)
@@ -32,17 +32,19 @@ def _names_used(tree):
     return used
 
 
-def _public_functions(module):
+def _public_definitions(module):
+    """The public functions and classes the module defines."""
     return [name for name, obj in vars(module).items()
-            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")]
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__ and not name.startswith("_")]
 
 
 @pytest.mark.parametrize("module", [tensor_core, nn_ops, fusion, mgc, pyramid, train],
                          ids=lambda m: m.__name__)
 def test_every_public_primitive_is_run_by_the_package(module):
-    # a public function that only the checks call is dead code with a test attached
+    # a public function or type that only the checks use is dead code with a test attached
     used = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem not in CHECK_MODULES:
             used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
-    assert not [name for name in _public_functions(module) if name not in used]
+    assert not [name for name in _public_definitions(module) if name not in used]

@@ -63,6 +63,11 @@ def test_zero_lr_freezes_the_loss():
     assert len(losses) == 1
 
 
+def test_negative_steps_are_refused():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        train_toy(toy_train_config("a2fpn_lite"), steps=-1)
+
+
 def test_a_missing_gradient_stops_training(monkeypatch):
     # a backward that drops one parameter's gradient must not leave that
     # parameter frozen: the first site's backward loses gate.w3's.  The head
