@@ -12,6 +12,12 @@ in CARAFE; going down (bottom-up) it is a bilinear upsample and the
 reassembly pools as in CAP.  Plain CARAFE/CAP ablation baselines are the
 same site with guidance off and gates pinned to 1.
 
+Both readers start linear in x = [source, guidance]: the predictor's 1×1
+compressor as W·x, the gates as w1·x and x·attn.  So the backward takes the
+gradient of x as one product of rank c_m + 2 (c_m the compressor's width)
+and never forms it at x's 2c width; the guidance's adjoint, and the weight
+gradients that read x, split the same way (fuse_bwd).
+
 Features are one image (c, h, w) or a batch (n, c, h, w).  Kernels and
 gates are then per image, and the site's parameters are shared, so their
 gradients are summed over the images.  Kernels keep the predictor's layout
@@ -34,7 +40,6 @@ from .nn_ops import (
     _lift,
     bilinear_upsample_bwd,
     bilinear_upsample_fwd,
-    concat_channels_bwd,
     concat_channels_fwd,
     conv2d_bwd,
     conv2d_fwd,
@@ -171,23 +176,24 @@ def predict_kernels_fwd(x, p):
 
 
 def predict_kernels_bwd(cache, gkern):
-    """(gx, param grads): gx is the gradient of the whole reader input."""
+    """((lhs, rhs), param grads) of predict_kernels_fwd: the gradient of the
+    reader input x is lhs @ rhs, the compressor's Wᵀ (cin, c_m) times its
+    output gradient g1 (…, c_m, h·w).  fuse_bwd forms it, and the
+    compressor's own gradients, at low rank; the param grads are the
+    encoder's and the predictor's."""
     c1, c2, c3, c4, c5 = cache
     y, _ = c5  # the kernels in their tap view (…, k², s², h, w)
     g4 = softmax_bwd(c5, gkern.reshape(y.shape)).reshape(gkern.shape)
     g3, gw_p, gb_p = conv2d_bwd(c4, g4)
     g2 = relu_bwd(c3, g3)
     g1, gw_e, gb_e = conv2d_bwd(c2, g2)
-    gx, gw_c, gb_c = conv2d_bwd(c1, g1)
     pg = {
-        "kpred.compressor.weight": gw_c,
-        "kpred.compressor.bias": gb_c,
         "kpred.encoder.weight": gw_e,
         "kpred.encoder.bias": gb_e,
         "kpred.predictor.weight": gw_p,
         "kpred.predictor.bias": gb_p,
     }
-    return gx, pg
+    return (c1[0].weight[:, :, 0, 0].T, _flat(g1)), pg
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +441,13 @@ def channel_gates_fwd(x, p):
 
 
 def channel_gates_bwd(cache, ghigh, glow):
-    """(gx, param grads) of channel_gates_fwd."""
-    x_shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
+    """((lhs, rhs), param grads) of channel_gates_fwd.  The gates read x
+    linearly twice, as the logits w1·x and the descriptor z = x·attn, so the
+    gradient of x is lhs @ rhs with lhs = [w1ᵀ | gz] (…, cin, 2) and
+    rhs = [glogits; attn] (…, 2, h·w).  fuse_bwd forms it, and w1's
+    gradient, at low rank; the param grads are those of w2, w3 and the
+    layer norm."""
+    _, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
     gg = np.concatenate([ghigh, glow], axis=-1)
     gpre = sigmoid_bwd(c_act, GATE_ACTS[p.gate_act] * gg)
     gw3 = _outer_sum(gpre, act_in)
@@ -445,19 +456,58 @@ def channel_gates_bwd(cache, ghigh, glow):
     gh1, ggain, gshift = layer_norm_bwd(c_ln, gln)
     gw2 = _outer_sum(gh1, z)
     gz = _mv(p.gate_w2.T, gh1)
-    gm = gz[..., :, None] * attn[..., None, :]
-    gattn = _mv(m.swapaxes(-1, -2), gz)
-    glogits = softmax_bwd(c_soft, gattn)
-    gw1 = sum_batch(glogits[..., None, :] @ m.swapaxes(-1, -2), 2)
-    gm = gm + p.gate_w1.T @ glogits[..., None, :]
+    glogits = softmax_bwd(c_soft, _mv(m.swapaxes(-1, -2), gz))
+    lhs = np.stack(np.broadcast_arrays(p.gate_w1[0], gz), axis=-1)
     pg = {
-        "gate.w1.weight": gw1,
         "gate.w2.weight": gw2,
         "gate.w3.weight": gw3,
         "gate.ln.gain": ggain,
         "gate.ln.shift": gshift,
     }
-    return gm.reshape(x_shape), pg
+    return (lhs, np.stack([glogits, attn], axis=-2)), pg
+
+
+# ---------------------------------------------------------------------------
+# the readers' low-rank adjoint
+# ---------------------------------------------------------------------------
+
+def _flat(a):
+    """(..., h, w) -> (..., h·w)."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _dots(a, b):
+    """Σ over the last two axes of a·b, one dot product per leading index."""
+    return (_flat(a)[..., None, :] @ _flat(b)[..., :, None])[..., 0, 0]
+
+
+def _join(a, b):
+    """One factor pair of the sum a[0] @ a[1] + b[0] @ b[1]: the lhs side by
+    side, broadcast to the images of the rhs, and the rhs stacked."""
+    lead = a[1].shape[:-2]
+    lhs = np.concatenate([np.broadcast_to(f[0], lead + f[0].shape[-2:]) for f in (a, b)], axis=-1)
+    return lhs, np.concatenate([a[1], b[1]], axis=-2)
+
+
+def reader_weight_grads(parts, c_m, gated):
+    """Gradients of the weights that read x = [src; guide]: the compressor's
+    from factor rows :c_m (g1), gate.w1's from row c_m (glogits) when gated.
+
+    parts pairs each block of x's channels, in order, with the factor rows
+    on its grid: (rhs, x), or at a bottom-up site (rhs, src) and
+    (up*(rhs), dst).  A block's gradient is Σ over images of rows @ blockᵀ,
+    taken as (block @ rowsᵀ)ᵀ, the faster operand order of the GEMM.
+    """
+    k = c_m + gated
+    g = np.concatenate([sum_batch(_flat(x) @ r[..., :k, :].swapaxes(-1, -2), 2)
+                        for r, x in parts]).T
+    pg = {}
+    if gated:
+        pg["gate.w1.weight"] = g[c_m:]
+    if c_m:
+        pg["kpred.compressor.weight"] = g[:c_m].reshape(c_m, -1, 1, 1)
+        pg["kpred.compressor.bias"] = sum_batch(parts[0][0][..., :c_m, :].sum(axis=-1), 1)
+    return pg
 
 
 # ---------------------------------------------------------------------------
@@ -506,36 +556,50 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
     return feat, (up, dst.data, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm)
 
 
-def _split(c_cat, gx):
-    """(gsrc, gguide) of a reader-input gradient; gguide is None without guidance."""
-    return concat_channels_bwd(c_cat, gx) if c_cat is not None else (gx, None)
-
-
 def fuse_bwd(cache, gout):
-    """(gsrc, gdst, param grads) of fuse_fwd."""
+    """(gsrc, gdst, param grads) of fuse_fwd.
+
+    The gradient of the reader input x = [src; guide] is lhs @ rhs, of rank
+    c_m + 2 (c_m ungated): the compressor's factors joined with the gates'
+    (predict_kernels_bwd, channel_gates_bwd).  It is never formed at x's
+    width.  Its source half lhs[:c] @ rhs adds into gsrc.  Going up, the
+    guide half lhs[c:] @ rhs goes through the max pool's adjoint on the
+    coarse grid.  Going down, the guide is the bilinear ×s resize up(dst),
+    which acts on each channel alike, so its adjoint up* moves onto the
+    c_m + 2 rows of rhs: the guide half reaches dst as lhs[c:] @ up*(rhs),
+    on dst's grid.  The weights that read x split the same way
+    (reader_weight_grads).  The gate cotangents are one dot product per
+    channel, with no product map.
+    """
     up, dst, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm = cache
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
-    pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gates is not None:
         hi, lo = (g[..., None, None] for g in gates)
         gre, gdst = (hi * gpre, lo * gpre) if up else (lo * gpre, hi * gpre)
         coarse, fine = (re, dst) if up else (dst, re)
-        ghigh = (gpre * coarse).sum(axis=(-2, -1))
-        glow = (gpre * fine).sum(axis=(-2, -1))
-        gx_g, gate_pg = channel_gates_bwd(c_gate, ghigh, glow)
-        gsrc_g, gguide_g = _split(c_cat, gx_g)
-        pg.update(gate_pg)
+        gate, gate_pg = channel_gates_bwd(c_gate, _dots(gpre, coarse), _dots(gpre, fine))
     else:
         gre, gdst = gpre, gpre.copy()
-        gsrc_g, gguide_g = 0, None
+        gate, gate_pg = None, {}
     reassemble_bwd = reassemble_up_bwd if up else reassemble_down_bwd
-    gsrc_r, gkern = reassemble_bwd(c_re, gre)
-    gx_k, kpred_pg = predict_kernels_bwd(c_kern, gkern)
-    gsrc_k, gguide = _split(c_cat, gx_k)
+    gsrc, gkern = reassemble_bwd(c_re, gre)
+    kpred, kpred_pg = predict_kernels_bwd(c_kern, gkern)
+    lhs, rhs = kpred if gate is None else _join(kpred, gate)
+    x = c_kern[0][2]  # the reader input, as a batch
+    c = gsrc.shape[-3]
+    gsrc += (lhs[..., :c, :] @ rhs).reshape(gsrc.shape)
+    parts = [(rhs, x)]
+    if c_cat is not None and up:
+        gdst += max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape))
+    elif c_cat is not None:
+        rhs_dst = _flat(bilinear_upsample_bwd(c_guide, rhs.reshape(rhs.shape[:-1] + gsrc.shape[-2:])))
+        gdst += (lhs[..., c:, :] @ rhs_dst).reshape(gdst.shape)
+        parts = [(rhs, x[:, :c]), (rhs_dst, dst)]
+    wg = reader_weight_grads(parts, kpred[1].shape[-2], gate is not None)
+    pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
+    if gate is not None:
+        pg["gate.w1.weight"] = wg.pop("gate.w1.weight")
+    pg.update(gate_pg)
+    pg.update(wg)
     pg.update(kpred_pg)
-    if gguide is not None:
-        if gguide_g is not None:
-            gguide = gguide_g + gguide
-        resample_bwd = max_pool2d_bwd if up else bilinear_upsample_bwd
-        gdst += resample_bwd(c_guide, gguide)
-    return gsrc_r + gsrc_k + gsrc_g, gdst, pg
+    return gsrc, gdst, pg

@@ -5,7 +5,9 @@ learned semantic entities, related by residual graph layers whose
 adjacency comes from self-attention, then redistributed to every level
 as a residual enrichment.  All attention uses the scaled cosine
 similarity compatibility: keys are L2-normalized, queries are not, and
-the softmax always runs over the key axis.
+the softmax always runs over the key axis.  The backwards of collection
+and distribution route the embedding and query gradients through the
+context columns, so neither is built at c × h·w.
 
 Feature maps are one image (c, h, w) or a batch (n, c, h, w).  Context
 banks, graph layers and attention maps are then per image, with the same
@@ -88,13 +90,17 @@ def compatibility_fwd(queries, keys, scale_dim):
     return _t(probs), (queries, khat, n_cache, s_cache, scale)
 
 
+def _scores_bwd(cache, gmap):
+    """The gradient of the scaled scores sqrt(d)·queries·k̂ (n_q × n_k)."""
+    _, _, _, s_cache, scale = cache
+    return scale * softmax_bwd(s_cache, _t(gmap))
+
+
 def compatibility_bwd(cache, gmap):
     """(gqueries, gkeys), each with the leading axes of the map."""
-    queries, khat, n_cache, s_cache, scale = cache
-    gscores = scale * softmax_bwd(s_cache, _t(gmap))
-    gqueries = gscores @ _t(khat)
-    gkeys = l2_normalize_bwd(n_cache, _t(queries) @ gscores)
-    return gqueries, gkeys
+    queries, khat, n_cache, _, _ = cache
+    gscores = _scores_bwd(cache, gmap)
+    return gscores @ _t(khat), l2_normalize_bwd(n_cache, _t(queries) @ gscores)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +123,18 @@ def collect_context_fwd(fdata, psi, phi):
 
 
 def collect_context_bwd(cache, gbank):
-    shape, fm, attn, emb, phi, cf_cache = cache
-    gemb = gbank @ _t(attn)
-    gattn = _t(emb) @ gbank
-    gpsi, gfm = compatibility_bwd(cf_cache, gattn)
-    gphi = gemb @ _t(fm)
-    gfm = gfm + phi.T @ gemb
+    """(gfdata, gpsi, gphi) of collect_context_fwd.
+
+    The bank is φ·fm·attn, so the embedding gradient gbank·attnᵀ (c × h·w)
+    is never built: with g = φᵀ·gbank (c_i × n_i), the attention's gradient
+    is fmᵀ·g, gφ = gbank·(fm·attn)ᵀ, and the map's gradient gains g·attnᵀ,
+    all through the n_i context columns.
+    """
+    shape, fm, attn, _, phi, cf_cache = cache
+    gcol = phi.T @ gbank  # (c_i × n_i)
+    gpsi, gfm = compatibility_bwd(cf_cache, _t(fm) @ gcol)
+    gphi = gbank @ _t(fm @ attn)
+    gfm = gfm + gcol @ _t(attn)
     return gfm.reshape(shape), sum_batch(gpsi, 2), sum_batch(gphi, 2)
 
 
@@ -208,18 +220,26 @@ def distribute_context_fwd(fdata, fused, theta, xi, out_weight):
 
 
 def distribute_context_bwd(cache, gout):
-    shape, fm, q, attn, ctx, fused, theta, xi, out_weight, cf_cache = cache
+    """(gfdata, gfused, gtheta, gxi, gw_o) of distribute_context_fwd.
+
+    The queries q = θ·fm enter only through the scores qᵀ·k̂ over the n
+    context columns, so the query gradient k̂·gsᵀ (c × h·w) is never built:
+    with gs the score gradient (h·w × n), gθ = k̂·(fm·gs)ᵀ, the keys take
+    q·gs as θ·(fm·gs), and the map's gradient (θᵀ·k̂)·gsᵀ + ξᵀ·go routes
+    through the n columns.
+    """
+    shape, fm, _, attn, ctx, fused, theta, xi, out_weight, cf_cache = cache
+    _, khat, n_cache, _, _ = cf_cache
     go = _flat(gout)
     gctx = go @ _t(attn)
     gattn = _t(ctx) @ go
     gw_o = sum_batch(gctx @ _t(fused), 2)
-    gfused = out_weight.T @ gctx
-    gqt, gfused2 = compatibility_bwd(cf_cache, gattn)
-    gfused = gfused + gfused2
-    gq = _t(gqt)
-    gtheta = sum_batch(gq @ _t(fm), 2)
+    gs = _scores_bwd(cf_cache, gattn)
+    fgs = fm @ gs  # (c_i × n)
+    gfused = out_weight.T @ gctx + l2_normalize_bwd(n_cache, theta @ fgs)
+    gtheta = sum_batch(khat @ _t(fgs), 2)
     gxi = sum_batch(go @ _t(fm), 2)
-    gfm = theta.T @ gq + xi.T @ go
+    gfm = (theta.T @ khat) @ _t(gs) + xi.T @ go
     return gfm.reshape(shape), gfused, gtheta, gxi, gw_o
 
 

@@ -515,7 +515,8 @@ def conv2d_bwd(cache, gy, need_gx=True):
     n, cout, h_out, w_out = gyb.shape
     gyf = gyb.swapaxes(0, 1).reshape(cout, -1)  # a view for one image
     # the rebuilt column matrix is freed before gx is made
-    gw = (gyf @ _im2col(xp, k, k, p.stride, h_out, w_out).T).reshape(p.weight.shape)
+    # gw as (cols @ gyfᵀ)ᵀ: the faster operand order of the GEMM, and the same bits
+    gw = (_im2col(xp, k, k, p.stride, h_out, w_out) @ gyf.T).T.reshape(p.weight.shape)
     gb = gyf.sum(axis=1) if p.bias is not None else None
     if not need_gx:
         return None, gw, gb
@@ -614,11 +615,11 @@ def nearest_upsample(x, s=2):
 # ---------------------------------------------------------------------------
 
 def concat_channels_fwd(a, b):
+    """[a; b] along the channel axis; the cache is a's channel count.
+
+    It has no backward: its one reader, a fusion site, takes the gradient of
+    [a; b] as low-rank factors and never forms it (fusion.fuse_bwd).
+    """
     if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"batch or spatial extents disagree: {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=-3), a.shape[-3]
-
-
-def concat_channels_bwd(cache, gy):
-    c1 = cache
-    return gy[..., :c1, :, :], gy[..., c1:, :, :]

@@ -24,7 +24,6 @@ from .nn_ops import (
     ConvParams,
     bilinear_upsample_bwd,
     bilinear_upsample_fwd,
-    concat_channels_bwd,
     concat_channels_fwd,
     conv2d_bwd,
     conv2d_fwd,
@@ -293,7 +292,10 @@ def _tiny_fusion_params(rng, kind, guided=True, s=2):
 def _reader_builder(part, kind, names, hw, lead=()):
     """Check of one reader of a tiny site of ``kind`` on [src, guide]: the
     kernel predictor (part "kpred") or the channel gates ("gate"), its
-    parameters, and two 8-channel inputs of extents hw with the given names."""
+    parameters, and two 8-channel inputs of extents hw with the given names.
+    The reader's gradient comes as a factor pair (lhs, rhs); the input
+    gradient is lhs @ rhs, split at channel 8, and the weights that read the
+    input take theirs from rhs (fusion.reader_weight_grads)."""
     fwd_op, bwd_op = {"kpred": (fusion.predict_kernels_fwd, fusion.predict_kernels_bwd),
                       "gate": (fusion.channel_gates_fwd, fusion.channel_gates_bwd)}[part]
 
@@ -303,13 +305,16 @@ def _reader_builder(part, kind, names, hw, lead=()):
         arrays.update((k, v) for k, v in p_arrays.items() if k.startswith(part + "."))
 
         def fwd():
-            x, c_cat = concat_channels_fwd(*(arrays[name] for name in names))
-            y, cache = fwd_op(x, p)
-            return y, (cache, c_cat)
+            return fwd_op(concat_channels_fwd(*(arrays[name] for name in names))[0], p)
 
         def bwd(cache, rs):
-            gx, pg = bwd_op(cache[0], *rs)
-            return dict(zip(names, concat_channels_bwd(cache[1], gx)), **pg)
+            (lhs, rhs), pg = bwd_op(cache, *rs)
+            grads = {name: (lhs[..., 8 * i : 8 * (i + 1), :] @ rhs).reshape(arrays[name].shape)
+                     for i, name in enumerate(names)}
+            c_m = rhs.shape[-2] if part == "kpred" else 0
+            pg.update(fusion.reader_weight_grads([(rhs, arrays[name]) for name in names], c_m,
+                                                 part == "gate"))
+            return {**grads, **pg}
 
         return arrays, fwd, bwd
 
@@ -439,8 +444,6 @@ REGISTRY = {
         "x": rng.permutation(3 * 6 * 8).astype(np.float64).reshape(3, 6, 8) / 24.0}), PRIMITIVE_TOL, 0),
     "bilinear_upsample": (_op_builder(bilinear_upsample_fwd, bilinear_upsample_bwd, _normal(x=(3, 4, 5))),
                           PRIMITIVE_TOL, 0),
-    "concat_channels": (_op_builder(concat_channels_fwd, concat_channels_bwd,
-                                    _normal(a=(2, 3, 4), b=(3, 3, 4))), PRIMITIVE_TOL, 0),
     "compatibility": (_op_builder(mgc.compatibility_fwd, mgc.compatibility_bwd,
                                   _normal(q=(5, 4), k=(4, 6)), scale_dim=4), COMPOSITE_TOL, 0),
     "collect_context": (_op_builder(mgc.collect_context_fwd, mgc.collect_context_bwd,

@@ -301,15 +301,14 @@ def test_nearest_upsample_replicates(rng):
     assert y.shape == (1, 4, 4)
 
 
-def test_concat_channels_splits_backward(rng):
+def test_concat_channels_joins_channels(rng):
     a = rng.standard_normal((2, 3, 3))
     b = rng.standard_normal((5, 3, 3))
     y, cache = nn_ops.concat_channels_fwd(a, b)
     npt.assert_array_equal(y, np.concatenate([a, b], axis=0))
-    gy = rng.standard_normal(y.shape)
-    ga, gb = nn_ops.concat_channels_bwd(cache, gy)
-    npt.assert_array_equal(ga, gy[:2])
-    npt.assert_array_equal(gb, gy[2:])
+    assert cache == 2
+    with pytest.raises(ValueError, match="disagree"):
+        nn_ops.concat_channels_fwd(a, rng.standard_normal((5, 3, 4)))
 
 
 def test_conv2d_rejects_bad_input_rank(rng):

@@ -252,7 +252,9 @@ def _pinned(rows):
 # "gather" and "fold" are the im2col routes, "none" the stem conv, whose
 # image gradient the training pass does not ask for.  The toy-train pass
 # skips the bottom-up sites, whose outputs its loss does not read, so their
-# stride-2 predictors (25 ← 16) and the 16² compressor have no backward.
+# stride-2 predictors (25 ← 16) have no backward.  No site's 1×1 compressor
+# runs conv2d_bwd: fusion.fuse_bwd takes its gradients with the gates' at
+# low rank.
 _G, _F = "gather", "fold"
 PINNED_ROUTES = {
     "toy-train": _pinned([
@@ -260,7 +262,6 @@ PINNED_ROUTES = {
         (16, 3, 3, 2, 8, {32: "none"}),  # stem
         (16, 16, 3, 1, 8, {1: _F, 2: _G, 4: _G, 8: _G, 16: _G}),
         (16, 16, 3, 2, 8, {16: _G}),
-        (16, 32, 1, 1, 8, {1: _G, 2: _G, 4: _G, 8: _G}),
         (16, 64, 3, 2, 8, {1: _F}),
         (32, 16, 3, 2, 8, {8: _F}),
         (64, 32, 3, 2, 8, {4: _F}),
@@ -270,7 +271,6 @@ PINNED_ROUTES = {
     "fwdbwd-256": _pinned([
         (25, 64, 3, 2, 1, {4: _F, 8: _F, 16: _G, 32: _G}),
         (64, 64, 3, 1, 1, {4: _F, 8: _F, 16: _G, 32: _G, 64: _G}),
-        (64, 512, 1, 1, 1, {4: _G, 8: _G, 16: _G, 32: _G, 64: _G}),
         (100, 64, 3, 1, 1, {4: _F, 8: _F, 16: _F, 32: _F}),
         (256, 256, 3, 1, 1, {4: _F, 8: _F, 16: _F, 32: "winograd", 64: "winograd"}),
         (256, 256, 3, 2, 1, {4: _F}),

@@ -39,7 +39,7 @@ GRADCHECK_NAMES = (
     "softmax", "l2_normalize", "sigmoid", "relu", "layer_norm",
     "conv2d", "conv2d_stride2", "conv2d_1x1", "conv2d_winograd", "conv2d_n2",
     "conv2d_stride2_n2", "conv2d_winograd_n2", "conv2d_gather_n2", "conv2d_stride2_gather_n2",
-    "max_pool2d", "bilinear_upsample", "concat_channels",
+    "max_pool2d", "bilinear_upsample",
     "compatibility", "collect_context", "orthogonal_reg", "gcn_layer", "reason_multilevel",
     "distribute_context", "mgc_forward", "mgc_forward_n2",
     "predict_up_kernels", "predict_down_kernels", "reassemble_up", "reassemble_down",
@@ -85,7 +85,6 @@ DRAW_DIGESTS = {
     "conv2d_stride2_gather_n2": "bc9d560492bbc677deeef5804c6c446822d2134d059771a23a1590b6ce785437",
     "max_pool2d": "910af3d4d6b0fc33a4598bfe0c098b268311dcd23c1d72ed98271b65989d3805",
     "bilinear_upsample": "d3a6116c1f52349467038602cd55e5d588a2d32ad4a5da308bd14cdff2639004",
-    "concat_channels": "b9739b17b7636aab4b72e73e754c4955d928db4829afb926801b8b7bfe161065",
     "compatibility": "75994716985f2dd02a09f396dbcdf7af4f52f6770f8232a34db91a2d9248a54b",
     "collect_context": "416abf594d697f7be2c8f2d906c8db1858ad6229fea9f205d7bff47546abd1b8",
     "orthogonal_reg": "bd9af4902775db28c5627ea397eda335e8f94f383d664fbba9d572c7c228cea1",
