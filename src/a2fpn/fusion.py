@@ -16,7 +16,10 @@ Both readers start linear in x = [source, guidance]: the predictor's 1×1
 compressor as W·x, the gates as w1·x and x·attn.  So the backward takes the
 gradient of x as one product of rank c_m + 2 (c_m the compressor's width)
 and never forms it at x's 2c width; the guidance's adjoint, and the weight
-gradients that read x, split the same way (fuse_bwd).
+gradients that read x, split the same way (fuse_bwd).  No cache holds x
+either: the forward builds it once for both readers and drops it, and the
+backward reads the source (a reference to the level) and the guidance
+separately, going up the max pool's own output, going down dst itself.
 
 Features are one image (c, h, w) or a batch (n, c, h, w).  Kernels and
 gates are then per image, and the site's parameters are shared, so their
@@ -164,15 +167,17 @@ def predict_kernels_fwd(x, p):
     [source, guidance] that fuse_fwd builds once for both readers.  The
     kernels keep the logits' layout (see the module docstring); the softmax
     runs over the k² axis of the logits viewed as (k², s², h, w), where
-    s² = 1 going down.
+    s² = 1 going down.  The cache keeps the compressor's parameters in
+    place of its conv cache, so it holds no reference to x: the backward
+    stops at the compressor's output gradient.
     """
-    z1, c1 = conv2d_fwd(p.compressor, x)
+    z1 = conv2d_fwd(p.compressor, x)[0]
     z2, c2 = conv2d_fwd(p.encoder, z1)
     z3, c3 = relu_fwd(z2)
     logits, c4 = conv2d_fwd(p.predictor, z3)
     lead, (h, w) = logits.shape[:-3], logits.shape[-2:]
     kern, c5 = softmax_fwd(logits.reshape(lead + (p.k * p.k, -1, h, w)), axis=-4)
-    return kern.reshape(logits.shape), (c1, c2, c3, c4, c5)
+    return kern.reshape(logits.shape), (p.compressor, c2, c3, c4, c5)
 
 
 def predict_kernels_bwd(cache, gkern):
@@ -181,7 +186,7 @@ def predict_kernels_bwd(cache, gkern):
     output gradient g1 (…, c_m, h·w).  fuse_bwd forms it, and the
     compressor's own gradients, at low rank; the param grads are the
     encoder's and the predictor's."""
-    c1, c2, c3, c4, c5 = cache
+    compressor, c2, c3, c4, c5 = cache
     y, _ = c5  # the kernels in their tap view (…, k², s², h, w)
     g4 = softmax_bwd(c5, gkern.reshape(y.shape)).reshape(gkern.shape)
     g3, gw_p, gb_p = conv2d_bwd(c4, g4)
@@ -193,7 +198,7 @@ def predict_kernels_bwd(cache, gkern):
         "kpred.predictor.weight": gw_p,
         "kpred.predictor.bias": gb_p,
     }
-    return (c1[0].weight[:, :, 0, 0].T, _flat(g1)), pg
+    return (compressor.weight[:, :, 0, 0].T, _flat(g1)), pg
 
 
 # ---------------------------------------------------------------------------
@@ -376,29 +381,39 @@ def reassemble_down_fwd(fine, kernels, s=2):
 
 
 def reassemble_down_bwd(cache, gout):
-    """Adjoint of reassemble_down_fwd, tap by tap over the cached phase planes.
+    """Adjoint of reassemble_down_fwd, in the forward's channel blocks, tap
+    by tap over the cached phase planes.
 
-    gK for tap t is gout · (its plane slice), summed over channels; the
-    fine-map gradient accumulates into one buffer per phase plane, in tap
-    order, and the planes are interleaved back into the fine grid once.
+    Per block, gK for tap t gains gout · (its plane slice), summed over the
+    block's channels, so gK is summed block by block; the block's fine-map
+    gradient accumulates into one buffer per phase plane, in tap order, and
+    is interleaved back into the fine grid before the next block starts.
     """
     shape, kernels, planes, s, k, r = cache
     sh, sw = shape[-2:]
     h, w = gout.shape[-2:]
-    gkern = np.empty_like(kernels)
-    gplanes = [np.zeros_like(plane) for plane in planes]
-    prod = np.empty(gout.shape, dtype=np.result_type(gout, kernels, planes[0]))
-    for t in range(k * k):
-        dy, dx = divmod(t, k)
-        np.multiply(gout, _tap_view(planes, dy, dx, s, h, w), out=prod)
-        np.sum(prod, axis=-3, out=gkern[..., t, :, :])
-        np.multiply(kernels[..., t, None, :, :], gout, out=prod)
-        _tap_view(gplanes, dy, dx, s, h, w)[...] += prod
-    gfine = np.empty(shape, dtype=gplanes[0].dtype)
-    for t, gplane in enumerate(gplanes):
-        iy, ay, ny, _ = _plane_span(t // s, sh, r, s)
-        ix, ax, nx, _ = _plane_span(t % s, sw, r, s)
-        gfine[..., iy::s, ix::s] = gplane[..., ay : ay + ny, ax : ax + nx]
+    c = gout.shape[-3]
+    cb = max(1, _DOWN_BLOCK_BYTES // max(1, gout[..., :1, :, :].nbytes))  # channels per block
+    dt = np.result_type(gout, kernels, planes[0])
+    gkern = np.zeros_like(kernels)
+    gk_t = np.empty(gout.shape[:-3] + (h, w), dtype=dt)  # one tap's sum over a block's channels
+    prod = np.empty(gout.shape[:-3] + (min(cb, c), h, w), dtype=dt)
+    gfine = np.empty(shape, dtype=planes[0].dtype)
+    for c0 in range(0, c, cb):
+        go = gout[..., c0 : c0 + cb, :, :]
+        pb = prod[..., : go.shape[-3], :, :]
+        block = [plane[..., c0 : c0 + cb, :, :] for plane in planes]
+        gplanes = [np.zeros_like(plane) for plane in block]
+        for t in range(k * k):
+            dy, dx = divmod(t, k)
+            np.multiply(go, _tap_view(block, dy, dx, s, h, w), out=pb)
+            gkern[..., t, :, :] += np.sum(pb, axis=-3, out=gk_t)
+            np.multiply(kernels[..., t, None, :, :], go, out=pb)
+            _tap_view(gplanes, dy, dx, s, h, w)[...] += pb
+        for t, gplane in enumerate(gplanes):
+            iy, ay, ny, _ = _plane_span(t // s, sh, r, s)
+            ix, ax, nx, _ = _plane_span(t % s, sw, r, s)
+            gfine[..., c0 : c0 + cb, iy::s, ix::s] = gplane[..., ay : ay + ny, ax : ax + nx]
     return gfine, gkern
 
 
@@ -423,7 +438,8 @@ def channel_gates_fwd(x, p):
     Returns ((high, low), cache): the two halves of the 2·c gates r·σ(pre)
     (per image), with r = GATE_ACTS[p.gate_act] and c the channel width of
     the fused pyramid features.  The high gate scales the coarser summand
-    of a fusion, the low gate the finer.
+    of a fusion, the low gate the finer.  The cache holds no reference to
+    x: channel_gates_bwd takes the one product with x it needs as a function.
     """
     m = x.reshape(x.shape[:-2] + (-1,))
     logits = (p.gate_w1 @ m)[..., 0, :]
@@ -436,18 +452,20 @@ def channel_gates_fwd(x, p):
     sig, c_act = sigmoid_fwd(pre)
     g = GATE_ACTS[p.gate_act] * sig
     c = g.shape[-1] // 2
-    cache = (x.shape, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
+    cache = (attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
     return (g[..., :c], g[..., c:]), cache
 
 
-def channel_gates_bwd(cache, ghigh, glow):
+def channel_gates_bwd(cache, ghigh, glow, x_t):
     """((lhs, rhs), param grads) of channel_gates_fwd.  The gates read x
     linearly twice, as the logits w1·x and the descriptor z = x·attn, so the
     gradient of x is lhs @ rhs with lhs = [w1ᵀ | gz] (…, cin, 2) and
     rhs = [glogits; attn] (…, 2, h·w).  fuse_bwd forms it, and w1's
     gradient, at low rank; the param grads are those of w2, w3 and the
-    layer norm."""
-    _, m, attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
+    layer norm.  The cache keeps no x, so the caller passes x_t, the map
+    gz (…, cin) ↦ xᵀ·gz (…, h·w) that takes the descriptor's gradient back
+    to the attention logits."""
+    attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
     gg = np.concatenate([ghigh, glow], axis=-1)
     gpre = sigmoid_bwd(c_act, GATE_ACTS[p.gate_act] * gg)
     gw3 = _outer_sum(gpre, act_in)
@@ -456,7 +474,7 @@ def channel_gates_bwd(cache, ghigh, glow):
     gh1, ggain, gshift = layer_norm_bwd(c_ln, gln)
     gw2 = _outer_sum(gh1, z)
     gz = _mv(p.gate_w2.T, gh1)
-    glogits = softmax_bwd(c_soft, _mv(m.swapaxes(-1, -2), gz))
+    glogits = softmax_bwd(c_soft, x_t(gz))
     lhs = np.stack(np.broadcast_arrays(p.gate_w1[0], gz), axis=-1)
     pg = {
         "gate.w2.weight": gw2,
@@ -481,6 +499,11 @@ def _dots(a, b):
     return (_flat(a)[..., None, :] @ _flat(b)[..., :, None])[..., 0, 0]
 
 
+def _channel_sum(a, v):
+    """Σ_c v_c·a_c of a map a (…, c, h, w) and weights v (…, c), as (…, h·w)."""
+    return _mv(_flat(a).swapaxes(-1, -2), v)
+
+
 def _join(a, b):
     """One factor pair of the sum a[0] @ a[1] + b[0] @ b[1]: the lhs side by
     side, broadcast to the images of the rhs, and the rhs stacked."""
@@ -494,9 +517,10 @@ def reader_weight_grads(parts, c_m, gated):
     from factor rows :c_m (g1), gate.w1's from row c_m (glogits) when gated.
 
     parts pairs each block of x's channels, in order, with the factor rows
-    on its grid: (rhs, x), or at a bottom-up site (rhs, src) and
-    (up*(rhs), dst).  A block's gradient is Σ over images of rows @ blockᵀ,
-    taken as (block @ rowsᵀ)ᵀ, the faster operand order of the GEMM.
+    on its grid: (rhs, x) for x held whole, (rhs, src) and (rhs, guide) at
+    a top-down site, (rhs, src) and (up*(rhs), dst) at a bottom-up one.
+    A block's gradient is Σ over images of rows @ blockᵀ, taken as
+    (block @ rowsᵀ)ᵀ, the faster operand order of the GEMM.
     """
     k = c_m + gated
     g = np.concatenate([sum_batch(_flat(x) @ r[..., :k, :].swapaxes(-1, -2), 2)
@@ -522,10 +546,11 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
     reassemble_up.  src below dst fuses bottom-up: dst is upsampled
     bilinearly as the guidance and src is pooled by reassemble_down.  Either
     way [src, guidance] is concatenated once and read by both the kernel
-    predictor and the channel gates; the high gate scales the coarser
-    summand and the low gate the finer, the gated sum is built in place,
-    and it is smoothed by the anti-alias conv.  guided False drops the
-    guidance from both readers; gated False adds the two summands ungated.
+    predictor and the channel gates, then dropped: no cache holds it.  The
+    high gate scales the coarser summand and the low gate the finer, the
+    gated sum is built in place, and it is smoothed by the anti-alias conv.
+    guided False drops the guidance from both readers; gated False adds the
+    two summands ungated.
     """
     up = src.level > dst.level
     coarse, fine = (src, dst) if up else (dst, src)
@@ -533,27 +558,27 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
     if fine.data.shape != coarse.data.shape[:-2] + (p.s * h, p.s * w):
         raise ValueError(f"level {fine.level} {fine.data.shape} is not ×{p.s} of "
                          f"level {coarse.level} {coarse.data.shape}")
-    x, c_guide, c_cat = src.data, None, None
+    x, c_guide = src.data, None
     if guided:
         resample_fwd = max_pool2d_fwd if up else bilinear_upsample_fwd
         guide, c_guide = resample_fwd(dst.data, p.s)
-        x, c_cat = concat_channels_fwd(src.data, guide)
+        x = concat_channels_fwd(src.data, guide)[0]
         del guide  # the concat holds it; a max-pool guide lives on in c_guide
     kern, c_kern = predict_kernels_fwd(x, p)
+    gates, c_gate = channel_gates_fwd(x, p) if gated else (None, None)
+    del x
     reassemble_fwd = reassemble_up_fwd if up else reassemble_down_fwd
     re, c_re = reassemble_fwd(src.data, kern, p.s)
     if gated:
-        gates, c_gate = channel_gates_fwd(x, p)
         hi, lo = (g[..., None, None] for g in gates)
         coarser, finer = (re, dst.data) if up else (dst.data, re)
         pre = hi * coarser
         pre += lo * finer
     else:
-        gates, c_gate = None, None
         pre = re + dst.data
     out, c_sm = conv2d_fwd(p.smooth, pre)
     feat = LevelFeature(dst.level, out)
-    return feat, (up, dst.data, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm)
+    return feat, (up, src.data, dst.data, re, gates, c_guide, c_kern, c_re, c_gate, c_sm)
 
 
 def fuse_bwd(cache, gout):
@@ -569,15 +594,38 @@ def fuse_bwd(cache, gout):
     c_m + 2 rows of rhs: the guide half reaches dst as lhs[c:] @ up*(rhs),
     on dst's grid.  The weights that read x split the same way
     (reader_weight_grads).  The gate cotangents are one dot product per
-    channel, with no product map.
+    channel, with no product map, and the reassembly's gradient then takes
+    the smoothed sum's gradient buffer in place, so a gated site holds two
+    destination-sized gradients, not three.
+
+    x itself is not cached, so the gates' one other product with it, xᵀ·gz
+    back from the descriptor, is taken block by block too (x_t):
+    srcᵀ·gz[:c] + guideᵀ·gz[c:], with the guide going up the max pool's
+    cached output, and going down guideᵀ·gz[c:] = up(dstᵀ·gz[c:]), a
+    one-channel resize by the forward's interpolation matrices.
     """
-    up, dst, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm = cache
+    up, src, dst, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
+    c = src.shape[-3]
+    guide = c_guide[1] if c_guide is not None and up else None  # the max pool's output
+
+    def x_t(gz):
+        g = _channel_sum(src, gz[..., :c])
+        if c_guide is None:
+            return g
+        if up:
+            return g + _channel_sum(guide, gz[..., c:])
+        ry, cx = c_guide
+        m = _channel_sum(dst, gz[..., c:]).reshape(dst.shape[:-3] + dst.shape[-2:])
+        return g + _flat(ry @ m @ cx.T)
+
     gpre, gw_s, gb_s = conv2d_bwd(c_sm, gout)
     if gates is not None:
-        hi, lo = (g[..., None, None] for g in gates)
-        gre, gdst = (hi * gpre, lo * gpre) if up else (lo * gpre, hi * gpre)
         coarse, fine = (re, dst) if up else (dst, re)
-        gate, gate_pg = channel_gates_bwd(c_gate, _dots(gpre, coarse), _dots(gpre, fine))
+        gate, gate_pg = channel_gates_bwd(c_gate, _dots(gpre, coarse), _dots(gpre, fine), x_t)
+        hi, lo = (g[..., None, None] for g in gates)
+        g_re, g_dst = (hi, lo) if up else (lo, hi)
+        gdst = g_dst * gpre
+        gre = np.multiply(gpre, g_re, out=gpre)  # gpre is read no more: gre takes its buffer
     else:
         gre, gdst = gpre, gpre.copy()
         gate, gate_pg = None, {}
@@ -585,16 +633,15 @@ def fuse_bwd(cache, gout):
     gsrc, gkern = reassemble_bwd(c_re, gre)
     kpred, kpred_pg = predict_kernels_bwd(c_kern, gkern)
     lhs, rhs = kpred if gate is None else _join(kpred, gate)
-    x = c_kern[0][2]  # the reader input, as a batch
-    c = gsrc.shape[-3]
     gsrc += (lhs[..., :c, :] @ rhs).reshape(gsrc.shape)
-    parts = [(rhs, x)]
-    if c_cat is not None and up:
+    parts = [(rhs, src)]
+    if c_guide is not None and up:
         gdst += max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape))
-    elif c_cat is not None:
+        parts.append((rhs, guide))
+    elif c_guide is not None:
         rhs_dst = _flat(bilinear_upsample_bwd(c_guide, rhs.reshape(rhs.shape[:-1] + gsrc.shape[-2:])))
         gdst += (lhs[..., c:, :] @ rhs_dst).reshape(gdst.shape)
-        parts = [(rhs, x[:, :c]), (rhs_dst, dst)]
+        parts.append((rhs_dst, dst))
     wg = reader_weight_grads(parts, kpred[1].shape[-2], gate is not None)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gate is not None:

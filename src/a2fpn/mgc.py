@@ -7,7 +7,10 @@ as a residual enrichment.  All attention uses the scaled cosine
 similarity compatibility: keys are L2-normalized, queries are not, and
 the softmax always runs over the key axis.  The backwards of collection
 and distribution route the embedding and query gradients through the
-context columns, so neither is built at c × h·w.
+context columns, so neither is built at c × h·w, and the forwards cache
+neither the embedding φ·fm nor the queries θ·fm: each cache keeps the
+flattened map (a view of the level), the attention map and the small
+per-column arrays the backward reads.
 
 Feature maps are one image (c, h, w) or a batch (n, c, h, w).  Context
 banks, graph layers and attention maps are then per image, with the same
@@ -113,13 +116,16 @@ def _flat(fdata):
 
 
 def collect_context_fwd(fdata, psi, phi):
-    """Pool the h·w positions of each feature map into n_i context columns."""
+    """Pool the h·w positions of each feature map into n_i context columns.
+
+    The bank is (φ·fm)·attn; the embedding φ·fm (c × h·w) is not cached,
+    since the backward never reads it.
+    """
     c_i = fdata.shape[-3]
     fm = _flat(fdata)
     attn, cf_cache = compatibility_fwd(psi, fm, c_i)  # (hw × n_i)
-    emb = phi @ fm
-    bank = emb @ attn
-    return bank, (fdata.shape, fm, attn, emb, phi, cf_cache)
+    bank = (phi @ fm) @ attn
+    return bank, (fdata.shape, fm, attn, phi, cf_cache)
 
 
 def collect_context_bwd(cache, gbank):
@@ -130,7 +136,7 @@ def collect_context_bwd(cache, gbank):
     is fmᵀ·g, gφ = gbank·(fm·attn)ᵀ, and the map's gradient gains g·attnᵀ,
     all through the n_i context columns.
     """
-    shape, fm, attn, _, phi, cf_cache = cache
+    shape, fm, attn, phi, cf_cache = cache
     gcol = phi.T @ gbank  # (c_i × n_i)
     gpsi, gfm = compatibility_bwd(cf_cache, _t(fm) @ gcol)
     gphi = gbank @ _t(fm @ attn)
@@ -208,15 +214,20 @@ def reason_multilevel_bwd(cache, gfused):
 # ---------------------------------------------------------------------------
 
 def distribute_context_fwd(fdata, fused, theta, xi, out_weight):
-    """Attend each position to the fused bank, add a residual projection."""
+    """Attend each position to the fused bank, add a residual projection.
+
+    The queries q = θ·fm (c × h·w) are cached neither here nor in the
+    compatibility cache, whose query slot is None: the backward reaches
+    them only through θ and fm.
+    """
     h, w = fdata.shape[-2:]
     c = fused.shape[-2]
     fm = _flat(fdata)
-    q = theta @ fm  # (c × hw)
-    attn, cf_cache = compatibility_fwd(_t(q), fused, c)  # (n × hw)
+    attn, cf_cache = compatibility_fwd(_t(theta @ fm), fused, c)  # (n × hw)
+    cf_cache = (None,) + cf_cache[1:]
     ctx = out_weight @ fused  # (c × n)
     out = (ctx @ attn + xi @ fm).reshape(fdata.shape[:-3] + (c, h, w))
-    return out, (fdata.shape, fm, q, attn, ctx, fused, theta, xi, out_weight, cf_cache)
+    return out, (fdata.shape, fm, attn, ctx, fused, theta, xi, out_weight, cf_cache)
 
 
 def distribute_context_bwd(cache, gout):
@@ -228,7 +239,7 @@ def distribute_context_bwd(cache, gout):
     q·gs as θ·(fm·gs), and the map's gradient (θᵀ·k̂)·gsᵀ + ξᵀ·go routes
     through the n columns.
     """
-    shape, fm, _, attn, ctx, fused, theta, xi, out_weight, cf_cache = cache
+    shape, fm, attn, ctx, fused, theta, xi, out_weight, cf_cache = cache
     _, khat, n_cache, _, _ = cf_cache
     go = _flat(gout)
     gctx = go @ _t(attn)

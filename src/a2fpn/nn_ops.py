@@ -18,7 +18,10 @@ conv's per-image shape alone:
   The tiles are transformed and multiplied image by image, in blocks of
   tile rows sized by ``_BLOCK_BYTES`` (2 MB), so no im2col matrix and no
   full transformed input is built.  The backward recomputes the
-  transformed kernels and, block by block, the input transform.
+  transformed kernels and, block by block, the input transform, and
+  accumulates the kernel gradient one tile position at a time, so beyond
+  the transformed kernels, their gradient and the conv's gradients it
+  holds about two blocks.
 * Their forward takes Winograd only from ``_WINOGRAD_FWD_MIN_SIZE`` (2²⁹)
   up, in the neck the c=256 convs at 128².  Below it the forward stays on
   im2col, so that a 256² input keeps the f32 rounding the committed
@@ -31,13 +34,16 @@ conv's per-image shape alone:
   rows, in one reused L2-sized buffer, each block one GEMM into the output
   (Chetlur et al., arXiv 1410.0759); a smaller one is one GEMM over all n
   images, and for 1×1 stride-1 convs of one image it is a view of the
-  input.  Its backward builds the whole matrix again: its weight gradient
-  is one GEMM with those columns; its input gradient
-  takes one of two routes, picked by ``_use_gather`` from the shapes:
-  gather, s² stride-1 correlations of gy with the flipped, transposed
-  kernel (a transposed convolution, one im2col and GEMM per input phase),
-  or fold, the column gradient folded into the padded input one strided
-  slice-add per tap.
+  input.  Its backward builds the columns again, whole or in row blocks
+  through one reused buffer (whole unless the columns exceed a block by
+  more than the weight gradient, whose blocked sum needs a scratch of its
+  size): its weight gradient is one GEMM per block, summed; its input
+  gradient takes one of two routes, picked by ``_use_gather`` from the
+  shapes: gather, s² stride-1 correlations of gy with the flipped,
+  transposed kernel (a transposed convolution, one im2col and GEMM per
+  input phase; at stride 1 the columns of gy are streamed in row blocks
+  like the forward's), or fold, the column gradient folded into the padded
+  input one strided slice-add per tap.
 
 Every conv caches its padded input, not its column matrix: the backward
 builds the columns again, so a batch's forward caches stay about the size
@@ -121,13 +127,15 @@ _WINOGRAD_MIN_SIZE = 1 << 25
 # both directions use _WINOGRAD_MIN_SIZE, once the digests are mended.
 _WINOGRAD_FWD_MIN_SIZE = 1 << 29
 # Size cap on one row block: of transformed Winograd tiles (the larger of the
-# input and output transforms), of an im2col forward's column matrix, and of
-# reassemble_up's unfolded source (fusion._unfold_rows).
+# input and output transforms), of an im2col conv's column matrix (of x in the
+# forward and for the weight gradient, of gy for a stride-1 gathered input
+# gradient), and of reassemble_up's unfolded source (fusion._unfold_rows).
 # About L2-sized, so a block streams through cache rather than DRAM.  BLAS
 # does not promise a GEMM the same bits when it is split into column blocks,
 # so the cap moves f32 rounding: at 1 MB the infer-512 outputs and the
-# fwdbwd-256 gradients differ from those at 2 MB, where every output and
-# gradient of the three perfbench workloads keeps its unblocked bits.
+# fwdbwd-256 gradients differ from those at 2 MB, where every output of the
+# three perfbench workloads keeps its unblocked bits.  A blocked weight
+# gradient is a sum over blocks, so it rounds unlike one GEMM over all columns.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -199,10 +207,11 @@ def _winograd_fwd(p: ConvParams, x):
     transformed, V = Bᵀ d B (16, cin, tiles), from strided views of the
     padded input; M = U @ V runs as one batched matmul over the 16 tile
     positions; and Y = (Aᵀ⊗Aᵀ) M is written straight into the output's 2×2
-    tiles.  Odd output extents are padded to whole tiles and cropped.  The
-    bias is added to M at tile position (1, 1), which Aᵀ·A sends to all four
-    outputs.  The cache is (p, x.shape, xp), xp the padded (n, cin, ·, ·)
-    input; the backward recomputes U and V.
+    tiles, one strided copy per output phase.  Odd output extents are
+    padded to whole tiles and cropped.  The bias is added to M at tile
+    position (1, 1), which Aᵀ·A sends to all four outputs.  The cache is
+    (p, x.shape, xp), xp the padded (n, cin, ·, ·) input; the backward
+    recomputes U and V.
     """
     cout, cin = p.weight.shape[:2]
     h, w = x.shape[-2:]
@@ -221,7 +230,10 @@ def _winograd_fwd(p: ConvParams, x):
             if p.bias is not None:
                 m[5] += p.bias[:, None]
             y = (aa @ m.reshape(16, -1)).reshape(2, 2, cout, n, tw)
-            outi[:, ty0 : ty0 + n] = y.transpose(2, 3, 0, 4, 1)
+            o = outi[:, ty0 : ty0 + n]
+            for dy in range(2):  # one copy per output phase, each with rows of tw values
+                for dx in range(2):
+                    o[:, :, dy, :, dx] = y[dy, dx]
     y = out.reshape(xp.shape[0], cout, 2 * th, 2 * tw)
     if (h_out, w_out) != (2 * th, 2 * tw):
         y = np.ascontiguousarray(y[:, :, :h_out, :w_out])
@@ -233,11 +245,17 @@ def _winograd_bwd(cache, gy):
 
     The cache is (p, x.shape, xp), with xp the batch padded as _winograd_pad
     pads it; it may come from either forward path.  U is recomputed from
-    p.weight.  Per block, gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed
-    from xp, and gV = Uᵀ gM.  gV goes back through the input transform,
-    gd = (B⊗B) gV, and the overlapping 4×4 tiles of gd fold into the
-    padded-input gradient with one strided slice-add per tile position.
-    Finally gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU, summed over images.
+    p.weight.  Per block, gY is gathered one output phase at a time and
+    gM = (A⊗A) gY; then gU += gM Vᵀ, with V recomputed from xp, and
+    gV = Uᵀ gM.  gV goes back through the input transform, gd = (B⊗B) gV,
+    and the overlapping 4×4 tiles of gd fold into the padded-input gradient
+    with one strided slice-add per tile position.  Finally
+    gw = Gᵀ (Σ gM Vᵀ) G, taken as (G⊗G)ᵀ gU, summed over images.
+
+    The working set beyond U, gU and the gradients stays about two blocks:
+    gU accumulates one tile position at a time through one (cout, cin)
+    scratch, and each block's gY, gM, V, gV and gd is released as soon as
+    it has been read.
     """
     p, x_shape, xp = cache
     h, w = x_shape[-2:]
@@ -255,21 +273,32 @@ def _winograd_bwd(cache, gy):
     aa_t = _WINO_AA.T.astype(dt)
     bb_t = _WINO_BB.T.astype(dt)
     gu = np.zeros((16, cout, cin), dtype=dt)
-    gu_block = np.empty_like(gu)  # each block's gM Vᵀ, before it is added into gU
+    gu_xi = np.empty((cout, cin), dtype=dt)  # one tile position's gM Vᵀ, before it is added into gU
     gxp = np.zeros(xp.shape, dtype=dt)
     rows = _winograd_rows(cin, cout, tw, np.dtype(dt).itemsize)
     for xpi, gyti, gxpi in zip(xp, gyt, gxp):
         for ty0 in range(0, th, rows):
             n = min(rows, th - ty0)
-            g = np.ascontiguousarray(gyti[:, ty0 : ty0 + n].transpose(2, 4, 0, 1, 3), dtype=dt)
+            g = np.empty((2, 2, cout, n, tw), dtype=dt)
+            o = gyti[:, ty0 : ty0 + n]
+            for dy in range(2):  # one copy per output phase, as the forward scatters them
+                for dx in range(2):
+                    g[dy, dx] = o[:, :, dy, :, dx]
             gm = (aa_t @ g.reshape(4, -1)).reshape(16, cout, n * tw)
-            gu += np.matmul(gm, _winograd_input(xpi, ty0, n, tw, dt).swapaxes(1, 2), out=gu_block)
+            del g
+            v = _winograd_input(xpi, ty0, n, tw, dt)
+            for xi in range(16):
+                gu[xi] += np.matmul(gm[xi], v[xi].T, out=gu_xi)
+            del v
             gv = np.matmul(u.swapaxes(1, 2), gm)
+            del gm
             gd = (bb_t @ gv.reshape(16, -1)).reshape(4, 4, cin, n, tw)
+            del gv
             for a in range(4):
                 for b in range(4):
                     gxpi[:, 2 * ty0 + a : 2 * (ty0 + n) + a : 2, b : 2 * tw + b : 2] += gd[a, b]
-    del gu_block
+            del gd
+    del gu_xi
     gw = (_WINO_GG.T.astype(dt) @ gu.reshape(16, cout * cin)).T.reshape(p.weight.shape)
     gx = gxp[:, :, pad : pad + h, pad : pad + w]
     return (gx if gy.ndim == 4 else gx[0]), gw, gb
@@ -306,25 +335,59 @@ def _im2col(xp, kh, kw, stride, h_out, w_out, origin=(0, 0)):
     return cols.reshape(cin * kh * kw, n * h_out * w_out)
 
 
-def _im2col_rows(wm, xp, k, stride, h_out, w_out, rows):
-    """wm @ the column matrix of xp, as an (n, cout, h_out·w_out) array, built
-    image by image in blocks of `rows` output rows.
+def _block_rows(kk, w_out, itemsize):
+    """Output rows per column block of an im2col with kk rows: about _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (kk * w_out * itemsize))
 
-    Each block's columns are copied into one reused buffer, and its GEMM
-    writes straight into the output, so the whole column matrix never exists.
+
+def _whole_columns(k, stride, n, h_out, w_out, rows, spare=0):
+    """True when an im2col conv takes its column matrix whole, in one GEMM:
+    when it is a view (a 1×1 stride-1 conv of one image), or when its
+    n·h_out·w_out columns number at most one block's plus ``spare``.  The
+    weight gradient passes cout: summed over blocks it needs a (cin·k², cout)
+    scratch, so blocking saves memory only beyond that many more columns."""
+    return n * h_out * w_out <= rows * w_out + spare or (k == 1 and stride == 1 and n == 1)
+
+
+def _col_blocks(xp, k, stride, h_out, w_out, rows, origin=(0, 0)):
+    """(i, r0, r1, cols) for image i of the padded batch xp and each block of
+    its output rows r0..r1: cols is that block's (cin·k², (r1 − r0)·w_out)
+    column matrix (origin as in _taps).
+
+    Every block is copied into one reused buffer, so the whole column
+    matrix never exists; a block is valid until the next is made.
     """
-    n = xp.shape[0]
-    kk = wm.shape[1]
-    taps = _taps(xp, k, k, stride, h_out, w_out)
-    y = np.empty((n, wm.shape[0], h_out * w_out), dtype=np.result_type(wm, xp))
+    taps = _taps(xp, k, k, stride, h_out, w_out, origin)
+    kk = taps.shape[0] * k * k
     buf = np.empty(kk * rows * w_out, dtype=xp.dtype)
-    for i in range(n):
+    for i in range(xp.shape[0]):
         for r0 in range(0, h_out, rows):
             r1 = min(r0 + rows, h_out)
             cols = buf[: kk * (r1 - r0) * w_out].reshape(taps.shape[:3] + (r1 - r0, w_out))
             np.copyto(cols, taps[:, :, :, i, r0:r1])
-            np.matmul(wm, cols.reshape(kk, -1), out=y[i, :, r0 * w_out : r1 * w_out])
+            yield i, r0, r1, cols.reshape(kk, -1)
+
+
+def _im2col_rows(wm, xp, k, stride, h_out, w_out, rows, origin=(0, 0)):
+    """wm @ the column matrix of xp, as an (n, cout, h_out·w_out) array, built
+    image by image in blocks of `rows` output rows (_col_blocks), each
+    block's GEMM writing straight into the output."""
+    y = np.empty((xp.shape[0], wm.shape[0], h_out * w_out), dtype=np.result_type(wm, xp))
+    for i, r0, r1, cols in _col_blocks(xp, k, stride, h_out, w_out, rows, origin):
+        np.matmul(wm, cols, out=y[i, :, r0 * w_out : r1 * w_out])
     return y
+
+
+def _gw_rows(xp, gy, k, stride, rows):
+    """The weight gradient's (cin·k², cout) transpose, Σ over the column
+    blocks of xp (_col_blocks) of cols @ gyᵀ, gy's (cout, rows·w_out) block
+    of the same image and output rows."""
+    cout, h_out, w_out = gy.shape[1:]
+    gwt = np.zeros((xp.shape[1] * k * k, cout), dtype=np.result_type(xp, gy))
+    scratch = np.empty_like(gwt)
+    for i, r0, r1, cols in _col_blocks(xp, k, stride, h_out, w_out, rows):
+        gwt += np.matmul(cols, gy[i, :, r0:r1].reshape(cout, -1).T, out=scratch)
+    return gwt
 
 
 def _window(x, y0, x0, hh, ww):
@@ -382,8 +445,8 @@ def conv2d_fwd(p: ConvParams, x):
     else:
         xp = xb
     wm = p.weight.reshape(cout, -1)
-    rows = max(1, _BLOCK_BYTES // (wm.shape[1] * w_out * xp.itemsize))
-    if n * h_out <= rows or (k == 1 and p.stride == 1 and n == 1):
+    rows = _block_rows(wm.shape[1], w_out, xp.itemsize)
+    if _whole_columns(k, p.stride, n, h_out, w_out, rows):
         # one GEMM, its (cout, n·h_out·w_out) result viewed as (n, cout, h_out·w_out)
         y = (wm @ _im2col(xp, k, k, p.stride, h_out, w_out)).reshape(cout, n, -1).swapaxes(0, 1)
     else:
@@ -456,6 +519,9 @@ def _gx_gather(p: ConvParams, x_shape, gy, gyf):
                 cols = gyf  # one tap over all of gy: its columns are gy's own
             else:
                 win, origin = _window(gy, oy, ox, na + ty - 1, nb + tx - 1)
+                rows = _block_rows(wt.shape[1], nb, win.itemsize)
+                if s == 1 and not _whole_columns(k, 1, n, na, nb, rows):  # gx in row blocks, as the forward
+                    return _im2col_rows(wt, win, k, 1, na, nb, rows, origin).reshape(n, cin, na, nb)
                 cols = _im2col(win, ty, tx, 1, na, nb, origin)
             g = (wt @ cols).reshape(cin, n, na, nb).swapaxes(0, 1)
             if s == 1:
@@ -491,13 +557,19 @@ def conv2d_bwd(cache, gy, need_gx=True):
     on gx.  3×3
     stride-1 convs from _WINOGRAD_MIN_SIZE up run by Winograd
     (_winograd_bwd), whichever path their forward took.  Every other conv
-    rebuilds the column matrix from the cached padded input, and gweight is
-    one GEMM over all n·h_out·w_out columns.  Its gx takes one of two
-    routes, chosen by _use_gather from the shapes alone:
+    rebuilds the column matrix from the cached padded input: whole, with
+    gweight one GEMM over all n·h_out·w_out columns, when it is a view or
+    exceeds one _BLOCK_BYTES block by at most gweight's own size (the
+    scratch a blocked sum needs); otherwise image by image in blocks of
+    output rows, with gweight the sum of one GEMM per block (_gw_rows).
+    Its gx takes one of two routes, chosen by _use_gather from the shapes
+    alone:
 
     * gather (_gx_gather): for each of the s² input phases, one im2col of
       gy and one GEMM with the flipped, transposed kernel taps of that
-      phase; nothing is folded.
+      phase; nothing is folded.  At stride 1 (one phase, every tap) gy's
+      columns are built in row blocks by the forward's rule
+      (_im2col_rows), so gx is written block by block.
     * fold (_gx_fold): the column gradient wᵀ·gy, folded into the padded
       input one strided slice-add per kernel tap.  It stays where gather
       loses: cout > cin, where gy's columns outweigh the column gradient,
@@ -514,9 +586,14 @@ def conv2d_bwd(cache, gy, need_gx=True):
     gyb = _lift(gy)
     n, cout, h_out, w_out = gyb.shape
     gyf = gyb.swapaxes(0, 1).reshape(cout, -1)  # a view for one image
-    # the rebuilt column matrix is freed before gx is made
-    # gw as (cols @ gyfᵀ)ᵀ: the faster operand order of the GEMM, and the same bits
-    gw = (_im2col(xp, k, k, p.stride, h_out, w_out) @ gyf.T).T.reshape(p.weight.shape)
+    # gw as (cols @ gyfᵀ)ᵀ, the faster operand order of the GEMM; the columns
+    # are rebuilt whole or in blocks of rows, and freed before gx is made
+    rows = _block_rows(xp.shape[1] * k * k, w_out, xp.itemsize)
+    if _whole_columns(k, p.stride, n, h_out, w_out, rows, spare=cout):
+        gwt = _im2col(xp, k, k, p.stride, h_out, w_out) @ gyf.T
+    else:
+        gwt = _gw_rows(xp, gyb, k, p.stride, rows)
+    gw = gwt.T.reshape(p.weight.shape)
     gb = gyf.sum(axis=1) if p.bias is not None else None
     if not need_gx:
         return None, gw, gb

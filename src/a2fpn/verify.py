@@ -304,10 +304,16 @@ def _reader_builder(part, kind, names, hw, lead=()):
         arrays = {name: rng.standard_normal(lead + (8,) + hw) for name in names}
         arrays.update((k, v) for k, v in p_arrays.items() if k.startswith(part + "."))
 
+        def fwd_input():
+            return concat_channels_fwd(*(arrays[name] for name in names))[0]
+
         def fwd():
-            return fwd_op(concat_channels_fwd(*(arrays[name] for name in names))[0], p)
+            return fwd_op(fwd_input(), p)
 
         def bwd(cache, rs):
+            if part == "gate":  # the gate cache keeps no x: the backward takes xᵀ·gz as a function
+                x = fwd_input().reshape(lead + (16, -1))
+                rs = (*rs, lambda gz: (x.swapaxes(-1, -2) @ gz[..., None])[..., 0])
             (lhs, rhs), pg = bwd_op(cache, *rs)
             grads = {name: (lhs[..., 8 * i : 8 * (i + 1), :] @ rhs).reshape(arrays[name].shape)
                      for i, name in enumerate(names)}

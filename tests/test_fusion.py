@@ -213,11 +213,13 @@ def test_two_sigmoid_gates_are_twice_the_sigmoid_gates(rng):
     for lead in ((), (2,)):
         x = rng.standard_normal(lead + (16, 2, 3))
         ghigh, glow = rng.standard_normal(lead + (8,)), rng.standard_normal(lead + (8,))
+        xt = x.reshape(lead + (16, -1)).swapaxes(-1, -2)
         runs = []
         for act in ("sigmoid", "two_sigmoid"):
             p.gate_act = act
             gates, cache = fusion.channel_gates_fwd(x, p)
-            runs.append((gates, *fusion.channel_gates_bwd(cache, ghigh, glow)))
+            runs.append((gates, *fusion.channel_gates_bwd(cache, ghigh, glow,
+                                                          lambda gz: (xt @ gz[..., None])[..., 0])))
         (gates1, (l1, r1), pg1), (gates2, (l2, r2), pg2) = runs
         for g1, g2 in zip(gates1, gates2):
             assert np.array_equal(g2, 2.0 * g1)
@@ -343,12 +345,17 @@ def _over_images(a, ndim):
     return a.reshape((-1,) + a.shape[a.ndim - ndim:]).sum(axis=0)
 
 
-def _explicit_fuse_bwd(cache, gout):
-    """fuse_bwd with the readers' gradient formed at full width: the explicit
-    Wᵀ·g1 + gz⊗attn + w1ᵀ⊗glogits over every channel of [src; guide], split,
-    its guide half passed through the guide's own adjoint, and the reader
-    weights' gradients taken from the whole input."""
-    up, dst, re, gates, c_guide, c_cat, c_kern, c_re, c_gate, c_sm = cache
+def _explicit_fuse_bwd(cache, gout, src, dst, p, guided):
+    """fuse_bwd with the readers' gradient formed at full width: [src; guide]
+    built here whole, the explicit Wᵀ·g1 + gz⊗attn + w1ᵀ⊗glogits over every
+    channel of it, split, its guide half passed through the guide's own
+    adjoint, and the reader weights' gradients taken from the whole input."""
+    up, _, _, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
+    x, dst = src.data, dst.data
+    if guided:
+        resample_fwd = nn_ops.max_pool2d_fwd if up else nn_ops.bilinear_upsample_fwd
+        x = np.concatenate([x, resample_fwd(dst, p.s)[0]], axis=-3)
+    x = x.reshape(x.shape[:-2] + (-1,))  # the reader input, flat
     gpre, gw_s, gb_s = nn_ops.conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
     if gates is not None:
@@ -356,25 +363,25 @@ def _explicit_fuse_bwd(cache, gout):
         gre, gdst = (hi * gpre, lo * gpre) if up else (lo * gpre, hi * gpre)
         coarse, fine = (re, dst) if up else (dst, re)
         ghigh, glow = (gpre * coarse).sum(axis=(-2, -1)), (gpre * fine).sum(axis=(-2, -1))
-        (glhs, grhs), gate_pg = fusion.channel_gates_bwd(c_gate, ghigh, glow)
+        (glhs, grhs), gate_pg = fusion.channel_gates_bwd(
+            c_gate, ghigh, glow, lambda gz: np.einsum("...cp,...c->...p", x, gz))
         gz, glogits, attn = glhs[..., 1], grhs[..., 0, :], grhs[..., 1, :]
-        assert np.array_equal(attn, c_gate[2])
+        assert np.array_equal(attn, c_gate[0])
     else:
         gre, gdst = gpre, gpre.copy()
     reassemble_bwd = fusion.reassemble_up_bwd if up else fusion.reassemble_down_bwd
     gsrc, gkern = reassemble_bwd(c_re, gre)
     (wt, g1), kpred_pg = fusion.predict_kernels_bwd(c_kern, gkern)
-    w = c_kern[0][0].weight[:, :, 0, 0]
-    x = c_kern[0][2].reshape(g1.shape[:-2] + (w.shape[1], -1))  # the reader input, flat
+    w = p.compressor.weight[:, :, 0, 0]
     gx = np.einsum("mc,...mp->...cp", w, g1)
     if gates is not None:
-        w1 = c_gate[5].gate_w1[0]
+        w1 = p.gate_w1[0]
         gx = gx + gz[..., :, None] * attn[..., None, :] + w1[:, None] * glogits[..., None, :]
         pg["gate.w1.weight"] = _over_images(np.einsum("...p,...cp->...c", glogits, x), 1)[None]
         pg.update(gate_pg)
     c = gsrc.shape[-3]
     gsrc = gsrc + gx[..., :c, :].reshape(gsrc.shape)
-    if c_cat is not None:
+    if guided:
         gguide = gx[..., c:, :].reshape(gsrc.shape)
         gdst = gdst + (nn_ops.max_pool2d_bwd if up else nn_ops.bilinear_upsample_bwd)(c_guide, gguide)
     pg["kpred.compressor.weight"] = _over_images(np.einsum("...mp,...cp->...mc", g1, x), 2)[..., None, None]
@@ -396,7 +403,7 @@ def test_site_backward_equals_the_full_width_reader_gradient(rng, kind, s, guide
     src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
     out, cache = fusion.fuse_fwd(src, dst, p, guided=guided, gated=gated)
     gout = rng.standard_normal(out.data.shape)
-    want = _explicit_fuse_bwd(cache, gout)
+    want = _explicit_fuse_bwd(cache, gout, src, dst, p, guided)
     got = fusion.fuse_bwd(cache, gout)
     npt.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)

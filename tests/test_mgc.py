@@ -203,8 +203,11 @@ def test_distribute_context_bwd_equals_the_full_width_form(rng, c, n, lead):
     out, cache = mgc.distribute_context_fwd(fdata, fused, theta, xi, w_o)
     gout = rng.standard_normal(out.shape)
     got = mgc.distribute_context_bwd(cache, gout)
-    # the c × h·w form: the query gradient gq built in full
-    fm, attn, ctx, cf = cache[1], cache[3], cache[4], cache[9]
+    # the c × h·w form: the query gradient gq built in full, from the queries
+    # q = θ·fm rebuilt here, since the cache keeps none
+    fm, attn, ctx, cf = cache[1], cache[2], cache[3], cache[8]
+    assert cf[0] is None
+    cf = (_t(theta @ fm),) + cf[1:]
     go = gout.reshape(gout.shape[:-2] + (-1,))
     gctx = go @ _t(attn)
     gqt, gkeys = mgc.compatibility_bwd(cf, _t(ctx) @ go)
@@ -229,8 +232,10 @@ def test_collect_context_bwd_equals_the_full_width_form(rng, c, n, lead):
     bank, cache = mgc.collect_context_fwd(fdata, psi, phi)
     gbank = rng.standard_normal(bank.shape)
     got = mgc.collect_context_bwd(cache, gbank)
-    # the c × h·w form: the embedding gradient gemb built in full
-    fm, attn, emb, cf = cache[1], cache[2], cache[3], cache[5]
+    # the c × h·w form: the embedding gradient gemb built in full, from the
+    # embedding emb = φ·fm rebuilt here, since the cache keeps none
+    fm, attn, cf = cache[1], cache[2], cache[4]
+    emb = phi @ fm
     gemb = gbank @ _t(attn)
     assert gemb.shape == lead + (c, 12)
     gpsi, gfm = mgc.compatibility_bwd(cf, _t(emb) @ gbank)

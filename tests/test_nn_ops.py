@@ -71,6 +71,8 @@ BLOCKED_SHAPES = [  # n, cin, cout, k, stride, pad, h, w; every h_out is 7
     (1, 2, 3, 3, 2, 1, 13, 6),
     (2, 2, 3, 3, 2, 1, 14, 6),
     (2, 4, 3, 1, 1, 0, 7, 5),  # a batched 1×1 conv
+    (1, 4, 3, 3, 1, 1, 7, 5),  # cout ≤ cin: gx gathers, stride 1
+    (2, 4, 3, 3, 1, 1, 7, 5),
 ]
 
 
@@ -93,6 +95,37 @@ def test_im2col_row_blocks_match_loop_oracle(monkeypatch, n, cin, cout, k, strid
                             rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,cin,cout,k,stride,pad,h,w", BLOCKED_SHAPES)
+def test_im2col_backward_row_blocks_match_loop_oracle(monkeypatch, n, cin, cout, k, stride, pad, h, w):
+    h_out, w_out = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    # the same cap as the forward's test: gw's columns, and a stride-1
+    # gather's columns of gy, are built in blocks of at most two output rows
+    monkeypatch.setattr(nn_ops, "_BLOCK_BYTES", 2 * cin * k * k * w_out * 8)
+    calls = []
+    _spy(monkeypatch, "_gw_rows", calls)
+    _spy(monkeypatch, "_im2col_rows", calls)
+    rng = np.random.default_rng([n, cin, cout, k, stride, h, 1])
+    x = rng.standard_normal((n, cin, h, w))
+    p = ConvParams(rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout),
+                   stride=stride, padding=pad)
+    y, cache = nn_ops.conv2d_fwd(p, x if n > 1 else x[0])
+    gy = rng.standard_normal(y.shape)
+    calls.clear()
+    gx, gw, gb = nn_ops.conv2d_bwd(cache, gy)
+    gather_rows = (k > 1 and stride == 1
+                   and nn_ops._use_gather(p.weight.shape, stride, n, h_out, w_out))
+    assert calls == ["_gw_rows"] + ["_im2col_rows"] * gather_rows
+    gx, gy = gx.reshape(x.shape), gy.reshape(n, cout, h_out, w_out)
+    want_gw, want_gb = np.zeros_like(p.weight), np.zeros_like(p.bias)
+    for xi, gyi, gxi in zip(x, gy, gx):
+        want = oracles.conv2d_bwd_oracle(p.weight, p.bias, xi, gyi, stride, pad)
+        npt.assert_allclose(gxi, want[0], rtol=0, atol=1e-12)
+        want_gw += want[1]
+        want_gb += want[2]
+    npt.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
+    npt.assert_allclose(gb, want_gb, rtol=0, atol=1e-12)
+
+
 def test_im2col_forward_streams_its_columns(rng):
     # c=256 3×3 at 64², a 37.7 MB column matrix, stays within its maps, the
     # padded input it caches, one column block and 1 MB
@@ -103,6 +136,38 @@ def test_im2col_forward_streams_its_columns(rng):
     xp = cache[2]
     assert xp.shape == (1, 256, 66, 66)
     assert peak <= x.nbytes + xp.nbytes + y.nbytes + nn_ops._BLOCK_BYTES + (1 << 20)
+
+
+def test_im2col_backward_streams_its_columns(rng):
+    # a 64→64 3×3 conv at 64², whose column matrices (of x for gw, of gy for
+    # the gathered gx) are 9.4 MB each, stays within its maps, one column
+    # block and 1 MB
+    x = rng.standard_normal((64, 64, 64)).astype(np.float32)
+    p = ConvParams((rng.standard_normal((64, 64, 3, 3)) / 24).astype(np.float32),
+                   np.zeros(64, np.float32), padding=1)
+    assert not nn_ops._use_winograd(p.weight.shape, 1, 64, 64)
+    y, cache = nn_ops.conv2d_fwd(p, x)
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    (gx, _, _), peak = traced_peak(lambda: nn_ops.conv2d_bwd(cache, gy))
+    assert gx.shape == x.shape
+    assert peak <= x.nbytes + gy.nbytes + gx.nbytes + nn_ops._BLOCK_BYTES + (1 << 20)
+
+
+def test_winograd_backward_works_in_blocks(rng):
+    # c=256 at 32²: beyond U, gU and the gradients, the backward holds about
+    # two blocks of transformed tiles at a time, and no (16, cout, cin)
+    # product per block
+    c, n = 256, 32
+    x = rng.standard_normal((c, n, n)).astype(np.float32)
+    p = ConvParams((rng.standard_normal((c, c, 3, 3)) / 48).astype(np.float32),
+                   np.zeros(c, np.float32), padding=1)
+    assert nn_ops._use_winograd(p.weight.shape, 1, n, n)
+    y, cache = nn_ops.conv2d_fwd(p, x)
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    (gx, gw, _), peak = traced_peak(lambda: nn_ops.conv2d_bwd(cache, gy))
+    u = 16 * c * c * 4  # U, and gU
+    gxp = gx if gx.base is None else gx.base  # gx is a view of the padded gradient
+    assert peak <= 2 * u + gxp.nbytes + gw.nbytes + 2 * nn_ops._BLOCK_BYTES + (1 << 20)
 
 
 @pytest.mark.parametrize("cin,cout,h,w,pad", WINOGRAD_SHAPES)

@@ -407,6 +407,48 @@ def test_backward_drops_the_fusion_caches(rng, arch):
     assert not [k for k in cache if k.startswith(("td.", "bu."))]
 
 
+def _owned_arrays(obj, found):
+    """Every array reachable from obj, through containers and the fields of
+    parameter and level objects, as the array that owns its memory (a
+    cached view keeps it alive), keyed by id."""
+    if isinstance(obj, np.ndarray):
+        owner = obj if obj.base is None else obj.base
+        found[id(owner)] = owner
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _owned_arrays(v, found)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _owned_arrays(v, found)
+    elif hasattr(obj, "__dict__"):
+        _owned_arrays(vars(obj), found)
+    return found
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_training_caches_hold_no_reader_input_queries_or_embeddings(rng, arch):
+    # no backward reads a fusion site's [src; guide] or the context module's
+    # q = θ·fm and emb = φ·fm, so no cache keeps them: no cached array has
+    # 2c channels (no other does at these widths), and none equals a q or
+    # an emb computed here as the forward computes them
+    cfg = small_cfg(arch)
+    store = pyramid.init_params(cfg)
+    levels = small_levels(rng)
+    cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)[1]
+    ignore = {id(a) for a in store.values()} | {id(f.data) for f in levels}
+    cached = [a for key, a in _owned_arrays(cache, {}).items() if key not in ignore]
+    assert len(cached) > 50
+    assert not [a.shape for a in cached if a.ndim >= 3 and a.shape[-3] == 2 * cfg.c]
+    feats = levels if cfg.lite else levels + [pyramid.make_extra_level_fwd(levels[-1], store)[0]]
+    products = []
+    for f in feats:
+        fm = f.data.reshape(f.data.shape[0], -1)
+        names = [f"mgc.l{f.level}.{w}.weight" for w in ("theta", "phi")]
+        products += [store[name] @ fm for name in names if name in store]
+    assert len(products) == len(feats) + 4  # q at every level, emb at levels 2-5
+    assert not [a.shape for a in cached for b in products if a.shape == b.shape and np.array_equal(a, b)]
+
+
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
 def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, arch):
     # when a site's backward runs, the cache holds only the sites still to come
