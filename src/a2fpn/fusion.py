@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn_ops
 from .levels import LevelFeature
@@ -228,16 +227,33 @@ def _row_blocks(n, h, rows):
                 yield i0, i0 + 1, y0, min(y0 + rows, h)
 
 
-def _by_cell(a, s):
-    """(n, m, s·h, s·w) viewed as (n, h, w, m, s, s): the s×s pixels of each coarse cell."""
-    n, m, sh, sw = a.shape
-    return a.reshape(n, m, sh // s, s, sw // s, s).transpose(0, 2, 4, 1, 3, 5)
-
-
 def _kernel_cells(kernels, s):
     """Up-kernels (n, k²·s², h, w) viewed as (n, h, w, k², s²): each coarse cell's kernels."""
     n, _, h, w = kernels.shape
     return kernels.reshape(n, -1, s * s, h, w).transpose(0, 3, 4, 1, 2)
+
+
+def _windows(xpt, k):
+    """View (n, h, w, k, k, c) of the channel-last padded batch xpt with
+    [i, y, x, dy, dx, ci] = xpt[i, y + dy, x + dx, ci]: each cell's k×k window, tap-major.
+
+    An np.ndarray over xpt's own buffer, as nn_ops._taps builds its view;
+    that needs a C-contiguous xpt, so any other is copied first.
+    """
+    if not xpt.flags.c_contiguous:
+        xpt = np.ascontiguousarray(xpt)
+    n, hp, wp, c = xpt.shape
+    sn, sy, sx, sc = xpt.strides
+    return np.ndarray((n, hp - k + 1, wp - k + 1, k, k, c), xpt.dtype, buffer=xpt,
+                      strides=(sn, sy, sx, sy, sx, sc))
+
+
+def _phases(a, s):
+    """(dy, dx, view) for each output phase of a (n, m, s·h, s·w): view is
+    a[:, :, dy::s, dx::s] as (n, m, h, w), in row-major phase order."""
+    n, m, sh, sw = a.shape
+    a6 = a.reshape(n, m, sh // s, s, sw // s, s)
+    return [(dy, dx, a6[:, :, :, dy, :, dx]) for dy in range(s) for dx in range(s)]
 
 
 def _check_cover(src, kernels, fits, what):
@@ -252,11 +268,12 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     Computed as an unfold and a batched GEMM, as in CARAFE (Wang et al.,
     arXiv 1905.02188): the s² outputs of coarse cell (y, x) all read the
     same window, so they are one product U(c×k²) @ K(k²×s²) of the unfolded
-    window and the cell's kernels.  U comes from a sliding_window_view of a
-    channel-last copy of the padded source.  The products run as one stacked
-    matmul per block of coarse rows (whole images while one fits), sized so
-    that the unfolded block stays under nn_ops._BLOCK_BYTES, and each block's
-    products are written straight into the s×s pixels of their cells.
+    window and the cell's kernels.  U is copied from a strided view of the
+    windows (_windows) over a channel-last copy of the zero-padded source.
+    The products run as one stacked matmul per block of coarse rows (whole
+    images while one fits), sized so that the unfolded block stays under
+    nn_ops._BLOCK_BYTES, and each block's products are written into the
+    output one phase (dy, dx) at a time, each copy a run of w values.
     """
     h, w = coarse.shape[-2:]
     k = _tap_count(kernels.shape[-3] // (s * s))
@@ -267,17 +284,19 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     n, c = cb.shape[:2]
     # channel-last, so each unfolded window copies in runs of c contiguous values;
     # the cache holds its channel-first view as the padded source
-    cpt = np.pad(cb.transpose(0, 2, 3, 1), ((0, 0), (r, r), (r, r), (0, 0)))
-    windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
+    cpt = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=coarse.dtype)
+    cpt[:, r : r + h, r : r + w] = cb.transpose(0, 2, 3, 1)
+    windows = _windows(cpt, k)
     kcell = _kernel_cells(kb, s)
     out = np.empty((n, c, s * h, s * w), dtype=coarse.dtype)
-    ocell = _by_cell(out, s)
+    phases = _phases(out, s)
     for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cpt.itemsize)):
-        ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
+        ut = windows[i0:i1, y0:y1].reshape(-1, w, k2, c)
         # copied: the GEMM is ~20% slower on the strided view a block of one image's rows gives
         kt = np.ascontiguousarray(kcell[i0:i1, y0:y1]).reshape(-1, w, k2, s * s)
-        uk = np.matmul(ut.swapaxes(2, 3), kt)
-        ocell[i0:i1, y0:y1] = uk.reshape(i1 - i0, y1 - y0, w, c, s, s)
+        uk = np.matmul(ut.swapaxes(2, 3), kt).reshape(i1 - i0, y1 - y0, w, c, s * s)
+        for dy, dx, o in phases:
+            o[i0:i1, :, y0:y1] = uk[..., dy * s + dx].transpose(0, 3, 1, 2)
     cp = cpt.transpose(0, 3, 1, 2)
     if coarse.ndim == 3:
         out, cp = out[0], cp[0]
@@ -288,9 +307,10 @@ def reassemble_up_bwd(cache, gout):
     """Adjoint of reassemble_up_fwd, by the same unfold and row blocks.
 
     Per block, gK = Uᵀ G and gUᵀ = K Gᵀ, where G holds each cell's s²
-    output gradients; U is unfolded again from the cached padded source
-    rather than cached.  gUᵀ folds into the padded-source gradient with one
-    slice-add per tap.
+    output gradients, gathered from gout one phase at a time as the
+    forward scatters them; U is unfolded again from the cached padded
+    source rather than cached.  gUᵀ folds into the padded-source gradient
+    with one slice-add per tap.
     """
     shape, kernels, cp, s, k, r = cache
     c, h, w = shape[-3:]
@@ -298,17 +318,20 @@ def reassemble_up_bwd(cache, gout):
     kernels = _lift(kernels)
     n = kernels.shape[0]
     cpt = _lift(cp).transpose(0, 2, 3, 1)
-    windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
+    windows = _windows(cpt, k)
     kcell = _kernel_cells(kernels, s)
-    gcell = _by_cell(_lift(gout), s)
+    phases = _phases(_lift(gout), s)
     gkern = np.empty(kernels.shape, dtype=kernels.dtype)  # C order, so _kernel_cells is a view
     gkcell = _kernel_cells(gkern, s)
     gcpt = np.zeros(cpt.shape, dtype=cp.dtype)
     for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cp.itemsize)):
         ni, ny = i1 - i0, y1 - y0
-        g = gcell[i0:i1, y0:y1].reshape(-1, w, c, s * s)
+        g = np.empty((ni, ny, w, c, s * s), dtype=gout.dtype)
+        for dy, dx, o in phases:
+            g[..., dy * s + dx] = o[i0:i1, :, y0:y1].transpose(0, 2, 3, 1)
+        g = g.reshape(-1, w, c, s * s)
         # the unfolded block is freed before gUᵀ, of its size, is made
-        ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
+        ut = windows[i0:i1, y0:y1].reshape(-1, w, k2, c)
         gkcell[i0:i1, y0:y1] = np.matmul(ut, g).reshape(ni, ny, w, k2, s * s)
         del ut
         kt = np.ascontiguousarray(kcell[i0:i1, y0:y1]).reshape(-1, w, k2, s * s)
@@ -407,7 +430,7 @@ def reassemble_down_bwd(cache, gout):
         for t in range(k * k):
             dy, dx = divmod(t, k)
             np.multiply(go, _tap_view(block, dy, dx, s, h, w), out=pb)
-            gkern[..., t, :, :] += np.sum(pb, axis=-3, out=gk_t)
+            gkern[..., t, :, :] += pb.sum(axis=-3, out=gk_t)
             np.multiply(kernels[..., t, None, :, :], go, out=pb)
             _tap_view(gplanes, dy, dx, s, h, w)[...] += pb
         for t, gplane in enumerate(gplanes):
@@ -475,7 +498,9 @@ def channel_gates_bwd(cache, ghigh, glow, x_t):
     gw2 = _outer_sum(gh1, z)
     gz = _mv(p.gate_w2.T, gh1)
     glogits = softmax_bwd(c_soft, x_t(gz))
-    lhs = np.stack(np.broadcast_arrays(p.gate_w1[0], gz), axis=-1)
+    lhs = np.empty(gz.shape + (2,), dtype=np.result_type(p.gate_w1, gz))
+    lhs[..., 0] = p.gate_w1[0]
+    lhs[..., 1] = gz
     pg = {
         "gate.w2.weight": gw2,
         "gate.w3.weight": gw3,
@@ -507,9 +532,12 @@ def _channel_sum(a, v):
 def _join(a, b):
     """One factor pair of the sum a[0] @ a[1] + b[0] @ b[1]: the lhs side by
     side, broadcast to the images of the rhs, and the rhs stacked."""
-    lead = a[1].shape[:-2]
-    lhs = np.concatenate([np.broadcast_to(f[0], lead + f[0].shape[-2:]) for f in (a, b)], axis=-1)
-    return lhs, np.concatenate([a[1], b[1]], axis=-2)
+    (la, ra), (lb, rb) = a, b
+    ka = la.shape[-1]
+    lhs = np.empty(ra.shape[:-2] + (la.shape[-2], ka + lb.shape[-1]), dtype=np.result_type(la, lb))
+    lhs[..., :ka] = la
+    lhs[..., ka:] = lb
+    return lhs, np.concatenate([ra, rb], axis=-2)
 
 
 def reader_weight_grads(parts, c_m, gated):
@@ -589,10 +617,11 @@ def fuse_bwd(cache, gout):
     (predict_kernels_bwd, channel_gates_bwd).  It is never formed at x's
     width.  Its source half lhs[:c] @ rhs adds into gsrc.  Going up, the
     guide half lhs[c:] @ rhs goes through the max pool's adjoint on the
-    coarse grid.  Going down, the guide is the bilinear ×s resize up(dst),
-    which acts on each channel alike, so its adjoint up* moves onto the
-    c_m + 2 rows of rhs: the guide half reaches dst as lhs[c:] @ up*(rhs),
-    on dst's grid.  The weights that read x split the same way
+    coarse grid, which adds into gdst one pooling phase at a time, with no
+    fine-grid temporary.  Going down, the guide is the bilinear ×s resize
+    up(dst), which acts on each channel alike, so its adjoint up* moves onto
+    the c_m + 2 rows of rhs: the guide half reaches dst as
+    lhs[c:] @ up*(rhs), on dst's grid.  The weights that read x split the same way
     (reader_weight_grads).  The gate cotangents are one dot product per
     channel, with no product map, and the reassembly's gradient then takes
     the smoothed sum's gradient buffer in place, so a gated site holds two
@@ -636,7 +665,7 @@ def fuse_bwd(cache, gout):
     gsrc += (lhs[..., :c, :] @ rhs).reshape(gsrc.shape)
     parts = [(rhs, src)]
     if c_guide is not None and up:
-        gdst += max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape))
+        max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape), into=gdst)
         parts.append((rhs, guide))
     elif c_guide is not None:
         rhs_dst = _flat(bilinear_upsample_bwd(c_guide, rhs.reshape(rhs.shape[:-1] + gsrc.shape[-2:])))

@@ -88,7 +88,8 @@ def compatibility_fwd(queries, keys, scale_dim):
         raise ValueError("scale_dim must equal the shared feature dimension")
     khat, n_cache = l2_normalize_fwd(keys, axis=-2)
     scale = math.sqrt(scale_dim)
-    scores = scale * (queries @ khat)
+    scores = queries @ khat
+    scores *= scale
     probs, s_cache = softmax_fwd(scores, axis=-1)
     return _t(probs), (queries, khat, n_cache, s_cache, scale)
 
@@ -155,7 +156,7 @@ def orthogonal_reg(store, lambda_o):
     for name, psi in store.items():
         if name.startswith("mgc.l") and name.endswith(".psi.weight"):
             d = psi @ psi.T - np.eye(psi.shape[0], dtype=psi.dtype)
-            total += float(np.sum(d * d))
+            total += float((d * d).sum())
             grads[name] = (4.0 * lambda_o) * (d @ psi)
     return lambda_o * total, grads
 

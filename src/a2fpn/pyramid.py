@@ -258,11 +258,8 @@ def param_shapes(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=F
         shapes.update(mgc.param_shapes(c, {
             lvl: (c, None) if lvl == 6 else (spec.channels_of(lvl), cfg.n_context(lvl))
             for lvl in range(2, cfg.top_level + 1)}))
-        for prefix, src, dst, k in _sites(cfg):
-            if prefix == "bu.l3" and not cfg.lite:  # stored between the two chains
-                shapes.update(_conv_shapes("bu.l2.smooth", c, c, 3))
-            site = fusion.site_shapes(c, cfg.c_m, k, cfg.k_en, src > dst)
-            shapes.update((f"{prefix}.{name}", shape) for name, shape in site.items())
+        for _, stage in _stage_shapes(cfg):
+            shapes.update(stage)
     if with_head:
         shapes.update(_conv_shapes("head", 1, c, 1))
     return shapes
@@ -413,6 +410,17 @@ def _sites(cfg):
             + [(f"bu.l{lvl}", lvl - 1, lvl, cfg.k_dn) for lvl in range(3, top + 1)])
 
 
+def _stage_shapes(cfg):
+    """(prefix, {name: shape}) of each neck stage after the context stage, in
+    store order: every fusion site, and bu.l2.smooth (full neck only),
+    stored between the two chains."""
+    for prefix, src, dst, k in _sites(cfg):
+        if prefix == "bu.l3" and not cfg.lite:
+            yield "bu.l2.smooth", _conv_shapes("bu.l2.smooth", cfg.c, cfg.c, 3)
+        site = fusion.site_shapes(cfg.c, cfg.c_m, k, cfg.k_en, src > dst)
+        yield prefix, {f"{prefix}.{name}": shape for name, shape in site.items()}
+
+
 class _Discard(dict):
     """A stage cache that stores nothing, so each stage's cache is freed as it returns."""
 
@@ -496,8 +504,7 @@ def forward_a2fpn_bwd(cache, gouts):
     if got != reads:
         raise ValueError(f"the forward read levels {reads}, but levels {got} have gradients")
     top = cfg.top_level
-    stages = [prefix for prefix, *_ in _sites(cfg)] + ([] if cfg.lite else ["bu.l2.smooth"])
-    skipped = tuple(f"{prefix}." for prefix in stages if prefix not in cache)
+    skipped = [shapes for prefix, shapes in _stage_shapes(cfg) if prefix not in cache]
     pg = {}
 
     gin = dict(zip(OUTPUT_LEVELS, gouts))
@@ -517,8 +524,9 @@ def forward_a2fpn_bwd(cache, gouts):
 
     gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], list(g.values()))
     pg.update(local)
-    pg.update((name, np.zeros(shape, cfg.np_dtype)) for name, shape in param_shapes(cfg).items()
-              if name.startswith(skipped))
+    dt = cfg.np_dtype
+    for shapes in skipped:
+        pg.update((name, np.zeros(shape, dt)) for name, shape in shapes.items())
 
     glevels = {lvl: gfeats[lvl] for lvl in (2, 3, 4, 5)}
     if not cfg.lite:

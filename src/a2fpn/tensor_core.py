@@ -9,7 +9,10 @@ everyone but its own backward.
 
 Ops reduce over the axes they are given, so leading batch axes pass
 through; a parameter shared by the images of a batch takes the sum of
-their gradients (``sum_batch``).
+their gradients (``sum_batch``).  Reductions are ndarray methods
+(``t.sum(axis=...)``): the same ufunc reduction as ``np.sum`` without its
+Python-level wrapper, which costs more than the reduction itself on the
+small arrays of the toy training step.
 """
 
 from __future__ import annotations
@@ -42,17 +45,21 @@ def sum_batch(g, ndim):
 # ---------------------------------------------------------------------------
 
 def softmax_fwd(t, axis):
-    """Stable softmax along ``axis``; slices along the axis sum to 1."""
-    shifted = t - np.max(t, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    return y, (y, axis)
+    """Stable softmax along ``axis``; slices along the axis sum to 1.
+
+    exp(t − max) and its division by the sum are taken in place in one
+    new buffer; t is not written.
+    """
+    e = t - t.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e, (e, axis)
 
 
 def softmax_bwd(cache, gy):
     y, axis = cache
     # dL/dx = y * (g - sum(g * y)) along the softmax axis
-    inner = np.sum(gy * y, axis=axis, keepdims=True)
+    inner = (gy * y).sum(axis=axis, keepdims=True)
     return y * (gy - inner)
 
 
@@ -62,7 +69,7 @@ def softmax_bwd(cache, gy):
 
 def l2_normalize_fwd(t, axis):
     """Divide each slice along ``axis`` by max(its L2 norm, L2_EPS)."""
-    norm = np.sqrt(np.sum(t * t, axis=axis, keepdims=True))
+    norm = np.sqrt((t * t).sum(axis=axis, keepdims=True))
     denom = np.maximum(norm, L2_EPS)
     y = t / denom
     return y, (t, denom, norm >= L2_EPS, axis)
@@ -72,7 +79,7 @@ def l2_normalize_bwd(cache, gy):
     t, denom, active, axis = cache
     # active slices: d(x/|x|) = g/|x| - x (x.g)/|x|^3; clamped slices are x/eps
     g = gy / denom
-    proj = np.sum(gy * t, axis=axis, keepdims=True) / (denom ** 3)
+    proj = (gy * t).sum(axis=axis, keepdims=True) / (denom ** 3)
     return np.where(active, g - t * proj, g)
 
 
@@ -113,8 +120,8 @@ def layer_norm_fwd(t, gain, shift):
     """
     if gain.shape != (t.shape[-1],) or shift.shape != (t.shape[-1],):
         raise ValueError("gain/shift must be vectors matching the last axis")
-    mu = np.mean(t, axis=-1, keepdims=True)
-    var = np.mean((t - mu) ** 2, axis=-1, keepdims=True)
+    mu = t.mean(axis=-1, keepdims=True)
+    var = ((t - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (t - mu) * inv
     return xhat * gain + shift, (xhat, inv, gain)
@@ -123,11 +130,11 @@ def layer_norm_fwd(t, gain, shift):
 def layer_norm_bwd(cache, gy):
     xhat, inv, gain = cache
     gxhat = gy * gain
-    m1 = np.mean(gxhat, axis=-1, keepdims=True)
-    m2 = np.mean(gxhat * xhat, axis=-1, keepdims=True)
+    m1 = gxhat.mean(axis=-1, keepdims=True)
+    m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
     gx = inv * (gxhat - m1 - xhat * m2)
     # gain/shift are shared over leading axes, so fold those into the sum
     lead = tuple(range(xhat.ndim - 1))
-    ggain = np.sum(gy * xhat, axis=lead)
-    gshift = np.sum(gy, axis=lead)
+    ggain = (gy * xhat).sum(axis=lead)
+    gshift = gy.sum(axis=lead)
     return gx, ggain, gshift

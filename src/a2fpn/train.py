@@ -238,7 +238,7 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     if store is None:
         store = init_params(cfg, with_backbone=True, with_head=True)
     images, masks = synth_shapes(cfg) if data is None else data
-    velocity = {k: np.zeros_like(v) for k, v in store.items()}
+    velocity = {k: np.zeros(v.shape, v.dtype) for k, v in store.items()}
     report = TrainReport(arch=cfg.arch, steps=steps, lr=lr, seed=cfg.seed)
 
     for step in range(steps + 1):

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from a2fpn import fusion, nn_ops, oracles, pyramid, tensor_core as tc
 from a2fpn.levels import LevelFeature
@@ -74,6 +75,81 @@ def test_reassemble_up_row_blocks_match_loop_oracles(monkeypatch, c, h, w, k, s)
     npt.assert_allclose(gc, want_gc, rtol=0, atol=1e-12)
     npt.assert_allclose(oracles.pixel_shuffle_oracle(gk, s), want_gk, rtol=0, atol=1e-12)
 
+
+def _reassemble_up_by_cells(coarse, kernels, s, k):
+    """reassemble_up_fwd/bwd's arithmetic with np.pad, sliding_window_view and
+    one 6-axis copy between each block and the cells' s×s pixels: the same
+    GEMMs on the same operands, so the same bits as the phase copies."""
+    r, k2 = (k - 1) // 2, k * k
+    cb, kb = nn_ops._lift(coarse), nn_ops._lift(kernels)
+    n, c, h, w = cb.shape
+    cpt = np.pad(cb.transpose(0, 2, 3, 1), ((0, 0), (r, r), (r, r), (0, 0)))
+    windows = sliding_window_view(cpt, (k, k), axis=(1, 2))
+    kcell = fusion._kernel_cells(kb, s)
+    out = np.empty((n, c, s * h, s * w), dtype=coarse.dtype)
+    ocell = out.reshape(n, c, h, s, w, s).transpose(0, 2, 4, 1, 3, 5)
+    blocks = list(fusion._row_blocks(n, h, fusion._unfold_rows(w, c, k2, cpt.itemsize)))
+    for i0, i1, y0, y1 in blocks:
+        ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
+        kt = np.ascontiguousarray(kcell[i0:i1, y0:y1]).reshape(-1, w, k2, s * s)
+        ocell[i0:i1, y0:y1] = np.matmul(ut.swapaxes(2, 3), kt).reshape(i1 - i0, y1 - y0, w, c, s, s)
+
+    def bwd(gout):
+        gcell = nn_ops._lift(gout).reshape(n, c, h, s, w, s).transpose(0, 2, 4, 1, 3, 5)
+        gkern = np.empty(kb.shape, dtype=kb.dtype)
+        gkcell = fusion._kernel_cells(gkern, s)
+        gcpt = np.zeros(cpt.shape, dtype=cpt.dtype)
+        for i0, i1, y0, y1 in blocks:
+            ni, ny = i1 - i0, y1 - y0
+            g = gcell[i0:i1, y0:y1].reshape(-1, w, c, s * s)
+            ut = windows[i0:i1, y0:y1].transpose(0, 1, 2, 4, 5, 3).reshape(-1, w, k2, c)
+            gkcell[i0:i1, y0:y1] = np.matmul(ut, g).reshape(ni, ny, w, k2, s * s)
+            kt = np.ascontiguousarray(kcell[i0:i1, y0:y1]).reshape(-1, w, k2, s * s)
+            gut = np.matmul(kt, g.swapaxes(2, 3)).reshape(ni, ny, w, k2, c)
+            for t in range(k2):
+                dy, dx = divmod(t, k)
+                gcpt[i0:i1, y0 + dy : y0 + dy + ny, dx : dx + w] += gut[:, :, :, t]
+        gc = np.ascontiguousarray(gcpt[:, r : r + h, r : r + w].transpose(0, 3, 1, 2))
+        return (gc, gkern) if coarse.ndim == 4 else (gc[0], gkern[0])
+
+    return (out if coarse.ndim == 4 else out[0]), bwd
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("two_row_blocks", [False, True])
+def test_reassemble_up_phase_copies_keep_the_cell_copy_bits(monkeypatch, dtype, n, s, k,
+                                                            two_row_blocks):
+    c, h, w = 3, 5, 4
+    if two_row_blocks:  # blocks of rows of one image, the last one short
+        monkeypatch.setattr(nn_ops, "_BLOCK_BYTES", 2 * w * c * k * k * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng([n, s, k, two_row_blocks])
+    lead = (n,) if n > 1 else ()  # one image runs as (c, h, w)
+    coarse = rng.standard_normal(lead + (c, h, w)).astype(dtype)
+    # unnormalized, so at k = 1 too each phase has kernels of its own
+    kern = rng.standard_normal(lead + (k * k * s * s, h, w)).astype(dtype)
+    gout = rng.standard_normal(lead + (c, s * h, s * w)).astype(dtype)
+    out, cache = fusion.reassemble_up_fwd(coarse, kern, s)
+    want_out, want_bwd = _reassemble_up_by_cells(coarse, kern, s, k)
+    assert out.dtype == dtype
+    npt.assert_array_equal(out, want_out)
+    for got, want in zip(fusion.reassemble_up_bwd(cache, gout), want_bwd(gout)):
+        assert got.dtype == dtype
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape,k", [((1, 5, 4, 3), 3), ((2, 7, 9, 2), 5), ((3, 4, 4, 1), 1),
+                                     ((1, 5, 5, 4), 5)])
+def test_window_view_equals_sliding_window_view(rng, shape, k):
+    xpt = rng.standard_normal(shape)
+    want = sliding_window_view(xpt, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    npt.assert_array_equal(fusion._windows(xpt, k), want)
+    # a strided batch is copied first
+    wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    want = sliding_window_view(wide, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    npt.assert_array_equal(fusion._windows(wide, k), want)
 
 
 @pytest.mark.parametrize("k,s", [

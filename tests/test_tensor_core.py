@@ -25,6 +25,20 @@ def test_softmax_is_shift_stable():
     npt.assert_allclose(y.sum(), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [0, -1, -3])
+def test_softmax_in_one_buffer_keeps_the_three_temporary_bits(rng, dtype, axis):
+    t = (3 * rng.standard_normal((4, 5, 6, 7))).astype(dtype)
+    before = t.copy()
+    shifted = t - np.max(t, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    want = e / np.sum(e, axis=axis, keepdims=True)
+    y, (cached, cached_axis) = tc.softmax_fwd(t, axis)
+    assert y.dtype == dtype and cached is y and cached_axis == axis
+    npt.assert_array_equal(y, want)
+    npt.assert_array_equal(t, before)  # the input is never written
+
+
 def test_l2_normalize_columns_unit_norm(rng):
     t = rng.standard_normal((4, 6)) + 0.1
     y = tc.l2_normalize_fwd(t, axis=0)[0]

@@ -1,10 +1,15 @@
 import dataclasses
+import inspect
+import os
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from a2fpn import fusion, nn_ops, pyramid, train
+import a2fpn
+from a2fpn import fusion, nn_ops, pyramid, train, verify
 from a2fpn.pyramid import init_params
 from a2fpn.train import TrainReport, synth_shapes, toy_train_config, train_toy, write_loss_csv
 
@@ -204,6 +209,50 @@ def test_training_passes_reject_a_single_image():
     for fn in (train.batch_pass, train._objective):
         with pytest.raises(ValueError, match="the head takes a batch"):
             fn(images[0], masks[0], store, cfg)
+
+
+# numpy's Python-level helpers that cost more than their work on the toy
+# step's small arrays: np.pad, sliding_window_view, and the wrapper that
+# np.sum, np.max and the other fromnumeric reductions go through
+_SLOW_HELPERS = {
+    inspect.unwrap(np.pad).__code__: "np.pad",
+    inspect.unwrap(sliding_window_view).__code__: "sliding_window_view",
+    inspect.unwrap(np.sum).__globals__["_wrapreduction"].__code__: "fromnumeric._wrapreduction",
+}
+
+
+def _slow_helper_calls(fn):
+    """(helper, package function) for each call of a _SLOW_HELPERS entry
+    that package code makes, directly or through other numpy code, while fn runs."""
+    pkg, npdir = os.path.dirname(a2fpn.__file__), os.path.dirname(np.__file__)
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in _SLOW_HELPERS:
+            caller = frame.f_back
+            while caller is not None and caller.f_code.co_filename.startswith(npdir):
+                caller = caller.f_back
+            if caller is not None and caller.f_code.co_filename.startswith(pkg):
+                seen.add((_SLOW_HELPERS[frame.f_code], caller.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("arch", train.TRAIN_ARCHS)
+def test_training_step_stays_off_numpys_python_helpers(arch):
+    cfg = toy_train_config(arch)
+    store = init_params(cfg, with_backbone=True, with_head=True)
+    images, masks = synth_shapes(cfg)
+    assert _slow_helper_calls(lambda: train.batch_pass(images, masks, store, cfg)) == set()
+    # the guard sees such a call: verify's error measure takes np.max
+    a = np.ones(3)
+    assert ("fromnumeric._wrapreduction", "<genexpr>") in _slow_helper_calls(
+        lambda: verify._max_diff(a, a))
 
 
 def test_no_toy_training_conv_reaches_winograd(monkeypatch):
