@@ -238,10 +238,9 @@ def _windows(xpt, k):
     [i, y, x, dy, dx, ci] = xpt[i, y + dy, x + dx, ci]: each cell's k×k window, tap-major.
 
     An np.ndarray over xpt's own buffer, as nn_ops._taps builds its view;
-    that needs a C-contiguous xpt, so any other is copied first.
+    that needs a C-contiguous xpt, which both callers build.
     """
-    if not xpt.flags.c_contiguous:
-        xpt = np.ascontiguousarray(xpt)
+    assert xpt.flags.c_contiguous
     n, hp, wp, c = xpt.shape
     sn, sy, sx, sc = xpt.strides
     return np.ndarray((n, hp - k + 1, wp - k + 1, k, k, c), xpt.dtype, buffer=xpt,
@@ -617,11 +616,10 @@ def fuse_bwd(cache, gout):
     (predict_kernels_bwd, channel_gates_bwd).  It is never formed at x's
     width.  Its source half lhs[:c] @ rhs adds into gsrc.  Going up, the
     guide half lhs[c:] @ rhs goes through the max pool's adjoint on the
-    coarse grid, which adds into gdst one pooling phase at a time, with no
-    fine-grid temporary.  Going down, the guide is the bilinear ×s resize
-    up(dst), which acts on each channel alike, so its adjoint up* moves onto
-    the c_m + 2 rows of rhs: the guide half reaches dst as
-    lhs[c:] @ up*(rhs), on dst's grid.  The weights that read x split the same way
+    coarse grid.  Going down, the guide is the bilinear ×s resize up(dst),
+    which acts on each channel alike, so its adjoint up* moves onto the
+    c_m + 2 rows of rhs: the guide half reaches dst as lhs[c:] @ up*(rhs),
+    on dst's grid.  The weights that read x split the same way
     (reader_weight_grads).  The gate cotangents are one dot product per
     channel, with no product map, and the reassembly's gradient then takes
     the smoothed sum's gradient buffer in place, so a gated site holds two
@@ -665,7 +663,7 @@ def fuse_bwd(cache, gout):
     gsrc += (lhs[..., :c, :] @ rhs).reshape(gsrc.shape)
     parts = [(rhs, src)]
     if c_guide is not None and up:
-        max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape), into=gdst)
+        gdst += max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape))
         parts.append((rhs, guide))
     elif c_guide is not None:
         rhs_dst = _flat(bilinear_upsample_bwd(c_guide, rhs.reshape(rhs.shape[:-1] + gsrc.shape[-2:])))

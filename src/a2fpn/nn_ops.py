@@ -42,9 +42,8 @@ conv's per-image shape alone:
   shapes: gather, s² stride-1 correlations of gy with the flipped,
   transposed kernel (a transposed convolution, one im2col and GEMM per
   input phase; at stride 1 the columns of gy are streamed in row blocks
-  like the forward's, each block copy writing gy's zero padding itself), or
-  fold, the column gradient folded into the padded input one strided
-  slice-add per tap.
+  like the forward's), or fold, the column gradient folded into the padded
+  input one strided slice-add per tap.
 
 Every conv caches its padded input, not its column matrix: the backward
 builds the columns again, so a batch's forward caches stay about the size
@@ -350,58 +349,22 @@ def _whole_columns(k, stride, n, h_out, w_out, rows, spare=0):
     return n * h_out * w_out <= rows * w_out + spare or (k == 1 and stride == 1 and n == 1)
 
 
-def _span(o, stride, n_in, n_out):
-    """[a, b): the outputs j < n_out whose tap reads o + stride·j inside 0..n_in − 1."""
-    a = max(0, -(o // stride))
-    return a, max(a, min(n_out, (n_in - 1 - o) // stride + 1))
-
-
-def _copy_taps_padded(cols, img, stride, y0, x0):
-    """cols[ci, dy, dx, y, x] = img[ci, y0 + stride·y + dy, x0 + stride·x + dx],
-    zero where the tap leaves the image: per tap, one copy of the part
-    inside it and zeros written around that, so no padded copy is made."""
-    k, _, rows, w_out = cols.shape[1:]
-    h, w = img.shape[-2:]
-    for dy in range(k):
-        ya, yb = _span(y0 + dy, stride, h, rows)
-        iy = y0 + dy + stride * ya
-        for dx in range(k):
-            xa, xb = _span(x0 + dx, stride, w, w_out)
-            ix = x0 + dx + stride * xa
-            tap = cols[:, dy, dx]
-            tap[:, :ya] = 0
-            tap[:, yb:] = 0
-            tap[:, ya:yb, :xa] = 0
-            tap[:, ya:yb, xb:] = 0
-            tap[:, ya:yb, xa:xb] = img[:, iy : iy + stride * (yb - ya) : stride,
-                                       ix : ix + stride * (xb - xa) : stride]
-
-
 def _col_blocks(xp, k, stride, h_out, w_out, rows, origin=(0, 0)):
     """(i, r0, r1, cols) for image i of the padded batch xp and each block of
     its output rows r0..r1: cols is that block's (cin·k², (r1 − r0)·w_out)
-    column matrix (origin as in _taps).  The windows may leave xp, origin
-    negative included: they read zeros there, which the block copy writes
-    (_copy_taps_padded), so an unpadded xp needs no padded copy.
+    column matrix (origin as in _taps).
 
     Every block is copied into one reused buffer, so the whole column
     matrix never exists; a block is valid until the next is made.
     """
-    n, cin, h, w = xp.shape
-    y0, x0 = origin
-    inside = min(y0, x0) >= 0 and y0 + stride * (h_out - 1) + k <= h \
-        and x0 + stride * (w_out - 1) + k <= w
-    taps = _taps(xp, k, k, stride, h_out, w_out, origin) if inside else None
-    kk = cin * k * k
+    taps = _taps(xp, k, k, stride, h_out, w_out, origin)
+    kk = taps.shape[0] * k * k
     buf = np.empty(kk * rows * w_out, dtype=xp.dtype)
-    for i in range(n):
+    for i in range(xp.shape[0]):
         for r0 in range(0, h_out, rows):
             r1 = min(r0 + rows, h_out)
-            cols = buf[: kk * (r1 - r0) * w_out].reshape(cin, k, k, r1 - r0, w_out)
-            if inside:
-                np.copyto(cols, taps[:, :, :, i, r0:r1])
-            else:
-                _copy_taps_padded(cols, xp[i], stride, y0 + stride * r0, x0)
+            cols = buf[: kk * (r1 - r0) * w_out].reshape(taps.shape[:3] + (r1 - r0, w_out))
+            np.copyto(cols, taps[:, :, :, i, r0:r1])
             yield i, r0, r1, cols.reshape(kk, -1)
 
 
@@ -555,11 +518,10 @@ def _gx_gather(p: ConvParams, x_shape, gy, gyf):
             if (ty, tx, oy, ox, na, nb) == (1, 1, 0, 0, h_out, w_out):
                 cols = gyf  # one tap over all of gy: its columns are gy's own
             else:
-                rows = _block_rows(wt.shape[1], nb, gy.itemsize)
-                if s == 1 and not _whole_columns(k, 1, n, na, nb, rows):
-                    # gx in row blocks, as the forward; the blocks write gy's padding
-                    return _im2col_rows(wt, gy, k, 1, na, nb, rows, (oy, ox)).reshape(n, cin, na, nb)
                 win, origin = _window(gy, oy, ox, na + ty - 1, nb + tx - 1)
+                rows = _block_rows(wt.shape[1], nb, win.itemsize)
+                if s == 1 and not _whole_columns(k, 1, n, na, nb, rows):  # gx in row blocks, as the forward
+                    return _im2col_rows(wt, win, k, 1, na, nb, rows, origin).reshape(n, cin, na, nb)
                 cols = _im2col(win, ty, tx, 1, na, nb, origin)
             g = (wt @ cols).reshape(cin, n, na, nb).swapaxes(0, 1)
             if s == 1:
@@ -607,9 +569,7 @@ def conv2d_bwd(cache, gy, need_gx=True):
       gy and one GEMM with the flipped, transposed kernel taps of that
       phase; nothing is folded.  At stride 1 (one phase, every tap) gy's
       columns are built in row blocks by the forward's rule
-      (_im2col_rows), straight from gy with its zero padding written by
-      the block copy, so gx is written block by block and no padded copy
-      of gy is made.
+      (_im2col_rows), so gx is written block by block.
     * fold (_gx_fold): the column gradient wᵀ·gy, folded into the padded
       input one strided slice-add per kernel tap.  It stays where gather
       loses: cout > cin, where gy's columns outweigh the column gradient,
@@ -663,20 +623,16 @@ def max_pool2d_fwd(x, s=2):
     return y, (x, y, s)
 
 
-def max_pool2d_bwd(cache, gy, into=None):
+def max_pool2d_bwd(cache, gy):
     """Routes each window's gradient to the phase np.argmax over the window picks.
 
     Phases are visited in row-major window order; a window is claimed by the
     first phase equal to its max or, in a NaN window, by the first NaN, which
     the equality misses.  (Where a window holds both 0.0 and -0.0, y may
     carry the other zero; either compares equal.)
-
-    With ``into``, an array of x's shape, the gradient is added into it and
-    ``into`` is returned, with the bits of ``into += max_pool2d_bwd(cache,
-    gy)``: no x-sized gradient is made, one gy-sized array per phase.
     """
     x, y, s = cache
-    gx = np.zeros(x.shape, dtype=gy.dtype) if into is None else into
+    gx = np.zeros(x.shape, dtype=gy.dtype)
     open_ = np.ones(y.shape, dtype=bool)  # windows not yet claimed
     nan = np.isnan(y)
     nan = nan if nan.any() else None
@@ -690,11 +646,7 @@ def max_pool2d_bwd(cache, gy, into=None):
             open_ ^= hit
         else:
             hit = open_
-        gph = gx[..., t // s :: s, t % s :: s]
-        if into is None:
-            np.copyto(gph, gy, where=hit)
-        else:  # the zeros too, as a sum with a zero-filled gradient adds them
-            np.add(gph, np.where(hit, gy, 0), out=gph)
+        np.copyto(gx[..., t // s :: s, t % s :: s], gy, where=hit)
     return gx
 
 

@@ -126,27 +126,6 @@ def test_im2col_backward_row_blocks_match_loop_oracle(monkeypatch, n, cin, cout,
     npt.assert_allclose(gb, want_gb, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("stride,origin", [(1, (-1, -1)), (1, (-2, 0)), (2, (-1, -2)),
-                                           (1, (0, 0)), (1, (1, -1))])
-def test_column_blocks_write_the_padding_of_a_window_that_leaves_the_input(rng, stride, origin):
-    # the blocks of an unpadded batch at a negative origin are the blocks of
-    # its zero-padded copy, bit for bit
-    n, cin, h, w, k, rows = 2, 3, 7, 6, 3, 2
-    x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
-    h_out, w_out = (h + 2 - k) // stride + 1, (w + 2 - k) // stride + 1
-    pad = 2
-    xp = nn_ops._zero_pad(x, pad)
-    shifted = (origin[0] + pad, origin[1] + pad)
-    got = [(i, r0, r1, cols.copy())
-           for i, r0, r1, cols in nn_ops._col_blocks(x, k, stride, h_out, w_out, rows, origin)]
-    want = [(i, r0, r1, cols.copy())  # one buffer serves every block
-            for i, r0, r1, cols in nn_ops._col_blocks(xp, k, stride, h_out, w_out, rows, shifted)]
-    assert len(got) == len(want) == n * len(range(0, h_out, rows))
-    for (i, r0, r1, cols), (wi, wr0, wr1, wcols) in zip(got, want):
-        assert (i, r0, r1) == (wi, wr0, wr1)
-        npt.assert_array_equal(cols, wcols)
-
-
 def test_im2col_forward_streams_its_columns(rng):
     # c=256 3×3 at 64², a 37.7 MB column matrix, stays within its maps, the
     # padded input it caches, one column block and 1 MB
@@ -363,28 +342,11 @@ def test_max_pool_windows_follow_np_max_and_argmax(rng, s):
     npt.assert_array_equal(nn_ops.max_pool2d_bwd(cache, gy), want)
 
 
-@pytest.mark.parametrize("s", [2, 3])
-def test_max_pool_adjoint_added_in_place_keeps_the_sum_bits(rng, s):
-    # ties and NaN windows, and -0.0 in the accumulator: a sum with the
-    # zero-filled gradient turns an unclaimed -0.0 into +0.0, and so must into
-    x = rng.integers(0, 3, (2, 3, 2 * s, 3 * s)).astype(np.float32)
-    x[rng.random(x.shape) < 0.1] = np.nan
-    y, cache = nn_ops.max_pool2d_fwd(x, s)
-    gy = rng.standard_normal(y.shape).astype(np.float32)
-    acc = rng.standard_normal(x.shape).astype(np.float32)
-    acc[rng.random(x.shape) < 0.3] = -0.0
-    want = acc + nn_ops.max_pool2d_bwd(cache, gy)
-    got = acc.copy()
-    assert nn_ops.max_pool2d_bwd(cache, gy, into=got) is got
-    assert got.tobytes() == want.tobytes()
-
-
 def test_max_pool_s3_matches_oracle_and_rejects_partial_windows(rng):
     x = rng.standard_normal((2, 6, 9))
     npt.assert_array_equal(nn_ops.max_pool2d_fwd(x, 3)[0], oracles.max_pool2d_oracle(x, 3))
     with pytest.raises(ValueError):
         nn_ops.max_pool2d_fwd(rng.standard_normal((2, 6, 8)), 3)
-
 
 def test_bilinear_matches_oracle(rng):
     x = rng.standard_normal((2, 3, 5))
