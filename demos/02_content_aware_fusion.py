@@ -6,23 +6,31 @@ run in the other direction."""
 import numpy as np
 
 from a2fpn import fusion
-from a2fpn.fusion import FusionParams, site_shapes
+from a2fpn.fusion import site_shapes
 from a2fpn.levels import LevelFeature
-from a2fpn.nn_ops import conv2d_fwd, max_pool2d_fwd
+from a2fpn.nn_ops import ConvParams, conv2d_fwd, max_pool2d_fwd
 
 rng = np.random.default_rng(11)
 c, c_m, k = 8, 4, 3
 
 
 def site(kind, guided=True, zero_gates=False, scale=0.3):
-    """A small fusion site, read from a store of dotted names as the necks read theirs."""
+    """The store of a small fusion site under bare names; a neck stores each
+    site under its prefix (td.l4, bu.l3, ...) and fuse_fwd reads it there.
+    The site's scale and tap size are read back from the shapes."""
     shapes = site_shapes(c, c_m, k, 1, kind == "up", guided=guided)
     w3 = shapes.pop("gate.w3.weight")  # drawn first
     store = {"gate.w3.weight": np.zeros(w3) if zero_gates else scale * rng.standard_normal(w3),
              "gate.ln.gain": np.ones(shapes.pop("gate.ln.gain")),
              "gate.ln.shift": np.zeros(shapes.pop("gate.ln.shift"))}
     store.update((name, scale * rng.standard_normal(shape)) for name, shape in shapes.items())
-    return FusionParams.from_store(store, "", k, kind == "up")
+    return store
+
+
+def predictor(store):
+    """The kernel predictor's three convs, read by name; going up all run at stride 1."""
+    return tuple(ConvParams.from_store(store, f"kpred.{conv}")
+                 for conv in ("compressor", "encoder", "predictor"))
 
 
 upper = LevelFeature(3, rng.standard_normal((c, 4, 6)))
@@ -33,7 +41,7 @@ lateral = LevelFeature(2, rng.standard_normal((c, 8, 12)))
 # cell holds one k*k tap distribution for each of its 2x2 output pixels
 p_up = site("up")
 pooled, _ = max_pool2d_fwd(lateral.data)
-kernels, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p_up)
+kernels, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), predictor(p_up), 2)
 print("upsampling kernels:", kernels.shape)   # (taps x 2 x 2) x coarse_h x coarse_w
 tap_sums = kernels.reshape(k * k, 2 * 2, 4, 6).sum(axis=0)
 print("tap sums (should all be 1):", tap_sums.round(12).min(), tap_sums.round(12).max())
@@ -56,8 +64,9 @@ print("fused level:", fused.level, "stride", fused.stride, "shape", fused.data.s
 # reassemble, add, smooth
 p_plain = site("up", guided=False)
 a, _ = fusion.fuse_fwd(upper, lateral, p_plain, guided=False, gated=False)
-kern_plain, _ = fusion.predict_kernels_fwd(upper.data, p_plain)
-b, _ = conv2d_fwd(p_plain.smooth, fusion.reassemble_up_fwd(upper.data, kern_plain, 2)[0] + lateral.data)
+kern_plain, _ = fusion.predict_kernels_fwd(upper.data, predictor(p_plain), 2)
+b, _ = conv2d_fwd(ConvParams.from_store(p_plain, "smooth"),
+                  fusion.reassemble_up_fwd(upper.data, kern_plain, 2)[0] + lateral.data)
 print("switched-off site equals the plain pipeline:", np.array_equal(a.data, b))
 
 # the gate head ends in 2*sigmoid, so zeroing its last layer pins every

@@ -4,7 +4,7 @@ The package is organized as layered pure functions, each with an explicit
 hand-derived backward pass:
 
 * ``tensor_core``: softmax, normalizations, activations, batch sums
-* ``nn_ops``: conv2d, pooling, bilinear resize, channel concatenation
+* ``nn_ops``: conv2d, pooling, bilinear resize
 * ``mgc``: multi-level global context (collect / reason / distribute)
 * ``fusion``: content-aware upsampling and downsampling fusion
 * ``pyramid``: whole-neck assembly (fpn / pafpn / a2fpn / a2fpn-lite)

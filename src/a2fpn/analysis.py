@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .pyramid import ARCHS, PyramidConfig, _sites, param_shapes
+from .pyramid import ARCHS, PyramidConfig, _sites, param_shapes, resolve_backbone
 
 COUNT_ARCHS = ARCHS + ("none",)
 
@@ -207,8 +207,9 @@ def _build_report(arch, spec, cfg, image_size):
     sizes = _level_sizes(image_size)
     if arch == "none":
         return ComplexityReport(arch=arch, image_size=image_size, lines=[])
-    cfg = replace(cfg, arch=arch)
-    inv = _Inventory(sizes, param_shapes(cfg, spec))
+    cfg = replace(cfg, arch=arch,
+                  backbone=cfg.backbone if spec is None else resolve_backbone(spec).channels)
+    inv = _Inventory(sizes, param_shapes(cfg))
     {"fpn": _fpn_lines, "pafpn": _pafpn_lines}.get(arch, _a2fpn_lines)(inv, cfg)
     return ComplexityReport(arch=arch, image_size=image_size, lines=inv.lines)
 

@@ -31,7 +31,6 @@ in (tap, dy, dx) channel order going up, k² taps per output of a cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .nn_ops import (
     _lift,
     bilinear_upsample_bwd,
     bilinear_upsample_fwd,
-    concat_channels_fwd,
     conv2d_bwd,
     conv2d_fwd,
     max_pool2d_bwd,
@@ -90,60 +88,21 @@ def site_shapes(c, c_m, k, k_en, up, s=2, guided=True):
     }
 
 
-@dataclass
-class FusionParams:
-    """Everything one fusion site owns.
+def _name(prefix, key):
+    """``{prefix}.{key}``, the bare key when prefix is empty."""
+    return f"{prefix}.{key}" if prefix else key
 
-    compressor: 1×1 conv squeezing the guidance to c_m channels
-    encoder:    3×3 conv (ReLU) blending them
-    predictor:  k_en conv emitting s²·k² kernel logits (stride 1, upsampling)
-                or k² logits (stride s, downsampling)
-    gate_w1/w2/w3, ln_gain/ln_shift: the channel-gate path
-    smooth:     the 3×3 anti-alias conv after the merge
-    """
 
-    compressor: ConvParams
-    encoder: ConvParams
-    predictor: ConvParams
-    gate_w1: np.ndarray
-    gate_w2: np.ndarray
-    gate_w3: np.ndarray
-    ln_gain: np.ndarray
-    ln_shift: np.ndarray
-    smooth: ConvParams
-    k: int = 5
-    s: int = 2
-    gate_act: str = "two_sigmoid"
+def _kpred_convs(store, prefix, stride):
+    """The (compressor, encoder, predictor) convs stored under prefix, the predictor at stride."""
+    return tuple(ConvParams.from_store(store, _name(prefix, f"kpred.{conv}"), st)
+                 for conv, st in (("compressor", 1), ("encoder", 1), ("predictor", stride)))
 
-    def __post_init__(self):
-        if self.k % 2 == 0:
-            raise ValueError("reassembly tap size must be odd")
-        if self.gate_act not in GATE_ACTS:
-            raise ValueError(f"gate_act must be one of {tuple(GATE_ACTS)}")
 
-    @classmethod
-    def from_store(cls, store, prefix, k, up, s=2, gate_act="two_sigmoid"):
-        """The site stored under ``{prefix}.kpred.*``, ``{prefix}.gate.*`` and
-        ``{prefix}.smooth.*`` (the bare names when prefix is empty).  An
-        upsampling site (up) predicts at stride 1, a downsampling one at
-        stride s."""
-        def name(key):
-            return f"{prefix}.{key}" if prefix else key
-
-        return cls(
-            compressor=ConvParams.from_store(store, name("kpred.compressor")),
-            encoder=ConvParams.from_store(store, name("kpred.encoder")),
-            predictor=ConvParams.from_store(store, name("kpred.predictor"), stride=1 if up else s),
-            gate_w1=store[name("gate.w1.weight")],
-            gate_w2=store[name("gate.w2.weight")],
-            gate_w3=store[name("gate.w3.weight")],
-            ln_gain=store[name("gate.ln.gain")],
-            ln_shift=store[name("gate.ln.shift")],
-            smooth=ConvParams.from_store(store, name("smooth")),
-            k=k,
-            s=s,
-            gate_act=gate_act,
-        )
+def _gate_weights(store, prefix):
+    """The (w1, w2, w3, gain, shift) of the channel gates stored under prefix."""
+    return tuple(store[_name(prefix, f"gate.{key}")]
+                 for key in ("w1.weight", "w2.weight", "w3.weight", "ln.gain", "ln.shift"))
 
 
 def _tap_count(k2):
@@ -151,7 +110,7 @@ def _tap_count(k2):
     if k * k != k2:
         raise ValueError(f"kernel axis {k2} is not a square tap count")
     if k % 2 == 0:
-        raise ValueError("reassembly tap size must be odd")
+        raise ValueError(f"reassembly tap size must be odd, got {k}")
     return k
 
 
@@ -159,24 +118,25 @@ def _tap_count(k2):
 # kernel prediction
 # ---------------------------------------------------------------------------
 
-def predict_kernels_fwd(x, p):
+def predict_kernels_fwd(x, convs, s):
     """x -> compress -> encode -> predict logits -> softmax over the k² tap axis.
 
-    x is the site's reader input: the source, or the concatenation
-    [source, guidance] that fuse_fwd builds once for both readers.  The
+    x is the site's reader input: the source, or [source, guidance] that
+    fuse_fwd builds once for both readers; s is the site's scale.  The
     kernels keep the logits' layout (see the module docstring); the softmax
     runs over the k² axis of the logits viewed as (k², s², h, w), where
-    s² = 1 going down.  The cache keeps the compressor's parameters in
-    place of its conv cache, so it holds no reference to x: the backward
-    stops at the compressor's output gradient.
+    s² = 1 going down (a stride-s predictor).  The cache keeps the
+    compressor in place of its conv cache, so it holds no reference to x.
     """
-    z1 = conv2d_fwd(p.compressor, x)[0]
-    z2, c2 = conv2d_fwd(p.encoder, z1)
+    compressor, encoder, predictor = convs
+    z1 = conv2d_fwd(compressor, x)[0]
+    z2, c2 = conv2d_fwd(encoder, z1)
     z3, c3 = relu_fwd(z2)
-    logits, c4 = conv2d_fwd(p.predictor, z3)
+    logits, c4 = conv2d_fwd(predictor, z3)
     lead, (h, w) = logits.shape[:-3], logits.shape[-2:]
-    kern, c5 = softmax_fwd(logits.reshape(lead + (p.k * p.k, -1, h, w)), axis=-4)
-    return kern.reshape(logits.shape), (p.compressor, c2, c3, c4, c5)
+    cell = s * s if predictor.stride == 1 else 1
+    kern, c5 = softmax_fwd(logits.reshape(lead + (-1, cell, h, w)), axis=-4)
+    return kern.reshape(logits.shape), (compressor, c2, c3, c4, c5)
 
 
 def predict_kernels_bwd(cache, gkern):
@@ -453,28 +413,30 @@ def _outer_sum(a, b):
     return sum_batch(a[..., :, None] * b[..., None, :], 2)
 
 
-def channel_gates_fwd(x, p):
+def channel_gates_fwd(x, weights, r):
     """Attention-pool the reader input x into a descriptor, squeeze and gate.
 
-    x is the source, or [source, guidance] as predict_kernels_fwd reads it.
-    Returns ((high, low), cache): the two halves of the 2·c gates r·σ(pre)
-    (per image), with r = GATE_ACTS[p.gate_act] and c the channel width of
+    x is the source, or [source, guidance] as predict_kernels_fwd reads it,
+    and weights are the gates' (w1, w2, w3, gain, shift).  Returns
+    ((high, low), cache): the two halves of the 2·c gates r·σ(pre) (per
+    image), with r the gate range (GATE_ACTS) and c the channel width of
     the fused pyramid features.  The high gate scales the coarser summand
     of a fusion, the low gate the finer.  The cache holds no reference to
     x: channel_gates_bwd takes the one product with x it needs as a function.
     """
+    w1, w2, w3, gain, shift = weights
     m = x.reshape(x.shape[:-2] + (-1,))
-    logits = (p.gate_w1 @ m)[..., 0, :]
+    logits = (w1 @ m)[..., 0, :]
     attn, c_soft = softmax_fwd(logits, axis=-1)
     z = _mv(m, attn)
-    h1 = _mv(p.gate_w2, z)
-    ln, c_ln = layer_norm_fwd(h1, p.ln_gain, p.ln_shift)
+    h1 = _mv(w2, z)
+    ln, c_ln = layer_norm_fwd(h1, gain, shift)
     act_in, c_relu = relu_fwd(ln)
-    pre = _mv(p.gate_w3, act_in)
+    pre = _mv(w3, act_in)
     sig, c_act = sigmoid_fwd(pre)
-    g = GATE_ACTS[p.gate_act] * sig
+    g = r * sig
     c = g.shape[-1] // 2
-    cache = (attn, z, act_in, p, c_soft, c_ln, c_relu, c_act)
+    cache = (attn, z, act_in, weights, r, c_soft, c_ln, c_relu, c_act)
     return (g[..., :c], g[..., c:]), cache
 
 
@@ -487,18 +449,18 @@ def channel_gates_bwd(cache, ghigh, glow, x_t):
     layer norm.  The cache keeps no x, so the caller passes x_t, the map
     gz (…, cin) ↦ xᵀ·gz (…, h·w) that takes the descriptor's gradient back
     to the attention logits."""
-    attn, z, act_in, p, c_soft, c_ln, c_relu, c_act = cache
+    attn, z, act_in, (w1, w2, w3, _, _), r, c_soft, c_ln, c_relu, c_act = cache
     gg = np.concatenate([ghigh, glow], axis=-1)
-    gpre = sigmoid_bwd(c_act, GATE_ACTS[p.gate_act] * gg)
+    gpre = sigmoid_bwd(c_act, r * gg)
     gw3 = _outer_sum(gpre, act_in)
-    gact = _mv(p.gate_w3.T, gpre)
+    gact = _mv(w3.T, gpre)
     gln = relu_bwd(c_relu, gact)
     gh1, ggain, gshift = layer_norm_bwd(c_ln, gln)
     gw2 = _outer_sum(gh1, z)
-    gz = _mv(p.gate_w2.T, gh1)
+    gz = _mv(w2.T, gh1)
     glogits = softmax_bwd(c_soft, x_t(gz))
-    lhs = np.empty(gz.shape + (2,), dtype=np.result_type(p.gate_w1, gz))
-    lhs[..., 0] = p.gate_w1[0]
+    lhs = np.empty(gz.shape + (2,), dtype=np.result_type(w1, gz))
+    lhs[..., 0] = w1[0]
     lhs[..., 1] = gz
     pg = {
         "gate.w2.weight": gw2,
@@ -565,37 +527,52 @@ def reader_weight_grads(parts, c_m, gated):
 # the fusion site
 # ---------------------------------------------------------------------------
 
-def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
+def fuse_fwd(src: LevelFeature, dst: LevelFeature, store, prefix="", gate_act="two_sigmoid",
+             guided=True, gated=True):
     """Merge src into the adjacent level dst; returns (fused dst level, cache).
+
+    The weights are read from store by the names site_shapes lists, under
+    prefix; the scale s from the level extents (one integer s ≥ 2), and the
+    tap size k from the predictor's logits (k²·s² going up, k² going down,
+    k odd).  Other extents or logit counts, or a gate_act not in GATE_ACTS,
+    are a ValueError.
 
     src above dst (src.level > dst.level) fuses top-down: dst is max-pooled
     s×s onto src's grid as the guidance and src is upsampled by
     reassemble_up.  src below dst fuses bottom-up: dst is upsampled
-    bilinearly as the guidance and src is pooled by reassemble_down.  Either
-    way [src, guidance] is concatenated once and read by both the kernel
-    predictor and the channel gates, then dropped: no cache holds it.  The
-    high gate scales the coarser summand and the low gate the finer, the
-    gated sum is built in place, and it is smoothed by the anti-alias conv.
-    guided False drops the guidance from both readers; gated False adds the
-    two summands ungated.
+    bilinearly as the guidance and src is pooled by reassemble_down, the
+    predictor running at stride s.  Either way [src, guidance] is
+    concatenated once and read by both the kernel predictor and the channel
+    gates, then dropped: no cache holds it.  The high gate scales the
+    coarser summand and the low gate the finer, the gated sum is built in
+    place, and it is smoothed by the anti-alias conv.  guided False drops
+    the guidance from both readers; gated False adds the two summands ungated.
     """
     up = src.level > dst.level
     coarse, fine = (src, dst) if up else (dst, src)
     h, w = coarse.data.shape[-2:]
-    if fine.data.shape != coarse.data.shape[:-2] + (p.s * h, p.s * w):
-        raise ValueError(f"level {fine.level} {fine.data.shape} is not ×{p.s} of "
-                         f"level {coarse.level} {coarse.data.shape}")
+    s = fine.data.shape[-2] // max(h, 1)
+    if s < 2 or fine.data.shape != coarse.data.shape[:-2] + (s * h, s * w):
+        raise ValueError(f"level {fine.level} {fine.data.shape} is not one integer multiple "
+                         f"s ≥ 2 of level {coarse.level} {coarse.data.shape}")
+    if gate_act not in GATE_ACTS:
+        raise ValueError(f"gate_act must be one of {tuple(GATE_ACTS)}, got {gate_act!r}")
+    convs = _kpred_convs(store, prefix, 1 if up else s)
+    logits, cell = convs[2].weight.shape[0], s * s if up else 1
+    if logits % cell:  # reassembly refuses an even or non-square tap count k²
+        raise ValueError(f"{logits} predictor logits are not k²·{cell} for an odd tap size k")
     x, c_guide = src.data, None
     if guided:
         resample_fwd = max_pool2d_fwd if up else bilinear_upsample_fwd
-        guide, c_guide = resample_fwd(dst.data, p.s)
-        x = concat_channels_fwd(src.data, guide)[0]
+        guide, c_guide = resample_fwd(dst.data, s)
+        x = np.concatenate([src.data, guide], axis=-3)
         del guide  # the concat holds it; a max-pool guide lives on in c_guide
-    kern, c_kern = predict_kernels_fwd(x, p)
-    gates, c_gate = channel_gates_fwd(x, p) if gated else (None, None)
+    kern, c_kern = predict_kernels_fwd(x, convs, s)
+    gates, c_gate = (channel_gates_fwd(x, _gate_weights(store, prefix), GATE_ACTS[gate_act])
+                     if gated else (None, None))
     del x
     reassemble_fwd = reassemble_up_fwd if up else reassemble_down_fwd
-    re, c_re = reassemble_fwd(src.data, kern, p.s)
+    re, c_re = reassemble_fwd(src.data, kern, s)
     if gated:
         hi, lo = (g[..., None, None] for g in gates)
         coarser, finer = (re, dst.data) if up else (dst.data, re)
@@ -603,13 +580,14 @@ def fuse_fwd(src: LevelFeature, dst: LevelFeature, p, guided=True, gated=True):
         pre += lo * finer
     else:
         pre = re + dst.data
-    out, c_sm = conv2d_fwd(p.smooth, pre)
+    out, c_sm = conv2d_fwd(ConvParams.from_store(store, _name(prefix, "smooth")), pre)
     feat = LevelFeature(dst.level, out)
-    return feat, (up, src.data, dst.data, re, gates, c_guide, c_kern, c_re, c_gate, c_sm)
+    return feat, (prefix, up, src.data, dst.data, re, gates, c_guide, c_kern, c_re, c_gate, c_sm)
 
 
 def fuse_bwd(cache, gout):
-    """(gsrc, gdst, param grads) of fuse_fwd.
+    """(gsrc, gdst, param grads) of fuse_fwd, the param grads under the
+    store names the forward read.
 
     The gradient of the reader input x = [src; guide] is lhs @ rhs, of rank
     c_m + 2 (c_m ungated): the compressor's factors joined with the gates'
@@ -631,7 +609,7 @@ def fuse_bwd(cache, gout):
     cached output, and going down guideᵀ·gz[c:] = up(dstᵀ·gz[c:]), a
     one-channel resize by the forward's interpolation matrices.
     """
-    up, src, dst, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
+    prefix, up, src, dst, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
     c = src.shape[-3]
     guide = c_guide[1] if c_guide is not None and up else None  # the max pool's output
 
@@ -670,10 +648,6 @@ def fuse_bwd(cache, gout):
         gdst += (lhs[..., c:, :] @ rhs_dst).reshape(gdst.shape)
         parts.append((rhs_dst, dst))
     wg = reader_weight_grads(parts, kpred[1].shape[-2], gate is not None)
-    pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
-    if gate is not None:
-        pg["gate.w1.weight"] = wg.pop("gate.w1.weight")
-    pg.update(gate_pg)
-    pg.update(wg)
-    pg.update(kpred_pg)
-    return gsrc, gdst, pg
+    w1 = {"gate.w1.weight": wg.pop("gate.w1.weight")} if gate is not None else {}
+    pg = {"smooth.weight": gw_s, "smooth.bias": gb_s, **w1, **gate_pg, **wg, **kpred_pg}
+    return gsrc, gdst, {_name(prefix, key): g for key, g in pg.items()}

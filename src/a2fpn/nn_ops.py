@@ -1,4 +1,4 @@
-"""Spatial primitives: convolution, pooling, resampling, channel concatenation.
+"""Spatial primitives: convolution, pooling and resampling.
 
 Feature maps are channel-first, either one image (c, h, w) or a batch of
 images (n, c, h, w); every op takes both, and returns the rank it was given.
@@ -685,18 +685,3 @@ def bilinear_upsample_bwd(cache, gy):
 def nearest_upsample(x, s=2):
     """Nearest-neighbor ×s used by the plain pyramid baselines (forward only)."""
     return np.repeat(np.repeat(x, s, axis=-2), s, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# channel concatenation
-# ---------------------------------------------------------------------------
-
-def concat_channels_fwd(a, b):
-    """[a; b] along the channel axis; the cache is a's channel count.
-
-    It has no backward: its one reader, a fusion site, takes the gradient of
-    [a; b] as low-rank factors and never forms it (fusion.fuse_bwd).
-    """
-    if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"batch or spatial extents disagree: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=-3), a.shape[-3]

@@ -4,9 +4,10 @@ Parameters live in a flat dict keyed by dotted names (``mgc.l3.psi.weight``,
 ``td.l4.kpred.predictor.weight``, ...); the same names are used for
 serialization and for gradient accumulation.  ``param_shapes`` lists every
 name with its shape, in store order; ``init_params`` draws over it and the
-analytic audit counts from it.  The context module reads the store by name;
-a conv or fusion site reads a typed view that adds the strides, tap size and
-gate range the store lacks (``ConvParams``/``FusionParams.from_store``).
+analytic audit counts from it.  The context module and each fusion site
+read the store by name, a site under its prefix (``td.l4``), and take every
+size the config also spells (``k_up``, ``k_dn``, ``k_en``, ``c_m``) from
+the stored shapes; a conv reads a ``ConvParams`` view that adds its stride.
 """
 
 from __future__ import annotations
@@ -235,10 +236,10 @@ def extra_level_shapes(c, c5):
     return _conv_shapes("extra.f6", c, c5, 3)
 
 
-def param_shapes(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=False):
+def param_shapes(cfg: PyramidConfig, with_backbone=False, with_head=False):
     """Name -> shape of every parameter init_params stores for cfg.arch, in
     store order: backbone, neck top to bottom, head."""
-    spec = resolve_backbone(spec if spec is not None else cfg.backbone)
+    spec = resolve_backbone(cfg.backbone)
     c = cfg.c
     shapes = backbone_shapes(spec) if with_backbone else {}
     if cfg.arch in ("fpn", "pafpn"):
@@ -265,7 +266,7 @@ def param_shapes(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=F
     return shapes
 
 
-def init_params(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=False):
+def init_params(cfg: PyramidConfig, with_backbone=False, with_head=False):
     """Build the flat parameter store for cfg.arch, one entry per name of
     param_shapes and in its order, so a given seed always produces the same
     store.  Biases and layer-norm shifts start at 0 and gains at 1, the
@@ -276,7 +277,7 @@ def init_params(cfg: PyramidConfig, spec=None, with_backbone=False, with_head=Fa
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.np_dtype
     store = {}
-    for name, shape in param_shapes(cfg, spec, with_backbone, with_head).items():
+    for name, shape in param_shapes(cfg, with_backbone, with_head).items():
         if name.endswith((".bias", ".ln.shift")):
             store[name] = np.zeros(shape, dtype=dt)
         elif name.endswith(".ln.gain"):
@@ -464,11 +465,10 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=
     del ctx  # cur holds the only reference to each level a site replaces
 
     deepest = max(reads)
-    for prefix, src, dst, k in _sites(cfg):
+    for prefix, src, dst, _ in _sites(cfg):
         if src < dst and dst > deepest:  # bottom up, past every read level
             break
-        p = fusion.FusionParams.from_store(store, prefix, k, src > dst, gate_act=cfg.gate_act)
-        cur[dst], cache[prefix] = fusion.fuse_fwd(cur[src], cur[dst], p)
+        cur[dst], cache[prefix] = fusion.fuse_fwd(cur[src], cur[dst], store, prefix, cfg.gate_act)
 
     outs = [cur[lvl] if lvl in reads else None for lvl in range(2, top + 1)]
     if cfg.lite:
@@ -519,7 +519,7 @@ def forward_a2fpn_bwd(cache, gouts):
     for prefix, src, dst, _ in reversed(_sites(cfg)):
         if prefix in cache:
             gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
-            pg.update((f"{prefix}.{name}", v) for name, v in local.items())
+            pg.update(local)
             g[src] = gsrc if g[src] is None else g[src] + gsrc
 
     gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], list(g.values()))

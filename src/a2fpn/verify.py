@@ -24,7 +24,6 @@ from .nn_ops import (
     ConvParams,
     bilinear_upsample_bwd,
     bilinear_upsample_fwd,
-    concat_channels_fwd,
     conv2d_bwd,
     conv2d_fwd,
     max_pool2d_bwd,
@@ -277,7 +276,7 @@ def _mgc_forward_setup(rng, lead=()):
     return arrays, lambda: mgc.mgc_forward_fwd([LevelFeature(2, f2), LevelFeature(3, f3)], arrays), bwd
 
 
-def _tiny_fusion_params(rng, kind, guided=True, s=2):
+def _tiny_fusion_store(rng, kind, guided=True, s=2):
     # draws are damped so the tap softmax and the sigmoid gates stay in
     # their smooth regime; saturated units have ~zero true gradient and
     # finite differences then measure only roundoff.  c=8 keeps the gate
@@ -285,8 +284,7 @@ def _tiny_fusion_params(rng, kind, guided=True, s=2):
     # vector at +-1 and zero out every upstream gradient.
     c, c_m, k = 8, 3, 3
     shapes = fusion.site_shapes(c, c_m, k, 1, kind == "up", s=s, guided=guided)
-    arrays = {name: 0.3 * rng.standard_normal(shape) for name, shape in shapes.items()}
-    return fusion.FusionParams.from_store(arrays, "", k, kind == "up", s=s), arrays
+    return {name: 0.3 * rng.standard_normal(shape) for name, shape in shapes.items()}
 
 
 def _reader_builder(part, kind, names, hw, lead=()):
@@ -300,15 +298,17 @@ def _reader_builder(part, kind, names, hw, lead=()):
                       "gate": (fusion.channel_gates_fwd, fusion.channel_gates_bwd)}[part]
 
     def setup(rng):
-        p, p_arrays = _tiny_fusion_params(rng, kind)
+        store = _tiny_fusion_store(rng, kind)
         arrays = {name: rng.standard_normal(lead + (8,) + hw) for name in names}
-        arrays.update((k, v) for k, v in p_arrays.items() if k.startswith(part + "."))
+        arrays.update((k, v) for k, v in store.items() if k.startswith(part + "."))
+        weights = ((fusion._kpred_convs(store, "", 1 if kind == "up" else 2), 2) if part == "kpred"
+                   else (fusion._gate_weights(store, ""), fusion.GATE_ACTS["two_sigmoid"]))
 
         def fwd_input():
-            return concat_channels_fwd(*(arrays[name] for name in names))[0]
+            return np.concatenate([arrays[name] for name in names], axis=-3)
 
         def fwd():
-            return fwd_op(fwd_input(), p)
+            return fwd_op(fwd_input(), *weights)
 
         def bwd(cache, rs):
             if part == "gate":  # the gate cache keeps no x: the backward takes xᵀ·gz as a function
@@ -331,13 +331,12 @@ def _fuse_builder(direction, guided, s=2):
     """Check of fuse_fwd/bwd between a level-3 "coarse" and a level-2 "fine"
     feature s× finer: coarse into fine for direction "td", fine into coarse for "bu"."""
     def setup(rng):
-        kind = "up" if direction == "td" else "down"
-        p, p_arrays = _tiny_fusion_params(rng, kind, guided=guided, s=s)
+        store = _tiny_fusion_store(rng, "up" if direction == "td" else "down", guided, s)
         coarse = LevelFeature(3, rng.standard_normal((8, 2, 3)))
         fine = LevelFeature(2, rng.standard_normal((8, 2 * s, 3 * s)))
         arrays = {"coarse": coarse.data, "fine": fine.data}
         # unguided means gates off too: the plain-reassembly baselines
-        arrays.update((k, v) for k, v in p_arrays.items() if guided or not k.startswith("gate."))
+        arrays.update((k, v) for k, v in store.items() if guided or not k.startswith("gate."))
         src, dst = (coarse, fine) if direction == "td" else (fine, coarse)
         names = ("coarse", "fine") if direction == "td" else ("fine", "coarse")
 
@@ -345,7 +344,7 @@ def _fuse_builder(direction, guided, s=2):
             gsrc, gdst, pg = fusion.fuse_bwd(cache, *rs)
             return {names[0]: gsrc, names[1]: gdst, **pg}
 
-        return arrays, lambda: fusion.fuse_fwd(src, dst, p, guided=guided, gated=guided), bwd
+        return arrays, lambda: fusion.fuse_fwd(src, dst, store, guided=guided, gated=guided), bwd
 
     return _check(setup)
 

@@ -13,7 +13,7 @@ import numpy.testing as npt
 from a2fpn import analysis, fusion, mgc, nn_ops, pyramid, train, verify
 from a2fpn.levels import LevelFeature
 from a2fpn.pyramid import PyramidConfig
-from conftest import make_fusion_params
+from conftest import make_fusion_store
 
 RNG = np.random.default_rng(1234)
 
@@ -60,10 +60,10 @@ def test_criterion_3_invariants():
     npt.assert_allclose(amap.sum(axis=0), 1.0, atol=1e-6)
 
     # predicted reassembly kernels are distributions (f32)
-    p32 = make_fusion_params(rng, kind="up")
+    convs = fusion._kpred_convs(make_fusion_store(rng, kind="up"), "", 1)
     coarse32 = rng.standard_normal((8, 3, 4)).astype(np.float32)
     pooled32 = rng.standard_normal((8, 3, 4)).astype(np.float32)
-    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse32, pooled32]), p32)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse32, pooled32]), convs, 2)
     npt.assert_allclose(kern.reshape(9, 4, 3, 4).sum(axis=0), 1.0, atol=1e-6)
 
     # positive per-key rescaling cannot move the map (f64)
@@ -84,17 +84,17 @@ def test_criterion_3_invariants():
     npt.assert_allclose(out_dn[:, 1:-1, 1:-1], -0.25, atol=1e-12)
 
     # zero gate head -> 2σ(0) = 1 -> gated merge equals the plain sum, bit-exact
-    p_neutral = make_fusion_params(rng, zero_gates=True)
+    neutral = make_fusion_store(rng, zero_gates=True)
     upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
-    gated = fusion.fuse_fwd(upper, lateral, p_neutral, guided=True, gated=True)[0]
-    plain = fusion.fuse_fwd(upper, lateral, p_neutral, guided=True, gated=False)[0]
+    gated = fusion.fuse_fwd(upper, lateral, neutral, guided=True, gated=True)[0]
+    plain = fusion.fuse_fwd(upper, lateral, neutral, guided=True, gated=False)[0]
     assert np.array_equal(gated.data, plain.data)
-    p_neutral_dn = make_fusion_params(rng, kind="down", zero_gates=True)
+    neutral_dn = make_fusion_store(rng, kind="down", zero_gates=True)
     lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
-    gated_dn = fusion.fuse_fwd(lower, td, p_neutral_dn, guided=True, gated=True)[0]
-    plain_dn = fusion.fuse_fwd(lower, td, p_neutral_dn, guided=True, gated=False)[0]
+    gated_dn = fusion.fuse_fwd(lower, td, neutral_dn, guided=True, gated=True)[0]
+    plain_dn = fusion.fuse_fwd(lower, td, neutral_dn, guided=True, gated=False)[0]
     assert np.array_equal(gated_dn.data, plain_dn.data)
 
     # orthogonality penalty vanishes at the orthonormal initialization
@@ -179,22 +179,22 @@ def test_criterion_7_baselines_and_gate_variants():
 
     # with guidance off and gates pinned, the fusion site IS the plain
     # CARAFE/CAP baseline: it equals the hand-composed pipeline bit for bit
-    p_up = make_fusion_params(rng, guided=False)
+    store_up = make_fusion_store(rng, guided=False)
     upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
-    base_up = fusion.fuse_fwd(upper, lateral, p_up, guided=False, gated=False)[0]
-    kern_up, _ = fusion.predict_kernels_fwd(upper.data, p_up)
-    composed_up = nn_ops.conv2d_fwd(
-        p_up.smooth, fusion.reassemble_up_fwd(upper.data, kern_up, 2)[0] + lateral.data)[0]
+    base_up = fusion.fuse_fwd(upper, lateral, store_up, guided=False, gated=False)[0]
+    kern_up, _ = fusion.predict_kernels_fwd(upper.data, fusion._kpred_convs(store_up, "", 1), 2)
+    up = fusion.reassemble_up_fwd(upper.data, kern_up, 2)[0]
+    composed_up = nn_ops.conv2d_fwd(nn_ops.ConvParams.from_store(store_up, "smooth"), up + lateral.data)[0]
     assert np.array_equal(base_up.data, composed_up)
 
-    p_dn = make_fusion_params(rng, kind="down", guided=False)
+    store_dn = make_fusion_store(rng, kind="down", guided=False)
     lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
-    base_dn = fusion.fuse_fwd(lower, td, p_dn, guided=False, gated=False)[0]
-    kern_dn, _ = fusion.predict_kernels_fwd(lower.data, p_dn)
-    composed_dn = nn_ops.conv2d_fwd(
-        p_dn.smooth, td.data + fusion.reassemble_down_fwd(lower.data, kern_dn, 2)[0])[0]
+    base_dn = fusion.fuse_fwd(lower, td, store_dn, guided=False, gated=False)[0]
+    kern_dn, _ = fusion.predict_kernels_fwd(lower.data, fusion._kpred_convs(store_dn, "", 2), 2)
+    down = fusion.reassemble_down_fwd(lower.data, kern_dn, 2)[0]
+    composed_dn = nn_ops.conv2d_fwd(nn_ops.ConvParams.from_store(store_dn, "smooth"), td.data + down)[0]
     assert np.array_equal(base_dn.data, composed_dn)
 
     # both gate activations must train stably on both variants

@@ -5,14 +5,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from a2fpn import fusion, nn_ops, oracles, pyramid, tensor_core as tc
 from a2fpn.levels import LevelFeature
-from conftest import make_fusion_params
+from a2fpn.nn_ops import ConvParams
+from conftest import make_fusion_store
 
 
 def test_up_kernels_are_tap_distributions(rng):
-    p = make_fusion_params(rng, kind="up")
+    convs = fusion._kpred_convs(make_fusion_store(rng, kind="up"), "", 1)
     coarse = rng.standard_normal((8, 3, 4))
     pooled = rng.standard_normal((8, 3, 4))
-    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), p)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), convs, 2)
     # on the coarse grid: 9 taps for each of the 4 outputs of a cell
     assert kern.shape == (36, 3, 4)
     npt.assert_allclose(kern.reshape(9, 4, 3, 4).sum(axis=0), 1.0, atol=1e-12)
@@ -20,19 +21,19 @@ def test_up_kernels_are_tap_distributions(rng):
 
 
 def test_down_kernels_are_tap_distributions(rng):
-    p = make_fusion_params(rng, kind="down")
+    convs = fusion._kpred_convs(make_fusion_store(rng, kind="down"), "", 2)  # stride s going down
     fine = rng.standard_normal((8, 6, 8))
     ups = rng.standard_normal((8, 6, 8))
-    kern, _ = fusion.predict_kernels_fwd(np.concatenate([fine, ups]), p)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([fine, ups]), convs, 2)
     assert kern.shape == (9, 3, 4)
     npt.assert_allclose(kern.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_kernels_are_distributions_in_f32(rng):
-    p = make_fusion_params(rng, kind="up")
+    convs = fusion._kpred_convs(make_fusion_store(rng, kind="up"), "", 1)
     coarse = rng.standard_normal((8, 2, 2)).astype(np.float32)
     pooled = rng.standard_normal((8, 2, 2)).astype(np.float32)
-    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), p)
+    kern, _ = fusion.predict_kernels_fwd(np.concatenate([coarse, pooled]), convs, 2)
     npt.assert_allclose(kern.reshape(9, 4, 2, 2).sum(axis=0), 1.0, atol=1e-6)
 
 
@@ -260,8 +261,8 @@ def test_gate_ranges(rng):
     a = rng.standard_normal((8, 3, 4))
     b = rng.standard_normal((8, 3, 4))
     for act, hi in (("two_sigmoid", 2.0), ("sigmoid", 1.0)):
-        p = make_fusion_params(rng, gate_act=act, scale=1.0)
-        high, low = fusion.channel_gates_fwd(np.concatenate([a, b]), p)[0]
+        weights = fusion._gate_weights(make_fusion_store(rng, scale=1.0), "")
+        high, low = fusion.channel_gates_fwd(np.concatenate([a, b]), weights, fusion.GATE_ACTS[act])[0]
         assert high.shape == (8,) and low.shape == (8,)
         assert (high > 0).all() and (high < hi).all()
         assert (low > 0).all() and (low < hi).all()
@@ -271,8 +272,8 @@ def test_zeroed_gate_head_is_exactly_neutral(rng):
     # w3 = 0 makes the pre-activation zero; 2σ(0) = 1 exactly, and σ(0) = 0.5
     x = rng.standard_normal((16, 2, 2))
     for act, neutral in (("two_sigmoid", 1.0), ("sigmoid", 0.5)):
-        p = make_fusion_params(rng, zero_gates=True, gate_act=act)
-        high, low = fusion.channel_gates_fwd(x, p)[0]
+        weights = fusion._gate_weights(make_fusion_store(rng, zero_gates=True), "")
+        high, low = fusion.channel_gates_fwd(x, weights, fusion.GATE_ACTS[act])[0]
         assert high.tolist() == [neutral] * 8
         assert low.tolist() == [neutral] * 8
 
@@ -281,15 +282,14 @@ def test_two_sigmoid_gates_are_twice_the_sigmoid_gates(rng):
     # the gate is r·σ(pre): with the same parameters, two_sigmoid's gates and
     # every gradient under the same cotangent are exactly twice sigmoid's,
     # for one image and for a batch
-    p = make_fusion_params(rng, scale=1.0)
+    weights = fusion._gate_weights(make_fusion_store(rng, scale=1.0), "")
     for lead in ((), (2,)):
         x = rng.standard_normal(lead + (16, 2, 3))
         ghigh, glow = rng.standard_normal(lead + (8,)), rng.standard_normal(lead + (8,))
         xt = x.reshape(lead + (16, -1)).swapaxes(-1, -2)
         runs = []
         for act in ("sigmoid", "two_sigmoid"):
-            p.gate_act = act
-            gates, cache = fusion.channel_gates_fwd(x, p)
+            gates, cache = fusion.channel_gates_fwd(x, weights, fusion.GATE_ACTS[act])
             runs.append((gates, *fusion.channel_gates_bwd(cache, ghigh, glow,
                                                           lambda gz: (xt @ gz[..., None])[..., 0])))
         (gates1, (l1, r1), pg1), (gates2, (l2, r2), pg2) = runs
@@ -303,111 +303,154 @@ def test_two_sigmoid_gates_are_twice_the_sigmoid_gates(rng):
 
 
 def test_neutral_gates_reduce_to_plain_addition_bit_exact(rng):
-    p = make_fusion_params(rng, zero_gates=True)
+    store = make_fusion_store(rng, zero_gates=True)
     upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
-    gated = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=True)[0]
-    plain = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
+    gated = fusion.fuse_fwd(upper, lateral, store, guided=True, gated=True)[0]
+    plain = fusion.fuse_fwd(upper, lateral, store, guided=True, gated=False)[0]
     npt.assert_array_equal(gated.data, plain.data)
 
 
 def test_neutral_gates_bottomup_bit_exact(rng):
-    p = make_fusion_params(rng, kind="down", zero_gates=True)
+    store = make_fusion_store(rng, kind="down", zero_gates=True)
     lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
-    gated = fusion.fuse_fwd(lower, td, p, guided=True, gated=True)[0]
-    plain = fusion.fuse_fwd(lower, td, p, guided=True, gated=False)[0]
+    gated = fusion.fuse_fwd(lower, td, store, guided=True, gated=True)[0]
+    plain = fusion.fuse_fwd(lower, td, store, guided=True, gated=False)[0]
     npt.assert_array_equal(gated.data, plain.data)
 
 
 def test_carafe_baseline_is_the_composed_plain_pipeline(rng):
     # re-derive the whole unguided, ungated path from the individual ops
-    p = make_fusion_params(rng, guided=False)
+    store = make_fusion_store(rng, guided=False)
     upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
-    out = fusion.fuse_fwd(upper, lateral, p, guided=False, gated=False)[0]
-    kern, _ = fusion.predict_kernels_fwd(upper.data, p)
+    out = fusion.fuse_fwd(upper, lateral, store, guided=False, gated=False)[0]
+    kern, _ = fusion.predict_kernels_fwd(upper.data, fusion._kpred_convs(store, "", 1), 2)
     up = fusion.reassemble_up_fwd(upper.data, kern, 2)[0]
-    want = nn_ops.conv2d_fwd(p.smooth, up + lateral.data)[0]
+    want = nn_ops.conv2d_fwd(ConvParams.from_store(store, "smooth"), up + lateral.data)[0]
     npt.assert_array_equal(out.data, want)
 
 
 def test_cap_baseline_is_the_composed_plain_pipeline(rng):
-    p = make_fusion_params(rng, kind="down", guided=False)
+    store = make_fusion_store(rng, kind="down", guided=False)
     lower = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     td = LevelFeature(3, rng.standard_normal((8, 3, 4)))
-    out = fusion.fuse_fwd(lower, td, p, guided=False, gated=False)[0]
-    kern, _ = fusion.predict_kernels_fwd(lower.data, p)
+    out = fusion.fuse_fwd(lower, td, store, guided=False, gated=False)[0]
+    kern, _ = fusion.predict_kernels_fwd(lower.data, fusion._kpred_convs(store, "", 2), 2)
     down = fusion.reassemble_down_fwd(lower.data, kern, 2)[0]
-    want = nn_ops.conv2d_fwd(p.smooth, td.data + down)[0]
+    want = nn_ops.conv2d_fwd(ConvParams.from_store(store, "smooth"), td.data + down)[0]
     npt.assert_array_equal(out.data, want)
 
 
 def test_guidance_changes_the_kernels(rng):
-    p = make_fusion_params(rng, guided=True)
+    store = make_fusion_store(rng, guided=True)
     upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
-    guided = fusion.fuse_fwd(upper, lateral, p, guided=True, gated=False)[0]
+    guided = fusion.fuse_fwd(upper, lateral, store, guided=True, gated=False)[0]
     pooled = nn_ops.max_pool2d_fwd(lateral.data)[0]
-    kern_a, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)
-    kern_b, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, np.zeros_like(pooled)]), p)
+    convs = fusion._kpred_convs(store, "", 1)
+    kern_a, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), convs, 2)
+    kern_b, _ = fusion.predict_kernels_fwd(np.concatenate([upper.data, np.zeros_like(pooled)]),
+                                           convs, 2)
     assert not np.allclose(kern_a, kern_b)
     assert guided.data.shape == lateral.data.shape
 
 
 def test_fuse_shape_validation(rng):
-    p = make_fusion_params(rng)
+    store = make_fusion_store(rng)
     with pytest.raises(ValueError):
         fusion.fuse_fwd(LevelFeature(3, rng.standard_normal((8, 3, 4))),
-                        LevelFeature(2, rng.standard_normal((8, 5, 8))), p)
+                        LevelFeature(2, rng.standard_normal((8, 5, 8))), store)
     with pytest.raises(ValueError):
         fusion.fuse_fwd(LevelFeature(2, rng.standard_normal((8, 5, 8))),
-                        LevelFeature(3, rng.standard_normal((8, 3, 4))), p)
+                        LevelFeature(3, rng.standard_normal((8, 3, 4))), store)
 
 
-def test_fusion_params_validation(rng):
-    with pytest.raises(ValueError):
-        make_fusion_params(rng, k=4)
-    with pytest.raises(ValueError):
-        make_fusion_params(rng, gate_act="tanh")
+@pytest.mark.parametrize("fine_shape", [(8, 7, 8), (8, 6, 12), (8, 3, 4), (8, 9, 8), (6, 6, 8)],
+                         ids=["not-a-multiple", "unequal-ratios", "s1", "s3-by-s2", "channels"])
+@pytest.mark.parametrize("kind", ["up", "down"])
+def test_fuse_refuses_levels_that_are_not_one_integer_multiple(rng, kind, fine_shape):
+    # the scale is read from the extents: fine must be s× coarse on both
+    # axes, one integer s ≥ 2, with the same leading axes
+    store = make_fusion_store(rng, kind=kind)
+    coarse = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    fine = LevelFeature(2, rng.standard_normal(fine_shape))
+    src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
+    with pytest.raises(ValueError) as refused:
+        fusion.fuse_fwd(src, dst, store)
+    assert f"level 2 {fine_shape} is not one integer multiple s ≥ 2" in str(refused.value)
+
+
+def test_fuse_refuses_predictor_logits_that_are_not_an_odd_tap_count(rng):
+    # the tap size is read from the logits: k²·s² going up, k² going down, k odd
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
+    with pytest.raises(ValueError, match="tap size must be odd, got 4"):
+        fusion.fuse_fwd(upper, lateral, make_fusion_store(rng, k=4))
+    with pytest.raises(ValueError, match="tap size must be odd, got 2"):
+        fusion.fuse_fwd(lateral, upper, make_fusion_store(rng, k=2, kind="down"))
+    # 36 logits are k = 3 at s = 2, but k = 2 at s = 3
+    with pytest.raises(ValueError, match="tap size must be odd, got 2"):
+        fusion.fuse_fwd(upper, LevelFeature(2, rng.standard_normal((8, 9, 12))),
+                        make_fusion_store(rng))
+    store = make_fusion_store(rng)
+    for name in ("kpred.predictor.weight", "kpred.predictor.bias"):
+        store[name] = store[name][:10]
+    with pytest.raises(ValueError, match="10 predictor logits are not k²·4"):
+        fusion.fuse_fwd(upper, lateral, store)
+    store = make_fusion_store(rng, kind="down")
+    for name in ("kpred.predictor.weight", "kpred.predictor.bias"):
+        store[name] = store[name][:8]
+    with pytest.raises(ValueError, match="kernel axis 8 is not a square tap count"):
+        fusion.fuse_fwd(lateral, upper, store)
+
+
+def test_fuse_refuses_an_unknown_gate_act(rng):
+    upper = LevelFeature(3, rng.standard_normal((8, 3, 4)))
+    lateral = LevelFeature(2, rng.standard_normal((8, 6, 8)))
+    with pytest.raises(ValueError, match="gate_act must be one of .* got 'tanh'"):
+        fusion.fuse_fwd(upper, lateral, make_fusion_store(rng), gate_act="tanh")
 
 
 def test_fuse_levels_and_strides_carry_over(rng):
-    p = make_fusion_params(rng)
+    store = make_fusion_store(rng)
     upper = LevelFeature(4, rng.standard_normal((8, 2, 2)))
     lateral = LevelFeature(3, rng.standard_normal((8, 4, 4)))
-    out = fusion.fuse_fwd(upper, lateral, p)[0]
+    out = fusion.fuse_fwd(upper, lateral, store)[0]
     assert (out.level, out.stride) == (3, 8)
 
 
 @pytest.mark.parametrize("kind", ["up", "down"])
 def test_guided_site_concatenates_once(monkeypatch, rng, kind):
     # the kernel predictor and the gates read the same [src, guide] array
-    calls = []
-    concat = fusion.concat_channels_fwd
-    monkeypatch.setattr(fusion, "concat_channels_fwd", lambda a, b: calls.append(1) or concat(a, b))
-    p = make_fusion_params(rng, kind=kind)
+    read = []
+    for name in ("predict_kernels_fwd", "channel_gates_fwd"):
+        real = getattr(fusion, name)
+        monkeypatch.setattr(fusion, name, lambda x, *a, real=real: read.append(x) or real(x, *a))
+    store = make_fusion_store(rng, kind=kind)
     coarse = LevelFeature(3, rng.standard_normal((8, 3, 4)))
     fine = LevelFeature(2, rng.standard_normal((8, 6, 8)))
     src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
-    fusion.fuse_fwd(src, dst, p)
-    assert len(calls) == 1
+    fusion.fuse_fwd(src, dst, store)
+    assert len(read) == 2 and read[0] is read[1] and read[0].shape[-3] == 16
 
 
 def test_guided_topdown_site_with_s3(rng):
     # a 3×3 max-pool guidance lands on the source grid; 3² · 3² = 81 logits
-    p = make_fusion_params(rng, s=3)
-    assert p.predictor.weight.shape[0] == 81
+    store = make_fusion_store(rng, s=3)
+    assert store["kpred.predictor.weight"].shape[0] == 81
     upper = LevelFeature(3, rng.standard_normal((8, 2, 3)))
     lateral = LevelFeature(2, rng.standard_normal((8, 6, 9)))
-    out, cache = fusion.fuse_fwd(upper, lateral, p)
-    pooled = oracles.max_pool2d_oracle(lateral.data, 3)
-    kern = fusion.predict_kernels_fwd(np.concatenate([upper.data, pooled]), p)[0]
+    out, cache = fusion.fuse_fwd(upper, lateral, store)
+    x = np.concatenate([upper.data, oracles.max_pool2d_oracle(lateral.data, 3)])
+    kern = fusion.predict_kernels_fwd(x, fusion._kpred_convs(store, "", 1), 3)[0]
     assert kern.shape == (81, 2, 3)
-    high, low = fusion.channel_gates_fwd(np.concatenate([upper.data, pooled]), p)[0]
+    high, low = fusion.channel_gates_fwd(x, fusion._gate_weights(store, ""), 2.0)[0]
     up = fusion.reassemble_up_fwd(upper.data, kern, 3)[0]
     pre = high[:, None, None] * up + low[:, None, None] * lateral.data
-    npt.assert_allclose(out.data, nn_ops.conv2d_fwd(p.smooth, pre)[0], rtol=0, atol=1e-12)
+    want = nn_ops.conv2d_fwd(ConvParams.from_store(store, "smooth"), pre)[0]
+    npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
     gsrc, gdst, _ = fusion.fuse_bwd(cache, rng.standard_normal(out.data.shape))
     assert gsrc.shape == upper.data.shape and gdst.shape == lateral.data.shape
 
@@ -417,16 +460,16 @@ def _over_images(a, ndim):
     return a.reshape((-1,) + a.shape[a.ndim - ndim:]).sum(axis=0)
 
 
-def _explicit_fuse_bwd(cache, gout, src, dst, p, guided):
+def _explicit_fuse_bwd(cache, gout, src, dst, store, s, guided):
     """fuse_bwd with the readers' gradient formed at full width: [src; guide]
     built here whole, the explicit Wᵀ·g1 + gz⊗attn + w1ᵀ⊗glogits over every
     channel of it, split, its guide half passed through the guide's own
     adjoint, and the reader weights' gradients taken from the whole input."""
-    up, _, _, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
+    _, up, _, _, re, gates, c_guide, c_kern, c_re, c_gate, c_sm = cache
     x, dst = src.data, dst.data
     if guided:
         resample_fwd = nn_ops.max_pool2d_fwd if up else nn_ops.bilinear_upsample_fwd
-        x = np.concatenate([x, resample_fwd(dst, p.s)[0]], axis=-3)
+        x = np.concatenate([x, resample_fwd(dst, s)[0]], axis=-3)
     x = x.reshape(x.shape[:-2] + (-1,))  # the reader input, flat
     gpre, gw_s, gb_s = nn_ops.conv2d_bwd(c_sm, gout)
     pg = {"smooth.weight": gw_s, "smooth.bias": gb_s}
@@ -444,10 +487,10 @@ def _explicit_fuse_bwd(cache, gout, src, dst, p, guided):
     reassemble_bwd = fusion.reassemble_up_bwd if up else fusion.reassemble_down_bwd
     gsrc, gkern = reassemble_bwd(c_re, gre)
     (wt, g1), kpred_pg = fusion.predict_kernels_bwd(c_kern, gkern)
-    w = p.compressor.weight[:, :, 0, 0]
+    w = store["kpred.compressor.weight"][:, :, 0, 0]
     gx = np.einsum("mc,...mp->...cp", w, g1)
     if gates is not None:
-        w1 = p.gate_w1[0]
+        w1 = store["gate.w1.weight"][0]
         gx = gx + gz[..., :, None] * attn[..., None, :] + w1[:, None] * glogits[..., None, :]
         pg["gate.w1.weight"] = _over_images(np.einsum("...p,...cp->...c", glogits, x), 1)[None]
         pg.update(gate_pg)
@@ -469,13 +512,13 @@ def _explicit_fuse_bwd(cache, gout, src, dst, p, guided):
 def test_site_backward_equals_the_full_width_reader_gradient(rng, kind, s, guided, gated, lead):
     # the factored adjoint (rank c_m + 2, the guide half moved through the
     # guide's adjoint before it is widened) is an identity, exact in f64
-    p = make_fusion_params(rng, kind=kind, guided=guided, s=s)
+    store = make_fusion_store(rng, kind=kind, guided=guided, s=s)
     coarse = LevelFeature(3, rng.standard_normal(lead + (8, 2, 3)))
     fine = LevelFeature(2, rng.standard_normal(lead + (8, 2 * s, 3 * s)))
     src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
-    out, cache = fusion.fuse_fwd(src, dst, p, guided=guided, gated=gated)
+    out, cache = fusion.fuse_fwd(src, dst, store, guided=guided, gated=gated)
     gout = rng.standard_normal(out.data.shape)
-    want = _explicit_fuse_bwd(cache, gout, src, dst, p, guided)
+    want = _explicit_fuse_bwd(cache, gout, src, dst, store, s, guided)
     got = fusion.fuse_bwd(cache, gout)
     npt.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
@@ -502,9 +545,8 @@ def test_site_backward_f32_error_at_paper_width(kind):
     grads = []
     for dt in (np.float64, np.float32):
         s = {k: v.astype(dt) for k, v in store.items()}
-        p = fusion.FusionParams.from_store(s, "td.l4" if up else "bu.l4", 5, up)
         c, f = LevelFeature(4, coarse.astype(dt)), LevelFeature(3, fine.astype(dt))
-        out, cache = fusion.fuse_fwd(*((c, f) if up else (f, c)), p)
+        out, cache = fusion.fuse_fwd(*((c, f) if up else (f, c)), s, "td.l4" if up else "bu.l4")
         gsrc, gdst, pg = fusion.fuse_bwd(cache, np.random.default_rng(1).standard_normal(
             out.data.shape).astype(dt))
         grads.append({"src": gsrc, "dst": gdst, **pg})

@@ -366,16 +366,6 @@ def test_nearest_upsample_replicates(rng):
     assert y.shape == (1, 4, 4)
 
 
-def test_concat_channels_joins_channels(rng):
-    a = rng.standard_normal((2, 3, 3))
-    b = rng.standard_normal((5, 3, 3))
-    y, cache = nn_ops.concat_channels_fwd(a, b)
-    npt.assert_array_equal(y, np.concatenate([a, b], axis=0))
-    assert cache == 2
-    with pytest.raises(ValueError, match="disagree"):
-        nn_ops.concat_channels_fwd(a, rng.standard_normal((5, 3, 4)))
-
-
 def test_conv2d_rejects_bad_input_rank(rng):
     p = ConvParams(rng.standard_normal((2, 2, 1, 1)), np.zeros(2))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -450,6 +451,19 @@ def test_training_caches_hold_no_reader_input_queries_or_embeddings(rng, arch):
 
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
+def test_the_tap_sizes_come_from_the_store_not_the_config(rng, arch):
+    # a store built at k_up = k_dn = 3 runs at 3 under a config that says 1:
+    # the forward reads each site's tap size from its predictor's logits
+    cfg = small_cfg(arch, k_up=3, k_dn=3)
+    store = pyramid.init_params(cfg)
+    levels = small_levels(rng)
+    want = pyramid.forward_pyramid(levels, store, cfg)
+    got = pyramid.forward_pyramid(levels, store, replace(cfg, k_up=1, k_dn=1))
+    for g, w in zip(got, want):
+        assert g.level == w.level and np.array_equal(g.data, w.data)
+
+
+@pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
 def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, arch):
     # when a site's backward runs, the cache holds only the sites still to come
     cfg = small_cfg(arch)
@@ -490,9 +504,9 @@ def test_reading_p2_alone_runs_only_the_top_down_sites(monkeypatch, rng, arch, b
     real = pyramid.fusion.fuse_fwd
     calls = []
 
-    def spy(src, dst, p):
+    def spy(src, dst, *args):
         calls.append((src.level, dst.level))
-        return real(src, dst, p)
+        return real(src, dst, *args)
 
     monkeypatch.setattr(pyramid.fusion, "fuse_fwd", spy)
     top_down = [(src, dst) for _, src, dst, _ in pyramid._sites(cfg) if src > dst]

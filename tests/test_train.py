@@ -84,7 +84,7 @@ def test_a_missing_gradient_stops_training(monkeypatch):
     def drop_one(cache, gout):
         gsrc, gdst, pg = real(cache, gout)
         if not calls:
-            del pg["gate.w3.weight"]
+            del pg["td.l2.gate.w3.weight"]
         calls.append(1)
         return gsrc, gdst, pg
 
