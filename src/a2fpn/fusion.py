@@ -20,6 +20,8 @@ gradients that read x, split the same way (fuse_bwd).  No cache holds x
 either: the forward builds it once for both readers and drops it, and the
 backward reads the source (a reference to the level) and the guidance
 separately, going up the max pool's own output, going down dst itself.
+A reassembly caches only its source level and kernels; its backward rebuilds
+the padded or phase-split copies, and the max pool's adjoint adds into gdst.
 
 Features are one image (c, h, w) or a batch (n, c, h, w).  Kernels and
 gates are then per image, and the site's parameters are shared, so their
@@ -220,6 +222,15 @@ def _check_cover(src, kernels, fits, what):
         raise ValueError(f"kernels {kernels.shape} do not cover a {what} output of {src.shape}")
 
 
+def _padded_channel_last(coarse, r):
+    """coarse channel-last and zero-padded by r, (n, h + 2r, w + 2r, c): windows copy c-runs."""
+    cb = _lift(coarse)
+    n, c, h, w = cb.shape
+    cpt = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=coarse.dtype)
+    cpt[:, r : r + h, r : r + w] = cb.transpose(0, 2, 3, 1)
+    return cpt
+
+
 def reassemble_up_fwd(coarse, kernels, s=2):
     """out(s·y + dy, s·x + dx) = kernel(y, x)[:, dy, dx] · k×k zero-padded window of coarse(y, x).
 
@@ -228,7 +239,7 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     arXiv 1905.02188): the s² outputs of coarse cell (y, x) all read the
     same window, so they are one product U(c×k²) @ K(k²×s²) of the unfolded
     window and the cell's kernels.  U is copied from a strided view of the
-    windows (_windows) over a channel-last copy of the zero-padded source.
+    windows (_windows) over a padded channel-last copy of the source, not cached.
     The products run as one stacked matmul per block of coarse rows (whole
     images while one fits), sized so that the unfolded block stays under
     nn_ops._BLOCK_BYTES, and each block's products are written into the
@@ -239,12 +250,8 @@ def reassemble_up_fwd(coarse, kernels, s=2):
     _check_cover(coarse, kernels, kernels.shape[-3:] == (k * k * s * s, h, w), f"×{s}")
     r = (k - 1) // 2
     k2 = k * k
-    cb, kb = _lift(coarse), _lift(kernels)
-    n, c = cb.shape[:2]
-    # channel-last, so each unfolded window copies in runs of c contiguous values;
-    # the cache holds its channel-first view as the padded source
-    cpt = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=coarse.dtype)
-    cpt[:, r : r + h, r : r + w] = cb.transpose(0, 2, 3, 1)
+    cpt, kb = _padded_channel_last(coarse, r), _lift(kernels)
+    n, c = cpt.shape[0], cpt.shape[3]
     windows = _windows(cpt, k)
     kcell = _kernel_cells(kb, s)
     out = np.empty((n, c, s * h, s * w), dtype=coarse.dtype)
@@ -256,10 +263,7 @@ def reassemble_up_fwd(coarse, kernels, s=2):
         uk = np.matmul(ut.swapaxes(2, 3), kt).reshape(i1 - i0, y1 - y0, w, c, s * s)
         for dy, dx, o in phases:
             o[i0:i1, :, y0:y1] = uk[..., dy * s + dx].transpose(0, 3, 1, 2)
-    cp = cpt.transpose(0, 3, 1, 2)
-    if coarse.ndim == 3:
-        out, cp = out[0], cp[0]
-    return out, (coarse.shape, kernels, cp, s, k, r)
+    return (out if coarse.ndim == 4 else out[0]), (coarse, kernels, s, k, r)
 
 
 def reassemble_up_bwd(cache, gout):
@@ -267,23 +271,23 @@ def reassemble_up_bwd(cache, gout):
 
     Per block, gK = Uᵀ G and gUᵀ = K Gᵀ, where G holds each cell's s²
     output gradients, gathered from gout one phase at a time as the
-    forward scatters them; U is unfolded again from the cached padded
-    source rather than cached.  gUᵀ folds into the padded-source gradient
+    forward scatters them; U is unfolded again from a padded copy of the
+    cached source, rebuilt here.  gUᵀ folds into the padded-source gradient
     with one slice-add per tap.
     """
-    shape, kernels, cp, s, k, r = cache
-    c, h, w = shape[-3:]
+    coarse, kernels, s, k, r = cache
+    c, h, w = coarse.shape[-3:]
     k2 = k * k
     kernels = _lift(kernels)
     n = kernels.shape[0]
-    cpt = _lift(cp).transpose(0, 2, 3, 1)
+    cpt = _padded_channel_last(coarse, r)
     windows = _windows(cpt, k)
     kcell = _kernel_cells(kernels, s)
     phases = _phases(_lift(gout), s)
     gkern = np.empty(kernels.shape, dtype=kernels.dtype)  # C order, so _kernel_cells is a view
     gkcell = _kernel_cells(gkern, s)
-    gcpt = np.zeros(cpt.shape, dtype=cp.dtype)
-    for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cp.itemsize)):
+    gcpt = np.zeros(cpt.shape, dtype=cpt.dtype)
+    for i0, i1, y0, y1 in _row_blocks(n, h, _unfold_rows(w, c, k2, cpt.itemsize)):
         ni, ny = i1 - i0, y1 - y0
         g = np.empty((ni, ny, w, c, s * s), dtype=gout.dtype)
         for dy, dx, o in phases:
@@ -299,7 +303,7 @@ def reassemble_up_bwd(cache, gout):
             dy, dx = divmod(t, k)
             gcpt[i0:i1, y0 + dy : y0 + dy + ny, dx : dx + w] += gut[:, :, :, t]
     gc = np.ascontiguousarray(gcpt[:, r : r + h, r : r + w].transpose(0, 3, 1, 2))
-    return (gc, gkern) if len(shape) == 4 else (gc[0], gkern[0])
+    return (gc, gkern) if coarse.ndim == 4 else (gc[0], gkern[0])
 
 
 def _plane_span(ph, n, r, s):
@@ -340,7 +344,7 @@ def reassemble_down_fwd(fine, kernels, s=2):
     _DOWN_BLOCK_BYTES; within a block the k² products go through one
     preallocated buffer and add into the output in tap order, so every
     output value sums the same products in the same order as a single pass.
-    The cache holds the planes.
+    The cache holds fine and the kernels, not the planes.
     """
     k = _tap_count(kernels.shape[-3])
     h, w = kernels.shape[-2:]
@@ -359,32 +363,32 @@ def reassemble_down_fwd(fine, kernels, s=2):
             win = _tap_view(planes, dy, dx, s, h, w)[..., c0 : c0 + cb, :, :]
             np.multiply(kernels[..., t, None, :, :], win, out=pb)
             block += pb
-    return out, (fine.shape, kernels, planes, s, k, r)
+    return out, (fine, kernels, s, k, r)
 
 
 def reassemble_down_bwd(cache, gout):
     """Adjoint of reassemble_down_fwd, in the forward's channel blocks, tap
-    by tap over the cached phase planes.
+    by tap over the phase planes of each block of fine, split as it starts.
 
     Per block, gK for tap t gains gout · (its plane slice), summed over the
     block's channels, so gK is summed block by block; the block's fine-map
     gradient accumulates into one buffer per phase plane, in tap order, and
     is interleaved back into the fine grid before the next block starts.
     """
-    shape, kernels, planes, s, k, r = cache
-    sh, sw = shape[-2:]
+    fine, kernels, s, k, r = cache
+    sh, sw = fine.shape[-2:]
     h, w = gout.shape[-2:]
     c = gout.shape[-3]
     cb = max(1, _DOWN_BLOCK_BYTES // max(1, gout[..., :1, :, :].nbytes))  # channels per block
-    dt = np.result_type(gout, kernels, planes[0])
+    dt = np.result_type(gout, kernels, fine)
     gkern = np.zeros_like(kernels)
     gk_t = np.empty(gout.shape[:-3] + (h, w), dtype=dt)  # one tap's sum over a block's channels
     prod = np.empty(gout.shape[:-3] + (min(cb, c), h, w), dtype=dt)
-    gfine = np.empty(shape, dtype=planes[0].dtype)
+    gfine = np.empty(fine.shape, dtype=fine.dtype)
     for c0 in range(0, c, cb):
         go = gout[..., c0 : c0 + cb, :, :]
         pb = prod[..., : go.shape[-3], :, :]
-        block = [plane[..., c0 : c0 + cb, :, :] for plane in planes]
+        block = _phase_planes(fine[..., c0 : c0 + cb, :, :], r, s)
         gplanes = [np.zeros_like(plane) for plane in block]
         for t in range(k * k):
             dy, dx = divmod(t, k)
@@ -641,7 +645,7 @@ def fuse_bwd(cache, gout):
     gsrc += (lhs[..., :c, :] @ rhs).reshape(gsrc.shape)
     parts = [(rhs, src)]
     if c_guide is not None and up:
-        gdst += max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape))
+        max_pool2d_bwd(c_guide, (lhs[..., c:, :] @ rhs).reshape(gsrc.shape), out=gdst)
         parts.append((rhs, guide))
     elif c_guide is not None:
         rhs_dst = _flat(bilinear_upsample_bwd(c_guide, rhs.reshape(rhs.shape[:-1] + gsrc.shape[-2:])))

@@ -53,7 +53,7 @@ maps is one column block.
 The s×s max pool likewise caches references, to its input and its output,
 not a window index: the forward is s² - 1 np.maximum passes over phase
 views, and the backward, which alone needs the index, finds it by
-comparing each phase with the output.
+comparing each phase with the output and adds into the caller's gradient.
 """
 
 from __future__ import annotations
@@ -623,16 +623,17 @@ def max_pool2d_fwd(x, s=2):
     return y, (x, y, s)
 
 
-def max_pool2d_bwd(cache, gy):
-    """Routes each window's gradient to the phase np.argmax over the window picks.
+def max_pool2d_bwd(cache, gy, out=None):
+    """Adds each window's gradient into out (zeros if None) at the phase np.argmax picks.
 
     Phases are visited in row-major window order; a window is claimed by the
     first phase equal to its max or, in a NaN window, by the first NaN, which
     the equality misses.  (Where a window holds both 0.0 and -0.0, y may
-    carry the other zero; either compares equal.)
+    carry the other zero; either compares equal.)  No x-sized temporary.
     """
     x, y, s = cache
-    gx = np.zeros(x.shape, dtype=gy.dtype)
+    if out is None:  # -0.0 is the additive identity: a claimed window keeps gy's bits, -0.0 too
+        out = np.full(x.shape, -0.0, dtype=gy.dtype)
     open_ = np.ones(y.shape, dtype=bool)  # windows not yet claimed
     nan = np.isnan(y)
     nan = nan if nan.any() else None
@@ -646,8 +647,8 @@ def max_pool2d_bwd(cache, gy):
             open_ ^= hit
         else:
             hit = open_
-        np.copyto(gx[..., t // s :: s, t % s :: s], gy, where=hit)
-    return gx
+        out[..., t // s :: s, t % s :: s] += np.where(hit, gy, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from a2fpn import fusion, nn_ops, oracles, pyramid, tensor_core as tc
 from a2fpn.levels import LevelFeature
 from a2fpn.nn_ops import ConvParams
-from conftest import make_fusion_store
+from conftest import make_fusion_store, traced_peak
 
 
 def test_up_kernels_are_tap_distributions(rng):
@@ -80,7 +80,8 @@ def test_reassemble_up_row_blocks_match_loop_oracles(monkeypatch, c, h, w, k, s)
 def _reassemble_up_by_cells(coarse, kernels, s, k):
     """reassemble_up_fwd/bwd's arithmetic with np.pad, sliding_window_view and
     one 6-axis copy between each block and the cells' s×s pixels: the same
-    GEMMs on the same operands, so the same bits as the phase copies."""
+    GEMMs on the same operands, so the same bits as the phase copies.  The
+    backward reads the padded copy its forward made, as a cache of it would."""
     r, k2 = (k - 1) // 2, k * k
     cb, kb = nn_ops._lift(coarse), nn_ops._lift(kernels)
     n, c, h, w = cb.shape
@@ -172,6 +173,61 @@ def test_reassemble_down_phase_planes_match_loop_oracles(monkeypatch, k, s, n):
         npt.assert_allclose(gk[i], want_gk, rtol=0, atol=1e-12)
 
 
+def _reassemble_down_bwd_by_cached_planes(fine, kernels, gout, s, k):
+    """reassemble_down_bwd as it read phase planes of the whole fine map, split
+    once in the forward and cached, a channel block of each per block."""
+    r = (k - 1) // 2
+    planes = fusion._phase_planes(fine, r, s)
+    sh, sw = fine.shape[-2:]
+    h, w = gout.shape[-2:]
+    c = gout.shape[-3]
+    cb = max(1, fusion._DOWN_BLOCK_BYTES // max(1, gout[..., :1, :, :].nbytes))
+    dt = np.result_type(gout, kernels, planes[0])
+    gkern = np.zeros_like(kernels)
+    gk_t = np.empty(gout.shape[:-3] + (h, w), dtype=dt)
+    prod = np.empty(gout.shape[:-3] + (min(cb, c), h, w), dtype=dt)
+    gfine = np.empty(fine.shape, dtype=planes[0].dtype)
+    for c0 in range(0, c, cb):
+        go = gout[..., c0 : c0 + cb, :, :]
+        pb = prod[..., : go.shape[-3], :, :]
+        block = [plane[..., c0 : c0 + cb, :, :] for plane in planes]
+        gplanes = [np.zeros_like(plane) for plane in block]
+        for t in range(k * k):
+            dy, dx = divmod(t, k)
+            np.multiply(go, fusion._tap_view(block, dy, dx, s, h, w), out=pb)
+            gkern[..., t, :, :] += pb.sum(axis=-3, out=gk_t)
+            np.multiply(kernels[..., t, None, :, :], go, out=pb)
+            fusion._tap_view(gplanes, dy, dx, s, h, w)[...] += pb
+        for t, gplane in enumerate(gplanes):
+            iy, ay, ny, _ = fusion._plane_span(t // s, sh, r, s)
+            ix, ax, nx, _ = fusion._plane_span(t % s, sw, r, s)
+            gfine[..., c0 : c0 + cb, iy::s, ix::s] = gplane[..., ay : ay + ny, ax : ax + nx]
+    return gfine, gkern
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_reassemble_down_bwd_keeps_the_cached_plane_bits(monkeypatch, dtype, n, s, k, blocks):
+    # planes split per channel block in the backward hold the values a
+    # whole-map split holds, so the adjoint reads the same operands in the same order
+    c, h, w = 5, 3, 4
+    lead = (n,) if n > 1 else ()  # one image runs as (c, h, w)
+    if blocks > 1:  # blocks of 2, 2 and 1 channels
+        monkeypatch.setattr(fusion, "_DOWN_BLOCK_BYTES", 2 * n * h * w * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng([n, s, k, blocks])
+    fine = rng.standard_normal(lead + (c, s * h, s * w)).astype(dtype)
+    kern = rng.standard_normal(lead + (k * k, h, w)).astype(dtype)
+    gout = rng.standard_normal(lead + (c, h, w)).astype(dtype)
+    _, cache = fusion.reassemble_down_fwd(fine, kern, s)
+    got = fusion.reassemble_down_bwd(cache, gout)
+    for g, want in zip(got, _reassemble_down_bwd_by_cached_planes(fine, kern, gout, s, k)):
+        assert g.dtype == dtype
+        npt.assert_array_equal(g.view(np.uint8), want.view(np.uint8))
+
+
 def test_reassemble_down_f32_equals_the_strided_view_formula(monkeypatch, rng):
     # the phase planes and channel blocks reorder memory, not arithmetic:
     # same products, same tap order
@@ -186,6 +242,7 @@ def test_reassemble_down_f32_equals_the_strided_view_formula(monkeypatch, rng):
             want += kern[:, dy * k + dx, None] * fp[..., dy : dy + s * h : s, dx : dx + s * w : s]
     npt.assert_array_equal(fusion.reassemble_down_fwd(fine, kern, s)[0], want)
 
+
 def test_reassemble_up_f32_matches_f64_and_caches_no_unfold(rng):
     c, h, w, k, s = 64, 16, 24, 5, 2
     # at this size the default block cap splits the level into several blocks
@@ -195,16 +252,79 @@ def test_reassemble_up_f32_matches_f64_and_caches_no_unfold(rng):
     gout = rng.standard_normal((c, s * h, s * w))
     out64, cache64 = fusion.reassemble_up_fwd(coarse, kern, s)
     gc64, gk64 = fusion.reassemble_up_bwd(cache64, gout)
-    out32, cache32 = fusion.reassemble_up_fwd(coarse.astype(np.float32), kern.astype(np.float32), s)
+    coarse32, kern32 = coarse.astype(np.float32), kern.astype(np.float32)
+    out32, cache32 = fusion.reassemble_up_fwd(coarse32, kern32, s)
+    _assert_caches_only(cache32, coarse32, kern32)
     gc32, gk32 = fusion.reassemble_up_bwd(cache32, gout.astype(np.float32))
     for got, want in ((out32, out64), (gc32, gc64), (gk32, gk64)):
         assert got.dtype == np.float32
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
-    padded = (c, h + k - 1, w + k - 1)
-    # a cached view counts with the array it keeps alive
-    cached = [a if a.base is None else a.base for a in cache32 if isinstance(a, np.ndarray)]
-    assert any(a.shape == padded for a in cache32 if isinstance(a, np.ndarray))
-    assert all(a.size <= max(np.prod(padded), kern.size) for a in cached)
+
+
+def _arrays(obj):
+    """Every array in obj, a nest of tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def _assert_caches_only(cache, src, kernels):
+    # every cached array is the source level itself, the kernels, or under a
+    # tenth of the source's size: no unfolded tiles, no padded or phase copy
+    # (a cached view counts with the array it keeps alive)
+    for a in _arrays(cache):
+        if a is not src and a is not kernels:
+            assert (a if a.base is None else a.base).size < src.size / 10, a.shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "n3"])
+@pytest.mark.parametrize("k,s", [(1, 2), (3, 2), (5, 3)])
+def test_reassemblies_cache_the_source_and_the_kernels_only(rng, dtype, lead, k, s):
+    c, h, w = 4, 3, 4
+    coarse = rng.standard_normal(lead + (c, h, w)).astype(dtype)
+    kern = rng.standard_normal(lead + (k * k * s * s, h, w)).astype(dtype)
+    _assert_caches_only(fusion.reassemble_up_fwd(coarse, kern, s)[1], coarse, kern)
+    fine = rng.standard_normal(lead + (c, s * h, s * w)).astype(dtype)
+    kern = rng.standard_normal(lead + (k * k, h, w)).astype(dtype)
+    _assert_caches_only(fusion.reassemble_down_fwd(fine, kern, s)[1], fine, kern)
+
+
+# A site at c = 32 over 2 images, levels of 16² and 32², k = 5, f32, with
+# conv column blocks of 64 KiB and down-reassembly blocks of 8 channels:
+# (bytes its forward caches beyond the levels, the output and the store,
+# bytes held at its backward's peak with the cache, the copy of the source
+# a reassembly once cached: the padded channel-last map up, the four phase
+# planes down).  Measured 873,512 and 2,153,248 bytes up, 369,704 and
+# 1,340,468 down.  The bounds allow half the copy; caching it, and going up
+# adding the max pool's adjoint through a whole-map temporary, overran them
+# by 51,200 and 80,853 bytes up and by 165,888 and 165,824 down.
+SITE_MEMORY = {"up": (873_512, 2_153_248, 2 * 32 * 20 * 20 * 4),
+               "down": (369_704, 1_340_468, 4 * 2 * 32 * 18 * 18 * 4)}
+
+
+@pytest.mark.parametrize("kind", ["up", "down"])
+def test_a_site_caches_no_copy_of_a_level(monkeypatch, kind):
+    monkeypatch.setattr(nn_ops, "_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(fusion, "_DOWN_BLOCK_BYTES", 8 * 2 * 16 * 16 * 4)
+    rng = np.random.default_rng(0)
+    store = {name: a.astype(np.float32)
+             for name, a in make_fusion_store(rng, c=32, c_m=8, k=5, kind=kind).items()}
+    coarse = LevelFeature(4, rng.standard_normal((2, 32, 16, 16)).astype(np.float32))
+    fine = LevelFeature(3, rng.standard_normal((2, 32, 32, 32)).astype(np.float32))
+    src, dst = (coarse, fine) if kind == "up" else (fine, coarse)
+    out, cache = fusion.fuse_fwd(src, dst, store)
+    held = [coarse.data, fine.data, out.data, *store.values()]
+    bases = {id(b): b for b in (a if a.base is None else a.base for a in _arrays(cache))
+             if not any(np.may_share_memory(b, h) for h in held)}
+    cached = sum(b.nbytes for b in bases.values())
+    gout = rng.standard_normal(out.data.shape).astype(np.float32)
+    _, peak = traced_peak(lambda: fusion.fuse_bwd(cache, gout))
+    want_cached, want_held, copy = SITE_MEMORY[kind]
+    assert cached <= want_cached + copy // 2
+    assert cached + peak <= want_held + copy // 2
 
 
 def test_reassemble_up_interior_constant_map(rng):

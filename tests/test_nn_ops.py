@@ -342,6 +342,46 @@ def test_max_pool_windows_follow_np_max_and_argmax(rng, s):
     npt.assert_array_equal(nn_ops.max_pool2d_bwd(cache, gy), want)
 
 
+def _max_pool_bwd_by_copyto(cache, gy):
+    """max_pool2d_bwd as a zero-filled gradient that each phase copies gy into where it claims."""
+    x, y, s = cache
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    open_ = np.ones(y.shape, dtype=bool)
+    nan = np.isnan(y)
+    for t in range(s * s):
+        ph = x[..., t // s :: s, t % s :: s]
+        if t < s * s - 1:
+            hit = ((ph == y) | (nan & np.isnan(ph))) & open_
+            open_ ^= hit
+        else:
+            hit = open_
+        np.copyto(gx[..., t // s :: s, t % s :: s], gy, where=hit)
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("n", [1, 3])
+def test_max_pool_adjoint_adds_the_copied_adjoint_bit_for_bit(dtype, s, n):
+    rng = np.random.default_rng([s, n])
+    lead = (n,) if n > 1 else ()  # one image runs as (c, h, w)
+    # few distinct values and some NaNs: ties and NaN windows are common
+    x = rng.integers(0, 3, lead + (3, 2 * s, 3 * s)).astype(dtype)
+    x[rng.random(x.shape) < 0.1] = np.nan
+    y, cache = nn_ops.max_pool2d_fwd(x, s)
+    gy = rng.standard_normal(y.shape).astype(dtype)
+    gy.flat[:4] = np.inf, np.nan, -0.0, -np.inf  # a non-finite gy, and a signed zero
+    out = rng.standard_normal(x.shape).astype(dtype)
+    out.flat[::5] = -0.0
+    want = out + _max_pool_bwd_by_copyto(cache, gy)
+    got = nn_ops.max_pool2d_bwd(cache, gy, out)
+    assert got is out
+    npt.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+    # with no out, the copied adjoint itself: -0.0 stays -0.0 where gy is -0.0
+    npt.assert_array_equal(nn_ops.max_pool2d_bwd(cache, gy).view(np.uint8),
+                           _max_pool_bwd_by_copyto(cache, gy).view(np.uint8))
+
+
 def test_max_pool_s3_matches_oracle_and_rejects_partial_windows(rng):
     x = rng.standard_normal((2, 6, 9))
     npt.assert_array_equal(nn_ops.max_pool2d_fwd(x, 3)[0], oracles.max_pool2d_oracle(x, 3))
