@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .levels import LevelFeature
+from .tape import record
 from .tensor_core import (
     l2_normalize_bwd,
     l2_normalize_fwd,
@@ -66,10 +67,13 @@ def param_shapes(c, levels):
     return {**shapes, **_gcn_shapes("mgc.shared_gcn", c), "mgc.out.weight": (c, c)}
 
 
-def _gcn_weights(store, prefix):
-    """The graph layer stored as ``{prefix}.w1.weight`` .. ``{prefix}.w3.weight``,
-    as the (w1, w2, w3) tuple gcn_layer_fwd takes."""
-    return tuple(store[f"{prefix}.w{i}.weight"] for i in (1, 2, 3))
+def _gcn_names(prefix):
+    """The store names of the graph layer ``{prefix}.w1.weight`` .. ``.w3.weight``."""
+    return tuple(f"{prefix}.w{i}.weight" for i in (1, 2, 3))
+
+
+def _read(store, names):
+    return tuple(store[name] for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +263,17 @@ def distribute_context_bwd(cache, gout):
 # whole module
 # ---------------------------------------------------------------------------
 
-def mgc_forward_fwd(levels, store):
-    """levels: list of LevelFeature -> list of context-enriched levels.
+def mgc_forward_fwd(levels, store, tape=None):
+    """levels: list of LevelFeature -> (context-enriched levels, tape).
 
     Reads the store by the names param_shapes lists.  Collection runs on
     the levels whose ``psi`` weight is stored; distribution runs on every
-    level given.
+    level given.  With a tape, each stage is recorded on it: level L is
+    slot f{L}, read by its collection and written back by its
+    distribution, its bank is mgc.l{L}.bank and the fused bank mgc.fused.
+    The per-level stages, whose outputs are independent of each other, run
+    from the coarsest level down, so the replay sums the gradients of each
+    level, of the fused bank and of mgc.out.weight from the finest level up.
     """
     levels = sorted(levels, key=lambda f: f.level)
     for f in levels:
@@ -274,59 +283,26 @@ def mgc_forward_fwd(levels, store):
     if not collected:
         raise ValueError("at least one level must collect context")
 
-    banks, col_caches, gcn_caches = [], [], []
-    for f in collected:
+    banks = {}
+    for f in reversed(collected):
         name = f"mgc.l{f.level}"
-        bank, cc = collect_context_fwd(f.data, store[f"{name}.psi.weight"],
-                                       store[f"{name}.phi.weight"])
-        refined, gc = gcn_layer_fwd(bank, _gcn_weights(store, f"{name}.gcn"))
-        banks.append(refined)
-        col_caches.append(cc)
-        gcn_caches.append(gc)
-    fused, reason_cache = reason_multilevel_fwd(banks, _gcn_weights(store, "mgc.shared_gcn"))
+        slot, w = f"{name}.bank", (f"{name}.psi.weight", f"{name}.phi.weight")
+        bank = record(tape, collect_context_bwd, collect_context_fwd(f.data, *_read(store, w)),
+                      (f"f{f.level}", *w), (slot,))
+        gcn = _gcn_names(f"{name}.gcn")
+        banks[f.level] = record(tape, gcn_layer_bwd, gcn_layer_fwd(bank, _read(store, gcn)),
+                                (slot, *gcn), (slot,))
+    shared = _gcn_names("mgc.shared_gcn")
+    fused = record(tape, reason_multilevel_bwd,
+                   reason_multilevel_fwd([banks[f.level] for f in collected], _read(store, shared)),
+                   (*(f"mgc.l{f.level}.bank" for f in collected), *shared), ("mgc.fused",))
 
-    outs, dist_caches = [], []
-    for f in levels:
-        name = f"mgc.l{f.level}"
-        out, dc = distribute_context_fwd(f.data, fused, store[f"{name}.theta.weight"],
-                                         store[f"{name}.xi.weight"], store["mgc.out.weight"])
-        outs.append(LevelFeature(f.level, out))
-        dist_caches.append(dc)
-    cache = (levels, collected, col_caches, gcn_caches, reason_cache, dist_caches)
-    return outs, cache
-
-
-def mgc_forward_bwd(cache, gouts):
-    """gouts: list of gradients aligned with the forward outputs.
-
-    Returns (per-level input gradients keyed by level index, parameter
-    gradients keyed by dotted names like ``mgc.l3.psi.weight``).
-    """
-    levels, collected, col_caches, gcn_caches, reason_cache, dist_caches = cache
-    glevels = {f.level: np.zeros_like(f.data) for f in levels}
-    pg = {}
-
-    gfused = None
-    for f, dc, gout in zip(levels, dist_caches, gouts):
-        gfm, gfu, gtheta, gxi, gw_o = distribute_context_bwd(dc, gout)
-        glevels[f.level] += gfm
-        gfused = gfu if gfused is None else gfused + gfu
-        pg[f"mgc.l{f.level}.theta.weight"] = gtheta
-        pg[f"mgc.l{f.level}.xi.weight"] = gxi
-        pg["mgc.out.weight"] = pg.get("mgc.out.weight", 0) + gw_o
-
-    gbanks, gw1, gw2, gw3 = reason_multilevel_bwd(reason_cache, gfused)
-    pg["mgc.shared_gcn.w1.weight"] = gw1
-    pg["mgc.shared_gcn.w2.weight"] = gw2
-    pg["mgc.shared_gcn.w3.weight"] = gw3
-
-    for f, cc, gc, gbank in zip(collected, col_caches, gcn_caches, gbanks):
-        graw, g1, g2, g3 = gcn_layer_bwd(gc, gbank)
-        gfdata, gpsi, gphi = collect_context_bwd(cc, graw)
-        glevels[f.level] += gfdata
-        pg[f"mgc.l{f.level}.gcn.w1.weight"] = g1
-        pg[f"mgc.l{f.level}.gcn.w2.weight"] = g2
-        pg[f"mgc.l{f.level}.gcn.w3.weight"] = g3
-        pg[f"mgc.l{f.level}.psi.weight"] = gpsi
-        pg[f"mgc.l{f.level}.phi.weight"] = gphi
-    return glevels, pg
+    outs = {}
+    for f in reversed(levels):
+        slot = f"f{f.level}"
+        w = (f"mgc.l{f.level}.theta.weight", f"mgc.l{f.level}.xi.weight", "mgc.out.weight")
+        out = record(tape, distribute_context_bwd,
+                     distribute_context_fwd(f.data, fused, *_read(store, w)),
+                     (slot, "mgc.fused", *w), (slot,))
+        outs[f.level] = LevelFeature(f.level, out)
+    return [outs[f.level] for f in levels], tape

@@ -8,6 +8,8 @@ analytic audit counts from it.  The context module and each fusion site
 read the store by name, a site under its prefix (``td.l4``), and take every
 size the config also spells (``k_up``, ``k_dn``, ``k_en``, ``c_m``) from
 the stored shapes; a conv reads a ``ConvParams`` view that adds its stride.
+The a2fpn neck is written once, forward: each stage records its backward on
+a tape (``a2fpn.tape``), and ``forward_a2fpn_bwd`` replays it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -31,6 +34,7 @@ from .nn_ops import (
     max_pool2d_fwd,
     nearest_upsample,
 )
+from .tape import Tape, record
 from .tensor_core import DTYPES, relu_bwd, relu_fwd
 
 ARCHS = ("fpn", "pafpn", "a2fpn", "a2fpn_lite")
@@ -296,63 +300,40 @@ def init_params(cfg: PyramidConfig, with_backbone=False, with_head=False):
 # toy backbone
 # ---------------------------------------------------------------------------
 
-def toy_backbone_fwd(image, store):
+def toy_backbone_fwd(image, store, tape=None, need_gimage=False):
     """Two stride-2 stem convs then three stride-2 stages, ReLU throughout.
 
     image is (3, H, W) or a batch (n, 3, H, W).  Emits the features after
     the stem (stride 4) and after each stage, so four levels with strides
     4/8/16/32 and the store's stage widths, batched as the image is.
+    Returns (levels, tape).  With a tape, each conv and ReLU is pushed onto
+    it: the feature at stride 2^i is slot f{i}, written by the conv and
+    again by its ReLU.  The image is slot image with need_gimage;
+    otherwise the stem conv skips its input gradient.
     """
     if image.ndim not in (3, 4) or image.shape[-3] != 3 \
             or image.shape[-2] % 64 or image.shape[-1] % 64:
         raise ValueError(f"expected a 3×H×W image or n×3×H×W batch with extents divisible "
                          f"by 64, got {image.shape}")
-    caches = []
-    x = image
+    x, slot = image, "image" if need_gimage else None
     feats = []
-    for name in _BACKBONE_STAGES:
-        z, c_conv = conv2d_fwd(ConvParams.from_store(store, name, stride=2), x)
-        x, c_relu = relu_fwd(z)
-        caches.append((name, c_conv, c_relu))
+    for i, name in enumerate(_BACKBONE_STAGES, start=1):
+        bwd = conv2d_bwd if slot else partial(conv2d_bwd, need_gx=False)
+        z = record(tape, bwd, conv2d_fwd(ConvParams.from_store(store, name, stride=2), x),
+                   (slot, f"{name}.weight", f"{name}.bias"), (f"f{i}",))
+        slot = f"f{i}"
+        x = record(tape, relu_bwd, relu_fwd(z), (slot,), (slot,))
         feats.append(x)
-    levels = [LevelFeature(lvl, feats[i]) for i, lvl in enumerate((None, 2, 3, 4, 5)) if lvl]
-    return levels, caches
+    return [LevelFeature(lvl, f) for lvl, f in zip((2, 3, 4, 5), feats[1:])], tape
 
 
-def toy_backbone_bwd(caches, glevels, need_gimage=True):
-    """glevels maps level index (2..5) to the gradient of that output.
-
-    Returns (gimage, param grads).  Interior features receive gradient both
-    from their own output and through the next stage.  With need_gimage
-    False, gimage is None and the stem conv skips its input gradient; the
-    param grads are the same bits.
-    """
-    pg = {}
-    gx = None
-    for depth in range(4, -1, -1):
-        name, c_conv, c_relu = caches[depth]
-        lvl = (None, 2, 3, 4, 5)[depth]
-        g = gx
-        if lvl is not None and lvl in glevels:
-            g = glevels[lvl] if g is None else g + glevels[lvl]
-        if g is None:
-            g = np.zeros(c_relu.shape, dtype=c_conv[0].weight.dtype)
-        gz = relu_bwd(c_relu, g)
-        gx, gw, gb = conv2d_bwd(c_conv, gz, need_gx=depth > 0 or need_gimage)
-        pg[f"{name}.weight"] = gw
-        pg[f"{name}.bias"] = gb
-    return gx, pg
-
-
-def make_extra_level_fwd(f5: LevelFeature, store):
-    """Stride-2 conv from the coarsest backbone feature to a stride-64 level."""
-    y, cache = conv2d_fwd(ConvParams.from_store(store, "extra.f6", stride=2), f5.data)
-    return LevelFeature(6, y), cache
-
-
-def make_extra_level_bwd(cache, gy):
-    gx, gw, gb = conv2d_bwd(cache, gy)
-    return gx, {"extra.f6.weight": gw, "extra.f6.bias": gb}
+def make_extra_level_fwd(f5: LevelFeature, store, tape=None):
+    """Stride-2 conv from the coarsest backbone feature to a stride-64 level,
+    slot f6 from f5 on the tape; returns (level 6, tape)."""
+    p = ConvParams.from_store(store, "extra.f6", stride=2)
+    y = record(tape, conv2d_bwd, conv2d_fwd(p, f5.data), ("f5", "extra.f6.weight", "extra.f6.bias"),
+               ("f6",))
+    return LevelFeature(6, y), tape
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +403,13 @@ def _stage_shapes(cfg):
         yield prefix, {f"{prefix}.{name}": shape for name, shape in site.items()}
 
 
-class _Discard(dict):
-    """A stage cache that stores nothing, so each stage's cache is freed as it returns."""
-
-    def __setitem__(self, key, value):
-        pass
+def _zero_grads(cache):
+    shapes, dtype = cache
+    return {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
 
 
-def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=OUTPUT_LEVELS):
+def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=OUTPUT_LEVELS,
+                      tape=None):
     """Full pipeline: the extra level (full neck only), global-context
     enrichment, top-down content-aware fusion, then the gated bottom-up chain.
 
@@ -440,108 +420,91 @@ def forward_a2fpn_fwd(levels, store, cfg: PyramidConfig, keep_cache=True, reads=
     always run, a bottom-up site bu.l{d} only if a read level is ≥ d, and
     bu.l2.smooth (full neck) or pool_top (lite) only if level 2 or level 6
     is read.  An unread output is None; a read one has the bits of a
-    forward that reads every level.  The cache records reads, which fix the
-    gradients forward_a2fpn_bwd takes.  With keep_cache False the cache is None:
-    the backward cache of each stage (extra, mgc, every fusion site, and
-    bu.l2.smooth or pool_top), with its concatenations, phase planes, padded
-    inputs and attention maps, is freed as soon as that stage returns, and
-    each level a site replaces is freed once the site has read it.
+    forward that reads every level.
+
+    Each stage is recorded on tape (a new Tape if None) as it runs: level L
+    is slot f{L} in and out, and one entry gives each parameter of a
+    skipped stage an exact-zero gradient.  The cache is (tape, the shape
+    and dtype of each read output by level).  With keep_cache False nothing
+    is recorded and the cache is None: each stage's cache is freed as the
+    stage returns, and each level a site replaces once the site has read it.
     """
     _check_levels(levels)
     reads = frozenset(reads)
     if not reads or not reads <= set(OUTPUT_LEVELS):
         raise ValueError(f"reads must name one or more of the output levels {OUTPUT_LEVELS}, "
                          f"got {sorted(reads)}")
+    if not keep_cache:
+        tape = None
+    elif tape is None:
+        tape = Tape()
     top = cfg.top_level
-    cache = {"cfg": cfg, "reads": reads} if keep_cache else _Discard()
+    # a bottom-up site past every read level does not run
+    sites = [site for site in _sites(cfg) if site[1] > site[2] or site[2] <= max(reads)]
+    smooth = not cfg.lite and 2 in reads
 
     feats = list(levels)
     if not cfg.lite:
-        f6, cache["extra"] = make_extra_level_fwd(levels[-1], store)
-        feats.append(f6)
+        feats.append(make_extra_level_fwd(levels[-1], store, tape)[0])
+    if tape is not None:
+        ran = {prefix for prefix, *_ in sites} | ({"bu.l2.smooth"} if smooth else set())
+        skipped = {name: shape for prefix, shapes in _stage_shapes(cfg) if prefix not in ran
+                   for name, shape in shapes.items()}
+        if skipped:
+            tape.append((_zero_grads, (skipped, cfg.np_dtype), (), ()))
 
-    ctx, cache["mgc"] = mgc.mgc_forward_fwd(feats, store)
-    cur = {f.level: f for f in ctx}
-    del ctx  # cur holds the only reference to each level a site replaces
-
-    deepest = max(reads)
-    for prefix, src, dst, _ in _sites(cfg):
-        if src < dst and dst > deepest:  # bottom up, past every read level
-            break
-        cur[dst], cache[prefix] = fusion.fuse_fwd(cur[src], cur[dst], store, prefix, cfg.gate_act)
-
-    outs = [cur[lvl] if lvl in reads else None for lvl in range(2, top + 1)]
-    if cfg.lite:
-        outs.append(None)
-        if 6 in reads:
-            y6, cache["pool_top"] = max_pool2d_fwd(cur[top].data)
-            outs[-1] = LevelFeature(6, y6)
-    elif 2 in reads:
+    cur = {f.level: f for f in mgc.mgc_forward_fwd(feats, store, tape)[0]}
+    for prefix, src, dst, _ in sites:
+        cur[dst] = record(tape, fusion.fuse_bwd,
+                          fusion.fuse_fwd(cur[src], cur[dst], store, prefix, cfg.gate_act),
+                          (f"f{src}", f"f{dst}"), (f"f{dst}",))
+    if cfg.lite and 6 in reads:
+        y6 = record(tape, max_pool2d_bwd, max_pool2d_fwd(cur[top].data), (f"f{top}",), ("f6",))
+        cur[6] = LevelFeature(6, y6)
+    if smooth:
         p = ConvParams.from_store(store, "bu.l2.smooth")
-        y2, cache["bu.l2.smooth"] = conv2d_fwd(p, cur[2].data)
-        outs[0] = LevelFeature(2, y2)
-    return outs, (cache if keep_cache else None)
+        y2 = record(tape, conv2d_bwd, conv2d_fwd(p, cur[2].data),
+                    ("f2", "bu.l2.smooth.weight", "bu.l2.smooth.bias"), ("f2",))
+        cur[2] = LevelFeature(2, y2)
+    outs = [cur[lvl] if lvl in reads else None for lvl in OUTPUT_LEVELS]
+    if tape is None:
+        return outs, None
+    return outs, (tape, {f.level: (f.data.shape, f.data.dtype) for f in outs if f is not None})
 
 
 def forward_a2fpn_bwd(cache, gouts):
     """gouts: gradients of the forward outputs in level order from p2, one
     for each level the forward read and None for each it did not; entries
-    left off the end count as None.  Any other pattern is a ValueError.
+    left off the end count as None.  Any other pattern is a ValueError, and
+    so is a gradient whose shape or dtype differs from its output's.
 
-    Returns (glevels dict for the backbone levels 2..5, param grads).  A
-    stage runs backward exactly when the forward ran it, in the reverse of
-    the forward order: bu.l2.smooth or pool_top, then the fusion sites, then
-    the context stage and the extra level.  A stage the forward skipped
-    reports exact-zero gradients for every parameter param_shapes names
-    under its prefix, so the param grads always cover the neck and equal a
-    full forward's with zero maps for the unread levels.  Each stage's cache
-    is popped from the cache as the stage starts, so it is freed once that
-    stage is done, and the cache holds no ``td.*`` or ``bu.*`` key
-    afterwards.  The cache serves one backward.
+    Returns (glevels dict for the backbone levels 2..5, param grads), the
+    cache's tape replayed: a stage runs backward exactly when the forward
+    ran it, and its cache leaves the tape as it starts.  The param grads
+    cover the neck, and equal a full forward's with zero maps for the
+    unread levels.  The cache serves one backward.
     """
-    cfg, reads = cache["cfg"], sorted(cache["reads"])
+    tape, outs = cache
+    reads = sorted(outs)
     got = [lvl for lvl, g in enumerate(gouts, start=2) if g is not None]
     if got != reads:
         raise ValueError(f"the forward read levels {reads}, but levels {got} have gradients")
-    top = cfg.top_level
-    skipped = [shapes for prefix, shapes in _stage_shapes(cfg) if prefix not in cache]
-    pg = {}
-
-    gin = dict(zip(OUTPUT_LEVELS, gouts))
-    g = {lvl: gin.get(lvl) for lvl in range(2, top + 1)}
-    if "pool_top" in cache:
-        gpool = max_pool2d_bwd(cache.pop("pool_top"), gin[6])
-        g[top] = gpool if g[top] is None else gpool + g[top]
-    if "bu.l2.smooth" in cache:
-        g[2], gw, gb = conv2d_bwd(cache.pop("bu.l2.smooth"), g[2])
-        pg.update({"bu.l2.smooth.weight": gw, "bu.l2.smooth.bias": gb})
-
-    for prefix, src, dst, _ in reversed(_sites(cfg)):
-        if prefix in cache:
-            gsrc, g[dst], local = fusion.fuse_bwd(cache.pop(prefix), g[dst])
-            pg.update(local)
-            g[src] = gsrc if g[src] is None else g[src] + gsrc
-
-    gfeats, local = mgc.mgc_forward_bwd(cache["mgc"], list(g.values()))
-    pg.update(local)
-    dt = cfg.np_dtype
-    for shapes in skipped:
-        pg.update((name, np.zeros(shape, dt)) for name, shape in shapes.items())
-
-    glevels = {lvl: gfeats[lvl] for lvl in (2, 3, 4, 5)}
-    if not cfg.lite:
-        gf5, local = make_extra_level_bwd(cache["extra"], gfeats[6])
-        pg.update(local)
-        glevels[5] = glevels[5] + gf5
-    return glevels, pg
+    seeds = {f"f{lvl}": g for lvl, g in zip(OUTPUT_LEVELS, gouts) if g is not None}
+    for lvl in reads:
+        g = seeds[f"f{lvl}"]
+        if (g.shape, g.dtype) != outs[lvl]:
+            raise ValueError(f"the gradient of level {lvl} is {g.dtype} {g.shape}, but the output "
+                             f"is {outs[lvl][1]} {outs[lvl][0]}")
+    grads = tape.backward(seeds)
+    return {lvl: grads.pop(f"f{lvl}") for lvl in (2, 3, 4, 5)}, grads
 
 
 def forward_pyramid(levels, store, cfg):
     """Dispatch on cfg.arch; outputs are always five levels, strides 4..64.
 
     The inference entry: the attention-aggregation necks run
-    forward_a2fpn_fwd with keep_cache False, so no backward cache outlives
-    its stage and the outputs are the same bits.
+    forward_a2fpn_fwd with keep_cache False, so nothing is recorded, no
+    backward cache outlives its stage and the outputs are the same bits.
     """
     if cfg.arch == "fpn":
         return forward_fpn(levels, store, cfg)

@@ -2,20 +2,18 @@
 finest pyramid output, per-pixel binary cross-entropy plus the orthogonality
 penalty, momentum SGD.
 
-Everything upstream of p2 trains on real gradients: the backbone, the
-context stage, the top-down sites, and in the full neck the extra level and
-the finest smooth.  The task checks training; it is not a benchmark.  The head
-reads p2 alone, so the neck's forward reads only p2 and skips the bottom-up
-sites (bu.l3 and up), whose outputs feed only the other four levels.  Its
-backward takes p2's gradient alone, runs exactly the stages that forward
-ran, and gives the skipped sites exact-zero gradients, so they never train.
-Their forward and adjoints are covered by the whole-neck gradchecks of
-``verify`` (``a2fpn_full``, ``a2fpn_lite``) and by the benchmark's
-fwdbwd-256 workload, which sends a cotangent into every output.  Each step runs one forward and one backward
-over the whole batch: every op carries the image axis, and the gradient of
-each shared parameter is summed over the images inside its GEMMs and
-reductions, in a fixed order, so trajectories are bit-identical from run to
-run.
+Each step records the whole objective on one tape (``a2fpn.tape``): the
+penalty, the backbone, the neck and the head, and replays it once.  The
+task checks training; it is not a benchmark.  Everything upstream of p2
+trains on real gradients: the backbone, the context stage, the top-down
+sites, and in the full neck the extra level and the finest smooth.  The
+head reads p2 alone, so the neck runs only what p2 needs and skips the
+bottom-up sites (bu.l3 and up), whose parameters get exact-zero gradients
+and never train; their adjoints are covered by the whole-neck gradchecks of
+``verify`` and by the benchmark's fwdbwd-256 workload.  Every op carries
+the image axis, and each shared parameter's gradient is summed over the
+images inside its GEMMs and reductions, in a fixed order, so trajectories
+are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -27,15 +25,8 @@ import numpy as np
 
 from .mgc import orthogonal_reg
 from .nn_ops import ConvParams, bilinear_upsample_bwd, bilinear_upsample_fwd, conv2d_bwd, conv2d_fwd
-from .pyramid import (
-    ConfigError,
-    PyramidConfig,
-    forward_a2fpn_bwd,
-    forward_a2fpn_fwd,
-    init_params,
-    toy_backbone_bwd,
-    toy_backbone_fwd,
-)
+from .pyramid import ConfigError, PyramidConfig, forward_a2fpn_fwd, init_params, toy_backbone_fwd
+from .tape import Tape, record
 from .tensor_core import sigmoid_fwd
 
 TRAIN_ARCHS = ("a2fpn", "a2fpn_lite")
@@ -94,77 +85,35 @@ def _bce_with_logits(z, target):
     return float(np.mean(np.mean(elem, axis=(-2, -1))))
 
 
-def batch_pass(images, masks, store, cfg):
-    """Forward + backward for a batch (n, 3, H, W) of images and (n, H, W) of masks.
+def _bce_bwd(cache):
+    """The gradient of _bce_with_logits at z, as the head's (n, 1, H, W) logit map."""
+    z, masks = cache
+    return ((sigmoid_fwd(z)[0] - masks) / z.size).astype(z.dtype)[:, None]
 
-    Returns (task loss, param grads): the mean over images of each image's
-    mean BCE, and its gradient.  The whole batch is one pass through every
-    op; each parameter gradient comes out summed over the images.
+
+def _objective(images, masks, store, cfg, tape=None):
+    """(loss, reg) of a batch (n, 3, H, W) of images and (n, H, W) of masks:
+    the mean over images of each image's mean BCE of the 1×1 head on p2
+    upsampled ×4, plus the orthogonality penalty reg.  With a tape the pass
+    is recorded on it, the penalty first, so that tape.backward({}) gives
+    every parameter's gradient of the loss; without one nothing is kept.
     """
-    levels, bb_cache = toy_backbone_fwd(images, store)
-    loss, glevels, pg = _neck_and_head_pass(levels, masks, store, cfg)
-    # the neck's caches are gone by now, so the batch's caches are not all
-    # alive during the backbone's backward; the image gradient is not needed
-    _, bb_pg = toy_backbone_bwd(bb_cache, glevels, need_gimage=False)
-    pg.update(bb_pg)
-    return loss, pg
-
-
-def _neck_and_head_pass(levels, masks, store, cfg):
-    """Loss, backbone-level gradients and neck and head param grads.
-
-    The head reads p2 alone, so the neck runs forward only what p2 needs
-    and gets p2's gradient alone back: the bottom-up sites, whose outputs
-    feed only the other four levels, run neither way and report zero
-    gradients.
-    """
-    outs, neck_cache = forward_a2fpn_fwd(levels, store, cfg, reads=(2,))
-    loss, head_cache = _head_fwd(outs[0].data, masks, store)
-    gp2, gw_head, gb_head = _head_bwd(head_cache)
-    del head_cache  # the head's full-resolution maps go before the neck's backward
-    glevels, pg = forward_a2fpn_bwd(neck_cache, [gp2])
-    pg["head.weight"] = gw_head
-    pg["head.bias"] = gb_head
-    return loss, glevels, pg
-
-
-def _head_fwd(p2, masks, store):
-    """Loss of the 1×1 head on p2 upsampled ×4, and the head's cache."""
-    if p2.ndim != 4 or masks.ndim != 3:
-        raise ValueError(f"the head takes a batch: p2 (n, c, h, w) and masks (n, H, W), "
-                         f"got {p2.shape} and {masks.shape}")
-    z4, c_conv = conv2d_fwd(ConvParams.from_store(store, "head"), p2)
-    z2, c_up1 = bilinear_upsample_fwd(z4)
-    z1, c_up2 = bilinear_upsample_fwd(z2)
-    z = z1[:, 0]
-    return _bce_with_logits(z, masks), (z, masks, c_conv, c_up1, c_up2)
-
-
-def _head_bwd(cache):
-    """(gp2, gw, gb) of the loss _head_fwd returned."""
-    z, masks, c_conv, c_up1, c_up2 = cache
-    gz = ((sigmoid_fwd(z)[0] - masks) / z.size).astype(z.dtype)
-    g2 = bilinear_upsample_bwd(c_up2, gz[:, None])
-    g4 = bilinear_upsample_bwd(c_up1, g2)
-    return conv2d_bwd(c_conv, g4)
-
-
-def _objective_grads(images, masks, store, cfg):
-    task, grads = batch_pass(images, masks, store, cfg)
+    if images.ndim != 4 or masks.ndim != 3:
+        raise ValueError(f"the head takes a batch: images (n, 3, H, W) and masks (n, H, W), "
+                         f"got {images.shape} and {masks.shape}")
     reg, reg_grads = orthogonal_reg(store, cfg.lambda_o)
-    for key, g in reg_grads.items():
-        grads[key] = grads[key] + g
-    return task + reg, reg, grads
-
-
-def _objective(images, masks, store, cfg):
-    """The (loss, reg) of _objective_grads, forward only: no cache is kept,
-    no gradient is taken and the neck runs only what p2 needs."""
-    levels = toy_backbone_fwd(images, store)[0]
-    outs = forward_a2fpn_fwd(levels, store, cfg, keep_cache=False, reads=(2,))[0]
-    task, _ = _head_fwd(outs[0].data, masks, store)
-    reg = orthogonal_reg(store, cfg.lambda_o)[0]
-    return task + reg, reg
+    if tape is not None:
+        tape.append((lambda grads: grads, reg_grads, (), ()))
+    levels = toy_backbone_fwd(images, store, tape)[0]
+    p2 = forward_a2fpn_fwd(levels, store, cfg, keep_cache=tape is not None, reads=(2,), tape=tape)[0][0]
+    z = record(tape, conv2d_bwd, conv2d_fwd(ConvParams.from_store(store, "head"), p2.data),
+               ("f2", "head.weight", "head.bias"), ("head",))
+    for _ in range(2):
+        z = record(tape, bilinear_upsample_bwd, bilinear_upsample_fwd(z), ("head",), ("head",))
+    z = z[:, 0]
+    if tape is not None:
+        tape.append((_bce_bwd, (z, masks), ("head",), ()))
+    return _bce_with_logits(z, masks) + reg, reg
 
 
 @dataclass
@@ -226,8 +175,8 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
 
     The loss column holds the total objective (task + penalty); a final row
     at index `steps` records the post-training loss the convergence check
-    reads.  That row is taken forward only (no cache, no gradient), with
-    the same bits as a full pass at the trained store.  Non-finite loss
+    reads.  That row is taken with no tape, with the bits of a recorded
+    pass at the trained store.  Non-finite loss
     stops the run and marks the report diverged.  An arch outside
     TRAIN_ARCHS is a ConfigError and a negative steps a ValueError.
     """
@@ -242,16 +191,15 @@ def train_toy(cfg, steps=DEFAULT_STEPS, lr=DEFAULT_LR, store=None, data=None):
     report = TrainReport(arch=cfg.arch, steps=steps, lr=lr, seed=cfg.seed)
 
     for step in range(steps + 1):
-        if step == steps:  # the last row needs only the loss
-            loss, reg = _objective(images, masks, store, cfg)
-        else:
-            loss, reg, grads = _objective_grads(images, masks, store, cfg)
+        tape = Tape() if step < steps else None  # the last row needs only the loss
+        loss, reg = _objective(images, masks, store, cfg, tape)
         report.rows.append((step, loss, reg))
         if not np.isfinite(loss):
             report.diverged = True
             break
         if step == steps:
             break
+        grads = tape.backward({})
         for key in store:
             v = velocity[key]
             v *= MOMENTUM

@@ -37,11 +37,10 @@ from .pyramid import (
     forward_a2fpn_bwd,
     forward_a2fpn_fwd,
     init_params,
-    make_extra_level_bwd,
     make_extra_level_fwd,
-    toy_backbone_bwd,
     toy_backbone_fwd,
 )
+from .tape import Tape
 from .tensor_core import (
     LAYERNORM_EPS,
     layer_norm_bwd,
@@ -209,9 +208,7 @@ def _check(setup):
 
         def grads():
             g = bwd(fwd()[1], rs)
-            if isinstance(g, dict):
-                return g
-            return dict(zip(arrays, g if isinstance(g, tuple) else (g,)))
+            return g if isinstance(g, dict) else dict(zip(arrays, _outputs(g)))
 
         return arrays, loss, grads
 
@@ -251,9 +248,10 @@ def _build_orthogonal_reg(rng):
     return {"psi2": psi2, "psi3": psi3}, loss, grads
 
 
-def _reason_multilevel_bwd(cache, r):
-    gbanks, *gw = mgc.reason_multilevel_bwd(cache, r)
-    return (*gbanks, *gw)
+def _replay(*slots):
+    """The backward of a forward recorded on a tape: its replay from the
+    projections as the gradients of the given output slots."""
+    return lambda tape, rs: tape.backward(dict(zip(slots, rs)))
 
 
 def _mgc_forward_setup(rng, lead=()):
@@ -268,12 +266,9 @@ def _mgc_forward_setup(rng, lead=()):
     for name, shape in mgc.param_shapes(c, {2: (4, 2), 3: (6, None)}).items():
         arrays[name] = (0.3 if name in _GRAPH_WEIGHTS else 1.0) * rng.standard_normal(shape)
 
-    def bwd(cache, rs):
-        glevels, pg = mgc.mgc_forward_bwd(cache, rs)
-        return {"f2": glevels[2], "f3": glevels[3], **pg}
-
     # the arrays are the store; level 3 only receives context
-    return arrays, lambda: mgc.mgc_forward_fwd([LevelFeature(2, f2), LevelFeature(3, f3)], arrays), bwd
+    return arrays, lambda: mgc.mgc_forward_fwd([LevelFeature(2, f2), LevelFeature(3, f3)], arrays,
+                                               Tape()), _replay("f2", "f3")
 
 
 def _tiny_fusion_store(rng, kind, guided=True, s=2):
@@ -353,23 +348,14 @@ def _toy_backbone_setup(rng):
     store = {name: rng.standard_normal(shape) * (0.1 if name.endswith(".bias") else 0.5)
              for name, shape in backbone_shapes(BackboneSpec((2, 3, 4, 5))).items()}
     image = rng.standard_normal((3, 64, 64))
-
-    def bwd(caches, rs):
-        gimage, pg = toy_backbone_bwd(caches, dict(zip((2, 3, 4, 5), rs)))
-        return {"image": gimage, **pg}
-
-    return {"image": image, **store}, lambda: toy_backbone_fwd(image, store), bwd
+    return {"image": image, **store}, lambda: toy_backbone_fwd(image, store, Tape(), need_gimage=True), \
+        _replay("f2", "f3", "f4", "f5")
 
 
 def _extra_level_setup(rng):
     f5 = LevelFeature(5, rng.standard_normal((5, 2, 2)))
     store = {name: rng.standard_normal(shape) for name, shape in extra_level_shapes(6, 5).items()}
-
-    def bwd(cache, rs):
-        gf5, pg = make_extra_level_bwd(cache, *rs)
-        return {"f5": gf5, **pg}
-
-    return {"f5": f5.data, **store}, lambda: make_extra_level_fwd(f5, store), bwd
+    return {"f5": f5.data, **store}, lambda: make_extra_level_fwd(f5, store, Tape()), _replay("f6")
 
 
 def tiny_config(arch="a2fpn"):
@@ -458,7 +444,7 @@ REGISTRY = {
                               mgc.gcn_layer_bwd, _normal(g=(8, 5), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
                   COMPOSITE_TOL, 0),
     "reason_multilevel": (_op_builder(lambda b2, b3, w1, w2, w3: mgc.reason_multilevel_fwd(
-                              [b2, b3], (w1, w2, w3)), _reason_multilevel_bwd,
+                              [b2, b3], (w1, w2, w3)), mgc.reason_multilevel_bwd,
                               _normal(b2=(8, 3), b3=(8, 2), w1=(2, 8), w2=(2, 8), w3=(8, 8))),
                           COMPOSITE_TOL, 0),
     "distribute_context": (_op_builder(mgc.distribute_context_fwd, mgc.distribute_context_bwd,

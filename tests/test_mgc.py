@@ -4,6 +4,7 @@ import pytest
 
 from a2fpn import mgc, oracles, pyramid
 from a2fpn.levels import LevelFeature
+from a2fpn.tape import Tape
 
 
 def test_compatibility_columns_are_distributions(rng):
@@ -169,9 +170,11 @@ def test_mgc_backward_covers_all_param_names(rng):
     feats = [LevelFeature(2, rng.standard_normal((8, 4, 4))),
              LevelFeature(3, rng.standard_normal((8, 2, 2))),
              LevelFeature(4, rng.standard_normal((8, 1, 2)))]
-    outs, cache = mgc.mgc_forward_fwd(feats, store)
-    glevels, pg = mgc.mgc_forward_bwd(cache, [np.ones_like(o.data) for o in outs])
-    assert sorted(glevels) == [2, 3, 4]
+    outs, tape = mgc.mgc_forward_fwd(feats, store, Tape())
+    pg = tape.backward({f"f{o.level}": np.ones_like(o.data) for o in outs})
+    glevels = {lvl: pg.pop(f"f{lvl}") for lvl in (2, 3, 4)}
+    assert [g.shape for g in glevels.values()] == [f.data.shape for f in feats]
+    assert not tape
     want = {"mgc.out.weight"}
     want |= {f"mgc.shared_gcn.w{i}.weight" for i in (1, 2, 3)}
     for lvl in (2, 3, 4):
@@ -180,6 +183,29 @@ def test_mgc_backward_covers_all_param_names(rng):
         want |= {f"mgc.l{lvl}.psi.weight", f"mgc.l{lvl}.phi.weight"}
         want |= {f"mgc.l{lvl}.gcn.w{i}.weight" for i in (1, 2, 3)}
     assert set(pg) == want
+
+
+def test_out_weight_gradient_sums_the_levels_from_the_finest_up(rng):
+    # the replay takes the distributions from level 2 up, so in f32 the
+    # gradient of mgc.out.weight has the bits of the ascending-level sum of
+    # each level's distribute_context_bwd, which the descending sum does not
+    store = {k: v.astype(np.float32)
+             for k, v in _tiny_mgc_store(rng, collect=(2, 3, 4), distribute=(2, 3, 4, 5, 6)).items()}
+    feats = [LevelFeature(lvl, rng.standard_normal((8, 2 ** (6 - lvl), 2)).astype(np.float32))
+             for lvl in (2, 3, 4, 5, 6)]
+    outs, tape = mgc.mgc_forward_fwd(feats, store, Tape())
+    seeds = {f"f{o.level}": rng.standard_normal(o.data.shape).astype(np.float32) for o in outs}
+    caches = {outs[0]: c for bwd, c, _, outs in tape if bwd is mgc.distribute_context_bwd}
+    per_level = [mgc.distribute_context_bwd(caches[f"f{lvl}"], seeds[f"f{lvl}"])[4]
+                 for lvl in (2, 3, 4, 5, 6)]
+    ascending, descending = per_level[0], per_level[-1]
+    for g in per_level[1:]:
+        ascending = ascending + g
+    for g in per_level[-2::-1]:
+        descending = descending + g
+    assert not np.array_equal(ascending, descending)
+    got = tape.backward(seeds)["mgc.out.weight"]
+    assert got.dtype == np.float32 and np.array_equal(got, ascending)
 
 
 def _t(a):

@@ -6,10 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from a2fpn import nn_ops, pyramid, verify
+from a2fpn import fusion, mgc, nn_ops, pyramid, tensor_core, train, verify
 from a2fpn.levels import LevelFeature
 from a2fpn.nn_ops import ConvParams
 from a2fpn.pyramid import ARCHS, ConfigError, PyramidConfig
+from a2fpn.tape import Tape
 from conftest import traced_peak
 
 
@@ -23,6 +24,25 @@ def small_cfg(arch, **kw):
 def small_levels(rng, widths=(4, 4, 8, 8), h=16, w=16):
     return [LevelFeature(lvl, rng.standard_normal((widths[lvl - 2], h >> (lvl - 2), w >> (lvl - 2))))
             for lvl in (2, 3, 4, 5)]
+
+
+def stages(cache):
+    """The neck stage of each entry still on the tape of a forward_a2fpn_fwd
+    cache: a fusion site by the levels it reads (td.l4 reads f5 and f4), a
+    conv by its store prefix, the lite neck's top pool, and mgc for the
+    context module."""
+    names = []
+    for bwd, _, ins, outs in cache[0]:
+        if bwd is fusion.fuse_bwd:
+            src, dst = (int(slot[1:]) for slot in ins)
+            names.append(f"{'td' if src > dst else 'bu'}.l{dst}")
+        elif bwd is nn_ops.conv2d_bwd:
+            names.append(ins[1].removesuffix(".weight"))
+        elif bwd is nn_ops.max_pool2d_bwd:
+            names.append("pool_top")
+        elif bwd.__module__ == mgc.__name__:
+            names.append("mgc")
+    return names
 
 
 # -- configuration ----------------------------------------------------------
@@ -260,7 +280,7 @@ def test_a2fpn_full_uses_the_extra_level(rng):
     cfg = small_cfg("a2fpn")
     store = pyramid.init_params(cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
-    assert "extra" in cache and "td.l5" in cache and "bu.l6" in cache
+    assert {"extra.f6", "mgc", "td.l5", "bu.l6"} <= set(stages(cache))
     assert [f.level for f in outs] == [2, 3, 4, 5, 6]
 
 
@@ -268,7 +288,7 @@ def test_a2fpn_lite_pools_its_top_level(rng):
     cfg = small_cfg("a2fpn_lite")
     store = pyramid.init_params(cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
-    assert "extra" not in cache and "pool_top" in cache
+    assert "extra.f6" not in stages(cache) and "pool_top" in stages(cache)
     npt.assert_array_equal(outs[4].data, nn_ops.max_pool2d_fwd(outs[3].data)[0])
 
 
@@ -403,9 +423,9 @@ def test_backward_drops_the_fusion_caches(rng, arch):
     cfg = small_cfg(arch)
     store = pyramid.init_params(cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
-    assert any(k.startswith("td.") for k in cache) and any(k.startswith("bu.l3") for k in cache)
+    assert any(k.startswith("td.") for k in stages(cache)) and "bu.l3" in stages(cache)
     pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
-    assert not [k for k in cache if k.startswith(("td.", "bu."))]
+    assert not cache[0]
 
 
 def _owned_arrays(obj, found):
@@ -464,22 +484,49 @@ def test_the_tap_sizes_come_from_the_store_not_the_config(rng, arch):
 
 
 @pytest.mark.parametrize("arch", ["a2fpn", "a2fpn_lite"])
-def test_backward_frees_each_site_cache_before_the_next_site(monkeypatch, rng, arch):
-    # when a site's backward runs, the cache holds only the sites still to come
+def test_backward_frees_each_site_cache_before_the_next_site(rng, arch):
+    # every entry, the backbone's and the context module's as much as each
+    # fusion site's, leaves the tape before it replays: the tape then holds
+    # only the entries still to come
     cfg = small_cfg(arch)
-    store = pyramid.init_params(cfg)
-    outs, cache = pyramid.forward_a2fpn_fwd(small_levels(rng), store, cfg)
-    order = [prefix for prefix, *_ in reversed(pyramid._sites(cfg))]
+    store = pyramid.init_params(cfg, with_backbone=True)
+    tape = Tape()
+    levels = pyramid.toy_backbone_fwd(rng.standard_normal((3, 64, 64)), store, tape)[0]
+    outs = pyramid.forward_a2fpn_fwd(levels, store, cfg, tape=tape)[0]
     held = []
-    real_bwd = pyramid.fusion.fuse_bwd
 
-    def spy(site_cache, gout):
-        held.append(sorted(k for k in cache if k in order))
-        return real_bwd(site_cache, gout)
+    def spy(bwd):
+        def replay(cache, *gouts):
+            held.append([id(entry) for entry in tape])
+            return bwd(cache, *gouts)
+        return replay
 
-    monkeypatch.setattr(pyramid.fusion, "fuse_bwd", spy)
-    pyramid.forward_a2fpn_bwd(cache, [np.ones_like(f.data) for f in outs])
-    assert held == [sorted(order[i + 1:]) for i in range(len(order))]
+    kinds = {bwd for bwd, *_ in tape}
+    assert {tensor_core.relu_bwd, mgc.collect_context_bwd, mgc.distribute_context_bwd,
+            fusion.fuse_bwd} <= kinds
+    spied = [(spy(bwd), *rest) for bwd, *rest in tape]
+    tape[:] = spied
+    tape.backward({f"f{f.level}": np.ones_like(f.data) for f in outs})
+    assert held == [[id(entry) for entry in spied[:i]] for i in reversed(range(len(spied)))]
+    assert not tape
+
+
+def test_a_gradient_unlike_its_output_is_refused():
+    # on the toy config with a batch of 2: a p4 gradient of width 1 would
+    # broadcast, an f64 one would make the f32 neck's parameter gradients
+    # f64, and one for a batch of 3 would fail deep in the backward
+    cfg = train.toy_train_config("a2fpn")
+    store = pyramid.init_params(cfg, with_backbone=True)
+    levels = pyramid.toy_backbone_fwd(train.synth_shapes(cfg, count=2)[0], store)[0]
+    outs = pyramid.forward_a2fpn_fwd(levels, store, cfg)[0]
+    p4 = outs[2].data
+    for bad in (p4[:, :1], p4.astype(np.float64), np.concatenate([p4, p4[:1]])):
+        cache = pyramid.forward_a2fpn_fwd(levels, store, cfg)[1]
+        gouts = [np.ones_like(f.data) for f in outs]
+        gouts[2] = np.ones_like(bad)
+        with pytest.raises(ValueError, match=re.escape(f"level 4 is {bad.dtype} {bad.shape}")):
+            pyramid.forward_a2fpn_bwd(cache, gouts)
+        assert len(cache[0]) > 0  # refused before any entry replays
 
 
 # -- partial forward -----------------------------------------------------------
@@ -518,8 +565,8 @@ def test_reading_p2_alone_runs_only_the_top_down_sites(monkeypatch, rng, arch, b
         assert outs[0].level == 2 and np.array_equal(outs[0].data, full[0].data)
         assert outs[1:] == [None] * 4
         if keep_cache:
-            assert not [k for k in cache if k.startswith("bu.l") and k != "bu.l2.smooth"]
-            assert "pool_top" not in cache
+            assert not [k for k in stages(cache) if k.startswith("bu.l") and k != "bu.l2.smooth"]
+            assert "pool_top" not in stages(cache)
         else:
             assert cache is None
 
@@ -540,7 +587,7 @@ def test_p2_only_backward_matches_the_full_cache(rng, arch, batched):
             full_cache, [gp2] + [np.zeros_like(f.data) for f in outs[1:]])
         _, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(2,))
         glevels, pg = pyramid.forward_a2fpn_bwd(cache, [gp2])
-        assert not [k for k in cache if k.startswith(("td.", "bu."))]
+        assert not cache[0]
         assert set(pg) == set(want_pg) == set(store)
         for k, g in pg.items():
             assert g.dtype == want_pg[k].dtype and np.array_equal(g, want_pg[k]), (dtype, k)
@@ -556,14 +603,16 @@ def test_a_read_level_runs_the_bottom_up_sites_below_it(rng, arch):
     levels = small_levels(rng)
     full, _ = pyramid.forward_a2fpn_fwd(levels, store, cfg)
     outs, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(2, 4))
-    assert sorted(k for k in cache if k.startswith("bu.l") and k != "bu.l2.smooth") == ["bu.l3", "bu.l4"]
+    bottom_up = sorted(k for k in stages(cache) if k.startswith("bu.l") and k != "bu.l2.smooth")
+    assert bottom_up == ["bu.l3", "bu.l4"]
     assert [f is None for f in outs] == [False, True, False, True, True]
     for i in (0, 2):
         assert np.array_equal(outs[i].data, full[i].data)
     # the top level alone needs the whole bottom-up chain, but no finest smooth
     outs, cache = pyramid.forward_a2fpn_fwd(levels, store, cfg, reads=(6,))
-    assert [p for p, *_ in pyramid._sites(cfg) if p in cache] == [p for p, *_ in pyramid._sites(cfg)]
-    assert "bu.l2.smooth" not in cache
+    sites = [p for p in stages(cache) if p.startswith(("td.", "bu.l"))]
+    assert sites == [p for p, *_ in pyramid._sites(cfg)]
+    assert "bu.l2.smooth" not in stages(cache)
     assert outs[:4] == [None] * 4 and np.array_equal(outs[4].data, full[4].data)
 
 

@@ -9,6 +9,9 @@ import pytest
 from a2fpn import fusion, mgc, nn_ops, pyramid, tensor_core, train
 
 PACKAGE = Path(fusion.__file__).resolve().parent
+# the benchmark drives the package's public entry points (forward_a2fpn_bwd
+# is one that no module of the package calls)
+BENCHMARK = PACKAGE.parent.parent / "perfbench"
 # the checks and their references: naming a function there keeps nothing alive
 CHECK_MODULES = ("verify", "oracles")
 
@@ -44,7 +47,7 @@ def _public_definitions(module):
 def test_every_public_primitive_is_run_by_the_package(module):
     # a public function or type that only the checks use is dead code with a test attached
     used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCHMARK.glob("*.py")):
         if path.stem not in CHECK_MODULES:
             used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
     assert not [name for name in _public_definitions(module) if name not in used]

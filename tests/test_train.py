@@ -11,7 +11,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 import a2fpn
 from a2fpn import fusion, nn_ops, pyramid, train
 from a2fpn.pyramid import init_params
+from a2fpn.tape import Tape
 from a2fpn.train import TrainReport, synth_shapes, toy_train_config, train_toy, write_loss_csv
+
+
+def _pass(images, masks, store, cfg):
+    """(loss, param grads) of the toy objective, recorded on a tape and replayed."""
+    tape = Tape()
+    loss, _ = train._objective(images, masks, store, cfg, tape)
+    return loss, tape.backward({})
 
 
 def test_synth_data_shapes_and_masks():
@@ -96,11 +104,11 @@ def test_a_missing_gradient_stops_training(monkeypatch):
 @pytest.mark.parametrize("arch", train.TRAIN_ARCHS)
 def test_final_row_is_the_loss_of_the_trained_store(arch):
     # the last row is taken forward only, with the bits of the loss and
-    # penalty that a full pass gives at the returned store
+    # penalty that a recorded pass gives at the returned store
     cfg = toy_train_config(arch)
     for steps in (0, 3):
         report, store = train_toy(cfg, steps=steps)
-        loss, reg, _ = train._objective_grads(*synth_shapes(cfg), store, cfg)
+        loss, reg = train._objective(*synth_shapes(cfg), store, cfg, Tape())
         assert report.rows[-1] == (steps, loss, reg)
 
 
@@ -111,22 +119,18 @@ def test_training_reads_p2_alone_with_the_bits_of_a_full_forward(monkeypatch, ar
     # maps for the four levels the loss does not read, has the same rows and store
     cfg = toy_train_config(arch)
     want, want_store = train_toy(cfg, steps=3)
-    real_fwd, real_bwd = train.forward_a2fpn_fwd, train.forward_a2fpn_bwd
+    real_fwd = train.forward_a2fpn_fwd
     asked = []
-    unread = []
 
-    def every_level(levels, store, cfg, keep_cache=True, reads=None):
+    def every_level(levels, store, cfg, keep_cache=True, reads=None, tape=None):
         asked.append(reads)
-        outs, cache = real_fwd(levels, store, cfg, keep_cache=keep_cache)
-        unread[:] = [np.zeros_like(f.data) for f in outs[1:]]
+        outs, cache = real_fwd(levels, store, cfg, keep_cache=keep_cache, tape=tape)
+        if tape is not None:
+            zeros = {f"f{f.level}": np.zeros_like(f.data) for f in outs[1:]}
+            tape.append((lambda grads: grads, zeros, (), ()))
         return outs, cache
 
-    def zero_maps(cache, gouts):
-        assert len(gouts) == 1
-        return real_bwd(cache, list(gouts) + unread)
-
     monkeypatch.setattr(train, "forward_a2fpn_fwd", every_level)
-    monkeypatch.setattr(train, "forward_a2fpn_bwd", zero_maps)
     got, got_store = train_toy(cfg, steps=3)
     assert asked == [(2,)] * 4
     assert got.rows == want.rows
@@ -182,8 +186,8 @@ def test_batch_pass_matches_mean_of_single_image_passes(arch, dtype):
     cfg = dataclasses.replace(toy_train_config(arch), dtype=dtype)
     images, masks = synth_shapes(cfg)
     store = init_params(cfg, with_backbone=True, with_head=True)
-    loss, grads = train.batch_pass(images, masks, store, cfg)
-    singles = [train.batch_pass(images[i:i + 1], masks[i:i + 1], store, cfg) for i in range(len(images))]
+    loss, grads = _pass(images, masks, store, cfg)
+    singles = [_pass(images[i:i + 1], masks[i:i + 1], store, cfg) for i in range(len(images))]
     want_loss = np.mean([s[0] for s in singles])
     assert set(grads) == set(singles[0][1]) == set(store)
     if dtype == "f64":
@@ -206,9 +210,9 @@ def test_training_passes_reject_a_single_image():
     cfg = toy_train_config("a2fpn")
     images, masks = synth_shapes(cfg, count=1)
     store = init_params(cfg, with_backbone=True, with_head=True)
-    for fn in (train.batch_pass, train._objective):
+    for tape in (Tape(), None):
         with pytest.raises(ValueError, match="the head takes a batch"):
-            fn(images[0], masks[0], store, cfg)
+            train._objective(images[0], masks[0], store, cfg, tape)
 
 
 # numpy's Python-level helpers that cost more than their work on the toy
@@ -253,7 +257,7 @@ def test_training_step_stays_off_numpys_python_helpers(arch):
     cfg = toy_train_config(arch)
     store = init_params(cfg, with_backbone=True, with_head=True)
     images, masks = synth_shapes(cfg)
-    assert _slow_helper_calls(lambda: train.batch_pass(images, masks, store, cfg)) == set()
+    assert _slow_helper_calls(lambda: _pass(images, masks, store, cfg)) == set()
     # the guard sees such a call
     assert ("fromnumeric._wrapreduction", "_takes_np_max") in _slow_helper_calls(
         lambda: _takes_np_max(np.ones(3)), pkg=os.path.dirname(__file__))
@@ -276,7 +280,7 @@ def test_no_toy_training_conv_reaches_winograd(monkeypatch):
     cfg = toy_train_config("a2fpn")
     images, masks = synth_shapes(cfg)
     assert images.shape[0] == train.BATCH == 8
-    train.batch_pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
+    _pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
     assert len(sizes) == 24
     assert max(sizes) < nn_ops._WINOGRAD_MIN_SIZE
 
@@ -284,7 +288,7 @@ def test_no_toy_training_conv_reaches_winograd(monkeypatch):
 def _toy_train_pass():
     cfg = toy_train_config("a2fpn")
     images, masks = synth_shapes(cfg)
-    train.batch_pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
+    _pass(images, masks, init_params(cfg, with_backbone=True, with_head=True), cfg)
 
 
 def _fwdbwd_256_pass():
